@@ -3,8 +3,7 @@
 Subcommands: fowler, floquet, index-set, expand, verify, construct.
 Parameters come from flags or an INI-style flat config file (`--config`),
 with flags winning.  Reports are JSON (floats via repr: shortest exact
-round-trip), orbits and fields are CSV.  FOWLER_LAB_THREADS caps internal
-parallelism.
+round-trip), orbits and fields are CSV.
 """
 
 from __future__ import annotations

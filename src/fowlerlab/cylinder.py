@@ -213,12 +213,6 @@ def second_derivative(values: np.ndarray, h: float) -> np.ndarray:
     return out / (h * h)
 
 
-def apply_mode_operator(potential: np.ndarray, values: np.ndarray,
-                        h: float) -> np.ndarray:
-    """Discrete L_i phi = -phi'' + V phi on the window grid."""
-    return -second_derivative(values, h) + potential * values
-
-
 # ---------------------------------------------------------------------------
 # zonal projection of pointwise nonlinearities
 # ---------------------------------------------------------------------------
@@ -367,8 +361,6 @@ class ModeSolveContext:
         self.h = float(self.t[1] - self.t[0])
         if orbit.period > self.t[-1] - self.t[0]:
             raise ValueError("window must cover at least one orbit period")
-        self.op = floquet.ModeOperator(orbit, self.lam)
-        self.potential = self.op.potential(self.t)
         self.datum = floquet.mode_datum(orbit, 0, self.lam, 0, with_factors=True)
         if self.datum.type == floquet.TYPE_III:
             self._setup_hyperbolic()
@@ -391,21 +383,18 @@ class ModeSolveContext:
 
     def _setup_fundamental_pair(self):
         t, t0 = self.t, self.t[0]
-
-        def rhs(s, y):
-            v = self.op.potential(s)
-            return [y[2], y[3], v * y[0], v * y[1]]
-
-        sol = solve_ivp(rhs, (t0, t[-1]), [1.0, 0.0, 0.0, 1.0],
-                        method="DOP853", rtol=1e-12, atol=1e-14,
-                        dense_output=True)
+        orbit = self.orbit
+        y0 = [1.0, 0.0, 0.0, 1.0,
+              float(orbit.value(t0)), float(orbit.derivative(t0))]
+        sol = solve_ivp(floquet.variational_rhs, (t0, t[-1]), y0,
+                        args=(self.lam, orbit.params), method="DOP853",
+                        rtol=1e-12, atol=1e-14, dense_output=True)
         if not sol.success:
             raise IntegrationError("fundamental pair integration failed")
         vals = sol.sol(t)
         self.u = vals[0:2]       # u1, u2 values
-        self.u_d = vals[2:4]
         # quasi-periodicity: u_j(s + P) = sum_k M[k, j] u_k(s)
-        at = sol.sol(t0 + self.orbit.period)
+        at = sol.sol(t0 + orbit.period)
         self.shift = np.array([[at[0], at[1]], [at[2], at[3]]])
         self.wronskian = 1.0
 
@@ -635,7 +624,7 @@ def _pick_off_resonant_rate(beta: float, sigmas) -> float:
     return nu
 
 
-def _iterate(orbit, tgrid, modes, proj, rhs_fn, nu, tol, max_iter):
+def _iterate(orbit, tgrid, modes, rhs_fn, nu, tol, max_iter):
     """Generic fixed-point loop phi <- L^{-1} rhs(phi), mode by mode.
 
     Stops on a relative update below tol, or once updates stagnate at the
@@ -721,7 +710,7 @@ def contraction_construct(orbit: FowlerOrbit, profile: ForcingProfile,
             return proj.project(pointwise)
 
         phi, norms, factors, converged, iters = _iterate(
-            orbit, tgrid, modes, proj, rhs_fn, nu, tol, max_iter)
+            orbit, tgrid, modes, rhs_fn, nu, tol, max_iter)
         if converged or profile.is_flat:
             break
         if escalations >= 4:
@@ -806,7 +795,7 @@ def ckn_construct(orbit: FowlerOrbit, nu: float, amplitude: float = 0.05,
             return proj.project(pointwise)
 
         phi, norms, factors, converged, iters = _iterate(
-            orbit, tgrid, modes, proj, rhs_fn, nu, tol, max_iter)
+            orbit, tgrid, modes, rhs_fn, nu, tol, max_iter)
         if converged:
             break
         if escalations >= 4:
@@ -868,9 +857,6 @@ def _example_k(x):
     return (1.0 + 3.0 * s * (1.0 - math.log(r)) / 16.0 + s / 8.0) / g**3
 
 
-_D2_CENTRAL = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
-
-
 def _fd_laplacian(func, x, h):
     acc = 0.0
     for axis in range(x.size):
@@ -879,7 +865,7 @@ def _fd_laplacian(func, x, h):
             y = x.copy()
             y[axis] += k * h
             vals.append(func(y))
-        acc += float(_D2_CENTRAL @ vals) / (h * h)
+        acc += float(_D2_INTERIOR @ vals) / (h * h)
     return acc
 
 

@@ -315,11 +315,14 @@ def solve_resonant_mode(a_coeff, mu: float, op: floquet.ModeOperator,
         # multiple, each lower gamma is fixed by solvability one level down,
         # and the j = 0 coefficient gets the zero-kernel-projection gauge.
         max_power = t_power + 1
-        qk = datum.q_plus(nodes)
-        qk = qk / np.linalg.norm(qk)
-        gvec = -2.0 * (d1 @ qk) + 2.0 * mu * qk
-        u_svd, _, _ = np.linalg.svd(a_mat)
+        # the kernel direction is the collocation matrix's own null vector:
+        # sampled q+ would carry its roundoff through d2 into the residual
+        u_svd, _, vt_svd = np.linalg.svd(a_mat)
         w_null = u_svd[:, -1]
+        qk = vt_svd[-1]
+        if qk @ datum.q_plus(nodes) < 0:
+            qk = -qk
+        gvec = -2.0 * (d1 @ qk) + 2.0 * mu * qk
         denom = float(w_null @ gvec)
         if abs(denom) < 1e-10:
             raise RuntimeError("degenerate solvability pairing in resonant solve")

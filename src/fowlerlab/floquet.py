@@ -21,8 +21,6 @@ that type is recorded as unreachable.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,13 +53,6 @@ class ModeOperator:
     def potential(self, t):
         p = self.orbit.params
         return self.lam + p.q - p.e * p.c * self.orbit.value(t) ** (p.e - 1.0)
-
-    def potential_samples(self) -> np.ndarray:
-        return self.potential(self.orbit.t)
-
-    def apply(self, func, dfunc2, t):
-        """L_i applied to a function given with its second derivative."""
-        return -dfunc2 + self.potential(t) * func
 
 
 @dataclass
@@ -103,9 +94,19 @@ class FloquetDatum:
         return d
 
 
-def _system(t, z, op):
-    v = op.potential(t)
-    return [z[1], v * z[0]] if np.isscalar(z[0]) else np.concatenate([z[2:4], v * z[0:2]])
+def variational_rhs(t, y, lam, params):
+    """Z' = [[0, 1], [V, 0]] Z with the orbit carried in the state.
+
+    The state is (Z values, Z derivatives, xi, xi'): Z holds one or two
+    columns, and the potential V = lambda + q - e c xi^{e-1} is taken from
+    the state's own xi, which follows xi'' = q xi - c xi^e.  Callers start
+    (xi, xi') on the orbit at the initial time.
+    """
+    *z, xi, xi_prime = y.tolist()  # Python floats: cheaper than numpy here
+    c_pow = params.c * xi ** (params.e - 1.0)
+    v = lam + params.q - params.e * c_pow
+    k = len(z) // 2
+    return z[k:] + [v * u for u in z[:k]] + [xi_prime, (params.q - c_pow) * xi]
 
 
 def monodromy(op: ModeOperator, with_det: bool = False):
@@ -116,7 +117,8 @@ def monodromy(op: ModeOperator, with_det: bool = False):
     short enough that each partial propagator has moderate entries, and the
     monodromy is their product; the Liouville determinant check multiplies the
     subinterval determinants, which stays well conditioned even when the
-    assembled matrix has exponentially large entries.
+    assembled matrix has exponentially large entries.  The orbit rides along
+    in the state from its minimum (eps, 0), chained across subintervals.
     """
     orbit = op.orbit
     T = orbit.period
@@ -134,18 +136,15 @@ def monodromy(op: ModeOperator, with_det: bool = False):
             m = np.array([[1.0, T], [0.0, 1.0]])
         return (m, 1.0) if with_det else m
 
-    def rhs(t, y):
-        v = op.potential(t)
-        return [y[2], y[3], v * y[0], v * y[1]]
-
     rate = math.sqrt(max(1.0, op.lam + orbit.params.q))
     pieces = max(1, min(64, math.ceil(rate * T / 3.0)))
     breaks = np.linspace(0.0, T, pieces + 1)
     m = np.eye(2)
     det = 1.0
-    y0 = np.array([1.0, 0.0, 0.0, 1.0])
+    xi_state = [orbit.epsilon, 0.0]
     for a, b in zip(breaks[:-1], breaks[1:]):
-        sol = solve_ivp(rhs, (a, b), y0, method="DOP853",
+        sol = solve_ivp(variational_rhs, (a, b), [1.0, 0.0, 0.0, 1.0, *xi_state],
+                        args=(op.lam, orbit.params), method="DOP853",
                         rtol=_MONODROMY_RTOL, atol=_MONODROMY_ATOL)
         if not sol.success:
             raise IntegrationError(
@@ -155,6 +154,7 @@ def monodromy(op: ModeOperator, with_det: bool = False):
         mk = np.array([[yb[0], yb[1]], [yb[2], yb[3]]])
         m = mk @ m
         det *= float(np.linalg.det(mk))
+        xi_state = yb[4:]
     return (m, det) if with_det else m
 
 
@@ -217,9 +217,12 @@ def _eigvec(m, mu):
     return v
 
 
-def _integrate_branch(op, y0, t_eval, backward: bool):
-    span = (op.orbit.period, 0.0) if backward else (0.0, op.orbit.period)
-    sol = solve_ivp(_system, span, y0, args=(op,), method="DOP853",
+def _integrate_branch(op, z0, t_eval, backward: bool):
+    # the orbit is at its minimum (eps, 0) at both t = 0 and t = T
+    orbit = op.orbit
+    span = (orbit.period, 0.0) if backward else (0.0, orbit.period)
+    sol = solve_ivp(variational_rhs, span, [z0[0], z0[1], orbit.epsilon, 0.0],
+                    args=(op.lam, orbit.params), method="DOP853",
                     rtol=_MONODROMY_RTOL, atol=_MONODROMY_ATOL,
                     dense_output=True)
     if not sol.success:
@@ -245,8 +248,14 @@ def kernel_basis(op: ModeOperator, datum: FloquetDatum):
     tr = float(np.trace(m))
     mu_big = (abs(tr) + math.sqrt(tr * tr - 4.0)) / 2.0 * (1.0 if tr > 0 else -1.0)
     mu_small = 1.0 / mu_big
-    w_small = _eigvec(m, mu_small)
-    w_big = _eigvec(m, mu_big)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        w_small = _eigvec(m, mu_small)
+        w_big = _eigvec(m, mu_big)
+    if not np.all(np.isfinite([*m.ravel(), *w_small, *w_big])):
+        raise IntegrationError(
+            f"non-finite monodromy or eigenvector (n = {orbit.params.n}, "
+            f"eps = {orbit.epsilon!r}, lambda = {op.lam!r}): the growth over "
+            "one period overflows")
     t_eval = orbit.t
 
     if orbit.is_constant:
@@ -339,15 +348,6 @@ def exponent_sequence(orbit: FowlerOrbit, count: int,
     if count < 1:
         raise ValueError("count must be >= 1")
     lams, degs = spheres.eigenvalue_sequence(orbit.params.n, count + 1)
-    distinct = sorted(set(float(l) for l in lams[1:count + 1]))
-
-    def build(lam):
-        return mode_datum(orbit, 0, lam, 0, with_factors=with_factors)
-
-    threads = int(os.environ.get("FOWLER_LAB_THREADS", "1") or "1")
-    if threads > 1 and not orbit.is_constant:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(build, distinct))  # warm the cache in parallel
     out = []
     for i in range(1, count + 1):
         d = mode_datum(orbit, i, float(lams[i]), int(degs[i]),

@@ -16,7 +16,8 @@ class PeriodicFunction:
 
     Samples of analytic functions have exponentially decaying spectra; the
     sub-roundoff tail is pure sampling noise and would be amplified by k per
-    derivative, so coefficients below `filter_rel` times the peak are zeroed.
+    derivative, so coefficients below `filter_rel` times the peak are zeroed,
+    and evaluation sums only up to the last coefficient that survives.
     """
 
     def __init__(self, values, period: float, filter_rel: float = 1e-13):
@@ -29,8 +30,11 @@ class PeriodicFunction:
         if filter_rel > 0:
             floor = filter_rel * np.max(np.abs(coeffs))
             coeffs[np.abs(coeffs) < floor] = 0.0
-        self._coeffs = coeffs
-        self._k = np.arange(self._coeffs.size)
+        keep = int(np.flatnonzero(coeffs)[-1]) + 1 if np.any(coeffs) else 1
+        # the Nyquist mode appears once in rfft of an even count, not twice
+        self._nyquist = self.n % 2 == 0 and keep == coeffs.size
+        self._coeffs = coeffs[:keep]
+        self._k = np.arange(keep)
 
     @staticmethod
     def from_closed_grid(values, period: float) -> "PeriodicFunction":
@@ -45,9 +49,8 @@ class PeriodicFunction:
         c = self._coeffs * mult
         vals = np.real(phase @ c) * 2.0
         vals -= np.real(c[0])  # k = 0 was doubled
-        if self.n % 2 == 0:
-            # Nyquist mode appears once in rfft but was doubled above
-            vals -= np.real(phase[:, -1] * c[-1])
+        if self._nyquist:
+            vals -= np.real(phase[:, -1] * c[-1])  # doubled above
         return vals
 
     def __call__(self, t):

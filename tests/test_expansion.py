@@ -176,6 +176,23 @@ def test_resonant_solver_nonconstant_resonance(conf6_orbit):
     assert np.max(np.abs(r1 - ratio * qk)) < 1e-8 * max(1.0, abs(ratio))
 
 
+@pytest.mark.parametrize("params, frac, degree", [
+    (fowler.FowlerParams.conformal(5, 1.0), 0.5, 2),
+    (fowler.FowlerParams.ckn(5, 0.436, 0.613), 0.41, 1),
+], ids=["conformal-n5-degree2", "ckn-degree1"])
+def test_resonant_solve_meets_residual_limit(params, frac, degree):
+    # orbits where a kernel direction taken from the sampled q+ carried its
+    # roundoff through the spectral d2 into a residual above the limit
+    orbit = fowler.periodic_orbit(frac * fowler.constant_solution(params),
+                                  params)
+    lam = float(spheres.eigenvalue(degree, params.n))
+    d = floquet.mode_datum(orbit, 0, lam, degree)
+    sol = expansion.solve_resonant_mode(lambda t: np.ones_like(t), d.sigma,
+                                        floquet.ModeOperator(orbit, lam))
+    assert sol.resonant and sol.max_power == 1
+    assert sol.residual < expansion.RESIDUAL_LIMIT
+
+
 def test_resonant_solver_oscillatory_mode0(conf5_orbit):
     # mode 0 has no hyperbolic exponent; the same collocation applies
     op = floquet.ModeOperator(conf5_orbit, 0.0)

@@ -138,6 +138,35 @@ def test_kernel_basis_matches_translate_derivative(conf5_orbit):
     assert d1.periodicity_defect < 1e-6
 
 
+def test_kernel_factors_solve_mode_equation_at_degree_two(conf5_orbit):
+    # e^{+-sigma t} L(q+- e^{-+sigma t}) = -q'' +- 2 sigma q' - sigma^2 q + V q
+    # vanishes; derivatives by FFT of the 256 output samples
+    orb = conf5_orbit
+    lam = float(spheres.eigenvalue(2, orb.params.n))
+    d = floquet.mode_datum(orb, 0, lam, 2, with_factors=True)
+    T, sigma = orb.period, d.sigma
+    ts = np.arange(256) * (T / 256)
+    v = floquet.ModeOperator(orb, lam).potential(ts)
+    k = np.fft.rfftfreq(256, d=T / 256) * 2 * np.pi
+    for q_fn, sign in ((d.q_plus, 1.0), (d.q_minus, -1.0)):
+        q = q_fn(ts)
+        dq = np.fft.irfft(1j * k * np.fft.rfft(q), n=256)
+        d2q = np.fft.irfft(-k * k * np.fft.rfft(q), n=256)
+        res = -d2q + sign * 2.0 * sigma * dq - sigma**2 * q + v * q
+        scale = np.max(np.abs(q)) * (sigma**2 + np.max(np.abs(v)))
+        assert np.max(np.abs(res)) < 1e-7 * scale
+
+
+def test_overflowing_branch_raises_typed_error():
+    # n = 3 at eps = 1e-6 xi* (T = 60.5): degree 6 (lambda = 42) is the
+    # lowest mode whose period growth overflows the eigenvector computation
+    params = fowler.FowlerParams.conformal(3, 1.0)
+    orb = fowler.periodic_orbit(1e-6 * fowler.constant_solution(params),
+                                params)
+    with pytest.raises(fowler.IntegrationError, match=r"n = 3.*lambda = 42"):
+        floquet.mode_datum(orb, 0, 42.0, 6, with_factors=True)
+
+
 def test_kernel_basis_constant_orbit_trivial(const5_orbit):
     d = floquet.mode_datum(const5_orbit, 6, 10.0, 2, with_factors=True)
     assert_allclose(d.q_plus(const5_orbit.t), 1.0, atol=1e-14)
