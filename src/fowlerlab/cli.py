@@ -122,7 +122,6 @@ def _add_common(sub):
                      help="use the constant solution")
     sub.add_argument("--orbit-tol", type=float, default=1e-10)
     sub.add_argument("--outdir", default=".")
-    sub.add_argument("--seed", type=int, default=20240801)
 
 
 def _cmd_fowler(args):
@@ -267,7 +266,7 @@ def _cmd_verify(args):
     outdir = _ensure_outdir(args)
     names = args.suite or ["all"]
     reports = acceptance.run_suite(names)
-    # timings stay on stdout: the JSON report is byte-reproducible per seed
+    # timings stay on stdout: the JSON report is byte-identical across runs
     stable = [{k: v for k, v in r.items() if k != "runtime_s"}
               for r in reports]
     write_json(stable, os.path.join(outdir, "verify.json"))

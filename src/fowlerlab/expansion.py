@@ -227,12 +227,26 @@ def xi2_identity_defect(orbit: FowlerOrbit) -> float:
 
 
 def fourier_diff_matrix(num: int, period: float, order: int = 1) -> np.ndarray:
-    """Dense spectral differentiation matrix on the uniform grid over [0, T)."""
+    """Dense spectral differentiation matrix on the uniform grid over [0, T).
+
+    The matrix is circulant: entry (i, j) is col[(i - j) % num], where col is
+    the inverse FFT of the Fourier multiplier (i k)^order.
+    """
     k = np.fft.fftfreq(num, d=period / num) * 2.0 * np.pi
     mult = (1j * k) ** order
     if order % 2 == 1 and num % 2 == 0:
         mult[num // 2] = 0.0  # odd derivative of the Nyquist mode
-    return np.real(np.fft.ifft(mult[:, None] * np.fft.fft(np.eye(num), axis=0), axis=0))
+    col = np.real(np.fft.ifft(mult))
+    idx = np.arange(num)
+    return col[(idx[:, None] - idx[None, :]) % num]
+
+
+def _pinv_solver(u, s, vt):
+    """b -> V diag(1/s) U^T b over the singular values above numpy's default
+    `lstsq` cut (machine epsilon times the size times the largest)."""
+    keep = s > np.finfo(float).eps * max(u.shape[0], vt.shape[0]) * s[0]
+    u, s, vt = u[:, keep], s[keep], vt[keep]
+    return lambda b: vt.T @ ((u.T @ b) / s)
 
 
 @dataclass
@@ -301,10 +315,11 @@ def solve_resonant_mode(a_coeff, mu: float, op: floquet.ModeOperator,
 
     if not resonant:
         rs = [None] * (t_power + 1)
-        if oscillatory and np.linalg.cond(a_mat) > 1e12:
-            solve = lambda b: np.linalg.lstsq(a_mat, b, rcond=None)[0]
-        else:
-            solve = lambda b: np.linalg.solve(a_mat, b)
+        solve = lambda b: np.linalg.solve(a_mat, b)
+        if oscillatory:
+            u_svd, s_svd, vt_svd = np.linalg.svd(a_mat)
+            if s_svd[0] > 1e12 * s_svd[-1]:  # condition number above 1e12
+                solve = _pinv_solver(u_svd, s_svd, vt_svd)
         for k in range(t_power, -1, -1):
             r_next = rs[k + 1] if k + 1 <= t_power else None
             r_next2 = rs[k + 2] if k + 2 <= t_power else None
@@ -317,7 +332,8 @@ def solve_resonant_mode(a_coeff, mu: float, op: floquet.ModeOperator,
         max_power = t_power + 1
         # the kernel direction is the collocation matrix's own null vector:
         # sampled q+ would carry its roundoff through d2 into the residual
-        u_svd, _, vt_svd = np.linalg.svd(a_mat)
+        u_svd, s_svd, vt_svd = np.linalg.svd(a_mat)
+        solve = _pinv_solver(u_svd, s_svd, vt_svd)
         w_null = u_svd[:, -1]
         qk = vt_svd[-1]
         if qk @ datum.q_plus(nodes) < 0:
@@ -334,7 +350,7 @@ def solve_resonant_mode(a_coeff, mu: float, op: floquet.ModeOperator,
             gamma = float(w_null @ base) / ((k + 1) * denom)
             rs[k + 1] = rs[k + 1] + gamma * qk
             rhs = base - gamma * (k + 1) * gvec
-            sol = np.linalg.lstsq(a_mat, rhs, rcond=None)[0]
+            sol = solve(rhs)
             rs[k] = sol - (qk @ sol) * qk  # deterministic gauge
 
     # residual of the assembled ansatz, per power of t

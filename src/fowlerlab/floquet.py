@@ -85,6 +85,8 @@ class FloquetDatum:
             "sigma": self.sigma,
             "omega": self.omega,
             "periodicity_defect": self.periodicity_defect,
+            "det_defect": self.det_defect,
+            "coupling": self.coupling,
             "warning": self.warning,
         }
         if self.q_plus is not None:
@@ -217,27 +219,18 @@ def _eigvec(m, mu):
     return v
 
 
-def _integrate_branch(op, z0, t_eval, backward: bool):
-    # the orbit is at its minimum (eps, 0) at both t = 0 and t = T
-    orbit = op.orbit
-    span = (orbit.period, 0.0) if backward else (0.0, orbit.period)
-    sol = solve_ivp(variational_rhs, span, [z0[0], z0[1], orbit.epsilon, 0.0],
-                    args=(op.lam, orbit.params), method="DOP853",
-                    rtol=_MONODROMY_RTOL, atol=_MONODROMY_ATOL,
-                    dense_output=True)
-    if not sol.success:
-        raise IntegrationError("kernel branch integration failed")
-    vals = sol.sol(t_eval)
-    return vals[0], vals[1]
-
-
 def kernel_basis(op: ModeOperator, datum: FloquetDatum):
     """Periodic factors (q_plus, q_minus) of a Type III kernel.
 
     q_plus multiplies the decaying branch e^{-sigma t} and q_minus the growing
-    branch e^{+sigma t}.  The decaying branch is integrated backward in time
-    (where it grows) so neither branch is contaminated by the other.  Factors
-    are normalized to 1 at t = 0 when the value there is nonzero.
+    branch e^{+sigma t}.  Only the growing branch is integrated, forward from
+    the orbit minimum where it grows, so it is not contaminated by the other.
+    The potential is even about t = 0 and t = T/2, so u(T - t) solves the mode
+    equation whenever u(t) does, and the mirror image of the growing branch is
+    the decaying one: q_plus(t) = q_minus(T - t), read off the symmetric orbit
+    grid with no interpolation.  Factors are normalized to 1 at t = 0 when the
+    value there is nonzero; the periodicity defect of the one integrated branch
+    is also that of its mirror.
     """
     if datum.type != TYPE_III:
         raise ValueError("kernel_basis requires a Type III mode")
@@ -247,11 +240,9 @@ def kernel_basis(op: ModeOperator, datum: FloquetDatum):
     m = datum.monodromy
     tr = float(np.trace(m))
     mu_big = (abs(tr) + math.sqrt(tr * tr - 4.0)) / 2.0 * (1.0 if tr > 0 else -1.0)
-    mu_small = 1.0 / mu_big
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        w_small = _eigvec(m, mu_small)
         w_big = _eigvec(m, mu_big)
-    if not np.all(np.isfinite([*m.ravel(), *w_small, *w_big])):
+    if not np.all(np.isfinite([*m.ravel(), *w_big])):
         raise IntegrationError(
             f"non-finite monodromy or eigenvector (n = {orbit.params.n}, "
             f"eps = {orbit.epsilon!r}, lambda = {op.lam!r}): the growth over "
@@ -263,26 +254,21 @@ def kernel_basis(op: ModeOperator, datum: FloquetDatum):
         qp = PeriodicFunction.from_closed_grid(ones, T)
         return qp, qp, 0.0
 
-    # Decaying branch, integrated backward (where it grows) from O(1) data at
-    # T; since mu_small * e^{sigma T} = 1, the periodic factor is
-    # e^{sigma (t - T)} h(t) with no small prefactor anywhere.
-    h_dec, hp_dec = _integrate_branch(op, w_small, t_eval, backward=True)
-    q_plus_vals = np.exp(sigma * (t_eval - T)) * h_dec
-    # growing branch, integrated forward
-    h_gro, hp_gro = _integrate_branch(op, w_big, t_eval, backward=False)
-    q_minus_vals = np.exp(-sigma * t_eval) * h_gro
-
-    qp_prime = np.exp(sigma * (t_eval - T)) * (hp_dec + sigma * h_dec)
-    qm_prime = np.exp(-sigma * t_eval) * (hp_gro - sigma * h_gro)
-    scale_p = max(np.max(np.abs(q_plus_vals)), 1e-300)
-    scale_m = max(np.max(np.abs(q_minus_vals)), 1e-300)
-    defect = max(
-        abs(q_plus_vals[-1] - q_plus_vals[0]) / scale_p,
-        abs(q_minus_vals[-1] - q_minus_vals[0]) / scale_m,
-        abs(qp_prime[-1] - qp_prime[0]) / scale_p,
-        abs(qm_prime[-1] - qm_prime[0]) / scale_m,
-    )
-    q_plus = PeriodicFunction.from_closed_grid(q_plus_vals, T)
+    # growing branch, integrated forward; the orbit starts at its minimum
+    sol = solve_ivp(variational_rhs, (0.0, T),
+                    [w_big[0], w_big[1], orbit.epsilon, 0.0],
+                    args=(op.lam, orbit.params), method="DOP853",
+                    rtol=_MONODROMY_RTOL, atol=_MONODROMY_ATOL,
+                    dense_output=True)
+    if not sol.success:
+        raise IntegrationError("kernel branch integration failed")
+    h, hp = sol.sol(t_eval)[:2]
+    q_minus_vals = np.exp(-sigma * t_eval) * h
+    qm_prime = np.exp(-sigma * t_eval) * (hp - sigma * h)
+    scale = max(np.max(np.abs(q_minus_vals)), 1e-300)
+    defect = max(abs(q_minus_vals[-1] - q_minus_vals[0]),
+                 abs(qm_prime[-1] - qm_prime[0])) / scale
+    q_plus = PeriodicFunction.from_closed_grid(q_minus_vals[::-1], T)
     q_minus = PeriodicFunction.from_closed_grid(q_minus_vals, T)
     return q_plus, q_minus, float(defect)
 
@@ -308,7 +294,12 @@ def mode_datum(orbit: FowlerOrbit, index: int, lam: float, degree: int,
         else:
             cls = Classification(TYPE_II, None, None, None)
     else:
-        cls = classify(m, orbit.period, det=det)
+        try:
+            cls = classify(m, orbit.period, det=det)
+        except ValueError as exc:
+            raise IntegrationError(
+                f"{exc} (n = {orbit.params.n}, eps = {orbit.epsilon!r}, "
+                f"lambda = {lam!r})") from exc
     datum = FloquetDatum(index=index, degree=degree, lam=float(lam),
                          period=orbit.period, monodromy=m, type=cls.type,
                          sigma=cls.sigma, omega=cls.omega, warning=cls.warning,

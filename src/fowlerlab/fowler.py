@@ -183,19 +183,24 @@ class FowlerOrbit:
     _dense: object = field(default=None, repr=False, compare=False)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
+    def _fold(self, t):
+        # the interpolant covers [0, T/2]; xi is even about 0 and T/2
+        tm = np.mod(t, self.period)
+        return np.minimum(tm, self.period - tm), tm > self.period - tm
+
     def value(self, t):
         """xi at arbitrary t (periodic extension)."""
         if self.is_constant:
             return np.full_like(np.asarray(t, dtype=float), self.epsilon)
-        tm = np.mod(t, self.period)
-        return self._dense(tm)[0]
+        half, _ = self._fold(t)
+        return self._dense(half)[0]
 
     def derivative(self, t):
         """xi' at arbitrary t (periodic extension)."""
         if self.is_constant:
             return np.zeros_like(np.asarray(t, dtype=float))
-        tm = np.mod(t, self.period)
-        return self._dense(tm)[1]
+        half, mirrored = self._fold(t)
+        return np.where(mirrored, -1.0, 1.0) * self._dense(half)[1]
 
     def nonlinear_power(self, t):
         """c * xi(t)^e, the nonlinear term along the orbit."""
@@ -229,11 +234,13 @@ def constant_orbit(params: FowlerParams) -> FowlerOrbit:
 
 def periodic_orbit(epsilon: float, params: FowlerParams, tol: float = 1e-10,
                    samples: int = DEFAULT_SAMPLES) -> FowlerOrbit:
-    """Shoot the orbit with xi(0) = eps, xi'(0) = 0 over exactly one period.
+    """Shoot the orbit with xi(0) = eps, xi'(0) = 0 over half a period.
 
-    The first sign change of xi' (decreasing) locates the maximum at T/2; the
-    orbit is even about both turning points, so T = 2 * t_max.  The result
-    stores `samples` uniform samples over [0, T] plus a dense interpolant.
+    The first sign change of xi' (decreasing) locates the maximum at T/2.  The
+    orbit is even about both turning points, xi(T - t) = xi(t) and
+    xi'(T - t) = -xi'(t), so one solve over [0, T/2] gives the whole period:
+    `samples` uniform samples over [0, T] are taken on the first half and
+    mirrored, and the dense interpolant of that solve is folded the same way.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -254,35 +261,32 @@ def periodic_orbit(epsilon: float, params: FowlerParams, tol: float = 1e-10,
     # interpolant (used for sampling) is one order weaker than the stepper
     rtol = max(tol / 30.0, 1e-13)
     atol = rtol * 1e-2
-    t_cap = 50.0 * (small_oscillation_period(params)
-                    + 2.0 * abs(math.log(epsilon)) / math.sqrt(params.q) + 5.0)
+    # the step cap is needed before T is known: a sixteenth of the period
+    # of small oscillations about xi*, the limit of T as eps -> xi*
+    t_lin = small_oscillation_period(params)
+    t_cap = 50.0 * (t_lin + 2.0 * abs(math.log(epsilon)) / math.sqrt(params.q)
+                    + 5.0)
     sol = solve_ivp(_rhs, (0.0, t_cap), [epsilon, 0.0], args=(params,),
                     method="DOP853", rtol=rtol, atol=atol, events=at_max,
-                    dense_output=False)
+                    dense_output=True, max_step=t_lin / 16.0)
     if not sol.success or len(sol.t_events[0]) == 0:
         raise IntegrationError(
             f"no return to xi' = 0 before t = {t_cap:g}; last accepted "
             f"t = {sol.t[-1]:.6g}, state = {sol.y[:, -1]}")
     period = 2.0 * float(sol.t_events[0][0])
 
-    sol2 = solve_ivp(_rhs, (0.0, period), [epsilon, 0.0], args=(params,),
-                     method="DOP853", rtol=rtol, atol=atol,
-                     dense_output=True, max_step=period / 16.0)
-    if not sol2.success:
-        raise IntegrationError(
-            f"integration over [0, T] failed at t = {sol2.t[-1]:.6g}, "
-            f"state = {sol2.y[:, -1]}")
-
     t = np.linspace(0.0, period, samples)
-    ys = sol2.sol(t)
-    xi, xip = ys[0], ys[1]
+    first = sol.sol(t[:(samples + 1) // 2])
+    mirror = first[:, :samples // 2][:, ::-1]  # the samples at T - t
+    xi = np.concatenate([first[0], mirror[0]])
+    xip = np.concatenate([first[1], -mirror[1]])
     h0 = hamiltonian(epsilon, 0.0, params)
     drift = float(np.max(np.abs(hamiltonian(xi, xip, params) - h0)))
     energy_scale = max(1.0, abs(h0))
     if drift > 10.0 * max(tol, 1e-12) * energy_scale:
         raise IntegrationError(f"Hamiltonian drift {drift:.3e} exceeds "
                                f"10*tol*{energy_scale:.3g}")
-    peak = float(sol2.sol(period / 2.0)[0])  # the maximum sits at T/2 exactly
+    peak = float(sol.sol(period / 2.0)[0])  # the maximum sits at T/2 exactly
     peak_expected = max_value(epsilon, params)
     if abs(peak - peak_expected) > 10.0 * max(tol, 1e-12) * peak_expected:
         raise IntegrationError(
@@ -291,7 +295,7 @@ def periodic_orbit(epsilon: float, params: FowlerParams, tol: float = 1e-10,
 
     return FowlerOrbit(params=params, epsilon=float(epsilon), period=period,
                        t=t, xi=xi, xi_prime=xip, energy=h0,
-                       is_constant=False, energy_drift=drift, _dense=sol2.sol)
+                       is_constant=False, energy_drift=drift, _dense=sol.sol)
 
 
 def orbit_to_csv(orbit: FowlerOrbit, path):

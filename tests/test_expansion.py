@@ -239,3 +239,18 @@ def test_resonant_cascade_with_t_power_forcing(conf6_orbit):
     sol = expansion.solve_resonant_mode(forcing, 1.0, op, t_power=1)
     assert sol.resonant and sol.max_power == 2
     assert sol.residual < 1e-8
+
+
+@pytest.mark.parametrize("num", [255, 256])
+@pytest.mark.parametrize("order", [1, 2])
+def test_fourier_diff_matrix_matches_fft_of_identity(num, order):
+    # reference: the multiplier applied to the FFT of every unit vector
+    period = 7.3
+    k = np.fft.fftfreq(num, d=period / num) * 2.0 * np.pi
+    mult = (1j * k) ** order
+    if order % 2 == 1 and num % 2 == 0:
+        mult[num // 2] = 0.0
+    ref = np.real(np.fft.ifft(mult[:, None] * np.fft.fft(np.eye(num), axis=0),
+                              axis=0))
+    got = expansion.fourier_diff_matrix(num, period, order)
+    assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -167,6 +168,37 @@ def test_overflowing_branch_raises_typed_error():
         floquet.mode_datum(orb, 0, 42.0, 6, with_factors=True)
 
 
+@pytest.mark.parametrize("orbit_name, degree", [
+    ("conf5_orbit", 1), ("conf5_orbit", 2), ("ckn_orbit", 1), ("ckn_orbit", 2)])
+def test_mirrored_q_plus_matches_backward_integration(orbit_name, degree,
+                                                      request):
+    # reference: the decaying branch integrated backward from T, where it
+    # grows, starting from the small eigenvector of the monodromy
+    orb = request.getfixturevalue(orbit_name)
+    lam = float(spheres.eigenvalue(degree, orb.params.n))
+    d = floquet.mode_datum(orb, 0, lam, degree, with_factors=True)
+    T, m = orb.period, d.monodromy
+    tr = float(np.trace(m))
+    w_small = floquet._eigvec(m, 2.0 / (tr + math.sqrt(tr * tr - 4.0)))
+    sol = solve_ivp(floquet.variational_rhs, (T, 0.0),
+                    [w_small[0], w_small[1], orb.epsilon, 0.0],
+                    args=(lam, orb.params), method="DOP853",
+                    rtol=1e-12, atol=1e-14, dense_output=True)
+    ref = np.exp(d.sigma * (orb.t - T)) * sol.sol(orb.t)[0]
+    got = d.q_plus(orb.t)
+    assert np.max(np.abs(got - ref)) < 1e-10 * np.max(np.abs(ref))
+
+
+def test_determinant_failure_is_typed_error(conf5_orbit, monkeypatch):
+    monkeypatch.setattr(floquet, "monodromy",
+                        lambda op, with_det=False: (np.eye(2), 2.0))
+    with pytest.raises(fowler.IntegrationError,
+                       match=r"determinant.*n = 5.*lambda = 7\.25") as info:
+        floquet.mode_datum(conf5_orbit, 0, 7.25, 1)
+    assert isinstance(info.value.__cause__, ValueError)
+    assert ("datum", 7.25, True) not in conf5_orbit._cache
+
+
 def test_kernel_basis_constant_orbit_trivial(const5_orbit):
     d = floquet.mode_datum(const5_orbit, 6, 10.0, 2, with_factors=True)
     assert_allclose(d.q_plus(const5_orbit.t), 1.0, atol=1e-14)
@@ -253,6 +285,14 @@ def test_datum_json_roundtrip(conf5_orbit):
     assert payload["type"] == "III"
     assert len(payload["q_plus"]) == 256
     assert abs(payload["sigma"] - 1.0) < 1e-6
+    assert payload["det_defect"] == d.det_defect < 1e-9
+    assert payload["coupling"] is None
+    # the mode-0 datum carries its measured t-term coupling
+    d0 = floquet.mode_datum(conf5_orbit, 0, 0.0, 0)
+    payload0 = json.loads(json.dumps(d0.to_dict()))
+    assert payload0["type"] == floquet.TYPE_II
+    assert payload0["coupling"] == d0.coupling != 0.0
+    assert payload0["det_defect"] == d0.det_defect
 
 
 def test_exponent_sequence_rejects_elliptic_mode(conf5_orbit, monkeypatch):

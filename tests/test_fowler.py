@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import solve_ivp
 
 from fowlerlab import fowler
 
@@ -120,6 +121,31 @@ def test_orbit_sweep_invariants(params, frac):
         powv = params.c * orb.xi ** (4.0 / (n - 2))
         assert np.all(powv > 0)
         assert np.max(powv) < n * (n - 2) / 4.0
+
+
+@pytest.mark.parametrize("orbit_name", ["conf3_orbit", "conf5_orbit",
+                                        "ckn_orbit"])
+def test_half_period_orbit_matches_full_period_solve(orbit_name, request):
+    # reference: the Fowler ODE integrated directly over a whole period
+    orb = request.getfixturevalue(orbit_name)
+    p, T = orb.params, orb.period
+    sol = solve_ivp(lambda t, y: [y[1], p.q * y[0] - p.c * y[0] ** p.e],
+                    (0.0, T), [orb.epsilon, 0.0], method="DOP853",
+                    rtol=1e-10 / 30.0, atol=1e-10 / 3000.0, dense_output=True,
+                    max_step=T / 16.0)
+    t = np.linspace(0.0, 3.0 * T, 1537)
+    ref = sol.sol(np.mod(t, T))
+    assert np.max(np.abs(orb.value(t) - ref[0])) < 1e-9 * np.max(np.abs(ref[0]))
+    assert (np.max(np.abs(orb.derivative(t) - ref[1]))
+            < 1e-9 * np.max(np.abs(ref[1])))
+    # samples: xi even and xi' odd about T/2, exactly
+    assert np.array_equal(orb.xi, orb.xi[::-1])
+    assert np.array_equal(orb.xi_prime, -orb.xi_prime[::-1])
+    # the folded interpolant mirrors the same way, to the rounding of T - t
+    s = np.linspace(0.0, T, 301)
+    assert_allclose(orb.value(T - s), orb.value(s), rtol=1e-14)
+    assert_allclose(orb.derivative(T - s), -orb.derivative(s),
+                    atol=1e-13 * np.max(np.abs(orb.xi_prime)))
 
 
 def test_log_growth_of_period():
