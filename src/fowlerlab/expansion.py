@@ -315,11 +315,10 @@ def solve_resonant_mode(a_coeff, mu: float, op: floquet.ModeOperator,
 
     if not resonant:
         rs = [None] * (t_power + 1)
-        solve = lambda b: np.linalg.solve(a_mat, b)
-        if oscillatory:
-            u_svd, s_svd, vt_svd = np.linalg.svd(a_mat)
-            if s_svd[0] > 1e12 * s_svd[-1]:  # condition number above 1e12
-                solve = _pinv_solver(u_svd, s_svd, vt_svd)
+        if oscillatory and np.linalg.cond(a_mat) > 1e12:
+            solve = _pinv_solver(*np.linalg.svd(a_mat))
+        else:
+            solve = lambda b: np.linalg.solve(a_mat, b)
         for k in range(t_power, -1, -1):
             r_next = rs[k + 1] if k + 1 <= t_power else None
             r_next2 = rs[k + 2] if k + 2 <= t_power else None

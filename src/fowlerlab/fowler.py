@@ -261,14 +261,15 @@ def periodic_orbit(epsilon: float, params: FowlerParams, tol: float = 1e-10,
     # interpolant (used for sampling) is one order weaker than the stepper
     rtol = max(tol / 30.0, 1e-13)
     atol = rtol * 1e-2
-    # the step cap is needed before T is known: a sixteenth of the period
-    # of small oscillations about xi*, the limit of T as eps -> xi*
     t_lin = small_oscillation_period(params)
     t_cap = 50.0 * (t_lin + 2.0 * abs(math.log(epsilon)) / math.sqrt(params.q)
                     + 5.0)
+    # the step cap is needed before T is known: a sixteenth of the period
+    # of small oscillations about xi*, the limit of T as eps -> xi*
+    step_cap = t_lin / 16.0
     sol = solve_ivp(_rhs, (0.0, t_cap), [epsilon, 0.0], args=(params,),
                     method="DOP853", rtol=rtol, atol=atol, events=at_max,
-                    dense_output=True, max_step=t_lin / 16.0)
+                    dense_output=True, max_step=step_cap)
     if not sol.success or len(sol.t_events[0]) == 0:
         raise IntegrationError(
             f"no return to xi' = 0 before t = {t_cap:g}; last accepted "
