@@ -36,8 +36,10 @@ def _json_default(obj):
 
 
 def write_json(payload, path):
+    # allow_nan=False: a non-finite float is an error, never a bare NaN token
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True, default=_json_default)
+        json.dump(payload, fh, indent=1, sort_keys=True, allow_nan=False,
+                  default=_json_default)
         fh.write("\n")
 
 
@@ -105,8 +107,13 @@ def _ensure_outdir(args):
     return args.outdir
 
 
-def _add_common(sub):
+def _add_io(sub):
     sub.add_argument("--config", help="INI-style flat config file")
+    sub.add_argument("--outdir", default=".")
+
+
+def _add_common(sub):
+    _add_io(sub)
     sub.add_argument("--problem", choices=("conformal", "ckn"),
                      default="conformal")
     sub.add_argument("--n", type=int, default=5, help="ambient dimension")
@@ -121,7 +128,6 @@ def _add_common(sub):
     sub.add_argument("--constant", action="store_true",
                      help="use the constant solution")
     sub.add_argument("--orbit-tol", type=float, default=1e-10)
-    sub.add_argument("--outdir", default=".")
 
 
 def _cmd_fowler(args):
@@ -160,11 +166,12 @@ def _cmd_floquet(args):
             margin = (d.sigma**2 - (d.lam - orbit.params.n + 2)
                       if orbit.is_constant
                       else d.sigma**2 - (d.lam - (3 * orbit.params.n - 2) / 2))
+            margin_text = f"{margin:>13.6f}"
         else:
-            margin = float("nan")
+            margin, margin_text = None, f"{'-':>13}"  # no bound for CKN
         rate = d.sigma if d.sigma is not None else d.omega
         print(f"{d.index:>3} {d.lam:>10.4f} {d.type:>5} {rate:>14.8f} "
-              f"{margin:>13.6f}")
+              f"{margin_text}")
         rows.append(dict(d.to_dict(), bound_margin=margin))
     write_json({"params": orbit.params.describe(), "epsilon": orbit.epsilon,
                 "period": orbit.period, "modes": rows},
@@ -331,7 +338,7 @@ def build_parser():
     p.set_defaults(func=_cmd_construct)
 
     p = subs.add_parser("verify", help="run acceptance criteria")
-    _add_common(p)
+    _add_io(p)  # the criteria fix their own orbits
     p.add_argument("--suite", action="append",
                    help="criterion name (repeatable); default all")
     p.set_defaults(func=_cmd_verify)

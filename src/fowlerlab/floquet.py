@@ -96,68 +96,99 @@ class FloquetDatum:
         return d
 
 
-def variational_rhs(t, y, lam, params):
+def variational_rhs(t, y, lams, params):
     """Z' = [[0, 1], [V, 0]] Z with the orbit carried in the state.
 
-    The state is (Z values, Z derivatives, xi, xi'): Z holds one or two
-    columns, and the potential V = lambda + q - e c xi^{e-1} is taken from
-    the state's own xi, which follows xi'' = q xi - c xi^e.  Callers start
-    (xi, xi') on the orbit at the initial time.
+    The state is (Z values, Z derivatives, xi, xi'): Z holds any number of
+    columns, and column j sees the potential V_j = lambda_j + q - e c xi^{e-1}
+    taken from the state's own xi, which follows xi'' = q xi - c xi^e.
+    `lams` holds one eigenvalue per column, or one eigenvalue for all of them.
+    Callers start (xi, xi') on the orbit at the initial time.
     """
-    *z, xi, xi_prime = y.tolist()  # Python floats: cheaper than numpy here
+    k = (len(y) - 2) // 2
+    xi, xi_prime = y[-2:].tolist()  # Python floats: cheaper than numpy here
     c_pow = params.c * xi ** (params.e - 1.0)
-    v = lam + params.q - params.e * c_pow
-    k = len(z) // 2
-    return z[k:] + [v * u for u in z[:k]] + [xi_prime, (params.q - c_pow) * xi]
+    v = lams + params.q - params.e * c_pow
+    return np.concatenate((y[k:2 * k], v * y[:k],
+                           (xi_prime, (params.q - c_pow) * xi)))
 
 
-def monodromy(op: ModeOperator, with_det: bool = False):
-    """Fundamental solution over one period with identity initial data.
+def _batch(ops):
+    """A tuple of mode operators on one orbit, and whether one came alone."""
+    single = isinstance(ops, ModeOperator)
+    ops = (ops,) if single else tuple(ops)
+    if not ops:
+        raise ValueError("no mode operators given")
+    if any(op.orbit is not ops[0].orbit for op in ops):
+        raise ValueError("batched mode operators must share one orbit")
+    return ops, single
 
-    For constant orbits the system is autonomous and the matrix exponential is
-    written in closed form.  Otherwise the period is split into subintervals
-    short enough that each partial propagator has moderate entries, and the
-    monodromy is their product; the Liouville determinant check multiplies the
-    subinterval determinants, which stays well conditioned even when the
-    assembled matrix has exponentially large entries.  The orbit rides along
-    in the state from its minimum (eps, 0), chained across subintervals.
+
+def _constant_monodromy(op: ModeOperator) -> np.ndarray:
+    """Closed-form matrix exponential of the autonomous system."""
+    T = op.orbit.period
+    v = float(op.potential(0.0))
+    if v > 0:
+        r = math.sqrt(v)
+        ch, sh = math.cosh(r * T), math.sinh(r * T)
+        return np.array([[ch, sh / r], [r * sh, ch]])
+    if v < 0:
+        w = math.sqrt(-v)
+        cw, sw = math.cos(w * T), math.sin(w * T)
+        return np.array([[cw, sw / w], [-w * sw, cw]])
+    return np.array([[1.0, T], [0.0, 1.0]])
+
+
+def monodromy(ops, with_det: bool = False):
+    """Fundamental solutions over one period with identity initial data.
+
+    `ops` is one ModeOperator, answered with one matrix (and determinant), or
+    a sequence of operators on one orbit, answered with a stack of matrices
+    (and an array of determinants) in the same order.  For constant orbits
+    the system is autonomous and the matrix exponential is written in closed
+    form.  Otherwise every operator is integrated in one solve, the state
+    holding the fundamental matrix of each: the period is split into
+    subintervals short enough that each partial propagator of the largest
+    eigenvalue has moderate entries, and each monodromy is the product of its
+    partial propagators; the Liouville determinant check multiplies each
+    operator's subinterval determinants, which stays well conditioned even
+    when the assembled matrix has exponentially large entries.  The orbit
+    rides along in the state from its minimum (eps, 0), chained across
+    subintervals.
     """
-    orbit = op.orbit
-    T = orbit.period
+    ops, single = _batch(ops)
+    orbit = ops[0].orbit
+    k = len(ops)
+    dets = np.ones(k)
     if orbit.is_constant:
-        v = float(op.potential(0.0))
-        if v > 0:
-            r = math.sqrt(v)
-            ch, sh = math.cosh(r * T), math.sinh(r * T)
-            m = np.array([[ch, sh / r], [r * sh, ch]])
-        elif v < 0:
-            w = math.sqrt(-v)
-            cw, sw = math.cos(w * T), math.sin(w * T)
-            m = np.array([[cw, sw / w], [-w * sw, cw]])
-        else:
-            m = np.array([[1.0, T], [0.0, 1.0]])
-        return (m, 1.0) if with_det else m
-
-    rate = math.sqrt(max(1.0, op.lam + orbit.params.q))
-    pieces = max(1, min(64, math.ceil(rate * T / 3.0)))
-    breaks = np.linspace(0.0, T, pieces + 1)
-    m = np.eye(2)
-    det = 1.0
-    xi_state = [orbit.epsilon, 0.0]
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        sol = solve_ivp(variational_rhs, (a, b), [1.0, 0.0, 0.0, 1.0, *xi_state],
-                        args=(op.lam, orbit.params), method="DOP853",
-                        rtol=_MONODROMY_RTOL, atol=_MONODROMY_ATOL)
-        if not sol.success:
-            raise IntegrationError(
-                f"monodromy integration failed at t = {sol.t[-1]:.6g} "
-                f"(lambda = {op.lam})")
-        yb = sol.y[:, -1]
-        mk = np.array([[yb[0], yb[1]], [yb[2], yb[3]]])
-        m = mk @ m
-        det *= float(np.linalg.det(mk))
-        xi_state = yb[4:]
-    return (m, det) if with_det else m
+        ms = np.array([_constant_monodromy(op) for op in ops])
+    else:
+        T = orbit.period
+        lams = [op.lam for op in ops]
+        rate = math.sqrt(max(1.0, max(lams) + orbit.params.q))
+        pieces = max(1, min(64, math.ceil(rate * T / 3.0)))
+        breaks = np.linspace(0.0, T, pieces + 1)
+        # columns (u1, u2) per operator: values first, then derivatives
+        z0 = [1.0, 0.0] * k + [0.0, 1.0] * k
+        col_lams = np.repeat(lams, 2)
+        ms = np.tile(np.eye(2), (k, 1, 1))
+        xi_state = [orbit.epsilon, 0.0]
+        for a, b in zip(breaks[:-1], breaks[1:]):
+            sol = solve_ivp(variational_rhs, (a, b), [*z0, *xi_state],
+                            args=(col_lams, orbit.params), method="DOP853",
+                            rtol=_MONODROMY_RTOL, atol=_MONODROMY_ATOL)
+            if not sol.success:
+                raise IntegrationError(
+                    f"monodromy integration failed at t = {sol.t[-1]:.6g} "
+                    f"(lambda = {', '.join(map(repr, lams))})")
+            yb = sol.y[:, -1]
+            mk = yb[:4 * k].reshape(2, k, 2).transpose(1, 0, 2)
+            ms = mk @ ms
+            dets = dets * np.linalg.det(mk)
+            xi_state = yb[4 * k:]
+    if single:
+        return (ms[0], float(dets[0])) if with_det else ms[0]
+    return (ms, dets) if with_det else ms
 
 
 @dataclass(frozen=True)
@@ -219,9 +250,13 @@ def _eigvec(m, mu):
     return v
 
 
-def kernel_basis(op: ModeOperator, datum: FloquetDatum):
-    """Periodic factors (q_plus, q_minus) of a Type III kernel.
+def kernel_basis(ops, data):
+    """Periodic factors (q_plus, q_minus, periodicity defect) of Type III
+    kernels.
 
+    `ops` and `data` are one ModeOperator and its FloquetDatum, answered with
+    one triple, or matching sequences on one orbit, answered with a list of
+    triples; the growing branches of a sequence share one solve.
     q_plus multiplies the decaying branch e^{-sigma t} and q_minus the growing
     branch e^{+sigma t}.  Only the growing branch is integrated, forward from
     the orbit minimum where it grows, so it is not contaminated by the other.
@@ -232,61 +267,66 @@ def kernel_basis(op: ModeOperator, datum: FloquetDatum):
     value there is nonzero; the periodicity defect of the one integrated branch
     is also that of its mirror.
     """
-    if datum.type != TYPE_III:
+    ops, single = _batch(ops)
+    data = (data,) if single else tuple(data)
+    if any(d.type != TYPE_III for d in data):
         raise ValueError("kernel_basis requires a Type III mode")
-    orbit = op.orbit
+    orbit = ops[0].orbit
     T = orbit.period
-    sigma = datum.sigma
-    m = datum.monodromy
-    tr = float(np.trace(m))
-    mu_big = (abs(tr) + math.sqrt(tr * tr - 4.0)) / 2.0 * (1.0 if tr > 0 else -1.0)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        w_big = _eigvec(m, mu_big)
-    if not np.all(np.isfinite([*m.ravel(), *w_big])):
-        raise IntegrationError(
-            f"non-finite monodromy or eigenvector (n = {orbit.params.n}, "
-            f"eps = {orbit.epsilon!r}, lambda = {op.lam!r}): the growth over "
-            "one period overflows")
+    starts = []
+    for op, d in zip(ops, data):
+        m = d.monodromy
+        tr = float(np.trace(m))
+        mu_big = (abs(tr) + math.sqrt(tr * tr - 4.0)) / 2.0 * (1.0 if tr > 0 else -1.0)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            w_big = _eigvec(m, mu_big)
+        if not np.all(np.isfinite([*m.ravel(), *w_big])):
+            raise IntegrationError(
+                f"non-finite monodromy or eigenvector (n = {orbit.params.n}, "
+                f"eps = {orbit.epsilon!r}, lambda = {op.lam!r}): the growth "
+                "over one period overflows")
+        starts.append(w_big)
     t_eval = orbit.t
 
     if orbit.is_constant:
-        ones = np.ones_like(t_eval)
-        qp = PeriodicFunction.from_closed_grid(ones, T)
-        return qp, qp, 0.0
+        qp = PeriodicFunction.from_closed_grid(np.ones_like(t_eval), T)
+        out = [(qp, qp, 0.0)] * len(ops)
+        return out[0] if single else out
 
-    # growing branch, integrated forward; the orbit starts at its minimum
+    # growing branches, integrated forward; the orbit starts at its minimum
+    k = len(ops)
+    w = np.array(starts)
     sol = solve_ivp(variational_rhs, (0.0, T),
-                    [w_big[0], w_big[1], orbit.epsilon, 0.0],
-                    args=(op.lam, orbit.params), method="DOP853",
-                    rtol=_MONODROMY_RTOL, atol=_MONODROMY_ATOL,
-                    dense_output=True)
+                    [*w[:, 0], *w[:, 1], orbit.epsilon, 0.0],
+                    args=(np.array([op.lam for op in ops]), orbit.params),
+                    method="DOP853", rtol=_MONODROMY_RTOL,
+                    atol=_MONODROMY_ATOL, dense_output=True)
     if not sol.success:
         raise IntegrationError("kernel branch integration failed")
-    h, hp = sol.sol(t_eval)[:2]
-    q_minus_vals = np.exp(-sigma * t_eval) * h
-    qm_prime = np.exp(-sigma * t_eval) * (hp - sigma * h)
-    scale = max(np.max(np.abs(q_minus_vals)), 1e-300)
-    defect = max(abs(q_minus_vals[-1] - q_minus_vals[0]),
-                 abs(qm_prime[-1] - qm_prime[0])) / scale
-    q_plus = PeriodicFunction.from_closed_grid(q_minus_vals[::-1], T)
-    q_minus = PeriodicFunction.from_closed_grid(q_minus_vals, T)
-    return q_plus, q_minus, float(defect)
+    vals = sol.sol(t_eval)
+    out = []
+    for j, d in enumerate(data):
+        h, hp = vals[j], vals[k + j]
+        sigma = d.sigma
+        q_minus_vals = np.exp(-sigma * t_eval) * h
+        qm_prime = np.exp(-sigma * t_eval) * (hp - sigma * h)
+        scale = max(np.max(np.abs(q_minus_vals)), 1e-300)
+        defect = max(abs(q_minus_vals[-1] - q_minus_vals[0]),
+                     abs(qm_prime[-1] - qm_prime[0])) / scale
+        q_plus = PeriodicFunction.from_closed_grid(q_minus_vals[::-1], T)
+        q_minus = PeriodicFunction.from_closed_grid(q_minus_vals, T)
+        out.append((q_plus, q_minus, float(defect)))
+    return out[0] if single else out
 
 
-def mode_datum(orbit: FowlerOrbit, index: int, lam: float, degree: int,
-               with_factors: bool = True) -> FloquetDatum:
-    """Full Floquet datum for one mode (cached per distinct eigenvalue)."""
-    key = ("datum", float(lam), bool(with_factors))
-    hit = orbit._cache.get(key)
-    if hit is not None:
-        return FloquetDatum(**{**hit.__dict__, "index": index, "degree": degree})
-    op = ModeOperator(orbit, lam)
-    m, det = monodromy(op, with_det=True)
+def _classified(orbit: FowlerOrbit, lam: float, m: np.ndarray,
+                det: float) -> FloquetDatum:
+    """Datum of one eigenvalue from its monodromy, without kernel factors."""
     if orbit.is_constant:
         # constant coefficients: classify from the potential sign directly
         # (a constant orbit has no intrinsic period, and the stored
         # linearization period makes the mode-0 trace exactly degenerate)
-        v = float(op.potential(0.0))
+        v = float(ModeOperator(orbit, lam).potential(0.0))
         if v > 0:
             cls = Classification(TYPE_III, math.sqrt(v), None, None)
         elif v < 0:
@@ -300,17 +340,57 @@ def mode_datum(orbit: FowlerOrbit, index: int, lam: float, degree: int,
             raise IntegrationError(
                 f"{exc} (n = {orbit.params.n}, eps = {orbit.epsilon!r}, "
                 f"lambda = {lam!r})") from exc
-    datum = FloquetDatum(index=index, degree=degree, lam=float(lam),
-                         period=orbit.period, monodromy=m, type=cls.type,
-                         sigma=cls.sigma, omega=cls.omega, warning=cls.warning,
+    datum = FloquetDatum(index=0, degree=0, lam=lam, period=orbit.period,
+                         monodromy=m, type=cls.type, sigma=cls.sigma,
+                         omega=cls.omega, warning=cls.warning,
                          det_defect=abs(det - 1.0))
-    if cls.type == TYPE_III and with_factors:
-        qp, qm, defect = kernel_basis(op, datum)
-        datum.q_plus, datum.q_minus, datum.periodicity_defect = qp, qm, defect
     if cls.type == TYPE_II and not orbit.is_constant and lam == 0.0:
         datum.coupling = mode0_coupling(orbit, m)
-    orbit._cache[key] = datum
     return datum
+
+
+def _spectrum(orbit: FowlerOrbit, lams, with_factors: bool) -> None:
+    """Fill the orbit's cache with one datum per distinct eigenvalue in `lams`.
+
+    Every uncached eigenvalue is classified from one batched monodromy solve;
+    with `with_factors`, every Type III datum still without kernel factors
+    gets them from one batched kernel solve.  Data are cached only once every
+    eigenvalue of the batch has been classified.
+    """
+    cache = orbit._cache
+    lams = sorted({float(lam) for lam in lams})
+    new = [lam for lam in lams if ("datum", lam) not in cache]
+    if new:
+        ms, dets = monodromy([ModeOperator(orbit, lam) for lam in new],
+                             with_det=True)
+        data = [_classified(orbit, lam, m, float(det))
+                for lam, m, det in zip(new, ms, dets)]
+        for d in data:
+            cache[("datum", d.lam)] = d
+    if not with_factors:
+        return
+    bare = [d for d in (cache[("datum", lam)] for lam in lams)
+            if d.type == TYPE_III and d.q_plus is None]
+    if bare:
+        ops = [ModeOperator(orbit, d.lam) for d in bare]
+        for d, (qp, qm, defect) in zip(bare, kernel_basis(ops, bare)):
+            d.q_plus, d.q_minus, d.periodicity_defect = qp, qm, defect
+
+
+def mode_datum(orbit: FowlerOrbit, index: int, lam: float, degree: int,
+               with_factors: bool = True) -> FloquetDatum:
+    """Full Floquet datum for one mode (cached per distinct eigenvalue).
+
+    A datum computed earlier with kernel factors keeps them, so the result
+    may carry factors even when `with_factors` is false.
+    """
+    key = ("datum", float(lam))
+    datum = orbit._cache.get(key)
+    if datum is None or (with_factors and datum.type == TYPE_III
+                         and datum.q_plus is None):
+        _spectrum(orbit, [lam], with_factors)
+        datum = orbit._cache[key]
+    return FloquetDatum(**{**datum.__dict__, "index": index, "degree": degree})
 
 
 def mode0_coupling(orbit: FowlerOrbit, m: np.ndarray) -> float:
@@ -339,6 +419,7 @@ def exponent_sequence(orbit: FowlerOrbit, count: int,
     if count < 1:
         raise ValueError("count must be >= 1")
     lams, degs = spheres.eigenvalue_sequence(orbit.params.n, count + 1)
+    _spectrum(orbit, lams[1:count + 1], with_factors)  # one batch per orbit
     out = []
     for i in range(1, count + 1):
         d = mode_datum(orbit, i, float(lams[i]), int(degs[i]),

@@ -323,5 +323,6 @@ def orbit_to_dict(orbit: FowlerOrbit) -> dict:
 
 def orbit_to_json(orbit: FowlerOrbit, path):
     with open(path, "w") as fh:
-        json.dump(orbit_to_dict(orbit), fh, indent=1, sort_keys=True)
+        json.dump(orbit_to_dict(orbit), fh, indent=1, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")

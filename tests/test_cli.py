@@ -119,3 +119,34 @@ def test_construct_modes_alias_and_multi_component(tmp_path):
     report = json.loads((tmp_path / "construct.json").read_text())
     assert report["target_rate"] == pytest.approx(1.5)  # min of the rates
     assert report["trace"]["converged"] is True
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-JSON constant {token}")
+
+
+def test_floquet_ckn_json_has_no_bare_nan(tmp_path, capsys):
+    rc = run_cli(["floquet", "--problem", "ckn", "--n", "5", "--a", "0.5",
+                  "--b", "0.7", "--epsilon-frac", "0.4", "--modes", "12",
+                  "--outdir", str(tmp_path)])
+    assert rc == 0
+    payload = json.loads((tmp_path / "floquet.json").read_text(),
+                         parse_constant=_reject_constant)
+    assert len(payload["modes"]) == 12
+    assert all(m["bound_margin"] is None for m in payload["modes"])
+
+
+def test_write_json_refuses_non_finite(tmp_path):
+    with pytest.raises(ValueError):
+        cli.write_json({"x": float("nan")}, tmp_path / "bad.json")
+
+
+def test_verify_takes_no_orbit_flags(tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        run_cli(["verify", "--n", "7", "--outdir", str(tmp_path)])
+    assert info.value.code == 2  # argparse usage error
+    assert "unrecognized arguments: --n 7" in capsys.readouterr().err
+    conf = tmp_path / "run.ini"
+    conf.write_text("n = 7\n")
+    with pytest.raises(SystemExit, match="unknown config key: n"):
+        run_cli(["verify", "--config", str(conf), "--outdir", str(tmp_path)])

@@ -191,12 +191,12 @@ def test_mirrored_q_plus_matches_backward_integration(orbit_name, degree,
 
 def test_determinant_failure_is_typed_error(conf5_orbit, monkeypatch):
     monkeypatch.setattr(floquet, "monodromy",
-                        lambda op, with_det=False: (np.eye(2), 2.0))
+                        lambda ops, with_det=False: ([np.eye(2)], [2.0]))
     with pytest.raises(fowler.IntegrationError,
                        match=r"determinant.*n = 5.*lambda = 7\.25") as info:
         floquet.mode_datum(conf5_orbit, 0, 7.25, 1)
     assert isinstance(info.value.__cause__, ValueError)
-    assert ("datum", 7.25, True) not in conf5_orbit._cache
+    assert ("datum", 7.25) not in conf5_orbit._cache
 
 
 def test_kernel_basis_constant_orbit_trivial(const5_orbit):
@@ -311,3 +311,66 @@ def test_exponent_sequence_rejects_elliptic_mode(conf5_orbit, monkeypatch):
     monkeypatch.setattr(floquet, "mode_datum", fake)
     with pytest.raises(floquet.FloquetStructureError, match="Type IV"):
         floquet.exponent_sequence(conf5_orbit, 3)
+
+
+@pytest.mark.parametrize("orbit_name", ["conf3_orbit", "conf5_orbit",
+                                        "ckn_orbit"])
+def test_batched_solves_match_single_eigenvalue_solves(orbit_name, request):
+    # the distinct eigenvalues of degrees 1..3 in one solve against one solve
+    # per eigenvalue (a batch of one, the per-mode integration)
+    orb = request.getfixturevalue(orbit_name)
+    lams = [float(spheres.eigenvalue(k, orb.params.n)) for k in (1, 2, 3)]
+    ops = [floquet.ModeOperator(orb, lam) for lam in lams]
+    ms, dets = floquet.monodromy(ops, with_det=True)
+    batch = [floquet.FloquetDatum(0, 0, lam, orb.period, m, floquet.TYPE_III,
+                                  sigma=floquet.classify(m, orb.period,
+                                                         det=det).sigma)
+             for lam, m, det in zip(lams, ms, dets)]
+    factors = floquet.kernel_basis(ops, batch)
+    for op, d, det, (qp, qm, defect) in zip(ops, batch, dets, factors):
+        m1, det1 = floquet.monodromy(op, with_det=True)
+        cls = floquet.classify(m1, orb.period, det=det1)
+        assert cls.type == floquet.TYPE_III
+        assert np.max(np.abs(d.monodromy - m1)) < 1e-10 * np.max(np.abs(m1))
+        assert abs(det - det1) < 1e-10
+        assert abs(d.sigma - cls.sigma) < 1e-10 * cls.sigma
+        single = floquet.FloquetDatum(0, 0, op.lam, orb.period, m1, cls.type,
+                                      sigma=cls.sigma)
+        qp1, qm1, defect1 = floquet.kernel_basis(op, single)
+        for got, ref in ((qp, qp1), (qm, qm1)):
+            ref_vals = ref(orb.t)
+            assert (np.max(np.abs(got(orb.t) - ref_vals))
+                    < 1e-10 * np.max(np.abs(ref_vals)))
+        assert defect < 1e-8 and defect1 < 1e-8
+
+
+def test_kernel_factors_reuse_the_cached_monodromy(monkeypatch):
+    # exponent data without factors, then factors for the same eigenvalue:
+    # the second call integrates the kernel branch only
+    n = 5
+    params = fowler.FowlerParams.conformal(n, 1.0)
+    orb = fowler.periodic_orbit(0.45 * fowler.constant_solution(params),
+                                params)
+    calls = []
+    real = floquet.solve_ivp
+    monkeypatch.setattr(floquet, "solve_ivp",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    floquet.exponent_sequence(orb, n, with_factors=False)
+    assert len(calls) > 1  # the monodromy subintervals
+    calls.clear()
+    d = floquet.mode_datum(orb, 1, float(n - 1), 1, with_factors=True)
+    assert len(calls) == 1 and d.q_plus is not None
+    calls.clear()
+    floquet.exponent_sequence(orb, n, with_factors=True)
+    assert calls == []
+
+
+def test_batched_overflow_names_lowest_offending_eigenvalue():
+    # n = 3 at eps = 1e-6 xi*: modes 1..50 reach degree 7 (lambda = 56);
+    # the batch fails at the first eigenvalue whose growth overflows
+    params = fowler.FowlerParams.conformal(3, 1.0)
+    orb = fowler.periodic_orbit(1e-6 * fowler.constant_solution(params),
+                                params)
+    with pytest.raises(fowler.IntegrationError,
+                       match=r"n = 3.*lambda = 42\.0\)"):
+        floquet.exponent_sequence(orb, 50, with_factors=True)
