@@ -43,7 +43,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
-from . import floquet, spheres
+from . import floquet, index_set, spheres
 from .fowler import FowlerOrbit, IntegrationError
 
 DEFAULT_H = 1.0 / 64.0
@@ -665,6 +665,43 @@ def _iterate(orbit, tgrid, modes, rhs_fn, nu, tol, max_iter):
     return phi, norms, factors, converged, it + 1
 
 
+def _construct(orbit: FowlerOrbit, modes, nu: float, build, t0: float,
+               window: float, h: float, tol: float, max_iter: int):
+    """The one fixed-point construction driver near an orbit.
+
+    `build(tgrid, proj)` supplies the base coefficients on the window and the
+    rhs map of the iteration phi <- L^{-1} rhs(phi).  Whenever the iteration
+    fails to converge within `max_iter` sweeps (a measured factor >= 1 or the
+    sweep cap) the window start t0 doubles, at most four times.  Returns the
+    base field, the field base + phi and the iteration trace.
+    """
+    params = orbit.params
+    proj = ZonalProjector(params.n, modes)
+    escalations = 0
+    while True:
+        tgrid = make_grid(t0, window, h)
+        base, rhs_fn = build(tgrid, proj)
+        phi, norms, factors, converged, iters = _iterate(
+            orbit, tgrid, modes, rhs_fn, nu, tol, max_iter)
+        if converged:
+            break
+        if escalations >= 4:
+            raise ConstructionError(
+                f"{params.kind} construction (n = {params.n}, eps = "
+                f"{orbit.epsilon!r}) did not converge within {max_iter} "
+                f"sweeps at t0 = {t0!r} after {escalations} window shifts; "
+                f"measured factors {factors[-3:]}")
+        t0 *= 2.0
+        escalations += 1
+    trace = IterationTrace(norms=norms, factors=factors, t0=t0, nu=nu,
+                           converged=converged, iterations=iters,
+                           escalations=escalations)
+    return (CylinderField(t=tgrid, modes=modes, coeffs=base, params=params),
+            CylinderField(t=tgrid, modes=modes, coeffs=base + phi,
+                          params=params),
+            trace)
+
+
 def contraction_construct(orbit: FowlerOrbit, profile: ForcingProfile,
                           t0: float = DEFAULT_T0, window: float = DEFAULT_WINDOW,
                           max_degree: int = 2, tol: float = 1e-10,
@@ -673,26 +710,23 @@ def contraction_construct(orbit: FowlerOrbit, profile: ForcingProfile,
     cylinder equation with curvature profile K.
 
     Iterates phi <- L^{-1}[(K - K0)(xi + phi)^e + K0((xi + phi)^e - xi^e
-    - e xi^{e-1} phi)] in the discrete weighted norm; if the measured
-    contraction factor stays >= 1 the window start t0 doubles (up to 4
-    times) before giving up.
+    - e xi^{e-1} phi)] in the discrete weighted norm; whenever the iteration
+    fails to converge within `max_iter` sweeps the window start t0 doubles
+    (up to 4 times) before giving up.
     """
     params = orbit.params
     if params.kind != "conformal":
         raise ValueError("contraction_construct requires conformal provenance")
     n, e, k0 = params.n, params.e, params.c
-    beta = profile.min_rate
     modes = tuple(spheres.HarmonicMode(k, n) for k in range(max_degree + 1))
-    sigmas = [d.sigma for d in floquet.exponent_sequence(
-        orbit, spheres.index_of_last_degree(n, max_degree) + 1)]
-    nu = beta if profile.is_flat else _pick_off_resonant_rate(beta, sigmas)
     if profile.is_flat:
-        nu = 2.0  # arbitrary finite rate; the fixed point is phi = 0
+        nu = 2.0  # arbitrary finite rate; the rhs vanishes and phi = 0
+    else:
+        sigmas = [d.sigma for d in floquet.exponent_sequence(
+            orbit, spheres.index_of_last_degree(n, max_degree) + 1)]
+        nu = _pick_off_resonant_rate(profile.min_rate, sigmas)
 
-    escalations = 0
-    while True:
-        tgrid = make_grid(t0, window, h)
-        proj = ZonalProjector(n, modes)
+    def build(tgrid, proj):
         xi_t = orbit.value(tgrid)
         profile.evaluate(tgrid, proj.s, n)  # positivity check of K itself
         k_dev = profile.deviation(tgrid, proj.s, n)
@@ -709,25 +743,14 @@ def contraction_construct(orbit: FowlerOrbit, profile: ForcingProfile,
                          + k0 * _power_remainder(e, xi_t[:, None], phi_vals))
             return proj.project(pointwise)
 
-        phi, norms, factors, converged, iters = _iterate(
-            orbit, tgrid, modes, rhs_fn, nu, tol, max_iter)
-        if converged or profile.is_flat:
-            break
-        if escalations >= 4:
-            raise ConstructionError(
-                f"no contraction after {escalations} window shifts; measured "
-                f"factors {factors[-3:]}")
-        t0 *= 2.0
-        escalations += 1
+        base = np.zeros((len(modes), tgrid.size))
+        base[0] = xi_t
+        return base, rhs_fn
 
-    coeffs = phi.copy()
-    coeffs[0] += orbit.value(tgrid)
-    v = CylinderField(t=tgrid, modes=modes, coeffs=coeffs, params=params)
+    _, v, trace = _construct(orbit, modes, nu, build, t0, window, h, tol,
+                             max_iter)
     if np.min(v.evaluate(np.linspace(-1, 1, 101))) <= 0:
         raise PositivityError("constructed field is not positive")
-    trace = IterationTrace(norms=norms, factors=factors, t0=t0, nu=nu,
-                           converged=converged, iterations=iters,
-                           escalations=escalations)
     return v, trace
 
 
@@ -740,10 +763,9 @@ def ckn_construct(orbit: FowlerOrbit, nu: float, amplitude: float = 0.05,
     solution w_hat = zeta + amplitude e^{-nu t} Z_degree.
 
     Requires nu > sigma_1 and nu outside the exponent index set (checked up
-    to the cutoff nu + 1).  Returns (w field, w_hat field, trace).
+    to the cutoff nu + 1).  The window start doubles as in
+    `contraction_construct`.  Returns (w field, w_hat field, trace).
     """
-    from . import index_set as iset_mod
-
     params = orbit.params
     if params.kind != "ckn":
         raise ValueError("ckn_construct requires CKN provenance")
@@ -754,23 +776,22 @@ def ckn_construct(orbit: FowlerOrbit, nu: float, amplitude: float = 0.05,
     degrees = [d.degree for d in data]
     if nu <= sigmas[0]:
         raise ValueError(f"nu must exceed sigma_1 = {sigmas[0]:.6g}")
-    iset = iset_mod.generate(sigmas, max(nu + 1.0, sigmas[0] * 2 + 0.5),
-                             tol=index_tol, degrees=degrees)
+    iset = index_set.generate(sigmas, max(nu + 1.0, sigmas[0] * 2 + 0.5),
+                              tol=index_tol, degrees=degrees)
     if np.any(np.abs(iset.values - nu) <= index_tol * 100):
         raise ResonanceError(f"nu = {nu!r} lies in the exponent index set")
 
     modes = tuple(spheres.HarmonicMode(k, n) for k in range(max_degree + 1))
-    escalations = 0
-    while True:
-        tgrid = make_grid(t0, window, h)
-        proj = ZonalProjector(n, modes)
+    row = [m.degree for m in modes].index(degree)
+    lam_pert = float(spheres.eigenvalue(degree, n))
+
+    def build(tgrid, proj):
         zeta_t = orbit.value(tgrid)
         z_pert = spheres.eval_zonal(spheres.HarmonicMode(degree, n), proj.s)
         pert = amplitude * np.outer(np.exp(-nu * tgrid), z_pert)
         what_vals = zeta_t[:, None] + pert
         if np.min(what_vals) <= 0:
             raise PositivityError("approximate solution w_hat not positive")
-        lam_pert = float(spheres.eigenvalue(degree, n))
         # N(w_hat) analytically: the zeta part solves the ODE and the
         # perturbation is an explicit exponential times a harmonic, so
         #   N(w_hat) = (lam + q - nu^2) pert - [w_hat^{p-1} - zeta^{p-1}],
@@ -794,27 +815,13 @@ def ckn_construct(orbit: FowlerOrbit, nu: float, amplitude: float = 0.05,
                          + lin_offset * phi_vals)
             return proj.project(pointwise)
 
-        phi, norms, factors, converged, iters = _iterate(
-            orbit, tgrid, modes, rhs_fn, nu, tol, max_iter)
-        if converged:
-            break
-        if escalations >= 4:
-            raise ConstructionError(
-                f"no contraction after {escalations} window shifts; measured "
-                f"factors {factors[-3:]}")
-        t0 *= 2.0
-        escalations += 1
+        what_coeffs = np.zeros((len(modes), tgrid.size))
+        what_coeffs[0] = zeta_t
+        what_coeffs[row] += amplitude * np.exp(-nu * tgrid)
+        return what_coeffs, rhs_fn
 
-    what_coeffs = np.zeros((len(modes), len(tgrid)))
-    what_coeffs[0] = zeta_t
-    what_coeffs[[m.degree for m in modes].index(degree)] += \
-        amplitude * np.exp(-nu * tgrid)
-    w_hat = CylinderField(t=tgrid, modes=modes, coeffs=what_coeffs, params=params)
-    w = CylinderField(t=tgrid, modes=modes, coeffs=what_coeffs + phi,
-                      params=params)
-    trace = IterationTrace(norms=norms, factors=factors, t0=t0, nu=nu,
-                           converged=converged, iterations=iters,
-                           escalations=escalations)
+    w_hat, w, trace = _construct(orbit, modes, nu, build, t0, window, h, tol,
+                                 max_iter)
     return w, w_hat, trace
 
 

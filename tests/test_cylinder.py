@@ -297,7 +297,7 @@ def test_contraction_slope_and_stability(conf5_orbit):
     orb = conf5_orbit
     prof = cylinder.ForcingProfile(k0=1.0, components=((1, 0.05, 1.5),))
     v, trace = cylinder.contraction_construct(orb, prof, tol=1e-9)
-    assert trace.converged
+    assert trace.converged and trace.escalations == 0
     # trace contraction factors stay below 1 once contracting
     assert all(f < 1.0 for f in trace.factors[:2])
     diff = v.combination(cylinder.orbit_field(orb, v.t), 1.0, -1.0)
@@ -330,11 +330,36 @@ def test_ckn_construct_gates(ckn_orbit):
 
 def test_ckn_construct_decay(ckn_orbit):
     w, w_hat, trace = cylinder.ckn_construct(ckn_orbit, 2.4)
-    assert trace.converged
+    assert trace.converged and trace.escalations == 0
     diff = w.combination(w_hat, 1.0, -1.0)
     lo = w.t[0] + 0.5
     fit = cylinder.decay_rate_fit(diff, t_window=(lo, lo + 2 * ckn_orbit.period))
     assert abs(fit.slope_plain / 2.4 - 1.0) < 0.05
+
+
+@pytest.mark.parametrize("kind", ["conformal", "ckn"])
+def test_construction_escalates_four_times_then_raises(kind, conf5_orbit,
+                                                       ckn_orbit, monkeypatch):
+    # one sweep never converges, so both problems walk the same escalation:
+    # t0 doubles four times, then one typed error names the problem
+    starts = []
+    real = cylinder.make_grid
+    monkeypatch.setattr(cylinder, "make_grid",
+                        lambda t0, *a: starts.append(t0) or real(t0, *a))
+    if kind == "conformal":
+        prof = cylinder.ForcingProfile(k0=1.0, components=((1, 0.05, 1.5),))
+        call = lambda: cylinder.contraction_construct(conf5_orbit, prof,
+                                                      max_iter=1)
+        eps = conf5_orbit.epsilon
+    else:
+        call = lambda: cylinder.ckn_construct(ckn_orbit, 2.4, max_iter=1)
+        eps = ckn_orbit.epsilon
+    with pytest.raises(cylinder.ConstructionError) as err:
+        call()
+    assert starts == [5.0, 10.0, 20.0, 40.0, 80.0]
+    msg = str(err.value)
+    assert msg.startswith(f"{kind} construction (n = 5, eps = {eps!r})")
+    assert "t0 = 80.0 after 4 window shifts" in msg
 
 
 def test_remark_example_pointwise():
