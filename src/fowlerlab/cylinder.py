@@ -676,6 +676,9 @@ def _construct(orbit: FowlerOrbit, modes, nu: float, build, t0: float,
     base field, the field base + phi and the iteration trace.
     """
     params = orbit.params
+    # Floquet data with kernel factors for every mode in one batch; each
+    # window's contexts then read them from the orbit's cache
+    floquet._spectrum(orbit, [m.eigenvalue for m in modes], with_factors=True)
     proj = ZonalProjector(params.n, modes)
     escalations = 0
     while True:

@@ -338,6 +338,40 @@ def test_ckn_construct_decay(ckn_orbit):
 
 
 @pytest.mark.parametrize("kind", ["conformal", "ckn"])
+def test_construction_batches_its_floquet_setup(kind, monkeypatch):
+    # on a fresh orbit: the exponent batch, then one monodromy batch for the
+    # eigenvalues it did not cover and one kernel batch for every Type III
+    # mode of the window
+    calls = []
+
+    def recorded(name, real):
+        def run(ops, *args, **kwargs):
+            calls.append((name, [op.lam for op in floquet._batch(ops)[0]]))
+            return real(ops, *args, **kwargs)
+        return run
+
+    monkeypatch.setattr(floquet, "monodromy",
+                        recorded("monodromy", floquet.monodromy))
+    monkeypatch.setattr(floquet, "kernel_basis",
+                        recorded("kernel", floquet.kernel_basis))
+    if kind == "conformal":
+        params = fowler.FowlerParams.conformal(5, 1.0)
+        orb = fowler.periodic_orbit(0.5 * fowler.constant_solution(params),
+                                    params)
+        prof = cylinder.ForcingProfile(k0=1.0, components=((1, 0.05, 1.5),))
+        cylinder.contraction_construct(orb, prof)
+        exponents = [4.0, 10.0, 18.0]
+    else:
+        params = fowler.FowlerParams.ckn(5, 0.5, 0.7)
+        orb = fowler.periodic_orbit(0.4 * fowler.constant_solution(params),
+                                    params)
+        cylinder.ckn_construct(orb, 2.4)
+        exponents = [4.0, 10.0, 18.0, 28.0, 40.0]
+    assert calls == [("monodromy", exponents), ("monodromy", [0.0]),
+                     ("kernel", [4.0, 10.0])]
+
+
+@pytest.mark.parametrize("kind", ["conformal", "ckn"])
 def test_construction_escalates_four_times_then_raises(kind, conf5_orbit,
                                                        ckn_orbit, monkeypatch):
     # one sweep never converges, so both problems walk the same escalation:
