@@ -12,7 +12,8 @@ from .expansion import (ExpansionTerm, exact_translate, first_order_term,
                         solve_resonant_mode, translate_expansion, xi2_term)
 from .cylinder import (CylinderField, ForcingProfile, ckn_construct,
                        contraction_construct, decay_rate_fit, inverse_L,
-                       remark_example_check, residual_M, residual_N)
+                       residual_M, residual_N)
+from .acceptance import remark_example_check
 from .spheres import HarmonicMode, eigenvalue, eval_zonal, multiplicity
 
 __version__ = "0.1.0"

@@ -253,9 +253,8 @@ def _cmd_construct(args):
             tol=args.tol, h=args.h)
         diff = v.combination(w_hat, 1.0, -1.0)
         base_rate = args.nu
-    lo = v.t[0] + 0.5
-    hi = lo + max(1, int((v.t[-1] - 1.5 - lo) / orbit.period)) * orbit.period
-    fit = cylinder.decay_rate_fit(diff, t_window=(lo, hi))
+    fit = cylinder.decay_rate_fit(
+        diff, t_window=cylinder.period_aligned_window(v, orbit))
     v.to_csv(os.path.join(outdir, "field.csv"))
     report = {"trace": trace.to_dict(), "fit": fit.to_dict(),
               "target_rate": base_rate,

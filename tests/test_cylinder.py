@@ -396,21 +396,6 @@ def test_construction_escalates_four_times_then_raises(kind, conf5_orbit,
     assert "t0 = 80.0 after 4 window shifts" in msg
 
 
-def test_remark_example_pointwise():
-    # u0 = |x|^{-1} solves -Lap u0 = u0^3 exactly: for |x|^a in R^4 the radial
-    # Laplacian is a (a + 2) |x|^{a-2}, so -Lap u0 = |x|^{-3} = u0^3
-    rng = np.random.default_rng(1)
-    for _ in range(5):
-        x = rng.normal(size=4)
-        x *= rng.uniform(0.3, 0.8) / np.linalg.norm(x)
-        r = np.linalg.norm(x)
-        lap_u0 = (-1.0) * (-1.0 + 2.0) * r ** (-3.0)
-        assert_allclose(-lap_u0, r ** (-3.0), rtol=1e-14)
-    report = cylinder.remark_example_check(num_points=12, h=0.02)
-    assert 14.0 <= report["refinement_ratio"] <= 18.0
-    assert report["grad_k_error"] < 1e-4
-
-
 def test_cylinder_field_csv(tmp_path, grid):
     params = fowler.FowlerParams.conformal(5, 1.0)
     modes = (spheres.HarmonicMode(0, 5),)
