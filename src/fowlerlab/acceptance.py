@@ -296,10 +296,6 @@ def check_first_order_expansion(beta: float = 1.5):
                 "beta": beta, "r2": fit.r2_plain}
 
 
-# ---------------------------------------------------------------------------
-# the dimension-4 pointwise example
-# ---------------------------------------------------------------------------
-
 def _example_u(x):
     """|x|^{-1} (1 + (x1+..+x4)(1 - ln|x|)/16) in dimension 4."""
     r = np.linalg.norm(x)

@@ -677,7 +677,7 @@ def _iterate(orbit, tgrid, modes, rhs_fn, nu, tol, max_iter):
 
 def _construct(orbit: FowlerOrbit, modes, nu: float, build, t0: float,
                window: float, h: float, tol: float, max_iter: int):
-    """The one fixed-point construction driver near an orbit.
+    """The fixed-point construction near an orbit shared by both problems.
 
     `build(tgrid, proj)` supplies the base coefficients on the window and the
     rhs map of the iteration phi <- L^{-1} rhs(phi).  Whenever the iteration
@@ -701,8 +701,8 @@ def _construct(orbit: FowlerOrbit, modes, nu: float, build, t0: float,
         if escalations >= 4:
             raise ConstructionError(
                 f"{params.kind} construction (n = {params.n}, eps = "
-                f"{orbit.epsilon!r}) did not converge within {max_iter} "
-                f"sweeps at t0 = {t0!r} after {escalations} window shifts; "
+                f"{orbit.epsilon!r}) did not converge in max_iter = "
+                f"{max_iter} sweeps at t0 = {t0!r} after {escalations} window shifts; "
                 f"measured factors {factors[-3:]}")
         t0 *= 2.0
         escalations += 1
@@ -794,8 +794,10 @@ def ckn_construct(orbit: FowlerOrbit, nu: float, amplitude: float = 0.05,
     if np.any(np.abs(iset.values - nu) <= index_tol * 100):
         raise ResonanceError(f"nu = {nu!r} lies in the exponent index set")
 
+    if not 0 <= degree <= max_degree:
+        raise ValueError(f"perturbation degree {degree} outside the retained "
+                         f"degrees 0..{max_degree}")
     modes = tuple(spheres.HarmonicMode(k, n) for k in range(max_degree + 1))
-    row = [m.degree for m in modes].index(degree)
     lam_pert = float(spheres.eigenvalue(degree, n))
 
     def build(tgrid, proj):
@@ -830,7 +832,7 @@ def ckn_construct(orbit: FowlerOrbit, nu: float, amplitude: float = 0.05,
 
         what_coeffs = np.zeros((len(modes), tgrid.size))
         what_coeffs[0] = zeta_t
-        what_coeffs[row] += amplitude * np.exp(-nu * tgrid)
+        what_coeffs[degree] += amplitude * np.exp(-nu * tgrid)
         return what_coeffs, rhs_fn
 
     w_hat, w, trace = _construct(orbit, modes, nu, build, t0, window, h, tol,

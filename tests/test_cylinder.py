@@ -323,6 +323,8 @@ def test_contraction_mode_truncation_consistency(conf5_orbit):
 def test_ckn_construct_gates(ckn_orbit):
     with pytest.raises(ValueError, match="exceed sigma_1"):
         cylinder.ckn_construct(ckn_orbit, 0.5)
+    with pytest.raises(ValueError, match="degree 3 outside"):
+        cylinder.ckn_construct(ckn_orbit, 2.4, degree=3, max_degree=2)
     data = floquet.exponent_sequence(ckn_orbit, 6)
     with pytest.raises(cylinder.ResonanceError):
         cylinder.ckn_construct(ckn_orbit, 2.0 * data[0].sigma)
