@@ -8,8 +8,9 @@ from .fowler import (FowlerOrbit, FowlerParams, constant_orbit,
 from .floquet import (FloquetDatum, ModeOperator, classify, exponent_sequence,
                       kernel_basis, lower_bound_check, mode_datum, monodromy)
 from .index_set import IndexSet, degree_caps, generate, split
-from .expansion import (ExpansionTerm, exact_translate, first_order_term,
-                        solve_resonant_mode, translate_expansion, xi2_term)
+from .expansion import (ExpansionTerm, ResonantSolveError, exact_translate,
+                        first_order_term, solve_resonant_mode,
+                        translate_expansion, xi2_term)
 from .cylinder import (CylinderField, ForcingProfile, ckn_construct,
                        contraction_construct, decay_rate_fit, inverse_L,
                        residual_M, residual_N)
@@ -24,8 +25,9 @@ __all__ = [
     "FloquetDatum", "ModeOperator", "classify", "exponent_sequence",
     "kernel_basis", "lower_bound_check", "mode_datum", "monodromy",
     "IndexSet", "degree_caps", "generate", "split",
-    "ExpansionTerm", "exact_translate", "first_order_term",
-    "solve_resonant_mode", "translate_expansion", "xi2_term",
+    "ExpansionTerm", "ResonantSolveError", "exact_translate",
+    "first_order_term", "solve_resonant_mode", "translate_expansion",
+    "xi2_term",
     "CylinderField", "ForcingProfile", "ckn_construct",
     "contraction_construct", "decay_rate_fit", "inverse_L",
     "remark_example_check", "residual_M", "residual_N",

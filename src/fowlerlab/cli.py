@@ -245,26 +245,34 @@ def _cmd_construct(args):
             max_degree=args.max_degree, tol=args.tol, h=args.h)
         ref = cylinder.orbit_field(orbit, v.t, max_degree=args.max_degree)
         diff = v.combination(ref, 1.0, -1.0)
-        base_rate = profile.min_rate
+        flat = profile.is_flat
+        base_rate = None if flat else profile.min_rate
     else:
+        amplitude = float(str(args.kappa).split(",")[0])
         v, w_hat, trace = cylinder.ckn_construct(
-            orbit, args.nu, amplitude=float(str(args.kappa).split(",")[0]),
+            orbit, args.nu, amplitude=amplitude,
             t0=args.t0, window=args.window, max_degree=args.max_degree,
             tol=args.tol, h=args.h)
         diff = v.combination(w_hat, 1.0, -1.0)
-        base_rate = args.nu
-    fit = cylinder.decay_rate_fit(
+        flat = amplitude == 0.0
+        base_rate = None if flat else args.nu
+    # a flat profile's (or a zero CKN perturbation's) solution is the orbit
+    # itself: there is no decay to fit and no rate to compare with
+    fit = None if flat else cylinder.decay_rate_fit(
         diff, t_window=cylinder.period_aligned_window(v, orbit))
     v.to_csv(os.path.join(outdir, "field.csv"))
-    report = {"trace": trace.to_dict(), "fit": fit.to_dict(),
+    report = {"trace": trace.to_dict(), "fit": fit.to_dict() if fit else None,
               "target_rate": base_rate,
               "angular_normalization": "pole (zonal value 1 at <axis,theta>=1)",
               "params": orbit.params.describe(), "epsilon": orbit.epsilon}
     write_json(report, os.path.join(outdir, "construct.json"))
     print(f"converged = {trace.converged} after {trace.iterations} iterations"
           f" (t0 = {trace.t0})")
-    print(f"fitted decay slope {float(fit.slope)!r} (target {base_rate!r}, "
-          f"log-corrected: {fit.log_corrected})")
+    if flat:
+        print("unperturbed: the solution is the orbit itself, no decay fit")
+    else:
+        print(f"fitted decay slope {float(fit.slope)!r} (target {base_rate!r}, "
+              f"log-corrected: {fit.log_corrected})")
     return 0 if trace.converged else 1
 
 

@@ -12,9 +12,13 @@ the decomposition <a,theta>^2 = |a|^2 [ (n-1)/n Z_2 + 1/n ].
 The resonant solver inverts L_i on forcings of the form a(t) t^m e^{-mu t}
 with periodic a: conjugating by e^{-mu t} gives the periodic-coefficient
 operator A = -d^2/dt^2 + 2 mu d/dt + (V - mu^2), solved by Fourier
-collocation; when mu hits the mode's Floquet exponent the ansatz gains one
-power of t and the top coefficient is fixed by solvability against the
-adjoint kernel.
+collocation: A is the circulant of the multiplier k^2 + 2 mu i k plus a
+diagonal, and each call factors one matrix.  Off resonance that is A, with one
+LU shared by every power of t.  When mu hits the mode's Floquet exponent, A is
+singular, the ansatz gains one power of t and the top coefficient is fixed by
+solvability against the adjoint kernel; the one LU is then of A bordered by
+the sampled kernel factors (Keller's bordering), which yields A's null vectors
+and every solve in the gauge orthogonal to its kernel.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import circulant, lu_factor, lu_solve
 
 from . import floquet, spheres
 from .fowler import FowlerOrbit
@@ -226,19 +231,25 @@ def xi2_identity_defect(orbit: FowlerOrbit) -> float:
     return float(np.max(np.abs(field)))
 
 
-def fourier_diff_matrix(num: int, period: float, order: int = 1) -> np.ndarray:
-    """Dense spectral differentiation matrix on the uniform grid over [0, T).
-
-    The matrix is circulant: entry (i, j) is col[(i - j) % num], where col is
-    the inverse FFT of the Fourier multiplier (i k)^order.
-    """
+def _diff_multiplier(num: int, period: float, order: int) -> np.ndarray:
+    """The Fourier multiplier (i k)^order on `num` nodes over [0, T), with
+    the odd derivatives of the Nyquist mode set to zero."""
     k = np.fft.fftfreq(num, d=period / num) * 2.0 * np.pi
     mult = (1j * k) ** order
     if order % 2 == 1 and num % 2 == 0:
-        mult[num // 2] = 0.0  # odd derivative of the Nyquist mode
-    col = np.real(np.fft.ifft(mult))
-    idx = np.arange(num)
-    return col[(idx[:, None] - idx[None, :]) % num]
+        mult[num // 2] = 0.0
+    return mult
+
+
+def _circulant(mult: np.ndarray) -> np.ndarray:
+    """Dense matrix of a Fourier multiplier: entry (i, j) is col[(i - j) % num],
+    where col is the inverse FFT of the multiplier."""
+    return circulant(np.real(np.fft.ifft(mult)))
+
+
+def fourier_diff_matrix(num: int, period: float, order: int = 1) -> np.ndarray:
+    """Dense spectral differentiation matrix on the uniform grid over [0, T)."""
+    return _circulant(_diff_multiplier(num, period, order))
 
 
 def _pinv_solver(u, s, vt):
@@ -247,6 +258,12 @@ def _pinv_solver(u, s, vt):
     keep = s > np.finfo(float).eps * max(u.shape[0], vt.shape[0]) * s[0]
     u, s, vt = u[:, keep], s[keep], vt[keep]
     return lambda b: vt.T @ ((u.T @ b) / s)
+
+
+class ResonantSolveError(RuntimeError):
+    """A resonant-mode solve with no trustworthy solution: a degenerate
+    solvability pairing, a singular or non-finite factorization, or a
+    residual above RESIDUAL_LIMIT.  The message names n, eps, lambda and mu."""
 
 
 @dataclass
@@ -295,20 +312,35 @@ def solve_resonant_mode(a_coeff, mu: float, op: floquet.ModeOperator,
     T = orbit.period
     nodes = np.arange(num) * (T / num)
     a_nodes = _as_node_values(a_coeff, nodes, T)
+    where = (f"(n = {orbit.params.n}, eps = {orbit.epsilon:.6g}, "
+             f"lambda = {op.lam:g}, mu = {mu:.12g})")
 
     datum = floquet.mode_datum(orbit, 0, op.lam, 0, with_factors=True)
     resonant = datum.type == floquet.TYPE_III and abs(mu - datum.sigma) <= resonance_tol
     oscillatory = datum.type != floquet.TYPE_III
 
-    d1 = fourier_diff_matrix(num, T, 1)
-    d2 = fourier_diff_matrix(num, T, 2)
-    v_nodes = op.potential(nodes)
-    a_mat = -d2 + 2.0 * mu * d1 + np.diag(v_nodes - mu * mu)
+    # A = -d^2 + 2 mu d + V - mu^2 is a circulant with multiplier
+    # k^2 + 2 mu i k plus a diagonal; d itself is applied by FFT
+    d1_mult = _diff_multiplier(num, T, 1)
+    a_mat = _circulant(-_diff_multiplier(num, T, 2) + 2.0 * mu * d1_mult)
+    a_mat[np.diag_indices(num)] += op.potential(nodes) - mu * mu
+
+    def d1(x):
+        return np.real(np.fft.ifft(d1_mult * np.fft.fft(x)))
+
+    def factor(mat):
+        if not np.all(np.isfinite(mat)):
+            raise ResonantSolveError(f"non-finite collocation matrix {where}")
+        lu_piv = lu_factor(mat, check_finite=False)
+        if np.any(np.diag(lu_piv[0]) == 0.0):
+            raise ResonantSolveError(f"singular collocation matrix {where}")
+        return lambda b, trans=0: lu_solve(lu_piv, b, trans=trans,
+                                           check_finite=False)
 
     def cascade_rhs(k, r_next, r_next2):
         rhs = a_nodes if k == t_power else np.zeros(num)
         if r_next is not None:
-            rhs = rhs - (k + 1) * (-2.0 * (d1 @ r_next) + 2.0 * mu * r_next)
+            rhs = rhs - (k + 1) * (-2.0 * d1(r_next) + 2.0 * mu * r_next)
         if r_next2 is not None:
             rhs = rhs + (k + 1) * (k + 2) * r_next2
         return rhs
@@ -318,7 +350,7 @@ def solve_resonant_mode(a_coeff, mu: float, op: floquet.ModeOperator,
         if oscillatory and np.linalg.cond(a_mat) > 1e12:
             solve = _pinv_solver(*np.linalg.svd(a_mat))
         else:
-            solve = lambda b: np.linalg.solve(a_mat, b)
+            solve = factor(a_mat)  # one LU for every level of the cascade
         for k in range(t_power, -1, -1):
             r_next = rs[k + 1] if k + 1 <= t_power else None
             r_next2 = rs[k + 2] if k + 2 <= t_power else None
@@ -329,18 +361,31 @@ def solve_resonant_mode(a_coeff, mu: float, op: floquet.ModeOperator,
         # multiple, each lower gamma is fixed by solvability one level down,
         # and the j = 0 coefficient gets the zero-kernel-projection gauge.
         max_power = t_power + 1
-        # the kernel direction is the collocation matrix's own null vector:
-        # sampled q+ would carry its roundoff through d2 into the residual
-        u_svd, s_svd, vt_svd = np.linalg.svd(a_mat)
-        solve = _pinv_solver(u_svd, s_svd, vt_svd)
-        w_null = u_svd[:, -1]
-        qk = vt_svd[-1]
-        if qk @ datum.q_plus(nodes) < 0:
-            qk = -qk
-        gvec = -2.0 * (d1 @ qk) + 2.0 * mu * qk
+        # Keller's bordering: A is singular with null vector ~ q+ and left
+        # null vector ~ q-, so B = [[A, q-], [q+^T, 0]] is not, and one LU of
+        # B gives both null vectors from its last column and row.  They are
+        # the collocation matrix's own: sampled q+ would carry its roundoff
+        # through d^2 into the residual.  The border row q+^T qk = 1 > 0 also
+        # aligns the sign of qk with q+.  q-(t) = q+(T - t) on the nodes.
+        q_plus = datum.q_plus(nodes)
+        q_minus = np.roll(q_plus[::-1], 1)
+        bordered = np.zeros((num + 1, num + 1))
+        bordered[:num, :num] = a_mat
+        bordered[:num, num] = q_minus / np.linalg.norm(q_minus)
+        bordered[num, :num] = q_plus / np.linalg.norm(q_plus)
+        border_solve = factor(bordered)
+        unit = np.zeros(num + 1)
+        unit[num] = 1.0
+        qk = border_solve(unit)[:num]
+        qk /= np.linalg.norm(qk)
+        w_null = border_solve(unit, trans=1)[:num]
+        w_null /= np.linalg.norm(w_null)
+        gvec = -2.0 * d1(qk) + 2.0 * mu * qk
         denom = float(w_null @ gvec)
-        if abs(denom) < 1e-10:
-            raise RuntimeError("degenerate solvability pairing in resonant solve")
+        if not abs(denom) >= 1e-10:
+            raise ResonantSolveError(
+                f"degenerate solvability pairing {denom:.3e} in resonant "
+                f"solve {where}")
         rs = [None] * (max_power + 1)
         rs[max_power] = np.zeros(num)  # kernel part filled in below
         for k in range(max_power - 1, -1, -1):
@@ -349,7 +394,7 @@ def solve_resonant_mode(a_coeff, mu: float, op: floquet.ModeOperator,
             gamma = float(w_null @ base) / ((k + 1) * denom)
             rs[k + 1] = rs[k + 1] + gamma * qk
             rhs = base - gamma * (k + 1) * gvec
-            sol = solve(rhs)
+            sol = border_solve(np.append(rhs, 0.0))[:num]
             rs[k] = sol - (qk @ sol) * qk  # deterministic gauge
 
     # residual of the assembled ansatz, per power of t
@@ -360,14 +405,14 @@ def solve_resonant_mode(a_coeff, mu: float, op: floquet.ModeOperator,
         target = a_nodes if k == t_power else np.zeros(num)
         lhs = a_mat @ full[k]
         if k + 1 <= max_power:
-            lhs = lhs + (k + 1) * (-2.0 * (d1 @ full[k + 1]) + 2.0 * mu * full[k + 1])
+            lhs = lhs + (k + 1) * (-2.0 * d1(full[k + 1]) + 2.0 * mu * full[k + 1])
         if k + 2 <= max_power:
             lhs = lhs - (k + 1) * (k + 2) * full[k + 2]
         res = max(res, float(np.max(np.abs(lhs - target))))
     res /= scale
-    if res > RESIDUAL_LIMIT:
-        raise RuntimeError(f"resonant-mode solve residual {res:.3e} exceeds "
-                           f"{RESIDUAL_LIMIT:g}")
+    if not res <= RESIDUAL_LIMIT:  # NaN fails too
+        raise ResonantSolveError(f"resonant-mode solve residual {res:.3e} "
+                                 f"exceeds {RESIDUAL_LIMIT:g} {where}")
     coeffs = [PeriodicFunction(r, T) for r in rs[:max_power + 1]]
     return ResonantSolution(mu=mu, coefficients=coeffs, max_power=max_power,
                             resonant=resonant, residual=res,

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import fowlerlab
 from fowlerlab import cli
 
 
@@ -119,6 +123,32 @@ def test_construct_modes_alias_and_multi_component(tmp_path):
     report = json.loads((tmp_path / "construct.json").read_text())
     assert report["target_rate"] == pytest.approx(1.5)  # min of the rates
     assert report["trace"]["converged"] is True
+
+
+@pytest.mark.parametrize("args", [
+    ["--n", "5", "--epsilon-frac", "0.5", "--kappa", "0"],
+    ["--problem", "ckn", "--n", "5", "--a", "0.5", "--b", "0.7",
+     "--epsilon-frac", "0.4", "--nu", "2.4", "--kappa", "0"],
+], ids=["conformal-flat", "ckn-zero-amplitude"])
+def test_construct_unperturbed_writes_null_fit(tmp_path, capsys, args):
+    # the solution is the orbit itself: nothing decays, so nothing is fitted
+    rc = run_cli(["construct", *args, "--outdir", str(tmp_path)])
+    assert rc == 0
+    report = json.loads((tmp_path / "construct.json").read_text())
+    assert report["fit"] is None and report["target_rate"] is None
+    assert report["trace"]["converged"] is True
+    assert report["trace"]["iterations"] == 1
+    assert (tmp_path / "field.csv").exists()
+    assert "no decay fit" in capsys.readouterr().out
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(fowlerlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "fowlerlab", "--help"],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0
+    assert "usage: fowlerlab" in done.stdout
 
 
 def _reject_constant(token):

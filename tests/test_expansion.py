@@ -1,8 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import lu_factor
 
 from fowlerlab import expansion, floquet, fowler, spheres
 
@@ -254,3 +256,136 @@ def test_fourier_diff_matrix_matches_fft_of_identity(num, order):
                               axis=0))
     got = expansion.fourier_diff_matrix(num, period, order)
     assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+# Reference for the bordered-LU resonant solve: the dense algorithm it
+# replaced, a pseudo-inverse from a full SVD of the collocation matrix with
+# the null pair read from the last singular vectors.
+
+REFERENCE_ORBITS = {
+    "n3-0.35": (fowler.FowlerParams.conformal(3, 1.0), 0.35),
+    "n3-0.65": (fowler.FowlerParams.conformal(3, 1.0), 0.65),
+    "n5-0.35": (fowler.FowlerParams.conformal(5, 1.0), 0.35),
+    "n5-0.65": (fowler.FowlerParams.conformal(5, 1.0), 0.65),
+    "n8-0.35": (fowler.FowlerParams.conformal(8, 1.0), 0.35),
+    "n8-0.65": (fowler.FowlerParams.conformal(8, 1.0), 0.65),
+    "ckn-0.41": (fowler.FowlerParams.ckn(5, 0.436, 0.613), 0.41),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_orbit(case):
+    params, frac = REFERENCE_ORBITS[case]
+    orbit = fowler.periodic_orbit(frac * fowler.constant_solution(params),
+                                  params)
+    # degrees 1 and 2 with their kernel factors in one batch
+    floquet.exponent_sequence(orbit, spheres.index_of_last_degree(params.n, 2),
+                              with_factors=True)
+    return orbit
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_setup(case, degree):
+    orbit = _reference_orbit(case)
+    lam = float(spheres.eigenvalue(degree, orbit.params.n))
+    op = floquet.ModeOperator(orbit, lam)
+    num = expansion.COLLOCATION_SIZE
+    T = orbit.period
+    nodes = np.arange(num) * (T / num)
+    mu = floquet.mode_datum(orbit, 0, lam, degree).sigma
+    d1 = expansion.fourier_diff_matrix(num, T, 1)
+    a_mat = (-expansion.fourier_diff_matrix(num, T, 2) + 2.0 * mu * d1
+             + np.diag(op.potential(nodes) - mu * mu))
+    return op, mu, nodes, d1, np.linalg.svd(a_mat)
+
+
+def _svd_reference(case, degree, t_power, a_nodes):
+    op, mu, nodes, d1, (u, s, vt) = _reference_setup(case, degree)
+    keep = s > np.finfo(float).eps * s.size * s[0]
+
+    def pinv(b):
+        return vt[keep].T @ ((u[:, keep].T @ b) / s[keep])
+
+    w_null, qk = u[:, -1], vt[-1]
+    gvec = -2.0 * (d1 @ qk) + 2.0 * mu * qk
+    top = t_power + 1
+    rs = [np.zeros(nodes.size) for _ in range(top + 1)]
+    for k in range(top - 1, -1, -1):
+        base = a_nodes if k == t_power else np.zeros(nodes.size)
+        base = base - (k + 1) * (-2.0 * (d1 @ rs[k + 1]) + 2.0 * mu * rs[k + 1])
+        if k + 2 <= top:
+            base = base + (k + 1) * (k + 2) * rs[k + 2]
+        gamma = (w_null @ base) / ((k + 1) * (w_null @ gvec))
+        rs[k + 1] = rs[k + 1] + gamma * qk
+        sol = pinv(base - gamma * (k + 1) * gvec)
+        rs[k] = sol - (qk @ sol) * qk
+    return rs
+
+
+@pytest.mark.parametrize("t_power", [0, 1])
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("case", list(REFERENCE_ORBITS))
+def test_resonant_solve_matches_svd_reference(case, degree, t_power):
+    op, mu, nodes, _, _ = _reference_setup(case, degree)
+    T = op.orbit.period
+    a_nodes = 1 + 0.3 * np.cos(2 * np.pi * nodes / T) \
+        + 0.1 * np.sin(4 * np.pi * nodes / T)
+    sol = expansion.solve_resonant_mode(a_nodes, mu, op, t_power=t_power)
+    assert sol.resonant and sol.max_power == t_power + 1
+    assert sol.residual < expansion.RESIDUAL_LIMIT
+    ref = _svd_reference(case, degree, t_power, a_nodes)
+    for r, r_ref in zip(sol.coefficients, ref):
+        scale = np.max(np.abs(r_ref))
+        assert np.max(np.abs(r(nodes) - r_ref)) <= 1e-9 * scale
+
+
+def test_resonant_solve_factors_once_and_forms_no_svd(conf6_orbit, monkeypatch):
+    op = floquet.ModeOperator(conf6_orbit, 5.0)  # sigma = 1 mode, n = 6
+    floquet.mode_datum(conf6_orbit, 0, 5.0, 0, with_factors=True)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    calls = []
+
+    def counting_lu_factor(*args, **kwargs):
+        calls.append(args[0].shape)
+        return lu_factor(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    monkeypatch.setattr(expansion, "lu_factor", counting_lu_factor)
+    forcing = lambda t: 1 + 0.2 * np.cos(2 * np.pi * t / conf6_orbit.period)
+    sol = expansion.solve_resonant_mode(forcing, 1.0, op)
+    assert sol.resonant and calls == [(257, 257)]  # the bordered matrix
+    calls.clear()
+    sol = expansion.solve_resonant_mode(forcing, 1.4, op, t_power=1)
+    assert not sol.resonant and sol.max_power == 1
+    assert calls == [(256, 256)]  # one LU for both cascade levels
+
+
+def test_resonant_solve_errors_are_typed_and_named(conf6_orbit, monkeypatch):
+    op = floquet.ModeOperator(conf6_orbit, 5.0)
+    ones = lambda t: np.ones_like(t)
+    assert issubclass(expansion.ResonantSolveError, RuntimeError)
+
+    class NanOperator(floquet.ModeOperator):
+        def potential(self, t):
+            return np.full_like(t, np.nan)
+
+    for mu in (1.0, 1.4):  # resonant and not
+        with pytest.raises(expansion.ResonantSolveError,
+                           match=r"non-finite .*n = 6, eps = .*lambda = 5"):
+            expansion.solve_resonant_mode(ones, mu, NanOperator(conf6_orbit, 5.0))
+
+    with monkeypatch.context() as m:
+        m.setattr(expansion, "RESIDUAL_LIMIT", 0.0)
+        with pytest.raises(expansion.ResonantSolveError,
+                           match=r"residual .*n = 6, .*mu = 1\)"):
+            expansion.solve_resonant_mode(ones, 1.0, op)
+
+    def zero_pivot_lu(mat, **kwargs):
+        return np.zeros_like(mat), np.arange(len(mat), dtype=np.int32)
+
+    monkeypatch.setattr(expansion, "lu_factor", zero_pivot_lu)
+    with pytest.raises(expansion.ResonantSolveError, match="singular"):
+        expansion.solve_resonant_mode(ones, 1.0, op)
