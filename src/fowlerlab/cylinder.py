@@ -28,8 +28,11 @@ so the missing integral is a geometric sum of the last computed period.
 Mode 0 (no dichotomy) uses the same from-the-right representation with a
 fundamental pair integrated across the window and a 2x2 quasi-periodicity
 relation for the tails.  All cumulative integrals are sums of per-interval
-4-point (O(h^4)) quadratures taken in the direction that keeps every partial
-sum dominated by its leading term, so no exponential cancellation occurs.
+6-point local quintic (O(h^6) per interval) quadratures taken in the
+direction that keeps every partial sum dominated by its leading term, so no
+exponential cancellation occurs; the one-period tail integral is read off the
+same cumulative sum plus the same rule on the partial interval at T - P.
+The grid must be uniform.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 
 from . import floquet, index_set, spheres
 from .fowler import FowlerOrbit, IntegrationError
@@ -281,12 +283,29 @@ def residual_N(field: CylinderField) -> CylinderField:
     return _residual(field, lambda t, s: 1.0)
 
 
+def _orbit_samples(orbit: FowlerOrbit, tgrid, keep: bool = False) -> np.ndarray:
+    """xi on tgrid.  With `keep`, the samples of a construction window are
+    kept read-only in the orbit's cache next to its inverse contexts; they
+    answer any later call whose grid equals that window exactly."""
+    tgrid = np.asarray(tgrid, dtype=float)
+    key = ("window", float(tgrid[0]), float(tgrid[-1]), tgrid.size)
+    kept = orbit._cache.get(key)
+    if kept is not None and np.array_equal(kept[0], tgrid):
+        return kept[1]
+    xi = orbit.value(tgrid)
+    if keep and kept is None:
+        grid = tgrid.copy()
+        grid.flags.writeable = xi.flags.writeable = False
+        orbit._cache[key] = (grid, xi)
+    return xi
+
+
 def orbit_field(orbit: FowlerOrbit, tgrid, max_degree: int = 2) -> CylinderField:
     """The orbit lifted to the cylinder window (all content in mode 0)."""
     modes = tuple(spheres.HarmonicMode(k, orbit.params.n)
                   for k in range(max_degree + 1))
     coeffs = np.zeros((len(modes), len(tgrid)))
-    coeffs[0] = orbit.value(tgrid)
+    coeffs[0] = _orbit_samples(orbit, tgrid)
     return CylinderField(t=np.asarray(tgrid, dtype=float), modes=modes,
                          coeffs=coeffs, params=orbit.params)
 
@@ -341,10 +360,26 @@ def _cum_from_right(y: np.ndarray, h: float) -> np.ndarray:
     return np.concatenate([np.cumsum(inc[::-1])[::-1], [0.0]])
 
 
-def _last_period_integral(t, y, period):
-    """int_{T-P}^{T} y dt from the window samples."""
-    spline = CubicSpline(t, y)
-    return float(spline.integrate(t[-1] - period, t[-1]))
+def _partial_interval_rule(num: int, start: float):
+    """Rule for int_a^{t_k} y on a uniform grid of `num` points, where
+    a = t_0 + start h and t_k is the first grid point above a.
+
+    Returns (k, first, w) with the integral h * (w @ y[first:first + 6]); the
+    six points are the ones `_interval_increments` uses for interval k - 1,
+    so the rule is shifted inward at both edges of the grid as there.
+    """
+    j = min(max(int(math.floor(start)), 0), num - 2)
+    first = min(max(j - 2, 0), num - 6)
+    w = _quadrature_weights(range(first - j, first - j + 6), start - j, 1.0)
+    return j + 1, first, w
+
+
+def _check_uniform(t: np.ndarray) -> None:
+    """The cumulative and partial-interval rules assume uniform spacing."""
+    steps = np.diff(t)
+    if t.size < 6 or np.max(np.abs(steps - steps[0])) > 1e-9 * abs(steps[0]):
+        raise ValueError("inverse contexts need a uniform grid of at least "
+                         "6 points")
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +393,12 @@ class ModeSolveContext:
         self.orbit = orbit
         self.lam = float(lam)
         self.t = np.asarray(tgrid, dtype=float)
+        _check_uniform(self.t)
         self.h = float(self.t[1] - self.t[0])
         if orbit.period > self.t[-1] - self.t[0]:
             raise ValueError("window must cover at least one orbit period")
+        self.last_period_rule = _partial_interval_rule(
+            self.t.size, (self.t[-1] - orbit.period - self.t[0]) / self.h)
         self.datum = floquet.mode_datum(orbit, 0, self.lam, 0, with_factors=True)
         if self.datum.type == floquet.TYPE_III:
             self._setup_hyperbolic()
@@ -375,7 +413,10 @@ class ModeSolveContext:
         self.qm = d.q_minus(t)
         self.qp_d = d.q_plus.derivative(t)
         self.qm_d = d.q_minus.derivative(t)
-        # Wronskian of (q+ e^{-sigma(t-t0)}, q- e^{+sigma(t-t0)}) at t0
+        # the kernel pair psi- = q+ e^{-sigma(t-t0)}, psi+ = q- e^{+sigma(t-t0)}
+        # and its Wronskian at t0
+        self.psi_m = self.qp * np.exp(-self.sigma * (t - t0))
+        self.psi_p = self.qm * np.exp(self.sigma * (t - t0))
         self.wronskian = (self.qp[0] * (self.qm_d[0] + self.sigma * self.qm[0])
                           - (self.qp_d[0] - self.sigma * self.qp[0]) * self.qm[0])
         if abs(self.wronskian) < 1e-10:
@@ -400,14 +441,18 @@ class ModeSolveContext:
 
     # -- tail extrapolation -------------------------------------------------
 
-    def _geometric_tail(self, integrand, log_ratio):
+    def _last_period(self, integrand, cum):
+        """int_{T-P}^{T} of the integrand, from its from-the-right sums."""
+        k, first, w = self.last_period_rule
+        return cum[k] + self.h * (w @ integrand[first:first + 6])
+
+    def _geometric_tail(self, integrand, cum, log_ratio):
         """Missing int_T^inf of a self-similar integrand, via the last period."""
         if log_ratio >= -1e-9:
             raise ResonanceError("tail ratio not contracting; rate collides "
                                  "with the kernel exponent")
         r = math.exp(log_ratio)
-        j = _last_period_integral(self.t, integrand, self.orbit.period)
-        return r * j / (1.0 - r)
+        return r * self._last_period(integrand, cum) / (1.0 - r)
 
     def solve(self, rhs, nu: float, return_info: bool = False):
         """phi with L phi = rhs, decaying at rate nu, on the window grid."""
@@ -421,31 +466,30 @@ class ModeSolveContext:
                 raise ResonanceError(
                     f"decay rate {nu!r} within {RESONANCE_GAP:g} of the mode "
                     f"exponent {sigma!r}; use the t-power (resonant) path")
-            t0 = self.t[0]
-            grow = np.exp(self.sigma * (self.t - t0))
-            decay = np.exp(-self.sigma * (self.t - t0))
-            psi_m = self.qp * decay
-            psi_p = self.qm * grow
+            psi_m, psi_p = self.psi_m, self.psi_p
             g_minus = psi_m * rhs / self.wronskian
             g_plus = psi_p * rhs / self.wronskian
-            tail_m = self._geometric_tail(g_minus, -(sigma + nu) * period)
+            cum_m = _cum_from_right(g_minus, self.h)
+            tail_m = self._geometric_tail(g_minus, cum_m, -(sigma + nu) * period)
             if sigma > nu:
                 phi = (psi_m * _cum_from_left(g_plus, self.h)
-                       + psi_p * (_cum_from_right(g_minus, self.h) + tail_m))
+                       + psi_p * (cum_m + tail_m))
             else:
-                tail_p = self._geometric_tail(g_plus, (sigma - nu) * period)
-                phi = (psi_p * (_cum_from_right(g_minus, self.h) + tail_m)
-                       - psi_m * (_cum_from_right(g_plus, self.h) + tail_p))
+                cum_p = _cum_from_right(g_plus, self.h)
+                tail_p = self._geometric_tail(g_plus, cum_p,
+                                              (sigma - nu) * period)
+                phi = psi_p * (cum_m + tail_m) - psi_m * (cum_p + tail_p)
         else:
             g1 = self.u[0] * rhs
             g2 = self.u[1] * rhs
-            j = np.array([_last_period_integral(self.t, g1, period),
-                          _last_period_integral(self.t, g2, period)])
+            cum1 = _cum_from_right(g1, self.h)
+            cum2 = _cum_from_right(g2, self.h)
+            j = np.array([self._last_period(g1, cum1),
+                          self._last_period(g2, cum2)])
             r = math.exp(-nu * period)
             tails = np.linalg.solve(np.eye(2) - r * self.shift.T,
                                     r * self.shift.T @ j)
-            phi = (self.u[1] * (_cum_from_right(g1, self.h) + tails[0])
-                   - self.u[0] * (_cum_from_right(g2, self.h) + tails[1]))
+            phi = self.u[1] * (cum1 + tails[0]) - self.u[0] * (cum2 + tails[1])
         if not return_info:
             return phi
         wn = np.exp(nu * self.t)
@@ -457,6 +501,8 @@ class ModeSolveContext:
 
 
 def _context_cache(orbit, lam, tgrid) -> ModeSolveContext:
+    # the key holds the endpoints and size only, which fix a uniform grid
+    _check_uniform(tgrid)
     key = ("bvp", float(lam), float(tgrid[0]), float(tgrid[-1]), len(tgrid))
     ctx = orbit._cache.get(key)
     if ctx is None:
@@ -608,12 +654,17 @@ def _power_remainder(exponent: float, base, delta):
     """
     x = delta / base
     c2 = exponent * (exponent - 1.0) / 2.0
-    series = (base**exponent * c2 * x * x
-              * (1.0 + (exponent - 2.0) * x / 3.0
-                 + (exponent - 2.0) * (exponent - 3.0) * x * x / 12.0))
-    direct = ((base + delta) ** exponent - base**exponent
-              - exponent * base ** (exponent - 1.0) * delta)
-    return np.where(np.abs(x) < 1e-3, series, direct)
+    out = (base**exponent * c2 * x * x
+           * (1.0 + (exponent - 2.0) * x / 3.0
+              + (exponent - 2.0) * (exponent - 3.0) * x * x / 12.0))
+    # the direct form is evaluated only on the points that use it
+    far = ~(np.abs(x) < 1e-3)
+    if far.any():
+        b = np.broadcast_to(base, x.shape)[far]
+        d = np.broadcast_to(delta, x.shape)[far]
+        out[far] = (b + d) ** exponent - b**exponent - exponent * b ** (
+            exponent - 1.0) * d
+    return out
 
 
 def _pick_off_resonant_rate(beta: float, sigmas) -> float:
@@ -679,8 +730,9 @@ def _construct(orbit: FowlerOrbit, modes, nu: float, build, t0: float,
                window: float, h: float, tol: float, max_iter: int):
     """The fixed-point construction near an orbit shared by both problems.
 
-    `build(tgrid, proj)` supplies the base coefficients on the window and the
-    rhs map of the iteration phi <- L^{-1} rhs(phi).  Whenever the iteration
+    `build(tgrid, xi_t, proj)` supplies the base coefficients on the window
+    and the rhs map of the iteration phi <- L^{-1} rhs(phi); xi_t are the
+    orbit's read-only samples on the window.  Whenever the iteration
     fails to converge within `max_iter` sweeps (a measured factor >= 1 or the
     sweep cap) the window start t0 doubles, at most four times.  Returns the
     base field, the field base + phi and the iteration trace.
@@ -693,7 +745,8 @@ def _construct(orbit: FowlerOrbit, modes, nu: float, build, t0: float,
     escalations = 0
     while True:
         tgrid = make_grid(t0, window, h)
-        base, rhs_fn = build(tgrid, proj)
+        base, rhs_fn = build(tgrid, _orbit_samples(orbit, tgrid, keep=True),
+                             proj)
         phi, norms, factors, converged, iters = _iterate(
             orbit, tgrid, modes, rhs_fn, nu, tol, max_iter)
         if converged:
@@ -739,8 +792,7 @@ def contraction_construct(orbit: FowlerOrbit, profile: ForcingProfile,
             orbit, spheres.index_of_last_degree(n, max_degree) + 1)]
         nu = _pick_off_resonant_rate(profile.min_rate, sigmas)
 
-    def build(tgrid, proj):
-        xi_t = orbit.value(tgrid)
+    def build(tgrid, xi_t, proj):
         profile.evaluate(tgrid, proj.s, n)  # positivity check of K itself
         k_dev = profile.deviation(tgrid, proj.s, n)
 
@@ -800,8 +852,7 @@ def ckn_construct(orbit: FowlerOrbit, nu: float, amplitude: float = 0.05,
     modes = tuple(spheres.HarmonicMode(k, n) for k in range(max_degree + 1))
     lam_pert = float(spheres.eigenvalue(degree, n))
 
-    def build(tgrid, proj):
-        zeta_t = orbit.value(tgrid)
+    def build(tgrid, zeta_t, proj):
         z_pert = spheres.eval_zonal(spheres.HarmonicMode(degree, n), proj.s)
         pert = amplitude * np.outer(np.exp(-nu * tgrid), z_pert)
         what_vals = zeta_t[:, None] + pert

@@ -10,6 +10,7 @@ zonal functions reduce to weighted integrals on [-1, 1] with weight
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -111,11 +112,16 @@ def eval_zonal(mode: HarmonicMode, s) -> np.ndarray:
     return _gegenbauer_normalized(mode.degree, alpha, np.clip(s, -1.0, 1.0))
 
 
+@functools.lru_cache(maxsize=None)
 def quadrature(n: int, num: int = DEFAULT_QUADRATURE_NODES):
-    """Gauss-Jacobi nodes/weights on [-1, 1] for weight (1 - s^2)^{(n-3)/2}."""
+    """Gauss-Jacobi nodes/weights on [-1, 1] for weight (1 - s^2)^{(n-3)/2}.
+
+    Memoized per (n, num); the returned arrays are shared and read-only.
+    """
     _check_dimension(n)
     a = (n - 3) / 2.0
     nodes, weights = roots_jacobi(num, a, a)
+    nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
 

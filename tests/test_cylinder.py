@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 
 from fowlerlab import cylinder, expansion, floquet, fowler, spheres
 
@@ -251,6 +253,121 @@ def test_inverse_warns_on_slowly_decaying_rhs(grid, conf5_orbit):
     rhs = np.exp(-0.8 * grid)
     with pytest.warns(UserWarning, match="decays at fitted rate"):
         cylinder.inverse_L(op, rhs, 1.4, grid)
+
+
+def test_inverse_rejects_nonuniform_grid(grid, conf5_orbit):
+    # same endpoints and size as the uniform window, so the same cache key
+    x = np.linspace(0.0, 1.0, grid.size)
+    stretched = grid[0] + (grid[-1] - grid[0]) * (x + 0.02 * np.sin(np.pi * x))
+    stretched[-1] = grid[-1]
+    rhs = np.exp(-1.6 * stretched)
+    op = floquet.ModeOperator(conf5_orbit, 4.0)
+    cylinder.inverse_L(op, np.exp(-1.6 * grid), 1.6, grid)
+    with pytest.raises(ValueError, match="uniform grid"):  # cached path
+        cylinder.inverse_L(op, rhs, 1.6, stretched)
+    with pytest.raises(ValueError, match="uniform grid"):  # fresh path
+        cylinder.inverse_L(op, rhs[:-1], 1.6, stretched[:-1])
+    with pytest.raises(ValueError, match="uniform grid"):
+        cylinder.ModeSolveContext(conf5_orbit, 4.0, stretched)
+
+
+@pytest.mark.parametrize("fills_window", [False, True])
+def test_last_period_integral_against_quad(conf5_orbit, fills_window):
+    # int_{T-P}^{T} read off the from-the-right sums beats a cubic spline
+    # over the window samples by at least ten times, also when T - P falls
+    # in the first grid interval (the left-edge stencil of the sums)
+    orb = conf5_orbit
+    h = cylinder.DEFAULT_H
+    if fills_window:
+        g = 5.0 + h * np.arange(math.ceil(orb.period / h) + 1)
+    else:
+        g = cylinder.make_grid()
+    ctx = cylinder.ModeSolveContext(orb, 4.0, g)
+    assert (ctx.last_period_rule[:2] == (1, 0)) == fills_window
+    a, b = g[-1] - orb.period, g[-1]
+    for f in (lambda t: np.exp(-1.2 * t) * np.cos(3.0 * t),
+              lambda t: np.exp(-2.5 * t) * orb.value(t),
+              lambda t: np.exp(-4.0 * t) * np.sin(7.0 * t)):
+        y = f(g)
+        ref = quad(lambda t: float(f(np.array(t))), a, b, epsabs=0.0,
+                   epsrel=1e-13, limit=200)[0]
+        new = ctx._last_period(y, cylinder._cum_from_right(y, h))
+        spline = CubicSpline(g, y).integrate(a, b)
+        assert abs(new - ref) <= 0.1 * abs(spline - ref)
+        assert abs(new - ref) < 2e-8 * abs(ref)
+
+
+def test_partial_interval_rule_exact_for_quintics():
+    # every start position, both edges included, integrates a quintic exactly
+    h = 0.1
+    t = h * np.arange(12)
+    coef = np.array([0.3, -1.2, 0.7, 0.25, -0.4, 0.05])
+    y = np.polyval(coef[::-1], t)
+    antider = np.polyval(np.polyint(coef[::-1]), t)
+    cum = cylinder._cum_from_right(y, h)
+    assert_allclose(cum, antider[-1] - antider, rtol=0, atol=1e-11)
+    for start in np.linspace(0.0, 10.75, 44):
+        k, first, w = cylinder._partial_interval_rule(t.size, start)
+        assert 0 <= first <= t.size - 6 and 1 <= k <= t.size - 1
+        a = start * h
+        exact = antider[-1] - np.polyval(np.polyint(coef[::-1]), a)
+        assert cum[k] + h * (w @ y[first:first + 6]) == pytest.approx(
+            exact, abs=1e-11)
+
+
+def _power_remainder_where(exponent, base, delta):
+    """Reference: both branches everywhere, then np.where."""
+    x = delta / base
+    c2 = exponent * (exponent - 1.0) / 2.0
+    series = (base**exponent * c2 * x * x
+              * (1.0 + (exponent - 2.0) * x / 3.0
+                 + (exponent - 2.0) * (exponent - 3.0) * x * x / 12.0))
+    direct = ((base + delta) ** exponent - base**exponent
+              - exponent * base ** (exponent - 1.0) * delta)
+    return np.where(np.abs(x) < 1e-3, series, direct)
+
+
+@pytest.mark.parametrize("base_cols", [1, 64])
+@pytest.mark.parametrize("exponent", [7.0 / 3.0, 33.0 / 17.0])
+def test_power_remainder_matches_the_where_form(grid, base_cols, exponent):
+    rng = np.random.default_rng(11)
+    base = (0.5 + 0.3 * np.cos(grid))[:, None] * (
+        1.0 + 0.1 * rng.random((1, base_cols)))
+    ratio = (rng.choice([-1.0, 1.0], (grid.size, 64))
+             * 10.0 ** rng.uniform(-8.0, -1.0, (grid.size, 64)))
+    ratio[0, :2] = [1e-3, -1e-3]
+    delta = base * ratio
+    x = delta / base
+    assert np.any(np.abs(x) < 1e-3) and np.any(np.abs(x) >= 1e-3)
+    got = cylinder._power_remainder(exponent, base, delta)
+    assert got.shape == (grid.size, 64)
+    assert np.array_equal(got, _power_remainder_where(exponent, base, delta))
+
+
+def test_construction_window_keeps_its_orbit_samples(monkeypatch):
+    params = fowler.FowlerParams.conformal(5, 1.0)
+    orb = fowler.periodic_orbit(0.5 * fowler.constant_solution(params), params)
+    prof = cylinder.ForcingProfile(k0=1.0, components=((1, 0.05, 1.5),))
+    v, _ = cylinder.contraction_construct(orb, prof)
+    calls = []
+    real = fowler.FowlerOrbit.value
+    monkeypatch.setattr(fowler.FowlerOrbit, "value",
+                        lambda self, t: calls.append(np.size(t)) or real(self, t))
+    # a warm construction and the orbit on its window evaluate nothing
+    v2, _ = cylinder.contraction_construct(orb, prof)
+    ref = cylinder.orbit_field(orb, v.t.copy())
+    assert calls == []
+    assert np.array_equal(v2.coeffs, v.coeffs)
+    assert np.array_equal(ref.coeffs[0], real(orb, v.t))
+    # a grid that is not the window exactly is evaluated as given
+    other = np.linspace(v.t[0], v.t[-1], v.t.size)
+    other[1] += 1e-9
+    assert np.array_equal(cylinder.orbit_field(orb, other).coeffs[0],
+                          real(orb, other))
+    assert calls == [v.t.size]
+    samples = cylinder._orbit_samples(orb, v.t)
+    with pytest.raises(ValueError):
+        samples[0] = 0.0
 
 
 def test_decay_rate_fit_synthetic():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import roots_jacobi
 
-from fowlerlab import spheres
+from fowlerlab import cylinder, spheres
 
 
 def test_eigenvalue_examples():
@@ -108,6 +109,27 @@ def test_degree1_quadratic_identity_random_pairs():
 def test_identity_rejects_nonunit_theta():
     with pytest.raises(ValueError):
         spheres.degree1_quadratic_identity(np.ones(4), np.ones(4))
+
+
+def test_quadrature_is_memoized_and_read_only(monkeypatch):
+    s, w = spheres.quadrature(6, 64)
+    ref_s, ref_w = roots_jacobi(64, 1.5, 1.5)
+    assert np.array_equal(s, ref_s) and np.array_equal(w, ref_w)
+    for arr in (s, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    modes = tuple(spheres.HarmonicMode(k, 6) for k in range(3))
+    first = cylinder.ZonalProjector(6, modes)
+    calls = []
+    monkeypatch.setattr(spheres, "roots_jacobi",
+                        lambda *a: calls.append(a) or roots_jacobi(*a))
+    second = cylinder.ZonalProjector(6, modes)
+    assert calls == []
+    assert second.s is first.s and second.w is first.w
+    # an unseen (n, num) pair computes its nodes once
+    spheres.quadrature(6, 23)
+    spheres.quadrature(6, 23)
+    assert calls == [(23, 1.5, 1.5)]
 
 
 def test_eigenvalue_sequence_with_multiplicity():
