@@ -6,7 +6,8 @@ from .fowler import (FowlerOrbit, FowlerParams, constant_orbit,
                      constant_solution, hamiltonian, max_value,
                      period_quadrature, periodic_orbit)
 from .floquet import (FloquetDatum, ModeOperator, classify, exponent_sequence,
-                      kernel_basis, lower_bound_check, mode_datum, monodromy)
+                      kernel_basis, lower_bound_check, mode_datum, monodromy,
+                      spectrum)
 from .index_set import IndexSet, degree_caps, generate, split
 from .expansion import (ExpansionTerm, ResonantSolveError, exact_translate,
                         first_order_term, solve_resonant_mode,
@@ -23,7 +24,7 @@ __all__ = [
     "FowlerOrbit", "FowlerParams", "constant_orbit", "constant_solution",
     "hamiltonian", "max_value", "period_quadrature", "periodic_orbit",
     "FloquetDatum", "ModeOperator", "classify", "exponent_sequence",
-    "kernel_basis", "lower_bound_check", "mode_datum", "monodromy",
+    "kernel_basis", "lower_bound_check", "mode_datum", "monodromy", "spectrum",
     "IndexSet", "degree_caps", "generate", "split",
     "ExpansionTerm", "ResonantSolveError", "exact_translate",
     "first_order_term", "solve_resonant_mode", "translate_expansion",

@@ -185,18 +185,16 @@ class ForcingProfile:
 # finite differences
 # ---------------------------------------------------------------------------
 
-def _fd_weights(offsets, order: int) -> np.ndarray:
-    """Stencil weights for the `order`-th derivative on integer offsets."""
-    offsets = np.asarray(offsets, dtype=float)
-    a = np.vander(offsets, increasing=True).T
-    b = np.zeros(offsets.size)
-    b[order] = math.factorial(order)
-    return np.linalg.solve(a, b)
+def _stencil_weights(offsets, moments) -> np.ndarray:
+    """Weights w with sum_i w_i offsets_i^k = moments[k] for k < len(offsets),
+    a rule exact on those powers; moments k! [k = m] give a d^m/ds^m rule."""
+    vander = np.vander(np.asarray(offsets, dtype=float), increasing=True).T
+    return np.linalg.solve(vander, moments)
 
 
 _D2_INTERIOR = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
-_D2_EDGE0 = _fd_weights(range(6), 2)
-_D2_EDGE1 = _fd_weights(range(-1, 5), 2)
+_D2_EDGE0 = _stencil_weights(range(6), [0.0, 0.0, 2.0, 0.0, 0.0, 0.0])
+_D2_EDGE1 = _stencil_weights(range(-1, 5), [0.0, 0.0, 2.0, 0.0, 0.0, 0.0])
 
 
 def second_derivative(values: np.ndarray, h: float) -> np.ndarray:
@@ -283,21 +281,12 @@ def residual_N(field: CylinderField) -> CylinderField:
     return _residual(field, lambda t, s: 1.0)
 
 
-def _orbit_samples(orbit: FowlerOrbit, tgrid, keep: bool = False) -> np.ndarray:
-    """xi on tgrid.  With `keep`, the samples of a construction window are
-    kept read-only in the orbit's cache next to its inverse contexts; they
-    answer any later call whose grid equals that window exactly."""
-    tgrid = np.asarray(tgrid, dtype=float)
-    key = ("window", float(tgrid[0]), float(tgrid[-1]), tgrid.size)
-    kept = orbit._cache.get(key)
-    if kept is not None and np.array_equal(kept[0], tgrid):
-        return kept[1]
-    xi = orbit.value(tgrid)
-    if keep and kept is None:
-        grid = tgrid.copy()
-        grid.flags.writeable = xi.flags.writeable = False
-        orbit._cache[key] = (grid, xi)
-    return xi
+def _orbit_samples(orbit: FowlerOrbit, tgrid) -> np.ndarray:
+    """xi on tgrid, read from a window with exactly that grid if there is one."""
+    for win in orbit._windows.values():
+        if np.array_equal(win.t, tgrid):
+            return win.xi
+    return orbit.value(tgrid)
 
 
 def orbit_field(orbit: FowlerOrbit, tgrid, max_degree: int = 2) -> CylinderField:
@@ -314,39 +303,28 @@ def orbit_field(orbit: FowlerOrbit, tgrid, max_degree: int = 2) -> CylinderField
 # per-interval quadrature and directional cumulatives
 # ---------------------------------------------------------------------------
 
-def _quadrature_weights(offsets, a: float, b: float) -> np.ndarray:
-    """Weights w with sum w_i y(offset_i) = int_a^b y (exact for degree < len)."""
-    offsets = np.asarray(offsets, dtype=float)
-    vander = np.vander(offsets, increasing=True).T
-    k = np.arange(offsets.size) + 1.0
-    moments = (b**k - a**k) / k
-    return np.linalg.solve(vander, moments)
-
+_POWERS = np.arange(6) + 1.0  # int_a^b s^k ds = (b^{k+1} - a^{k+1}) / (k + 1)
 
 # integral over one unit interval from 6 surrounding points (O(h^6) locally);
 # the per-interval locality keeps directional cumulative sums free of
 # exponential cancellation
-_INT_CENTER = _quadrature_weights(range(-2, 4), 0.0, 1.0)   # interval [0, 1]
-_INT_LEFT0 = _quadrature_weights(range(0, 6), 0.0, 1.0)     # first interval
-_INT_LEFT1 = _quadrature_weights(range(-1, 5), 0.0, 1.0)    # second interval
-_INT_RIGHT1 = _quadrature_weights(range(-3, 3), 0.0, 1.0)   # second to last
-_INT_RIGHT0 = _quadrature_weights(range(-4, 2), 0.0, 1.0)   # last interval
+_INT_CENTER = _stencil_weights(range(-2, 4), 1.0 / _POWERS)  # interval [0, 1]
+_INT_LEFT0 = _stencil_weights(range(0, 6), 1.0 / _POWERS)    # first interval
+_INT_LEFT1 = _stencil_weights(range(-1, 5), 1.0 / _POWERS)   # second interval
+_INT_RIGHT1 = _stencil_weights(range(-3, 3), 1.0 / _POWERS)  # second to last
+_INT_RIGHT0 = _stencil_weights(range(-4, 2), 1.0 / _POWERS)  # last interval
 
 
 def _interval_increments(y: np.ndarray, h: float) -> np.ndarray:
     """Integral over each grid interval via local quintic interpolation."""
     n = y.size
     inc = np.empty(n - 1)
-    if n >= 8:
-        windows = np.lib.stride_tricks.sliding_window_view(y, 6)
-        # window starting at j - 2 integrates interval j, j = 2 .. n - 4
-        inc[2:n - 3] = windows[:n - 5] @ _INT_CENTER
-        inc[0] = _INT_LEFT0 @ y[:6]
-        inc[1] = _INT_LEFT1 @ y[:6]
-        inc[n - 3] = _INT_RIGHT1 @ y[-6:]
-        inc[n - 2] = _INT_RIGHT0 @ y[-6:]
-    else:
-        inc[:] = 0.5 * (y[:-1] + y[1:])
+    # the window starting at j - 2 integrates interval j, j = 2 .. n - 4
+    inc[2:n - 3] = np.correlate(y, _INT_CENTER, "valid")
+    inc[0] = _INT_LEFT0 @ y[:6]
+    inc[1] = _INT_LEFT1 @ y[:6]
+    inc[n - 3] = _INT_RIGHT1 @ y[-6:]
+    inc[n - 2] = _INT_RIGHT0 @ y[-6:]
     return inc * h
 
 
@@ -370,7 +348,8 @@ def _partial_interval_rule(num: int, start: float):
     """
     j = min(max(int(math.floor(start)), 0), num - 2)
     first = min(max(j - 2, 0), num - 6)
-    w = _quadrature_weights(range(first - j, first - j + 6), start - j, 1.0)
+    w = _stencil_weights(range(first - j, first - j + 6),
+                         (1.0 - (start - j) ** _POWERS) / _POWERS)
     return j + 1, first, w
 
 
@@ -399,7 +378,7 @@ class ModeSolveContext:
             raise ValueError("window must cover at least one orbit period")
         self.last_period_rule = _partial_interval_rule(
             self.t.size, (self.t[-1] - orbit.period - self.t[0]) / self.h)
-        self.datum = floquet.mode_datum(orbit, 0, self.lam, 0, with_factors=True)
+        self.datum = floquet.spectrum(orbit, [self.lam], with_factors=True)[self.lam]
         if self.datum.type == floquet.TYPE_III:
             self._setup_hyperbolic()
         else:
@@ -431,7 +410,9 @@ class ModeSolveContext:
                         args=(self.lam, orbit.params), method="DOP853",
                         rtol=1e-12, atol=1e-14, dense_output=True)
         if not sol.success:
-            raise IntegrationError("fundamental pair integration failed")
+            raise IntegrationError(
+                f"fundamental pair integration failed (n = {orbit.params.n}, "
+                f"eps = {orbit.epsilon!r}, lambda = {self.lam!r})")
         vals = sol.sol(t)
         self.u = vals[0:2]       # u1, u2 values
         # quasi-periodicity: u_j(s + P) = sum_k M[k, j] u_k(s)
@@ -500,15 +481,31 @@ class ModeSolveContext:
         return phi, info
 
 
-def _context_cache(orbit, lam, tgrid) -> ModeSolveContext:
-    # the key holds the endpoints and size only, which fix a uniform grid
+class _Window:
+    """An orbit on a window: read-only grid and samples, and its contexts."""
+
+    def __init__(self, orbit: FowlerOrbit, tgrid):
+        self.t = np.array(tgrid, dtype=float)
+        self.xi = orbit.value(self.t)
+        self.t.flags.writeable = self.xi.flags.writeable = False
+        self.contexts = {}
+
+
+def _window(orbit: FowlerOrbit, tgrid) -> _Window:
+    """The orbit's state on a uniform window, set up on first use."""
     _check_uniform(tgrid)
-    key = ("bvp", float(lam), float(tgrid[0]), float(tgrid[-1]), len(tgrid))
-    ctx = orbit._cache.get(key)
-    if ctx is None:
-        ctx = ModeSolveContext(orbit, lam, tgrid)
-        orbit._cache[key] = ctx
-    return ctx
+    # the key holds the endpoints and size only, which fix a uniform grid
+    key = float(tgrid[0]), float(tgrid[-1]), len(tgrid)
+    if key not in orbit._windows:
+        orbit._windows[key] = _Window(orbit, tgrid)
+    return orbit._windows[key]
+
+
+def _context_cache(orbit, lam, tgrid) -> ModeSolveContext:
+    contexts = _window(orbit, tgrid).contexts
+    if float(lam) not in contexts:
+        contexts[float(lam)] = ModeSolveContext(orbit, lam, tgrid)
+    return contexts[float(lam)]
 
 
 def check_rhs_decay(tgrid, rhs, beta: float):
@@ -685,6 +682,17 @@ def _pick_off_resonant_rate(beta: float, sigmas) -> float:
     return nu
 
 
+def _degree_exponents(orbit: FowlerOrbit, top: int) -> list:
+    """The Floquet exponent of each harmonic degree 1..top, in order."""
+    data = floquet.spectrum(orbit, [spheres.eigenvalue(k, orbit.params.n)
+                                    for k in range(1, top + 1)]).values()
+    if any(d.type != floquet.TYPE_III for d in data):
+        raise floquet.FloquetStructureError(
+            f"a mode of degree 1..{top} is not hyperbolic (n = "
+            f"{orbit.params.n}, eps = {orbit.epsilon!r})")
+    return [d.sigma for d in data]
+
+
 def _iterate(orbit, tgrid, modes, rhs_fn, nu, tol, max_iter):
     """Generic fixed-point loop phi <- L^{-1} rhs(phi), mode by mode.
 
@@ -739,14 +747,14 @@ def _construct(orbit: FowlerOrbit, modes, nu: float, build, t0: float,
     """
     params = orbit.params
     # Floquet data with kernel factors for every mode in one batch; each
-    # window's contexts then read them from the orbit's cache
-    floquet._spectrum(orbit, [m.eigenvalue for m in modes], with_factors=True)
+    # window's contexts then read them from `floquet.spectrum`
+    floquet.spectrum(orbit, [m.eigenvalue for m in modes], with_factors=True)
     proj = ZonalProjector(params.n, modes)
     escalations = 0
     while True:
         tgrid = make_grid(t0, window, h)
-        base, rhs_fn = build(tgrid, _orbit_samples(orbit, tgrid, keep=True),
-                             proj)
+        _window(orbit, tgrid)  # keeps the samples next to the contexts
+        base, rhs_fn = build(tgrid, _orbit_samples(orbit, tgrid), proj)
         phi, norms, factors, converged, iters = _iterate(
             orbit, tgrid, modes, rhs_fn, nu, tol, max_iter)
         if converged:
@@ -788,8 +796,7 @@ def contraction_construct(orbit: FowlerOrbit, profile: ForcingProfile,
     if profile.is_flat:
         nu = 2.0  # arbitrary finite rate; the rhs vanishes and phi = 0
     else:
-        sigmas = [d.sigma for d in floquet.exponent_sequence(
-            orbit, spheres.index_of_last_degree(n, max_degree) + 1)]
+        sigmas = _degree_exponents(orbit, max_degree + 1)
         nu = _pick_off_resonant_rate(profile.min_rate, sigmas)
 
     def build(tgrid, xi_t, proj):
@@ -834,21 +841,18 @@ def ckn_construct(orbit: FowlerOrbit, nu: float, amplitude: float = 0.05,
     params = orbit.params
     if params.kind != "ckn":
         raise ValueError("ckn_construct requires CKN provenance")
-    n, p = params.n, params.p
-    count = spheres.index_of_last_degree(n, max_degree + 2) + 1
-    data = floquet.exponent_sequence(orbit, count)
-    sigmas = [d.sigma for d in data]
-    degrees = [d.degree for d in data]
-    if nu <= sigmas[0]:
-        raise ValueError(f"nu must exceed sigma_1 = {sigmas[0]:.6g}")
-    iset = index_set.generate(sigmas, max(nu + 1.0, sigmas[0] * 2 + 0.5),
-                              tol=index_tol, degrees=degrees)
-    if np.any(np.abs(iset.values - nu) <= index_tol * 100):
-        raise ResonanceError(f"nu = {nu!r} lies in the exponent index set")
-
     if not 0 <= degree <= max_degree:
         raise ValueError(f"perturbation degree {degree} outside the retained "
                          f"degrees 0..{max_degree}")
+    n, p = params.n, params.p
+    sigmas = _degree_exponents(orbit, max_degree + 3)
+    if nu <= sigmas[0]:
+        raise ValueError(f"nu must exceed sigma_1 = {sigmas[0]:.6g}")
+    iset = index_set.generate(sigmas, max(nu + 1.0, sigmas[0] * 2 + 0.5),
+                              tol=index_tol, degrees=range(1, max_degree + 4))
+    if np.any(np.abs(iset.values - nu) <= index_tol * 100):
+        raise ResonanceError(f"nu = {nu!r} lies in the exponent index set")
+
     modes = tuple(spheres.HarmonicMode(k, n) for k in range(max_degree + 1))
     lam_pert = float(spheres.eigenvalue(degree, n))
 

@@ -315,7 +315,7 @@ def solve_resonant_mode(a_coeff, mu: float, op: floquet.ModeOperator,
     where = (f"(n = {orbit.params.n}, eps = {orbit.epsilon:.6g}, "
              f"lambda = {op.lam:g}, mu = {mu:.12g})")
 
-    datum = floquet.mode_datum(orbit, 0, op.lam, 0, with_factors=True)
+    datum = floquet.spectrum(orbit, [op.lam], with_factors=True)[op.lam]
     resonant = datum.type == floquet.TYPE_III and abs(mu - datum.sigma) <= resonance_tol
     oscillatory = datum.type != floquet.TYPE_III
 

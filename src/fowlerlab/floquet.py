@@ -296,13 +296,16 @@ def kernel_basis(ops, data):
     # growing branches, integrated forward; the orbit starts at its minimum
     k = len(ops)
     w = np.array(starts)
+    lams = [op.lam for op in ops]
     sol = solve_ivp(variational_rhs, (0.0, T),
                     [*w[:, 0], *w[:, 1], orbit.epsilon, 0.0],
-                    args=(np.array([op.lam for op in ops]), orbit.params),
+                    args=(np.array(lams), orbit.params),
                     method="DOP853", rtol=_MONODROMY_RTOL,
                     atol=_MONODROMY_ATOL, dense_output=True)
     if not sol.success:
-        raise IntegrationError("kernel branch integration failed")
+        raise IntegrationError(
+            f"kernel branch integration failed (n = {orbit.params.n}, eps = "
+            f"{orbit.epsilon!r}, lambda = {', '.join(map(repr, lams))})")
     vals = sol.sol(t_eval)
     out = []
     for j, d in enumerate(data):
@@ -349,47 +352,45 @@ def _classified(orbit: FowlerOrbit, lam: float, m: np.ndarray,
     return datum
 
 
-def _spectrum(orbit: FowlerOrbit, lams, with_factors: bool) -> None:
-    """Fill the orbit's cache with one datum per distinct eigenvalue in `lams`.
+def spectrum(orbit: FowlerOrbit, lams, with_factors: bool = False) -> dict:
+    """The orbit's kept datum per distinct eigenvalue of `lams`, ascending.
 
-    Every uncached eigenvalue is classified from one batched monodromy solve;
-    with `with_factors`, every Type III datum still without kernel factors
-    gets them from one batched kernel solve.  Data are cached only once every
-    eigenvalue of the batch has been classified.
+    Eigenvalues without a datum are classified from one batched monodromy
+    solve; with `with_factors`, every Type III datum still without kernel
+    factors gets them from one batched kernel solve.  The orbit keeps data
+    only once every eigenvalue of the batch has been classified.
     """
-    cache = orbit._cache
+    store = orbit._floquet
     lams = sorted({float(lam) for lam in lams})
-    new = [lam for lam in lams if ("datum", lam) not in cache]
+    new = [lam for lam in lams if lam not in store]
     if new:
         ms, dets = monodromy([ModeOperator(orbit, lam) for lam in new],
                              with_det=True)
         data = [_classified(orbit, lam, m, float(det))
                 for lam, m, det in zip(new, ms, dets)]
-        for d in data:
-            cache[("datum", d.lam)] = d
-    if not with_factors:
-        return
-    bare = [d for d in (cache[("datum", lam)] for lam in lams)
-            if d.type == TYPE_III and d.q_plus is None]
+        store.update((d.lam, d) for d in data)
+    out = {lam: store[lam] for lam in lams}
+    bare = [d for d in out.values() if with_factors and d.type == TYPE_III
+            and d.q_plus is None]
     if bare:
         ops = [ModeOperator(orbit, d.lam) for d in bare]
         for d, (qp, qm, defect) in zip(bare, kernel_basis(ops, bare)):
             d.q_plus, d.q_minus, d.periodicity_defect = qp, qm, defect
+    return out
 
 
 def mode_datum(orbit: FowlerOrbit, index: int, lam: float, degree: int,
                with_factors: bool = True) -> FloquetDatum:
-    """Full Floquet datum for one mode (cached per distinct eigenvalue).
+    """Full Floquet datum for one mode (a labelled copy of the orbit's datum).
 
     A datum computed earlier with kernel factors keeps them, so the result
     may carry factors even when `with_factors` is false.
     """
-    key = ("datum", float(lam))
-    datum = orbit._cache.get(key)
+    lam = float(lam)
+    datum = orbit._floquet.get(lam)
     if datum is None or (with_factors and datum.type == TYPE_III
                          and datum.q_plus is None):
-        _spectrum(orbit, [lam], with_factors)
-        datum = orbit._cache[key]
+        datum = spectrum(orbit, [lam], with_factors)[lam]
     return FloquetDatum(**{**datum.__dict__, "index": index, "degree": degree})
 
 
@@ -419,7 +420,7 @@ def exponent_sequence(orbit: FowlerOrbit, count: int,
     if count < 1:
         raise ValueError("count must be >= 1")
     lams, degs = spheres.eigenvalue_sequence(orbit.params.n, count + 1)
-    _spectrum(orbit, lams[1:count + 1], with_factors)  # one batch per orbit
+    spectrum(orbit, lams[1:count + 1], with_factors)  # one batch per orbit
     out = []
     for i in range(1, count + 1):
         d = mode_datum(orbit, i, float(lams[i]), int(degs[i]),

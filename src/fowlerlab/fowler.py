@@ -181,7 +181,9 @@ class FowlerOrbit:
     is_constant: bool
     energy_drift: float
     _dense: object = field(default=None, repr=False, compare=False)
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # per eigenvalue, kept by floquet.spectrum; per window, kept by cylinder
+    _floquet: dict = field(default_factory=dict, repr=False, compare=False)
+    _windows: dict = field(default_factory=dict, repr=False, compare=False)
 
     def _fold(self, t):
         # the interpolant covers [0, T/2]; xi is even about 0 and T/2

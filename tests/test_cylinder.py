@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -315,6 +316,55 @@ def test_partial_interval_rule_exact_for_quintics():
             exact, abs=1e-11)
 
 
+@pytest.mark.parametrize("num", [6, 7])
+def test_cumulative_sums_exact_for_quintics_on_short_grids(num):
+    # the 6-point rules need no more points than a uniform grid must have
+    h = 0.1
+    t = 0.3 + h * np.arange(num)
+    coef = np.array([0.3, -1.2, 0.7, 0.25, -0.4, 0.05])[::-1]
+    antider = np.polyval(np.polyint(coef), t)
+    assert_allclose(cylinder._cum_from_left(np.polyval(coef, t), h),
+                    antider - antider[0], rtol=0, atol=1e-15)
+
+
+def test_interval_increments_match_the_sliding_window_form():
+    # the correlation sums the same six products as the window matmul did
+    g = cylinder.make_grid()
+    y = np.exp(-1.3 * g) * np.cos(5.0 * g)
+    windows = np.lib.stride_tricks.sliding_window_view(y, 6)[:g.size - 5]
+    got = cylinder._interval_increments(y, 1.0)[2:g.size - 3]
+    bound = 6 * np.finfo(float).eps * (np.abs(windows)
+                                        @ np.abs(cylinder._INT_CENTER))
+    assert np.all(np.abs(got - windows @ cylinder._INT_CENTER) <= bound)
+
+
+def test_stencil_weights_match_the_derivative_and_quadrature_rules():
+    # the moment solve reproduces, bit for bit, the rules as first derived
+    def old_rule(offsets, moments):
+        offsets = np.asarray(offsets, dtype=float)
+        return np.linalg.solve(np.vander(offsets, increasing=True).T, moments)
+
+    d2 = np.zeros(6)
+    d2[2] = math.factorial(2)
+    k = np.arange(6) + 1.0
+    unit = (1.0**k - 0.0**k) / k
+    for got, offsets, moments in (
+            (cylinder._D2_EDGE0, range(6), d2),
+            (cylinder._D2_EDGE1, range(-1, 5), d2),
+            (cylinder._INT_CENTER, range(-2, 4), unit),
+            (cylinder._INT_LEFT0, range(0, 6), unit),
+            (cylinder._INT_LEFT1, range(-1, 5), unit),
+            (cylinder._INT_RIGHT1, range(-3, 3), unit),
+            (cylinder._INT_RIGHT0, range(-4, 2), unit)):
+        assert np.array_equal(got, old_rule(offsets, moments))
+    for start in (0.0, 0.375, 1.5, 9.25):
+        _, first, w = cylinder._partial_interval_rule(12, start)
+        j = min(int(start), 10)
+        a = start - j
+        ref = old_rule(range(first - j, first - j + 6), (1.0**k - a**k) / k)
+        assert np.array_equal(w, ref)
+
+
 def _power_remainder_where(exponent, base, delta):
     """Reference: both branches everywhere, then np.where."""
     x = delta / base
@@ -488,6 +538,77 @@ def test_construction_batches_its_floquet_setup(kind, monkeypatch):
         exponents = [4.0, 10.0, 18.0, 28.0, 40.0]
     assert calls == [("monodromy", exponents), ("monodromy", [0.0]),
                      ("kernel", [4.0, 10.0])]
+
+
+def _fresh_orbit(kind):
+    if kind == "conformal":
+        params = fowler.FowlerParams.conformal(5, 1.0)
+        return fowler.periodic_orbit(0.5 * fowler.constant_solution(params),
+                                     params)
+    params = fowler.FowlerParams.ckn(5, 0.5, 0.7)
+    return fowler.periodic_orbit(0.4 * fowler.constant_solution(params),
+                                 params)
+
+
+def _record_solve_ivp(monkeypatch, calls):
+    for mod in (fowler, floquet, cylinder):
+        real = mod.solve_ivp
+        monkeypatch.setattr(mod, "solve_ivp",
+                            lambda *a, real=real, **k: calls.append("ivp")
+                            or real(*a, **k))
+
+
+@pytest.mark.parametrize("kind", ["conformal", "ckn"])
+def test_warm_construction_reads_its_stores_only(kind, conf5_orbit, ckn_orbit,
+                                                 monkeypatch):
+    # a second construction on the same orbit copies no Floquet datum,
+    # expands no mode sequence and integrates nothing
+    if kind == "conformal":
+        prof = cylinder.ForcingProfile(k0=1.0, components=((2, 0.05, 2.3),))
+        call = lambda: cylinder.contraction_construct(conf5_orbit, prof)
+    else:
+        call = lambda: cylinder.ckn_construct(ckn_orbit, 2.6)
+    first = call()
+    calls = []
+    for name in ("exponent_sequence", "mode_datum"):
+        real = getattr(floquet, name)
+        monkeypatch.setattr(floquet, name,
+                            lambda *a, real=real, name=name, **k:
+                            calls.append(name) or real(*a, **k))
+    _record_solve_ivp(monkeypatch, calls)
+    again = call()
+    assert calls == []
+    assert np.array_equal(again[0].coeffs, first[0].coeffs)
+
+
+@pytest.mark.parametrize("kind, top", [("conformal", 3), ("ckn", 5)])
+def test_degree_exponents_are_the_distinct_mode_exponents(kind, top):
+    # degrees 1..top on one fresh orbit, the mode sequence through the first
+    # mode of degree top on another: the same batch, so the same numbers
+    sigmas = cylinder._degree_exponents(_fresh_orbit(kind), top)
+    count = spheres.index_of_last_degree(5, top - 1) + 1
+    data = floquet.exponent_sequence(_fresh_orbit(kind), count)
+    assert sigmas == sorted({d.sigma for d in data})
+    assert [d.degree for d in data][-1] == top
+
+
+def test_ckn_construct_checks_degree_before_integrating(monkeypatch):
+    orb = _fresh_orbit("ckn")
+    calls = []
+    _record_solve_ivp(monkeypatch, calls)
+    with pytest.raises(ValueError, match="degree 3 outside"):
+        cylinder.ckn_construct(orb, 2.4, degree=3, max_degree=2)
+    assert calls == [] and orb._floquet == {}
+
+
+def test_fundamental_pair_failure_names_the_parameters(grid, conf5_orbit,
+                                                       monkeypatch):
+    monkeypatch.setattr(cylinder, "solve_ivp",
+                        lambda *a, **k: SimpleNamespace(success=False))
+    with pytest.raises(fowler.IntegrationError,
+                       match=r"fundamental pair.*\(n = 5, eps = .*, "
+                             r"lambda = 0\.0\)"):
+        cylinder.ModeSolveContext(conf5_orbit, 0.0, grid)
 
 
 @pytest.mark.parametrize("kind", ["conformal", "ckn"])

@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -196,7 +197,37 @@ def test_determinant_failure_is_typed_error(conf5_orbit, monkeypatch):
                        match=r"determinant.*n = 5.*lambda = 7\.25") as info:
         floquet.mode_datum(conf5_orbit, 0, 7.25, 1)
     assert isinstance(info.value.__cause__, ValueError)
-    assert ("datum", 7.25) not in conf5_orbit._cache
+    assert 7.25 not in conf5_orbit._floquet
+
+
+def test_kernel_branch_failure_names_the_parameters(conf5_orbit, monkeypatch):
+    d = floquet.spectrum(conf5_orbit, [4.0, 10.0])
+    ops = [floquet.ModeOperator(conf5_orbit, lam) for lam in d]
+    monkeypatch.setattr(floquet, "solve_ivp",
+                        lambda *a, **k: SimpleNamespace(success=False))
+    with pytest.raises(fowler.IntegrationError,
+                       match=r"kernel branch.*\(n = 5, eps = .*, "
+                             r"lambda = 4\.0, 10\.0\)"):
+        floquet.kernel_basis(ops, list(d.values()))
+
+
+def test_spectrum_returns_the_kept_data_by_eigenvalue(monkeypatch):
+    params = fowler.FowlerParams.conformal(5, 1.0)
+    orb = fowler.periodic_orbit(0.5 * fowler.constant_solution(params), params)
+    batches = []
+    real = floquet.monodromy
+    monkeypatch.setattr(floquet, "monodromy", lambda ops, **k: batches.append(
+        [op.lam for op in ops]) or real(ops, **k))
+    data = floquet.spectrum(orb, [10, 4.0, 4])
+    assert list(data) == [4.0, 10.0] and batches == [[4.0, 10.0]]
+    assert all(orb._floquet[lam] is d for lam, d in data.items())
+    assert all(d.q_plus is None for d in data.values())
+    again = floquet.spectrum(orb, [0.0, 10.0], with_factors=True)
+    assert batches == [[4.0, 10.0], [0.0]] and again[10.0] is data[10.0]
+    assert again[10.0].q_plus is not None and data[4.0].q_plus is None
+    copy = floquet.mode_datum(orb, 6, 10.0, 2)
+    assert copy is not data[10.0] and (copy.index, copy.degree) == (6, 2)
+    assert copy.sigma == data[10.0].sigma and len(batches) == 2
 
 
 def test_kernel_basis_constant_orbit_trivial(const5_orbit):
