@@ -417,8 +417,9 @@ def check_ckn(nu: float = 2.4):
     sig = [d.sigma for d in data]
     ordering_ok = (max(abs(s - sig[0]) for s in sig[:n]) < 1e-6
                    and sig[n] > sig[0] + 1e-6)
-    qplus_min = min(float(np.min(d.q_plus(orb.t)))
-                    for d in data[n:] if d.q_plus is not None)
+    # the modes of one degree share their factors: one evaluation per lambda
+    factors = {d.lam: d.q_plus for d in data[n:] if d.q_plus is not None}
+    qplus_min = min(float(np.min(q(orb.t))) for q in factors.values())
 
     # nu must avoid the index set; then |w - w_hat| decays at rate nu
     iset = index_set.generate(sig, nu + 1.0, degrees=[d.degree for d in data])

@@ -26,13 +26,13 @@ tails are restored by one-period extrapolation: the integrands reproduce
 themselves under t -> t + T_orbit up to the factor e^{+-sigma T} e^{-nu T},
 so the missing integral is a geometric sum of the last computed period.
 Mode 0 (no dichotomy) uses the same from-the-right representation with a
-fundamental pair integrated across the window and a 2x2 quasi-periodicity
-relation for the tails.  All cumulative integrals are sums of per-interval
-6-point local quintic (O(h^6) per interval) quadratures taken in the
-direction that keeps every partial sum dominated by its leading term, so no
-exponential cancellation occurs; the one-period tail integral is read off the
-same cumulative sum plus the same rule on the partial interval at T - P.
-The grid must be uniform.
+fundamental pair integrated over one period and carried across the window by
+its 2x2 quasi-periodicity relation, which also gives the tails.  All
+cumulative integrals are sums of per-interval 6-point local quintic (O(h^6)
+per interval) quadratures taken in the direction that keeps every partial sum
+dominated by its leading term, so no exponential cancellation occurs; the
+one-period tail integral is read off the same cumulative sum plus the same
+rule on the partial interval at T - P.  The grid must be uniform.
 """
 
 from __future__ import annotations
@@ -388,36 +388,43 @@ class ModeSolveContext:
         d = self.datum
         t, t0 = self.t, self.t[0]
         self.sigma = d.sigma
-        self.qp = d.q_plus(t)
-        self.qm = d.q_minus(t)
-        self.qp_d = d.q_plus.derivative(t)
-        self.qm_d = d.q_minus.derivative(t)
+        qp, qm = d.q_plus(t), d.q_minus(t)
         # the kernel pair psi- = q+ e^{-sigma(t-t0)}, psi+ = q- e^{+sigma(t-t0)}
-        # and its Wronskian at t0
-        self.psi_m = self.qp * np.exp(-self.sigma * (t - t0))
-        self.psi_p = self.qm * np.exp(self.sigma * (t - t0))
-        self.wronskian = (self.qp[0] * (self.qm_d[0] + self.sigma * self.qm[0])
-                          - (self.qp_d[0] - self.sigma * self.qp[0]) * self.qm[0])
+        # and its Wronskian at t0, the one place derivatives are needed
+        self.psi_m = qp * np.exp(-self.sigma * (t - t0))
+        self.psi_p = qm * np.exp(self.sigma * (t - t0))
+        qp_d, qm_d = d.q_plus.derivative(t0), d.q_minus.derivative(t0)
+        self.wronskian = float(qp[0] * (qm_d + self.sigma * qm[0])
+                               - (qp_d - self.sigma * qp[0]) * qm[0])
         if abs(self.wronskian) < 1e-10:
-            raise IntegrationError("degenerate Floquet kernel pair")
+            raise IntegrationError(
+                f"degenerate Floquet kernel pair (n = {self.orbit.params.n}, "
+                f"eps = {self.orbit.epsilon!r}, lambda = {self.lam!r}, "
+                f"wronskian = {self.wronskian!r})")
 
     def _setup_fundamental_pair(self):
         t, t0 = self.t, self.t[0]
-        orbit = self.orbit
+        orbit, period = self.orbit, self.orbit.period
         y0 = [1.0, 0.0, 0.0, 1.0,
               float(orbit.value(t0)), float(orbit.derivative(t0))]
-        sol = solve_ivp(floquet.variational_rhs, (t0, t[-1]), y0,
+        sol = solve_ivp(floquet.variational_rhs, (t0, t0 + period), y0,
                         args=(self.lam, orbit.params), method="DOP853",
                         rtol=1e-12, atol=1e-14, dense_output=True)
         if not sol.success:
             raise IntegrationError(
                 f"fundamental pair integration failed (n = {orbit.params.n}, "
                 f"eps = {orbit.epsilon!r}, lambda = {self.lam!r})")
-        vals = sol.sol(t)
-        self.u = vals[0:2]       # u1, u2 values
-        # quasi-periodicity: u_j(s + P) = sum_k M[k, j] u_k(s)
-        at = sol.sol(t0 + orbit.period)
-        self.shift = np.array([[at[0], at[1]], [at[2], at[3]]])
+        # quasi-periodicity: (u1, u2)(s + P) = (u1, u2)(s) M, M the pair's
+        # state at t0 + P, so period k of the window is the first times M^k
+        self.shift = sol.y[:4, -1].reshape(2, 2)
+        k, s = np.divmod(t - t0, period)
+        first = sol.sol(t0 + s)[0:2]
+        self.u = np.empty_like(first)
+        power = np.eye(2)
+        for j in range(int(k[-1]) + 1):
+            sel = k == j
+            self.u[:, sel] = power.T @ first[:, sel]
+            power = power @ self.shift
         self.wronskian = 1.0
 
     # -- tail extrapolation -------------------------------------------------
@@ -427,11 +434,16 @@ class ModeSolveContext:
         k, first, w = self.last_period_rule
         return cum[k] + self.h * (w @ integrand[first:first + 6])
 
-    def _geometric_tail(self, integrand, cum, log_ratio):
-        """Missing int_T^inf of a self-similar integrand, via the last period."""
+    def _geometric_tail(self, integrand, cum, rate, nu):
+        """Missing int_T^inf of an integrand that scales by e^{(rate - nu) P}
+        per period, via the last period."""
+        log_ratio = (rate - nu) * self.orbit.period
         if log_ratio >= -1e-9:
-            raise ResonanceError("tail ratio not contracting; rate collides "
-                                 "with the kernel exponent")
+            raise ResonanceError(
+                f"tail ratio not contracting; rate collides with the kernel "
+                f"exponent (n = {self.orbit.params.n}, eps = "
+                f"{self.orbit.epsilon!r}, lambda = {self.lam!r}, sigma = "
+                f"{self.datum.sigma!r}, nu = {nu!r})")
         r = math.exp(log_ratio)
         return r * self._last_period(integrand, cum) / (1.0 - r)
 
@@ -451,14 +463,13 @@ class ModeSolveContext:
             g_minus = psi_m * rhs / self.wronskian
             g_plus = psi_p * rhs / self.wronskian
             cum_m = _cum_from_right(g_minus, self.h)
-            tail_m = self._geometric_tail(g_minus, cum_m, -(sigma + nu) * period)
+            tail_m = self._geometric_tail(g_minus, cum_m, -sigma, nu)
             if sigma > nu:
                 phi = (psi_m * _cum_from_left(g_plus, self.h)
                        + psi_p * (cum_m + tail_m))
             else:
                 cum_p = _cum_from_right(g_plus, self.h)
-                tail_p = self._geometric_tail(g_plus, cum_p,
-                                              (sigma - nu) * period)
+                tail_p = self._geometric_tail(g_plus, cum_p, sigma, nu)
                 phi = psi_p * (cum_m + tail_m) - psi_m * (cum_p + tail_p)
         else:
             g1 = self.u[0] * rhs

@@ -3,7 +3,10 @@
 Used for the periodic Floquet factors and for periodic expansion
 coefficients: samples on a uniform grid over one period are stored as Fourier
 coefficients, giving spectrally accurate evaluation and differentiation at
-arbitrary points.
+arbitrary points.  A grid of step T/M covering at least one period (the orbit
+samples, the collocation nodes and the output grids) is evaluated by one
+length-M inverse FFT and read off by periodicity; any other point set is
+summed through its phase matrix.
 """
 
 from __future__ import annotations
@@ -41,12 +44,35 @@ class PeriodicFunction:
         """Build from samples on a closed grid [0, T] (duplicate endpoint)."""
         return PeriodicFunction(np.asarray(values)[:-1], period)
 
+    def _period_steps(self, t) -> int:
+        """M if t is t[0] + j T/M (j = 0 .. t.size - 1, M <= t.size) up to
+        roundoff, else 0."""
+        if t.ndim != 1 or t.size < 2:
+            return 0
+        step = t[1] - t[0]
+        if not 0.5 * step <= self.period < (t.size + 0.5) * step:
+            return 0
+        m = int(round(self.period / step))
+        grid = t[0] + np.arange(t.size) * (self.period / m)
+        scale = max(abs(t[0]), abs(t[-1]), self.period)
+        return m if np.max(np.abs(t - grid)) <= 1e-14 * scale else 0
+
     def _eval(self, t, order: int):
         t = np.atleast_1d(np.asarray(t, dtype=float))
         omega = 2.0 * np.pi / self.period
-        phase = np.exp(1j * omega * np.outer(t, self._k))
         mult = (1j * omega * self._k) ** order if order else np.ones_like(self._k, dtype=complex)
         c = self._coeffs * mult
+        m = self._period_steps(t)
+        if m:
+            # t = t0 + jT/m: bin k mod m collects w_k c_k e^{ik omega t0}, and
+            # one inverse FFT sums the series at every point of the period
+            w = np.where(self._k == 0, 1.0, 2.0)
+            if self._nyquist:
+                w[-1] = 1.0
+            c = w * c * np.exp(1j * omega * t[0] * self._k)
+            bins = np.pad(c, (0, -c.size % m)).reshape(-1, m).sum(axis=0)
+            return (np.fft.ifft(bins) * m).real[np.arange(t.size) % m]
+        phase = np.exp(1j * omega * np.outer(t, self._k))
         vals = np.real(phase @ c) * 2.0
         vals -= np.real(c[0])  # k = 0 was doubled
         if self._nyquist:

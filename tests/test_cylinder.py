@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 from scipy.interpolate import CubicSpline
 
 from fowlerlab import cylinder, expansion, floquet, fowler, spheres
@@ -609,6 +610,61 @@ def test_fundamental_pair_failure_names_the_parameters(grid, conf5_orbit,
                        match=r"fundamental pair.*\(n = 5, eps = .*, "
                              r"lambda = 0\.0\)"):
         cylinder.ModeSolveContext(conf5_orbit, 0.0, grid)
+
+
+def test_degenerate_kernel_pair_names_the_parameters(grid, conf5_orbit,
+                                                     monkeypatch):
+    # sigma = 0 and q- = q+ make the two kernel elements one function
+    real = floquet.spectrum
+    monkeypatch.setattr(
+        floquet, "spectrum",
+        lambda orbit, lams, with_factors=False: {
+            lam: replace(d, sigma=0.0, q_minus=d.q_plus)
+            for lam, d in real(orbit, lams, with_factors).items()})
+    with pytest.raises(fowler.IntegrationError,
+                       match=r"degenerate Floquet kernel pair \(n = 5, "
+                             r"eps = .*, lambda = 4\.0, wronskian = 0\.0\)"):
+        cylinder.ModeSolveContext(conf5_orbit, 4.0, grid)
+
+
+def test_non_contracting_tail_names_the_parameters(grid, conf5_orbit):
+    # a rate below -sigma makes the decaying integrand grow per period
+    ctx = cylinder.ModeSolveContext(conf5_orbit, 4.0, grid)
+    nu = -2.0 * ctx.sigma
+    with pytest.raises(cylinder.ResonanceError,
+                       match=r"tail ratio not contracting.*\(n = 5, eps = .*, "
+                             rf"lambda = 4\.0, sigma = {ctx.sigma!r}, "
+                             rf"nu = {nu!r}\)"):
+        ctx.solve(np.exp(-grid), nu)
+
+
+def _whole_window_pair(orbit, lam, t):
+    """The fundamental pair integrated across the whole window, the solve
+    that one period and quasi-periodicity replace."""
+    y0 = [1.0, 0.0, 0.0, 1.0,
+          float(orbit.value(t[0])), float(orbit.derivative(t[0]))]
+    sol = solve_ivp(floquet.variational_rhs, (t[0], t[-1]), y0,
+                    args=(lam, orbit.params), method="DOP853",
+                    rtol=1e-12, atol=1e-14, dense_output=True)
+    return sol.sol(t)[0:2]
+
+
+@pytest.mark.parametrize("case", ["nonconstant", "constant", "escalated"])
+def test_fundamental_pair_integrates_one_period(case, conf5_orbit,
+                                                const5_orbit, monkeypatch):
+    orbit = const5_orbit if case == "constant" else conf5_orbit
+    t = cylinder.make_grid(10.0 if case == "escalated" else 5.0)
+    spans = []
+    real = cylinder.solve_ivp
+    monkeypatch.setattr(cylinder, "solve_ivp",
+                        lambda fun, span, *a, **k: spans.append(span)
+                        or real(fun, span, *a, **k))
+    ctx = cylinder.ModeSolveContext(orbit, 0.0, t)
+    assert ctx.datum.type != floquet.TYPE_III
+    assert spans == [(t[0], t[0] + orbit.period)]
+    ref = _whole_window_pair(orbit, 0.0, t)
+    assert np.max(np.abs(ctx.u - ref)) <= 1e-9 * np.max(np.abs(ref))
+    assert abs(np.linalg.det(ctx.shift) - 1.0) <= 1e-10
 
 
 @pytest.mark.parametrize("kind", ["conformal", "ckn"])

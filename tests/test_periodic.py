@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from fowlerlab import floquet, fowler
 from fowlerlab.periodic import PeriodicFunction
 
 FILTER = 1e-13
@@ -58,3 +61,88 @@ def test_nyquist_mode_reproduced_between_nodes():
     w = 2.0 * np.pi / period
     expected = 1.0 + 0.5 * np.cos(w * t) + 0.25 * np.cos(n // 2 * w * t)
     assert np.max(np.abs(f(t) - expected)) < 1e-14
+
+
+def phase_sum(f, t, order):
+    """The stored coefficients summed through the L x K phase matrix."""
+    omega = 2.0 * np.pi / f.period
+    k = np.arange(f._coeffs.size)
+    weight = np.where(k == 0, 1.0, 2.0)
+    if f._nyquist:
+        weight[-1] = 1.0
+    phase = np.exp(1j * omega * np.outer(t, k))
+    return np.real(phase @ (weight * f._coeffs * (1j * omega * k) ** order))
+
+
+def _assert_orders_match(f, t, reference):
+    for order in (0, 1, 2):
+        ref = reference(t, order)
+        got = f(t) if order == 0 else f.derivative(t, order)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), order
+
+
+def _period_grids(period, m):
+    step = period / m
+    return {"closed": np.linspace(0.0, period, m + 1),
+            "open": np.arange(m) * step,
+            "shifted": 0.3 * period + np.arange(m) * step,
+            "back": -period + np.arange(m + 1) * step,
+            "three periods": np.linspace(0.0, 3.0 * period, 3 * m + 1)}
+
+
+@pytest.mark.parametrize("m", [7, 16, 255, 256, 2047])
+@pytest.mark.parametrize("make, n", [(_analytic, 256), (_with_nyquist, 16)])
+def test_period_grid_evaluation_matches_direct_sum(make, n, m):
+    # 7 and 16 steps fold the coefficients (m < 2K) for both functions
+    period = 2.7
+    values = make(n, period)
+    f = PeriodicFunction(values, period)
+    for name, t in _period_grids(period, m).items():
+        if make is _with_nyquist and name in ("shifted", "three periods"):
+            # the reference's own phase roundoff, about k |t| ulp times the
+            # derivative of the Nyquist term, reaches the bar here
+            continue
+        assert f._period_steps(t) == m, name
+        _assert_orders_match(
+            f, t, lambda t, order: direct_sum(values, period, t, order))
+
+
+@pytest.mark.parametrize("t", [
+    5.0 + np.arange(769) / 64.0,  # a construction window: h = 1/64
+    np.arange(257) * (4.057568073848222 / 256) * (1.0 + 1e-10),
+], ids=["window", "step off by 1e-10"])
+def test_off_period_grids_take_the_phase_path(t):
+    period = 4.057568073848222
+    values = _analytic(256, period)
+    f = PeriodicFunction(values, period)
+    assert f._period_steps(t) == 0
+    _assert_orders_match(
+        f, t, lambda t, order: direct_sum(values, period, t, order))
+
+
+@pytest.fixture(scope="module")
+def slow_factor():
+    """q+ of degree 1 on conformal n = 3 at eps = 1e-3 xi*, which keeps 578
+    Fourier coefficients."""
+    params = fowler.FowlerParams.conformal(3, 1.0)
+    orb = fowler.periodic_orbit(1e-3 * fowler.constant_solution(params),
+                                params)
+    return orb, floquet.spectrum(orb, [2.0], with_factors=True)[2.0].q_plus
+
+
+def test_slow_factor_on_orbit_grid_matches_phase_sum(slow_factor):
+    orb, q = slow_factor
+    assert q._coeffs.size > 500 and q._period_steps(orb.t) == orb.t.size - 1
+    _assert_orders_match(q, orb.t, lambda t, order: phase_sum(q, t, order))
+
+
+def test_orbit_grid_evaluation_builds_no_phase_matrix(slow_factor):
+    # the 2048 x 578 phase matrix alone would be 19 MB
+    orb, q = slow_factor
+    tracemalloc.start()
+    try:
+        q(orb.t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
