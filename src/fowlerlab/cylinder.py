@@ -64,6 +64,10 @@ class ResonanceError(ValueError):
     """Requested decay rate collides with a Floquet exponent."""
 
 
+class DecayRateError(ValueError):
+    """Requested decay rate is not positive: the inverse's integrals diverge."""
+
+
 class ConstructionError(RuntimeError):
     """The fixed-point iteration failed to contract."""
 
@@ -436,15 +440,8 @@ class ModeSolveContext:
 
     def _geometric_tail(self, integrand, cum, rate, nu):
         """Missing int_T^inf of an integrand that scales by e^{(rate - nu) P}
-        per period, via the last period."""
-        log_ratio = (rate - nu) * self.orbit.period
-        if log_ratio >= -1e-9:
-            raise ResonanceError(
-                f"tail ratio not contracting; rate collides with the kernel "
-                f"exponent (n = {self.orbit.params.n}, eps = "
-                f"{self.orbit.epsilon!r}, lambda = {self.lam!r}, sigma = "
-                f"{self.datum.sigma!r}, nu = {nu!r})")
-        r = math.exp(log_ratio)
+        per period, via the last period (a ratio below 1: `solve` checks nu)."""
+        r = math.exp((rate - nu) * self.orbit.period)
         return r * self._last_period(integrand, cum) / (1.0 - r)
 
     def solve(self, rhs, nu: float, return_info: bool = False):
@@ -452,6 +449,11 @@ class ModeSolveContext:
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape != self.t.shape:
             raise ValueError("rhs must live on the context grid")
+        if not nu > 0.0:
+            raise DecayRateError(
+                f"decay rate must be positive (n = {self.orbit.params.n}, "
+                f"eps = {self.orbit.epsilon!r}, lambda = {self.lam!r}, "
+                f"nu = {nu!r})")
         period = self.orbit.period
         if self.datum.type == floquet.TYPE_III:
             sigma = self.sigma
@@ -537,8 +539,8 @@ def inverse_L(op: floquet.ModeOperator, rhs, beta: float, tgrid,
     """Bounded right inverse of a mode operator on the window grid.
 
     `beta` is the decay class of the rhs (checked by fit) and the rate at
-    which the returned solution decays; it must stay 1e-6 away from the
-    mode's hyperbolic exponent.
+    which the returned solution decays; it must be positive and stay 1e-6
+    away from the mode's hyperbolic exponent.
     """
     tgrid = np.asarray(tgrid, dtype=float)
     check_rhs_decay(tgrid, rhs, beta)

@@ -16,6 +16,10 @@ classifies the kernel:
 A complex off-circle pair would require a fifth type, but a real 2x2 matrix
 with unit determinant has complex eigenvalues only on the unit circle, so
 that type is recorded as unreachable.
+
+On a nonconstant orbit M is a product of sixth-order Magnus steps (Iserles
+& Norsett 1999; Blanes, Casas, Oteo & Ros 2009), and mode 0 is Type II by
+structure.
 """
 
 from __future__ import annotations
@@ -34,8 +38,11 @@ TYPE_I, TYPE_II, TYPE_III, TYPE_IV = "I", "II", "III", "IV"
 TYPE_V_UNREACHABLE = "V (unreachable for real unit-determinant monodromy)"
 
 TRACE_TOL = 1e-7  # |tr M| - 2 boundary tolerance
-_MONODROMY_RTOL = 1e-12
+_MONODROMY_RTOL = 1e-12  # the kernel-branch solve
 _MONODROMY_ATOL = 1e-14
+MAGNUS_TOL = 6.3e-12  # accepted two-level difference of the monodromy
+MAGNUS_START, MAGNUS_CAP = 256, 2 ** 15  # step counts: first and last level
+_GAUSS_NODES = 0.5 + math.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])
 
 
 class FloquetStructureError(RuntimeError):
@@ -72,7 +79,10 @@ class FloquetDatum:
     periodicity_defect: float = 0.0
     warning: str | None = None
     coupling: float | None = None    # Type II t-term coefficient estimate
-    det_defect: float = 0.0          # |Liouville determinant - 1|
+    det_defect: float = 0.0          # |product of step determinants - 1|
+    magnus_steps: int = 0            # N of the kept level (0: closed form)
+    magnus_error: float = 0.0        # its two-level difference estimate
+    trace_defect: float | None = None  # |tr M - 2| of the mode-0 monodromy
 
     def to_dict(self) -> dict:
         d = {
@@ -86,6 +96,9 @@ class FloquetDatum:
             "omega": self.omega,
             "periodicity_defect": self.periodicity_defect,
             "det_defect": self.det_defect,
+            "magnus_steps": self.magnus_steps,
+            "magnus_error": self.magnus_error,
+            "trace_defect": self.trace_defect,
             "coupling": self.coupling,
             "warning": self.warning,
         }
@@ -139,56 +152,94 @@ def _constant_monodromy(op: ModeOperator) -> np.ndarray:
     return np.array([[1.0, T], [0.0, 1.0]])
 
 
-def monodromy(ops, with_det: bool = False):
+def _commutator(x, y):
+    """[X, Y] of traceless 2x2 matrices given as (a, b, c) = [[a, b], [c, -a]]."""
+    (a1, b1, c1), (a2, b2, c2) = x, y
+    return (b1 * c2 - b2 * c1, 2.0 * (a1 * b2 - b1 * a2),
+            2.0 * (c1 * a2 - a1 * c2))
+
+
+def _magnus_product(orbit: FowlerOrbit, lams, n: int):
+    """Monodromies, and products of step determinants, of n uniform 6th-order
+    Magnus steps for each eigenvalue of `lams`.  A step is exp(Omega), Omega
+    the three-Gauss-point exponent of Blanes, Casas & Ros; Omega^2 = s^2 I
+    gives exp(Omega) = cosh(s) I + (sinh(s)/s) Omega.  V is even about T/2,
+    so it is sampled on the first half period.  Arithmetic is elementwise.
+    """
+    p, h = orbit.params, orbit.period / n
+    nodes = (np.arange(n // 2)[:, None] + _GAUSS_NODES) * h
+    w = p.e * p.c * orbit.value(nodes.ravel()).reshape(nodes.shape) ** (p.e - 1.0)
+    w = np.concatenate([w, w[::-1, ::-1]])
+    lq = np.asarray(lams, dtype=float)[:, None] + p.q
+    v1, v2, v3 = (lq - w[:, i] for i in range(3))
+    a1 = (0.0, h, h * v2)
+    a2 = (0.0, 0.0, (math.sqrt(15.0) * h / 3.0) * (v3 - v1))
+    a3 = (0.0, 0.0, (10.0 * h / 3.0) * (v1 - 2.0 * v2 + v3))
+    c1 = _commutator(a1, a2)
+    c2 = [-x / 60.0 for x in _commutator(a1, [2.0 * u + v for u, v in zip(a3, c1)])]
+    outer = _commutator([-20.0 * u - v + z for u, v, z in zip(a1, a3, c1)],
+                        [u + v for u, v in zip(a2, c2)])
+    a, b, c = (u + v / 12.0 + z / 240.0 for u, v, z in zip(a1, a3, outer))
+    s2 = a * a + b * c
+    r = np.sqrt(np.abs(s2))
+    tiny = r < 1e-4  # sinh(s)/s by its series there: s may be 0
+    ch = np.where(s2 > 0.0, np.cosh(r), np.cos(r))
+    sh = np.where(tiny, 1.0 + s2 / 6.0, np.where(s2 > 0.0, np.sinh(r), np.sin(r))
+                  / np.where(tiny, 1.0, r))
+    e = (ch + sh * a, sh * b, sh * c, ch - sh * a)
+    det = np.prod(e[0] * e[3] - e[1] * e[2], axis=1)
+    while e[0].shape[1] > 1:  # pairwise: later steps multiply from the left
+        (a11, a12, a21, a22), (b11, b12, b21, b22) = (
+            [x[:, 1::2] for x in e], [x[:, ::2] for x in e])
+        e = (a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
+             a21 * b11 + a22 * b21, a21 * b12 + a22 * b22)
+    return np.stack([x[:, 0] for x in e], axis=1).reshape(-1, 2, 2), det
+
+
+def monodromy(ops, with_health: bool = False):
     """Fundamental solutions over one period with identity initial data.
 
-    `ops` is one ModeOperator, answered with one matrix (and determinant), or
-    a sequence of operators on one orbit, answered with a stack of matrices
-    (and an array of determinants) in the same order.  For constant orbits
-    the system is autonomous and the matrix exponential is written in closed
-    form.  Otherwise every operator is integrated in one solve, the state
-    holding the fundamental matrix of each: the period is split into
-    subintervals short enough that each partial propagator of the largest
-    eigenvalue has moderate entries, and each monodromy is the product of its
-    partial propagators; the Liouville determinant check multiplies each
-    operator's subinterval determinants, which stays well conditioned even
-    when the assembled matrix has exponentially large entries.  The orbit
-    rides along in the state from its minimum (eps, 0), chained across
-    subintervals.
+    `ops` is one ModeOperator, answered with one matrix, or a sequence of
+    operators on one orbit, answered with a stack of matrices in the same
+    order; with `with_health`, with (matrices, determinants, step counts N,
+    estimates).  Constant orbits get the closed-form exponential (N = 0).
+    Otherwise N doubles from MAGNUS_START for every eigenvalue alike, and
+    each keeps the first level where ||M_2N - M_N|| / max(1, ||M_2N||) is at
+    most MAGNUS_TOL, or shrank less than 4x after an earlier doubling shrank
+    it 16x: the accuracy floor of the stored orbit.  An eigenvalue unresolved
+    at MAGNUS_CAP steps, or overflowing, raises IntegrationError.
     """
     ops, single = _batch(ops)
-    orbit = ops[0].orbit
-    k = len(ops)
-    dets = np.ones(k)
+    orbit, k = ops[0].orbit, len(ops)
+    lams = np.array([op.lam for op in ops])
+    ms, dets = np.empty((k, 2, 2)), np.ones(k)
+    steps, errors = np.zeros(k, dtype=int), np.zeros(k)
     if orbit.is_constant:
-        ms = np.array([_constant_monodromy(op) for op in ops])
+        ms[:] = [_constant_monodromy(op) for op in ops]
     else:
-        T = orbit.period
-        lams = [op.lam for op in ops]
-        rate = math.sqrt(max(1.0, max(lams) + orbit.params.q))
-        pieces = max(1, min(64, math.ceil(rate * T / 3.0)))
-        breaks = np.linspace(0.0, T, pieces + 1)
-        # columns (u1, u2) per operator: values first, then derivatives
-        z0 = [1.0, 0.0] * k + [0.0, 1.0] * k
-        col_lams = np.repeat(lams, 2)
-        ms = np.tile(np.eye(2), (k, 1, 1))
-        xi_state = [orbit.epsilon, 0.0]
-        for a, b in zip(breaks[:-1], breaks[1:]):
-            sol = solve_ivp(variational_rhs, (a, b), [*z0, *xi_state],
-                            args=(col_lams, orbit.params), method="DOP853",
-                            rtol=_MONODROMY_RTOL, atol=_MONODROMY_ATOL)
-            if not sol.success:
+        live, fell = np.ones(k, dtype=bool), np.zeros(k, dtype=bool)
+        last, d1, n = np.full((k, 2, 2), np.nan), np.nan, MAGNUS_START
+        while live.any():
+            m, det = np.full((k, 2, 2), np.nan), np.full(k, np.nan)
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                m[live], det[live] = _magnus_product(orbit, lams[live], n)
+                d = (np.max(np.abs(m - last), axis=(1, 2))
+                     / np.maximum(1.0, np.max(np.abs(m), axis=(1, 2))))
+            done = live & ((d <= MAGNUS_TOL) | (fell & (4.0 * d > d1)))
+            ms[done], dets[done], errors[done] = m[done], det[done], d[done]
+            steps[done], live = n, live & ~done
+            bad = live & ~(np.isfinite(m).all(axis=(1, 2)) & (n < MAGNUS_CAP))
+            if bad.any():
+                i = int(np.argmax(bad))
                 raise IntegrationError(
-                    f"monodromy integration failed at t = {sol.t[-1]:.6g} "
-                    f"(lambda = {', '.join(map(repr, lams))})")
-            yb = sol.y[:, -1]
-            mk = yb[:4 * k].reshape(2, k, 2).transpose(1, 0, 2)
-            ms = mk @ ms
-            dets = dets * np.linalg.det(mk)
-            xi_state = yb[4 * k:]
+                    f"monodromy unresolved at N = {n} Magnus steps (n = "
+                    f"{orbit.params.n}, eps = {orbit.epsilon!r}, lambda = "
+                    f"{float(lams[i])!r}, estimate = {d[i]:.3g})")
+            fell |= 16.0 * d <= d1
+            last, d1, n = m, d, 2 * n
     if single:
-        return (ms[0], float(dets[0])) if with_det else ms[0]
-    return (ms, dets) if with_det else ms
+        ms, dets, steps, errors = ms[0], float(dets[0]), int(steps[0]), float(errors[0])
+    return (ms, dets, steps, errors) if with_health else ms
 
 
 @dataclass(frozen=True)
@@ -203,10 +254,10 @@ def classify(m: np.ndarray, period: float, tol: float = TRACE_TOL,
              det: float | None = None) -> Classification:
     """Kernel type from the monodromy trace; see module docstring.
 
-    `det` may carry a well-conditioned determinant estimate (from subinterval
-    products); otherwise the determinant is formed from the entries, with the
-    tolerance widened by the roundoff floor eps * ||M||^2 that a large-entry
-    matrix imposes.
+    `det` may carry a well-conditioned determinant estimate (the product of
+    the step determinants); otherwise the determinant is formed from the
+    entries, with the tolerance widened by the roundoff floor eps * ||M||^2
+    that a large-entry matrix imposes.
     """
     if det is None:
         det = float(np.linalg.det(m))
@@ -322,9 +373,11 @@ def kernel_basis(ops, data):
     return out[0] if single else out
 
 
-def _classified(orbit: FowlerOrbit, lam: float, m: np.ndarray,
-                det: float) -> FloquetDatum:
-    """Datum of one eigenvalue from its monodromy, without kernel factors."""
+def _classified(orbit: FowlerOrbit, lam: float, m: np.ndarray, det: float,
+                steps: int, error: float) -> FloquetDatum:
+    """Datum of one eigenvalue from its monodromy, without kernel factors.
+    On a nonconstant orbit mode 0 is Type II by structure (xi' is a periodic
+    kernel element, dT/deps != 0); its trace defect is kept, not tested."""
     if orbit.is_constant:
         # constant coefficients: classify from the potential sign directly
         # (a constant orbit has no intrinsic period, and the stored
@@ -343,12 +396,16 @@ def _classified(orbit: FowlerOrbit, lam: float, m: np.ndarray,
             raise IntegrationError(
                 f"{exc} (n = {orbit.params.n}, eps = {orbit.epsilon!r}, "
                 f"lambda = {lam!r})") from exc
+        if lam == 0.0:
+            cls = Classification(TYPE_II, None, None, None)
     datum = FloquetDatum(index=0, degree=0, lam=lam, period=orbit.period,
                          monodromy=m, type=cls.type, sigma=cls.sigma,
                          omega=cls.omega, warning=cls.warning,
-                         det_defect=abs(det - 1.0))
-    if cls.type == TYPE_II and not orbit.is_constant and lam == 0.0:
+                         det_defect=abs(det - 1.0), magnus_steps=steps,
+                         magnus_error=error)
+    if lam == 0.0 and not orbit.is_constant:
         datum.coupling = mode0_coupling(orbit, m)
+        datum.trace_defect = abs(float(np.trace(m)) - 2.0)
     return datum
 
 
@@ -364,10 +421,10 @@ def spectrum(orbit: FowlerOrbit, lams, with_factors: bool = False) -> dict:
     lams = sorted({float(lam) for lam in lams})
     new = [lam for lam in lams if lam not in store]
     if new:
-        ms, dets = monodromy([ModeOperator(orbit, lam) for lam in new],
-                             with_det=True)
-        data = [_classified(orbit, lam, m, float(det))
-                for lam, m, det in zip(new, ms, dets)]
+        health = monodromy([ModeOperator(orbit, lam) for lam in new],
+                           with_health=True)
+        data = [_classified(orbit, lam, m, float(det), int(n), float(err))
+                for lam, m, det, n, err in zip(new, *health)]
         store.update((d.lam, d) for d in data)
     out = {lam: store[lam] for lam in lams}
     bare = [d for d in out.values() if with_factors and d.type == TYPE_III

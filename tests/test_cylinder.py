@@ -627,15 +627,21 @@ def test_degenerate_kernel_pair_names_the_parameters(grid, conf5_orbit,
         cylinder.ModeSolveContext(conf5_orbit, 4.0, grid)
 
 
-def test_non_contracting_tail_names_the_parameters(grid, conf5_orbit):
-    # a rate below -sigma makes the decaying integrand grow per period
+def test_inverse_rejects_non_positive_rates(grid, conf5_orbit):
+    # the from-the-right integrals converge only for nu > 0: nu = -3 at
+    # lambda = 4 used to fail as a kernel-exponent collision, and nu = -0.5
+    # at mode 0 returned a finite field from divergent tails
+    rhs = np.exp(-grid)
+    for lam, nu in ((4.0, -3.0), (0.0, -0.5), (4.0, 0.0), (0.0, 0.0)):
+        op = floquet.ModeOperator(conf5_orbit, lam)
+        with pytest.raises(cylinder.DecayRateError,
+                           match=rf"\(n = 5, eps = .*, lambda = {lam!r}, "
+                                 rf"nu = {nu!r}\)"):
+            cylinder.inverse_L(op, rhs, nu, grid)
+    # a rate below -sigma, where the decaying integrand grows per period
     ctx = cylinder.ModeSolveContext(conf5_orbit, 4.0, grid)
-    nu = -2.0 * ctx.sigma
-    with pytest.raises(cylinder.ResonanceError,
-                       match=r"tail ratio not contracting.*\(n = 5, eps = .*, "
-                             rf"lambda = 4\.0, sigma = {ctx.sigma!r}, "
-                             rf"nu = {nu!r}\)"):
-        ctx.solve(np.exp(-grid), nu)
+    with pytest.raises(cylinder.DecayRateError, match="must be positive"):
+        ctx.solve(rhs, -2.0 * ctx.sigma)
 
 
 def _whole_window_pair(orbit, lam, t):

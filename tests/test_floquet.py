@@ -37,8 +37,8 @@ def test_determinant_is_one(conf3_orbit, ckn_orbit):
     pairs = [(conf3_orbit, lam) for lam in rng.uniform(0.5, 12.0, 10)]
     pairs += [(ckn_orbit, lam) for lam in rng.uniform(0.5, 12.0, 10)]
     for orbit, lam in pairs:
-        _, det = floquet.monodromy(floquet.ModeOperator(orbit, float(lam)),
-                                   with_det=True)
+        _, det, _, _ = floquet.monodromy(floquet.ModeOperator(orbit, float(lam)),
+                                         with_health=True)
         assert abs(det - 1.0) < 1e-9
 
 
@@ -191,8 +191,8 @@ def test_mirrored_q_plus_matches_backward_integration(orbit_name, degree,
 
 
 def test_determinant_failure_is_typed_error(conf5_orbit, monkeypatch):
-    monkeypatch.setattr(floquet, "monodromy",
-                        lambda ops, with_det=False: ([np.eye(2)], [2.0]))
+    monkeypatch.setattr(floquet, "monodromy", lambda ops, with_health=False:
+                        ([np.eye(2)], [2.0], [256], [0.0]))
     with pytest.raises(fowler.IntegrationError,
                        match=r"determinant.*n = 5.*lambda = 7\.25") as info:
         floquet.mode_datum(conf5_orbit, 0, 7.25, 1)
@@ -352,14 +352,14 @@ def test_batched_solves_match_single_eigenvalue_solves(orbit_name, request):
     orb = request.getfixturevalue(orbit_name)
     lams = [float(spheres.eigenvalue(k, orb.params.n)) for k in (1, 2, 3)]
     ops = [floquet.ModeOperator(orb, lam) for lam in lams]
-    ms, dets = floquet.monodromy(ops, with_det=True)
+    ms, dets, _, _ = floquet.monodromy(ops, with_health=True)
     batch = [floquet.FloquetDatum(0, 0, lam, orb.period, m, floquet.TYPE_III,
                                   sigma=floquet.classify(m, orb.period,
                                                          det=det).sigma)
              for lam, m, det in zip(lams, ms, dets)]
     factors = floquet.kernel_basis(ops, batch)
     for op, d, det, (qp, qm, defect) in zip(ops, batch, dets, factors):
-        m1, det1 = floquet.monodromy(op, with_det=True)
+        m1, det1, _, _ = floquet.monodromy(op, with_health=True)
         cls = floquet.classify(m1, orb.period, det=det1)
         assert cls.type == floquet.TYPE_III
         assert np.max(np.abs(d.monodromy - m1)) < 1e-10 * np.max(np.abs(m1))
@@ -377,23 +377,116 @@ def test_batched_solves_match_single_eigenvalue_solves(orbit_name, request):
 
 def test_kernel_factors_reuse_the_cached_monodromy(monkeypatch):
     # exponent data without factors, then factors for the same eigenvalue:
-    # the second call integrates the kernel branch only
+    # the first call runs the propagator only, the second the kernel branch
+    # solve only, the third nothing
     n = 5
     params = fowler.FowlerParams.conformal(n, 1.0)
     orb = fowler.periodic_orbit(0.45 * fowler.constant_solution(params),
                                 params)
-    calls = []
-    real = floquet.solve_ivp
-    monkeypatch.setattr(floquet, "solve_ivp",
-                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    runs, solves = [], []
+    real_monodromy, real_solve = floquet.monodromy, floquet.solve_ivp
+    monkeypatch.setattr(floquet, "monodromy", lambda *a, **k: runs.append(1)
+                        or real_monodromy(*a, **k))
+    monkeypatch.setattr(floquet, "solve_ivp", lambda *a, **k: solves.append(1)
+                        or real_solve(*a, **k))
     floquet.exponent_sequence(orb, n, with_factors=False)
-    assert len(calls) > 1  # the monodromy subintervals
-    calls.clear()
+    assert (len(runs), len(solves)) == (1, 0)
     d = floquet.mode_datum(orb, 1, float(n - 1), 1, with_factors=True)
-    assert len(calls) == 1 and d.q_plus is not None
-    calls.clear()
+    assert (len(runs), len(solves)) == (1, 1) and d.q_plus is not None
     floquet.exponent_sequence(orb, n, with_factors=True)
-    assert calls == []
+    assert (len(runs), len(solves)) == (1, 1)
+
+
+def test_magnus_error_falls_at_sixth_order(conf5_orbit):
+    # the two-level error ||M_2N - M_N|| falls by at least 40x from N = 128
+    # to N = 256 (64x for a 6th-order method); at N = 512 it reaches the
+    # rounding floor of the 512-step product
+    ms = [floquet._magnus_product(conf5_orbit, [4.0], n)[0]
+          for n in (128, 256, 512)]
+    coarse, fine = (np.max(np.abs(b - a)) for a, b in zip(ms, ms[1:]))
+    assert coarse / fine >= 40.0
+
+
+def _carried_orbit_monodromy(orbit, lams):
+    """The DOP853 monodromy the Magnus propagator replaced: the orbit carried
+    in the state, the period cut into subintervals by the largest eigenvalue,
+    and the partial propagators multiplied."""
+    T, k = orbit.period, len(lams)
+    rate = math.sqrt(max(1.0, max(lams) + orbit.params.q))
+    pieces = max(1, min(64, math.ceil(rate * T / 3.0)))
+    breaks = np.linspace(0.0, T, pieces + 1)
+    z0 = [1.0, 0.0] * k + [0.0, 1.0] * k
+    ms = np.tile(np.eye(2), (k, 1, 1))
+    xi_state = [orbit.epsilon, 0.0]
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        sol = solve_ivp(floquet.variational_rhs, (a, b), [*z0, *xi_state],
+                        args=(np.repeat(lams, 2), orbit.params),
+                        method="DOP853", rtol=1e-12, atol=1e-14)
+        yb = sol.y[:, -1]
+        ms = yb[:4 * k].reshape(2, k, 2).transpose(1, 0, 2) @ ms
+        xi_state = yb[4 * k:]
+    return ms
+
+
+@pytest.mark.parametrize("orbit_name", ["conf5_orbit", "ckn_orbit"])
+def test_magnus_matches_carried_orbit_integration(orbit_name, request):
+    orb = request.getfixturevalue(orbit_name)
+    lams, _ = spheres.eigenvalue_sequence(orb.params.n, 13)
+    lams = sorted({float(lam) for lam in lams[1:]})  # modes 1..12
+    ref = _carried_orbit_monodromy(orb, lams)
+    ms, dets, steps, errors = floquet.monodromy(
+        [floquet.ModeOperator(orb, lam) for lam in lams], with_health=True)
+    for m, r, det, n, err in zip(ms, ref, dets, steps, errors):
+        assert np.max(np.abs(m - r)) <= 1e-10 * np.max(np.abs(r))
+        sigma, sigma_ref = (floquet.classify(x, orb.period).sigma
+                            for x in (m, r))
+        assert abs(sigma - sigma_ref) <= 1e-10 * sigma_ref
+        assert abs(det - 1.0) < 1e-12 and err <= floquet.MAGNUS_TOL
+        assert floquet.MAGNUS_START < n <= 4096
+
+
+def test_unresolved_monodromy_names_the_parameters(conf5_orbit, monkeypatch):
+    # lambda = 4 needs 512 steps here; a cap of 256 leaves it unresolved
+    monkeypatch.setattr(floquet, "MAGNUS_CAP", 256)
+    with pytest.raises(fowler.IntegrationError,
+                       match=r"N = 256 .*\(n = 5, eps = .*, lambda = 4\.0, "
+                             r"estimate = "):
+        floquet.monodromy(floquet.ModeOperator(conf5_orbit, 4.0))
+
+
+@pytest.mark.parametrize("n, frac", [(3, 1e-3), (5, 1e-3), (5, 0.5), (5, 0.8)])
+def test_mode0_is_type_two_by_structure(n, frac):
+    # on slow orbits the mode-0 trace drifts past TRACE_TOL (2.9e-6 at n = 5,
+    # 1e-3 xi*), but xi' is a periodic kernel element whatever the trace says
+    params = fowler.FowlerParams.conformal(n, 1.0)
+    orb = fowler.periodic_orbit(frac * fowler.constant_solution(params), params)
+    d0 = floquet.mode_datum(orb, 0, 0.0, 0)
+    assert d0.type == floquet.TYPE_II and d0.sigma is None
+    assert d0.trace_defect == abs(np.trace(d0.monodromy) - 2.0)
+    assert d0.trace_defect < (1e-5 if frac < 0.1 else 1e-9)
+    assert d0.to_dict()["trace_defect"] == d0.trace_defect
+
+
+def test_ckn_mode0_is_type_two_by_structure(ckn_orbit):
+    d0 = floquet.mode_datum(ckn_orbit, 0, 0.0, 0)
+    assert d0.type == floquet.TYPE_II and d0.trace_defect < 1e-9
+
+
+@pytest.mark.parametrize("frac", [1e-3, 0.5])
+def test_exponents_do_not_depend_on_the_batch(frac):
+    # sigma_1 on n = 3 used to follow the subinterval count that the largest
+    # eigenvalue of the batch set (1.0028 alone against 1.00048 in a batch
+    # of degrees 1..3 at 1e-6 xi*)
+    params = fowler.FowlerParams.conformal(3, 1.0)
+    orbits = [fowler.periodic_orbit(frac * fowler.constant_solution(params),
+                                    params) for _ in range(2)]
+    alone = floquet.mode_datum(orbits[0], 1, 2.0, 1)
+    batch = floquet.exponent_sequence(orbits[1], 15)[0]
+    assert batch.lam == 2.0 and sorted(orbits[1]._floquet) == [2.0, 6.0, 12.0]
+    assert abs(alone.sigma - batch.sigma) <= 1e-14 * batch.sigma
+    assert (np.max(np.abs(alone.monodromy - batch.monodromy))
+            <= 1e-14 * np.max(np.abs(batch.monodromy)))
+    assert alone.magnus_steps == batch.magnus_steps
 
 
 def test_batched_overflow_names_lowest_offending_eigenvalue():
