@@ -228,13 +228,14 @@ def monodromy(ops, with_health: bool = False):
             done = live & ((d <= MAGNUS_TOL) | (fell & (4.0 * d > d1)))
             ms[done], dets[done], errors[done] = m[done], det[done], d[done]
             steps[done], live = n, live & ~done
-            bad = live & ~(np.isfinite(m).all(axis=(1, 2)) & (n < MAGNUS_CAP))
+            finite = np.isfinite(m).all(axis=(1, 2))
+            bad = live & ~(finite & (n < MAGNUS_CAP))
             if bad.any():
                 i = int(np.argmax(bad))
                 raise IntegrationError(
-                    f"monodromy unresolved at N = {n} Magnus steps (n = "
-                    f"{orbit.params.n}, eps = {orbit.epsilon!r}, lambda = "
-                    f"{float(lams[i])!r}, estimate = {d[i]:.3g})")
+                    f"monodromy {'unresolved' if finite[i] else 'overflows'} at "
+                    f"N = {n} steps (n = {orbit.params.n}, eps = {orbit.epsilon!r}, "
+                    f"lambda = {float(lams[i])!r}, estimate = {d[i]:.3g})")
             fell |= 16.0 * d <= d1
             last, d1, n = m, d, 2 * n
     if single:

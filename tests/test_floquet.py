@@ -446,11 +446,17 @@ def test_magnus_matches_carried_orbit_integration(orbit_name, request):
 
 
 def test_unresolved_monodromy_names_the_parameters(conf5_orbit, monkeypatch):
+    # lambda = 1e6 grows by about e^4000 over the period, past the float
+    # range, at every step count
+    with pytest.raises(fowler.IntegrationError,
+                       match=r"overflows at N = 256 .*lambda = 1000000\.0, "
+                             r"estimate = nan"):
+        floquet.monodromy(floquet.ModeOperator(conf5_orbit, 1e6))
     # lambda = 4 needs 512 steps here; a cap of 256 leaves it unresolved
     monkeypatch.setattr(floquet, "MAGNUS_CAP", 256)
     with pytest.raises(fowler.IntegrationError,
-                       match=r"N = 256 .*\(n = 5, eps = .*, lambda = 4\.0, "
-                             r"estimate = "):
+                       match=r"unresolved at N = 256 .*\(n = 5, eps = .*, "
+                             r"lambda = 4\.0, estimate = "):
         floquet.monodromy(floquet.ModeOperator(conf5_orbit, 4.0))
 
 
