@@ -460,22 +460,21 @@ def test_unresolved_monodromy_names_the_parameters(conf5_orbit, monkeypatch):
         floquet.monodromy(floquet.ModeOperator(conf5_orbit, 4.0))
 
 
-@pytest.mark.parametrize("n, frac", [(3, 1e-3), (5, 1e-3), (5, 0.5), (5, 0.8)])
-def test_mode0_is_type_two_by_structure(n, frac):
+@pytest.mark.parametrize("params, frac", [
+    (fowler.FowlerParams.conformal(3), 1e-3),
+    (fowler.FowlerParams.conformal(5), 1e-3),
+    (fowler.FowlerParams.conformal(5), 0.5),
+    (fowler.FowlerParams.conformal(5), 0.8),
+    (fowler.FowlerParams.ckn(5, 0.5, 0.7), 0.4)])
+def test_mode0_is_type_two_by_structure(params, frac):
     # on slow orbits the mode-0 trace drifts past TRACE_TOL (2.9e-6 at n = 5,
     # 1e-3 xi*), but xi' is a periodic kernel element whatever the trace says
-    params = fowler.FowlerParams.conformal(n, 1.0)
     orb = fowler.periodic_orbit(frac * fowler.constant_solution(params), params)
     d0 = floquet.mode_datum(orb, 0, 0.0, 0)
     assert d0.type == floquet.TYPE_II and d0.sigma is None
     assert d0.trace_defect == abs(np.trace(d0.monodromy) - 2.0)
     assert d0.trace_defect < (1e-5 if frac < 0.1 else 1e-9)
     assert d0.to_dict()["trace_defect"] == d0.trace_defect
-
-
-def test_ckn_mode0_is_type_two_by_structure(ckn_orbit):
-    d0 = floquet.mode_datum(ckn_orbit, 0, 0.0, 0)
-    assert d0.type == floquet.TYPE_II and d0.trace_defect < 1e-9
 
 
 @pytest.mark.parametrize("frac", [1e-3, 0.5])
