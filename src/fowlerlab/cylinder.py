@@ -46,7 +46,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import floquet, index_set, spheres
-from .fowler import FowlerOrbit, IntegrationError
+from .fowler import DenseSolution, FowlerOrbit, IntegrationError
 
 DEFAULT_H = 1.0 / 64.0
 DEFAULT_WINDOW = 12.0
@@ -422,7 +422,7 @@ class ModeSolveContext:
         # state at t0 + P, so period k of the window is the first times M^k
         self.shift = sol.y[:4, -1].reshape(2, 2)
         k, s = np.divmod(t - t0, period)
-        first = sol.sol(t0 + s)[0:2]
+        first = DenseSolution(sol.sol)(t0 + s)[0:2]
         self.u = np.empty_like(first)
         power = np.eye(2)
         for j in range(int(k[-1]) + 1):

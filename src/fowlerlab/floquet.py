@@ -31,7 +31,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import spheres
-from .fowler import FowlerOrbit, IntegrationError
+from .fowler import DenseSolution, FowlerOrbit, IntegrationError
 from .periodic import PeriodicFunction
 
 TYPE_I, TYPE_II, TYPE_III, TYPE_IV = "I", "II", "III", "IV"
@@ -358,7 +358,7 @@ def kernel_basis(ops, data):
         raise IntegrationError(
             f"kernel branch integration failed (n = {orbit.params.n}, eps = "
             f"{orbit.epsilon!r}, lambda = {', '.join(map(repr, lams))})")
-    vals = sol.sol(t_eval)
+    vals = DenseSolution(sol.sol)(t_eval)
     out = []
     for j, d in enumerate(data):
         h, hp = vals[j], vals[k + j]
@@ -378,7 +378,9 @@ def _classified(orbit: FowlerOrbit, lam: float, m: np.ndarray, det: float,
                 steps: int, error: float) -> FloquetDatum:
     """Datum of one eigenvalue from its monodromy, without kernel factors.
     On a nonconstant orbit mode 0 is Type II by structure (xi' is a periodic
-    kernel element, dT/deps != 0); its trace defect is kept, not tested."""
+    kernel element, dT/deps != 0); its trace defect is kept, not tested.
+    A monodromy kept at the orbit's accuracy floor, its estimate above
+    MAGNUS_TOL, gets a warning naming the orbit, lambda, N and the estimate."""
     if orbit.is_constant:
         # constant coefficients: classify from the potential sign directly
         # (a constant orbit has no intrinsic period, and the stored
@@ -399,9 +401,15 @@ def _classified(orbit: FowlerOrbit, lam: float, m: np.ndarray, det: float,
                 f"lambda = {lam!r})") from exc
         if lam == 0.0:
             cls = Classification(TYPE_II, None, None, None)
+    warning = cls.warning
+    if error > MAGNUS_TOL:
+        floor = (f"monodromy kept at the orbit's accuracy floor (n = "
+                 f"{orbit.params.n}, eps = {orbit.epsilon!r}, lambda = {lam!r}, "
+                 f"N = {steps}, estimate = {error:.3g})")
+        warning = floor if warning is None else f"{warning}; {floor}"
     datum = FloquetDatum(index=0, degree=0, lam=lam, period=orbit.period,
                          monodromy=m, type=cls.type, sigma=cls.sigma,
-                         omega=cls.omega, warning=cls.warning,
+                         omega=cls.omega, warning=warning,
                          det_defect=abs(det - 1.0), magnus_steps=steps,
                          magnus_error=error)
     if lam == 0.0 and not orbit.is_constant:

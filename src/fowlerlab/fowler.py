@@ -167,9 +167,50 @@ def period_quadrature(epsilon: float, params: FowlerParams) -> float:
     return 2.0 * (i_left + i_right)
 
 
+class DenseSolution:
+    """The dense output of an ascending DOP853 solve, evaluated in one pass.
+
+    scipy's `OdeSolution` loops in Python over the segments that a set of
+    points touches.  Here every segment's start, step, initial state and
+    reversed interpolation coefficients are stacked once (states x segments),
+    and any array of t is evaluated with whole-array operations: the segment
+    by scipy's rule (the lower one at a knot, the end segments beyond the
+    ends), then scipy's own alternating product x(1 - x)x... from zero.  The
+    values are bitwise equal to `sol.sol(t)`, scalars included.
+    """
+
+    def __init__(self, sol):
+        if not sol.ascending:
+            raise ValueError("DenseSolution needs an ascending solution")
+        segments = sol.interpolants
+        self.knots = sol.ts
+        self.t_old = np.array([s.t_old for s in segments])
+        self.h = np.array([s.h for s in segments])
+        self.y_old = np.stack([s.y_old for s in segments], axis=1)
+        self.coeffs = np.stack([s.F[::-1] for s in segments], axis=2)
+
+    def __call__(self, t):
+        """States at t: shape (states,) for a scalar, (states, points) else."""
+        t = np.asarray(t)
+        seg = np.clip(np.searchsorted(self.knots, t, side="left") - 1,
+                      0, self.h.size - 1)
+        x = (t - self.t_old[seg]) / self.h[seg]
+        coeffs = self.coeffs[:, :, seg]
+        y = np.zeros(coeffs.shape[1:])
+        for i, f in enumerate(coeffs):
+            y += f
+            y *= x if i % 2 == 0 else 1 - x
+        y += self.y_old[:, seg]
+        return y
+
+
 @dataclass(frozen=True)
 class FowlerOrbit:
-    """One period of a positive Fowler solution, from the minimum at t = 0."""
+    """One period of a positive Fowler solution, from the minimum at t = 0.
+
+    `value` and `derivative` fold t into [0, T/2] and evaluate the shooting
+    solve's dense output there through a `DenseSolution`.
+    """
 
     params: FowlerParams
     epsilon: float
@@ -180,7 +221,7 @@ class FowlerOrbit:
     energy: float
     is_constant: bool
     energy_drift: float
-    _dense: object = field(default=None, repr=False, compare=False)
+    _dense: DenseSolution | None = field(default=None, repr=False, compare=False)
     # per eigenvalue, kept by floquet.spectrum; per window, kept by cylinder
     _floquet: dict = field(default_factory=dict, repr=False, compare=False)
     _windows: dict = field(default_factory=dict, repr=False, compare=False)
@@ -243,6 +284,9 @@ def periodic_orbit(epsilon: float, params: FowlerParams, tol: float = 1e-10,
     xi'(T - t) = -xi'(t), so one solve over [0, T/2] gives the whole period:
     `samples` uniform samples over [0, T] are taken on the first half and
     mirrored, and the dense interpolant of that solve is folded the same way.
+    The samples, the peak and every later orbit value are read off the
+    interpolant through one `DenseSolution`.  A failed solve or check raises
+    `IntegrationError` naming the problem kind, n and eps.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -272,14 +316,16 @@ def periodic_orbit(epsilon: float, params: FowlerParams, tol: float = 1e-10,
     sol = solve_ivp(_rhs, (0.0, t_cap), [epsilon, 0.0], args=(params,),
                     method="DOP853", rtol=rtol, atol=atol, events=at_max,
                     dense_output=True, max_step=step_cap)
+    orbit_name = f"{params.kind} n = {params.n}, eps = {epsilon!r}"
     if not sol.success or len(sol.t_events[0]) == 0:
         raise IntegrationError(
-            f"no return to xi' = 0 before t = {t_cap:g}; last accepted "
-            f"t = {sol.t[-1]:.6g}, state = {sol.y[:, -1]}")
+            f"no return to xi' = 0 before t = {t_cap:g} ({orbit_name}); last "
+            f"accepted t = {sol.t[-1]:.6g}, state = {sol.y[:, -1]}")
     period = 2.0 * float(sol.t_events[0][0])
 
+    dense = DenseSolution(sol.sol)
     t = np.linspace(0.0, period, samples)
-    first = sol.sol(t[:(samples + 1) // 2])
+    first = dense(t[:(samples + 1) // 2])
     mirror = first[:, :samples // 2][:, ::-1]  # the samples at T - t
     xi = np.concatenate([first[0], mirror[0]])
     xip = np.concatenate([first[1], -mirror[1]])
@@ -288,17 +334,17 @@ def periodic_orbit(epsilon: float, params: FowlerParams, tol: float = 1e-10,
     energy_scale = max(1.0, abs(h0))
     if drift > 10.0 * max(tol, 1e-12) * energy_scale:
         raise IntegrationError(f"Hamiltonian drift {drift:.3e} exceeds "
-                               f"10*tol*{energy_scale:.3g}")
-    peak = float(sol.sol(period / 2.0)[0])  # the maximum sits at T/2 exactly
+                               f"10*tol*{energy_scale:.3g} ({orbit_name})")
+    peak = float(dense(period / 2.0)[0])  # the maximum sits at T/2 exactly
     peak_expected = max_value(epsilon, params)
     if abs(peak - peak_expected) > 10.0 * max(tol, 1e-12) * peak_expected:
         raise IntegrationError(
             f"orbit maximum {peak:.12g} disagrees with energy-level root "
-            f"{peak_expected:.12g}")
+            f"{peak_expected:.12g} ({orbit_name})")
 
     return FowlerOrbit(params=params, epsilon=float(epsilon), period=period,
                        t=t, xi=xi, xi_prime=xip, energy=h0,
-                       is_constant=False, energy_drift=drift, _dense=sol.sol)
+                       is_constant=False, energy_drift=drift, _dense=dense)
 
 
 def orbit_to_csv(orbit: FowlerOrbit, path):

@@ -503,3 +503,49 @@ def test_batched_overflow_names_lowest_offending_eigenvalue():
     with pytest.raises(fowler.IntegrationError,
                        match=r"n = 3.*lambda = 42\.0\)"):
         floquet.exponent_sequence(orb, 50, with_factors=True)
+
+
+def test_floor_accepted_monodromies_carry_a_warning():
+    # n = 3 at 1e-6 xi*: the propagator stops at the stored orbit's accuracy
+    # floor, sigma_1 = 0.957 against the exact 1 and estimates far above
+    # MAGNUS_TOL; the data say so
+    params = fowler.FowlerParams.conformal(3, 1.0)
+    orb = fowler.periodic_orbit(1e-6 * fowler.constant_solution(params),
+                                params)
+    data = floquet.spectrum(orb, [0.0, 2.0])
+    assert abs(data[2.0].sigma - 1.0) > 1e-2
+    for lam, d in data.items():
+        assert d.magnus_error > floquet.MAGNUS_TOL
+        assert d.warning == (
+            f"monodromy kept at the orbit's accuracy floor (n = 3, eps = "
+            f"{orb.epsilon!r}, lambda = {lam!r}, N = {d.magnus_steps}, "
+            f"estimate = {d.magnus_error:.3g})")
+        assert d.to_dict()["warning"] == d.warning
+    # appended to a classification warning: a negative trace
+    m = -data[2.0].monodromy
+    d = floquet._classified(orb, 2.0, m, 1.0, 512, 1e-9)
+    assert d.warning == ("negative trace: factors are antiperiodic; monodromy "
+                         "kept at the orbit's accuracy floor (n = 3, eps = "
+                         f"{orb.epsilon!r}, lambda = 2.0, N = 512, "
+                         "estimate = 1e-09)")
+
+
+@pytest.mark.parametrize("params, eps, frac", [
+    (fowler.FowlerParams.conformal(5, 1.0), 0.4, None),
+    (fowler.FowlerParams.ckn(5, 0.5, 0.7), 0.3, None),
+    (fowler.FowlerParams.conformal(5, 1.0), None, 0.8),
+    (fowler.FowlerParams.conformal(5, 1.0), None, 0.5),
+    (fowler.FowlerParams.ckn(5, 0.5, 0.7), None, 0.4),
+    (fowler.FowlerParams.conformal(5, 1.0), None, None),
+    (fowler.FowlerParams.conformal(6, 1.0), None, None)])
+def test_readme_orbits_carry_no_warning(params, eps, frac):
+    # the README's orbits (eps given, or a fraction of xi*, or the constant
+    # solution) converge well below MAGNUS_TOL in modes 0..12
+    if frac is not None:
+        eps = frac * fowler.constant_solution(params)
+    orb = (fowler.constant_orbit(params) if eps is None
+           else fowler.periodic_orbit(eps, params))
+    lams, _ = spheres.eigenvalue_sequence(params.n, 13)
+    data = floquet.spectrum(orb, lams, with_factors=True)
+    assert all(d.warning is None for d in data.values())
+    assert all(d.magnus_error <= floquet.MAGNUS_TOL for d in data.values())

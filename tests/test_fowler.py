@@ -1,12 +1,13 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.integrate import solve_ivp
+from scipy.integrate import OdeSolution, solve_ivp
 
-from fowlerlab import fowler
+from fowlerlab import cylinder, expansion, floquet, fowler
 
 
 def test_constant_solution_examples():
@@ -180,3 +181,108 @@ def test_constant_orbit_packaging():
     assert_allclose(orb.value(3.7), fowler.constant_solution(p))
     assert_allclose(orb.derivative(1.3), 0.0)
     assert_allclose(orb.period, 2 * math.pi / math.sqrt(p.q * (p.e - 1)))
+
+
+def _orbit_solution(orbit, monkeypatch):
+    """The event-terminated shooting solve behind `orbit`, done again."""
+    solves, real = [], fowler.solve_ivp
+
+    def kept(*args, **kwargs):
+        solves.append(real(*args, **kwargs))
+        return solves[-1]
+    monkeypatch.setattr(fowler, "solve_ivp", kept)
+    fowler.periodic_orbit(orbit.epsilon, orbit.params)
+    return solves[0].sol
+
+
+def _kernel_solution(orbit):
+    """A multi-column variational solve, like the kernel branches."""
+    lams = np.array([4.0, 10.0, 18.0])
+    y0 = [1.0, 0.5, -0.25, 0.3, 1.0, 2.0, orbit.epsilon, 0.0]
+    return solve_ivp(floquet.variational_rhs, (0.0, orbit.period), y0,
+                     args=(lams, orbit.params), method="DOP853", rtol=1e-12,
+                     atol=1e-14, dense_output=True).sol
+
+
+@pytest.mark.parametrize("which", ["orbit", "kernel"])
+def test_dense_solution_is_bitwise_scipy(which, conf5_orbit, monkeypatch):
+    sol = (_orbit_solution(conf5_orbit, monkeypatch) if which == "orbit"
+           else _kernel_solution(conf5_orbit))
+    dense = fowler.DenseSolution(sol)
+    lo, hi = sol.t_min, sol.t_max
+    rng = np.random.default_rng(3)
+    inside = rng.uniform(lo, hi, 701)
+    points = {
+        "sorted": np.sort(inside),
+        "unsorted": inside,
+        "repeated": np.repeat(inside[:40], 3)[rng.permutation(120)],
+        "knots": sol.ts,
+        "knots reversed": sol.ts[::-1],
+        "past both ends": np.array([hi + 0.7, lo - 0.7, lo - 1e-9, hi + 1e-9]),
+        "scalar": np.float64(0.37 * hi),
+        "float": 0.37 * hi,
+        "0-d knot": np.array(sol.ts[3]),
+        "scalar past the end": hi + 0.5,
+    }
+    for name, t in points.items():
+        # array_equal also compares shapes: (states,) for a scalar
+        assert np.array_equal(dense(t), sol(t)), name
+
+
+def test_dense_solution_refuses_descending_solves():
+    p = fowler.FowlerParams.conformal(5)
+    sol = solve_ivp(fowler._rhs, (1.0, 0.0), [1.0, 0.0], args=(p,),
+                    method="DOP853", dense_output=True).sol
+    with pytest.raises(ValueError, match="ascending"):
+        fowler.DenseSolution(sol)
+
+
+def test_no_dense_output_goes_through_scipy(monkeypatch):
+    # every dense output of the library is read through DenseSolution;
+    # OdeSolution's per-segment loop is never reached
+    def refuse(self, t):
+        raise AssertionError("OdeSolution.__call__ reached")
+    monkeypatch.setattr(OdeSolution, "__call__", refuse)
+    # the conf5_orbit parameters, on a fresh orbit with nothing stored yet
+    params = fowler.FowlerParams.conformal(5, 1.0)
+    orb = fowler.periodic_orbit(0.5 * fowler.constant_solution(params), params)
+    data = floquet.spectrum(orb, [0.0, 4.0, 10.0], with_factors=True)
+    assert data[4.0].q_plus is not None and data[10.0].q_plus is not None
+    grid = cylinder.make_grid(5.0, 12.0, 1.0 / 64.0)
+    ctx = cylinder.ModeSolveContext(orb, 0.0, grid)
+    assert ctx.datum.type == floquet.TYPE_II and np.all(np.isfinite(ctx.u))
+    sol = expansion.solve_resonant_mode(lambda t: np.ones_like(t), 1.0,
+                                        floquet.ModeOperator(orb, 4.0))
+    assert sol.resonant
+
+
+def test_small_neck_drift_names_the_orbit():
+    # the n = 8 orbit at 1e-3 xi* fails the Hamiltonian drift check
+    params = fowler.FowlerParams.conformal(8, 1.0)
+    eps = 1e-3 * fowler.constant_solution(params)
+    with pytest.raises(fowler.IntegrationError,
+                       match=r"Hamiltonian drift .* \(conformal n = 8, "
+                             rf"eps = {re.escape(repr(eps))}\)"):
+        fowler.periodic_orbit(eps, params)
+
+
+def test_shooting_errors_name_the_orbit(monkeypatch):
+    # a solve that never turns back, and a maximum off the energy level
+    params = fowler.FowlerParams.ckn(5, 0.5, 0.7)
+    eps = 0.4 * fowler.constant_solution(params)
+    where = rf"\(ckn n = 5, eps = {re.escape(repr(eps))}\)"
+    real = fowler.solve_ivp
+
+    def no_event(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        sol.t_events = [np.array([])]
+        return sol
+    monkeypatch.setattr(fowler, "solve_ivp", no_event)
+    with pytest.raises(fowler.IntegrationError,
+                       match=rf"no return to xi' = 0 .*{where}; last"):
+        fowler.periodic_orbit(eps, params)
+    monkeypatch.setattr(fowler, "solve_ivp", real)
+    monkeypatch.setattr(fowler, "max_value", lambda e, p: 2.0)
+    with pytest.raises(fowler.IntegrationError,
+                       match=rf"orbit maximum .* root 2 {where}"):
+        fowler.periodic_orbit(eps, params)
