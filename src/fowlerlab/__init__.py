@@ -9,12 +9,12 @@ from .floquet import (FloquetDatum, ModeOperator, classify, exponent_sequence,
                       kernel_basis, lower_bound_check, mode_datum, monodromy,
                       spectrum)
 from .index_set import IndexSet, degree_caps, generate, split
-from .expansion import (ExpansionTerm, ResonantSolveError, exact_translate,
-                        first_order_term, solve_resonant_mode,
-                        translate_expansion, xi2_term)
+from .expansion import (ExpansionTerm, ResonantSolveError, first_order_term,
+                        solve_resonant_mode, translate_expansion,
+                        translate_zonal)
 from .cylinder import (CylinderField, ForcingProfile, ckn_construct,
-                       contraction_construct, decay_rate_fit, inverse_L,
-                       residual_M, residual_N)
+                       contraction_construct, decay_rate_fit, residual_M,
+                       residual_N)
 from .acceptance import remark_example_check
 from .spheres import HarmonicMode, eigenvalue, eval_zonal, multiplicity
 
@@ -26,11 +26,10 @@ __all__ = [
     "FloquetDatum", "ModeOperator", "classify", "exponent_sequence",
     "kernel_basis", "lower_bound_check", "mode_datum", "monodromy", "spectrum",
     "IndexSet", "degree_caps", "generate", "split",
-    "ExpansionTerm", "ResonantSolveError", "exact_translate",
-    "first_order_term", "solve_resonant_mode", "translate_expansion",
-    "xi2_term",
+    "ExpansionTerm", "ResonantSolveError", "first_order_term",
+    "solve_resonant_mode", "translate_expansion", "translate_zonal",
     "CylinderField", "ForcingProfile", "ckn_construct",
-    "contraction_construct", "decay_rate_fit", "inverse_L",
+    "contraction_construct", "decay_rate_fit",
     "remark_example_check", "residual_M", "residual_N",
     "HarmonicMode", "eigenvalue", "eval_zonal", "multiplicity",
 ]

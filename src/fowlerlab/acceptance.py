@@ -15,7 +15,7 @@ import numpy as np
 
 from . import cylinder, expansion, floquet, index_set, spheres
 from .fowler import (FowlerParams, constant_orbit, constant_solution,
-                     hamiltonian, periodic_orbit, period_quadrature)
+                     periodic_orbit, period_quadrature)
 
 
 def _wrap(name):

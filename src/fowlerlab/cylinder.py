@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import csv
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -52,7 +51,6 @@ DEFAULT_H = 1.0 / 64.0
 DEFAULT_WINDOW = 12.0
 DEFAULT_T0 = 5.0
 RESONANCE_GAP = 1e-6
-QUADRATURE_OVERSAMPLE = 64
 UNDERFLOW_FLOOR = 1e-14
 
 
@@ -100,10 +98,6 @@ class CylinderField:
         if self.coeffs.shape != (len(self.modes), self.t.size):
             raise ValueError("coefficient array shape mismatch")
 
-    @property
-    def h(self) -> float:
-        return float(self.t[1] - self.t[0])
-
     def evaluate(self, s) -> np.ndarray:
         """Values on the (t, s) tensor grid."""
         s = np.atleast_1d(np.asarray(s, dtype=float))
@@ -114,10 +108,6 @@ class CylinderField:
         """sup over theta of |field| per grid time (dense cosine sampling)."""
         s = np.linspace(-1.0, 1.0, num)
         return np.max(np.abs(self.evaluate(s)), axis=1)
-
-    def weighted_norm(self, rate: float) -> float:
-        """Discrete analogue of the exponentially weighted sup norm."""
-        return float(np.max(np.exp(rate * self.t) * self.sup_theta()))
 
     def mode_coefficient(self, degree: int) -> np.ndarray:
         for m, c in zip(self.modes, self.coeffs):
@@ -224,10 +214,10 @@ def second_derivative(values: np.ndarray, h: float) -> np.ndarray:
 class ZonalProjector:
     """Project pointwise (t, s) data onto retained zonal modes by quadrature."""
 
-    def __init__(self, n: int, modes, num: int = QUADRATURE_OVERSAMPLE):
+    def __init__(self, n: int, modes):
         self.n = n
         self.modes = tuple(modes)
-        self.s, self.w = spheres.quadrature(n, num)
+        self.s, self.w = spheres.quadrature(n)
         self.basis = np.array([spheres.eval_zonal(m, self.s) for m in self.modes])
         self.norms = self.basis**2 @ self.w
 
@@ -258,7 +248,7 @@ def _residual(field: CylinderField, k_eval) -> CylinderField:
     nonlin = k_eval(field.t, proj.s) * vals ** params.e
     nl_coeffs = proj.project(nonlin)
     lin = np.empty_like(field.coeffs)
-    h = field.h
+    h = float(field.t[1] - field.t[0])
     for i, m in enumerate(field.modes):
         lam = float(m.eigenvalue)
         lin[i] = (-second_derivative(field.coeffs[i], h)
@@ -379,7 +369,10 @@ class ModeSolveContext:
         _check_uniform(self.t)
         self.h = float(self.t[1] - self.t[0])
         if orbit.period > self.t[-1] - self.t[0]:
-            raise ValueError("window must cover at least one orbit period")
+            raise ValueError(
+                f"window [{float(self.t[0])!r}, {float(self.t[-1])!r}] must cover "
+                f"at least one orbit period (n = {orbit.params.n}, eps = "
+                f"{orbit.epsilon!r}, T = {orbit.period!r})")
         self.last_period_rule = _partial_interval_rule(
             self.t.size, (self.t[-1] - orbit.period - self.t[0]) / self.h)
         self.datum = floquet.spectrum(orbit, [self.lam], with_factors=True)[self.lam]
@@ -519,34 +512,6 @@ def _context_cache(orbit, lam, tgrid) -> ModeSolveContext:
     if float(lam) not in contexts:
         contexts[float(lam)] = ModeSolveContext(orbit, lam, tgrid)
     return contexts[float(lam)]
-
-
-def check_rhs_decay(tgrid, rhs, beta: float):
-    """Fitted-decay precondition check; warns when the rhs decays slower."""
-    mag = np.abs(np.asarray(rhs, dtype=float))
-    mask = mag > UNDERFLOW_FLOOR
-    if mask.sum() < 8 or np.max(mag) < 1e-12:
-        return None
-    slope = -np.polyfit(tgrid[mask], np.log(mag[mask]), 1)[0]
-    if slope < beta - 0.2:
-        warnings.warn(f"rhs decays at fitted rate {slope:.3f} < requested "
-                      f"{beta:.3f}", stacklevel=3)
-    return slope
-
-
-def inverse_L(op: floquet.ModeOperator, rhs, beta: float, tgrid,
-              return_info: bool = False):
-    """Bounded right inverse of a mode operator on the window grid.
-
-    `beta` is the decay class of the rhs (checked by fit) and the rate at
-    which the returned solution decays; it must be positive and stay 1e-6
-    away from the mode's hyperbolic exponent.
-    """
-    tgrid = np.asarray(tgrid, dtype=float)
-    check_rhs_decay(tgrid, rhs, beta)
-    ctx = _context_cache(op.orbit, op.lam, tgrid)
-    return ctx.solve(np.asarray(rhs, dtype=float), beta,
-                     return_info=return_info)
 
 
 # ---------------------------------------------------------------------------
@@ -766,8 +731,7 @@ def _construct(orbit: FowlerOrbit, modes, nu: float, build, t0: float,
     escalations = 0
     while True:
         tgrid = make_grid(t0, window, h)
-        _window(orbit, tgrid)  # keeps the samples next to the contexts
-        base, rhs_fn = build(tgrid, _orbit_samples(orbit, tgrid), proj)
+        base, rhs_fn = build(tgrid, _window(orbit, tgrid).xi, proj)
         phi, norms, factors, converged, iters = _iterate(
             orbit, tgrid, modes, rhs_fn, nu, tol, max_iter)
         if converged:
@@ -842,8 +806,7 @@ def contraction_construct(orbit: FowlerOrbit, profile: ForcingProfile,
 def ckn_construct(orbit: FowlerOrbit, nu: float, amplitude: float = 0.05,
                   degree: int = 1, t0: float = DEFAULT_T0,
                   window: float = DEFAULT_WINDOW, max_degree: int = 2,
-                  tol: float = 1e-10, max_iter: int = 60, h: float = DEFAULT_H,
-                  index_tol: float = RESONANCE_GAP):
+                  tol: float = 1e-10, max_iter: int = 60, h: float = DEFAULT_H):
     """Fixed-point solution w of the CKN cylinder equation near the approximate
     solution w_hat = zeta + amplitude e^{-nu t} Z_degree.
 
@@ -862,8 +825,8 @@ def ckn_construct(orbit: FowlerOrbit, nu: float, amplitude: float = 0.05,
     if nu <= sigmas[0]:
         raise ValueError(f"nu must exceed sigma_1 = {sigmas[0]:.6g}")
     iset = index_set.generate(sigmas, max(nu + 1.0, sigmas[0] * 2 + 0.5),
-                              tol=index_tol, degrees=range(1, max_degree + 4))
-    if np.any(np.abs(iset.values - nu) <= index_tol * 100):
+                              tol=RESONANCE_GAP, degrees=range(1, max_degree + 4))
+    if np.any(np.abs(iset.values - nu) <= RESONANCE_GAP * 100):
         raise ResonanceError(f"nu = {nu!r} lies in the exponent index set")
 
     modes = tuple(spheres.HarmonicMode(k, n) for k in range(max_degree + 1))

@@ -23,7 +23,6 @@ and every solve in the gauge orthogonal to its kernel.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,9 +52,6 @@ class ExpansionTerm:
         radial = self.coeff(t) * t**self.t_power * np.exp(-self.mu * t)
         angular = spheres.eval_zonal(self.mode, s)
         return np.outer(radial, angular)
-
-    def coefficient_samples(self, t):
-        return self.coeff(np.asarray(t, dtype=float))
 
     def to_dict(self, num: int = 128) -> dict:
         ts = np.linspace(0.0, self.coeff.period, num + 1)[:-1]
@@ -87,21 +83,6 @@ def first_order_term(orbit: FowlerOrbit, amplitude: float = 1.0) -> ExpansionTer
     return ExpansionTerm(mu=1.0, t_power=0,
                          coeff=_periodic_from_orbit(orbit, coeff),
                          mode=spheres.HarmonicMode(1, n))
-
-
-def exact_translate(orbit: FowlerOrbit, a, t, theta):
-    """xi_a evaluated through the orbit's dense interpolant.
-
-    Defined for t > ln|a|; theta must be a unit vector.
-    """
-    _require_conformal(orbit)
-    a = np.asarray(a, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if abs(np.linalg.norm(theta) - 1.0) > 1e-10:
-        raise ValueError("theta must be a unit vector")
-    amag = float(np.linalg.norm(a))
-    s = float(a @ theta) / amag if amag > 0 else 0.0
-    return translate_zonal(orbit, amag, t, s)
 
 
 def translate_zonal(orbit: FowlerOrbit, amag: float, t, s):
@@ -157,25 +138,6 @@ def evaluate_terms(terms, t, s):
     for term in terms:
         out += term.evaluate(t, s)
     return out
-
-
-def xi2_term(orbit: FowlerOrbit, mode: spheres.HarmonicMode):
-    """The second-order pair for a degree-1 harmonic Y = Z_1 (unit amplitude).
-
-    Returns (degree-2 term, degree-0 term); their sum is the e^{-2t} part of
-    the translate expansion with |a| = 1.  Intended for n >= 6 (where the
-    quadratic value 2 stays below the next exponent); smaller n is allowed
-    but flagged.
-    """
-    _require_conformal(orbit)
-    if mode.degree != 1:
-        raise ValueError("Y must be a degree-1 harmonic mode")
-    if orbit.params.n < 6:
-        warnings.warn("second-order pair requested for n < 6: the quadratic "
-                      "term is not below the next kernel exponent",
-                      stacklevel=2)
-    terms = translate_expansion(orbit, spheres.HarmonicMode(1, orbit.params.n).unit_axis(), 2)
-    return terms[1], terms[2]
 
 
 def xi2_identity_defect(orbit: FowlerOrbit) -> float:
@@ -245,11 +207,6 @@ def _circulant(mult: np.ndarray) -> np.ndarray:
     """Dense matrix of a Fourier multiplier: entry (i, j) is col[(i - j) % num],
     where col is the inverse FFT of the multiplier."""
     return circulant(np.real(np.fft.ifft(mult)))
-
-
-def fourier_diff_matrix(num: int, period: float, order: int = 1) -> np.ndarray:
-    """Dense spectral differentiation matrix on the uniform grid over [0, T)."""
-    return _circulant(_diff_multiplier(num, period, order))
 
 
 def _pinv_solver(u, s, vt):

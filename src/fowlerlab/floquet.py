@@ -38,6 +38,7 @@ TYPE_I, TYPE_II, TYPE_III, TYPE_IV = "I", "II", "III", "IV"
 TYPE_V_UNREACHABLE = "V (unreachable for real unit-determinant monodromy)"
 
 TRACE_TOL = 1e-7  # |tr M| - 2 boundary tolerance
+CLOSED_FORM_TOL = 1e-9  # constant-orbit sigma^2 against lambda - n + 2
 _MONODROMY_RTOL = 1e-12  # the kernel-branch solve
 _MONODROMY_ATOL = 1e-14
 MAGNUS_TOL = 6.3e-12  # accepted two-level difference of the monodromy
@@ -126,15 +127,14 @@ def variational_rhs(t, y, lams, params):
                            (xi_prime, (params.q - c_pow) * xi)))
 
 
-def _batch(ops):
-    """A tuple of mode operators on one orbit, and whether one came alone."""
-    single = isinstance(ops, ModeOperator)
-    ops = (ops,) if single else tuple(ops)
+def _batch(ops) -> tuple:
+    """A nonempty sequence of mode operators on one orbit, as a tuple."""
+    ops = tuple(ops)
     if not ops:
         raise ValueError("no mode operators given")
     if any(op.orbit is not ops[0].orbit for op in ops):
         raise ValueError("batched mode operators must share one orbit")
-    return ops, single
+    return ops
 
 
 def _constant_monodromy(op: ModeOperator) -> np.ndarray:
@@ -196,51 +196,52 @@ def _magnus_product(orbit: FowlerOrbit, lams, n: int):
     return np.stack([x[:, 0] for x in e], axis=1).reshape(-1, 2, 2), det
 
 
-def monodromy(ops, with_health: bool = False):
+def monodromy(ops):
     """Fundamental solutions over one period with identity initial data.
 
-    `ops` is one ModeOperator, answered with one matrix, or a sequence of
-    operators on one orbit, answered with a stack of matrices in the same
-    order; with `with_health`, with (matrices, determinants, step counts N,
-    estimates).  Constant orbits get the closed-form exponential (N = 0).
+    `ops` is a sequence of operators on one orbit; the answer is (matrices,
+    determinant products, step counts N, estimates), each in the order of
+    `ops`.  Constant orbits get the closed-form exponential (N = 0).
     Otherwise N doubles from MAGNUS_START for every eigenvalue alike, and
     each keeps the first level where ||M_2N - M_N|| / max(1, ||M_2N||) is at
     most MAGNUS_TOL, or shrank less than 4x after an earlier doubling shrank
-    it 16x: the accuracy floor of the stored orbit.  An eigenvalue unresolved
-    at MAGNUS_CAP steps, or overflowing, raises IntegrationError.
+    it 16x: the accuracy floor of the stored orbit.  A level at that floor
+    whose estimate grew gives way to the level before it.  An eigenvalue
+    unresolved at MAGNUS_CAP steps, or overflowing, raises IntegrationError.
     """
-    ops, single = _batch(ops)
+    ops = _batch(ops)
     orbit, k = ops[0].orbit, len(ops)
     lams = np.array([op.lam for op in ops])
     ms, dets = np.empty((k, 2, 2)), np.ones(k)
     steps, errors = np.zeros(k, dtype=int), np.zeros(k)
     if orbit.is_constant:
         ms[:] = [_constant_monodromy(op) for op in ops]
-    else:
-        live, fell = np.ones(k, dtype=bool), np.zeros(k, dtype=bool)
-        last, d1, n = np.full((k, 2, 2), np.nan), np.nan, MAGNUS_START
-        while live.any():
-            m, det = np.full((k, 2, 2), np.nan), np.full(k, np.nan)
-            with np.errstate(over="ignore", invalid="ignore"):  # checked below
-                m[live], det[live] = _magnus_product(orbit, lams[live], n)
-                d = (np.max(np.abs(m - last), axis=(1, 2))
-                     / np.maximum(1.0, np.max(np.abs(m), axis=(1, 2))))
-            done = live & ((d <= MAGNUS_TOL) | (fell & (4.0 * d > d1)))
-            ms[done], dets[done], errors[done] = m[done], det[done], d[done]
-            steps[done], live = n, live & ~done
-            finite = np.isfinite(m).all(axis=(1, 2))
-            bad = live & ~(finite & (n < MAGNUS_CAP))
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise IntegrationError(
-                    f"monodromy {'unresolved' if finite[i] else 'overflows'} at "
-                    f"N = {n} steps (n = {orbit.params.n}, eps = {orbit.epsilon!r}, "
-                    f"lambda = {float(lams[i])!r}, estimate = {d[i]:.3g})")
-            fell |= 16.0 * d <= d1
-            last, d1, n = m, d, 2 * n
-    if single:
-        ms, dets, steps, errors = ms[0], float(dets[0]), int(steps[0]), float(errors[0])
-    return (ms, dets, steps, errors) if with_health else ms
+        return ms, dets, steps, errors
+    live, fell = np.ones(k, dtype=bool), np.zeros(k, dtype=bool)
+    last, last_det = np.full((k, 2, 2), np.nan), np.full(k, np.nan)
+    d1, n = np.full(k, np.nan), MAGNUS_START
+    while live.any():
+        m, det = np.full((k, 2, 2), np.nan), np.full(k, np.nan)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            m[live], det[live] = _magnus_product(orbit, lams[live], n)
+            d = (np.max(np.abs(m - last), axis=(1, 2))
+                 / np.maximum(1.0, np.max(np.abs(m), axis=(1, 2))))
+        done = live & ((d <= MAGNUS_TOL) | (fell & (4.0 * d > d1)))
+        back = done & (d > d1)  # the floor level's estimate grew: keep the one before
+        m[back], det[back], d[back] = last[back], last_det[back], d1[back]
+        ms[done], dets[done], errors[done] = m[done], det[done], d[done]
+        steps[done], steps[back], live = n, n // 2, live & ~done
+        finite = np.isfinite(m).all(axis=(1, 2))
+        bad = live & ~(finite & (n < MAGNUS_CAP))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise IntegrationError(
+                f"monodromy {'unresolved' if finite[i] else 'overflows'} at "
+                f"N = {n} steps (n = {orbit.params.n}, eps = {orbit.epsilon!r}, "
+                f"lambda = {float(lams[i])!r}, estimate = {d[i]:.3g})")
+        fell |= 16.0 * d <= d1
+        last, last_det, d1, n = m, det, d, 2 * n
+    return ms, dets, steps, errors
 
 
 @dataclass(frozen=True)
@@ -251,7 +252,7 @@ class Classification:
     warning: str | None
 
 
-def classify(m: np.ndarray, period: float, tol: float = TRACE_TOL,
+def classify(m: np.ndarray, period: float,
              det: float | None = None) -> Classification:
     """Kernel type from the monodromy trace; see module docstring.
 
@@ -265,24 +266,24 @@ def classify(m: np.ndarray, period: float, tol: float = TRACE_TOL,
         floor = 1e-13 * float(np.sum(m * m))
     else:
         floor = 0.0
-    if abs(det - 1.0) > 100.0 * tol + floor:
+    if abs(det - 1.0) > 100.0 * TRACE_TOL + floor:
         raise ValueError(f"monodromy determinant {det!r} too far from 1")
     tr = float(np.trace(m))
-    if abs(tr) > 2.0 + tol:
+    if abs(tr) > 2.0 + TRACE_TOL:
         # hyperbolic; the larger eigenvalue magnitude sets the exponent
         mu_big = (abs(tr) + math.sqrt(tr * tr - 4.0)) / 2.0
         sigma = math.log(mu_big) / period
         warn = None if tr > 0 else "negative trace: factors are antiperiodic"
         return Classification(TYPE_III, sigma, None, warn)
-    if abs(tr) < 2.0 - tol:
+    if abs(tr) < 2.0 - TRACE_TOL:
         omega = math.acos(max(-1.0, min(1.0, tr / 2.0))) / period
         return Classification(TYPE_IV, None, omega, None)
-    # |tr| within tol of 2: unit eigenvalue; geometric multiplicity via rank
+    # |tr| within TRACE_TOL of 2: unit eigenvalue; geometric multiplicity via rank
     sign = 1.0 if tr > 0 else -1.0
     defect = m - sign * np.eye(2)
     svals = np.linalg.svd(defect, compute_uv=False)
-    warn = f"|tr M| within {tol:g} of 2: degenerate boundary case"
-    if svals[0] < tol:
+    warn = f"|tr M| within {TRACE_TOL:g} of 2: degenerate boundary case"
+    if svals[0] < TRACE_TOL:
         return Classification(TYPE_I, None, None, warn)
     return Classification(TYPE_II, None, None, warn)
 
@@ -306,9 +307,9 @@ def kernel_basis(ops, data):
     """Periodic factors (q_plus, q_minus, periodicity defect) of Type III
     kernels.
 
-    `ops` and `data` are one ModeOperator and its FloquetDatum, answered with
-    one triple, or matching sequences on one orbit, answered with a list of
-    triples; the growing branches of a sequence share one solve.
+    `ops` and `data` are matching sequences of operators on one orbit and
+    their FloquetData, answered with a list of triples in the same order; the
+    growing branches share one solve.
     q_plus multiplies the decaying branch e^{-sigma t} and q_minus the growing
     branch e^{+sigma t}.  Only the growing branch is integrated, forward from
     the orbit minimum where it grows, so it is not contaminated by the other.
@@ -319,8 +320,7 @@ def kernel_basis(ops, data):
     value there is nonzero; the periodicity defect of the one integrated branch
     is also that of its mirror.
     """
-    ops, single = _batch(ops)
-    data = (data,) if single else tuple(data)
+    ops, data = _batch(ops), tuple(data)
     if any(d.type != TYPE_III for d in data):
         raise ValueError("kernel_basis requires a Type III mode")
     orbit = ops[0].orbit
@@ -342,8 +342,7 @@ def kernel_basis(ops, data):
 
     if orbit.is_constant:
         qp = PeriodicFunction.from_closed_grid(np.ones_like(t_eval), T)
-        out = [(qp, qp, 0.0)] * len(ops)
-        return out[0] if single else out
+        return [(qp, qp, 0.0)] * len(ops)
 
     # growing branches, integrated forward; the orbit starts at its minimum
     k = len(ops)
@@ -371,7 +370,7 @@ def kernel_basis(ops, data):
         q_plus = PeriodicFunction.from_closed_grid(q_minus_vals[::-1], T)
         q_minus = PeriodicFunction.from_closed_grid(q_minus_vals, T)
         out.append((q_plus, q_minus, float(defect)))
-    return out[0] if single else out
+    return out
 
 
 def _classified(orbit: FowlerOrbit, lam: float, m: np.ndarray, det: float,
@@ -430,8 +429,7 @@ def spectrum(orbit: FowlerOrbit, lams, with_factors: bool = False) -> dict:
     lams = sorted({float(lam) for lam in lams})
     new = [lam for lam in lams if lam not in store]
     if new:
-        health = monodromy([ModeOperator(orbit, lam) for lam in new],
-                           with_health=True)
+        health = monodromy([ModeOperator(orbit, lam) for lam in new])
         data = [_classified(orbit, lam, m, float(det), int(n), float(err))
                 for lam, m, det, n, err in zip(new, *health)]
         store.update((d.lam, d) for d in data)
@@ -509,11 +507,10 @@ class BoundReport:
     messages: list
 
 
-def lower_bound_check(data: list[FloquetDatum], orbit: FowlerOrbit,
-                      tol: float = 1e-9) -> BoundReport:
+def lower_bound_check(data: list[FloquetDatum], orbit: FowlerOrbit) -> BoundReport:
     """Audit of the exponent lower bound for the conformal problem.
 
-    Constant orbit: sigma_i^2 = lambda_i - n + 2 (to tol).
+    Constant orbit: sigma_i^2 = lambda_i - n + 2 (to CLOSED_FORM_TOL).
     Nonconstant orbit: sigma_i^2 > lambda_i - (3n - 2)/2 with positive margin.
     """
     p = orbit.params
@@ -530,7 +527,7 @@ def lower_bound_check(data: list[FloquetDatum], orbit: FowlerOrbit,
         if orbit.is_constant:
             err = d.sigma**2 - (d.lam - n + 2)
             margins.append(err)
-            if abs(err) > tol:
+            if abs(err) > CLOSED_FORM_TOL:
                 ok = False
                 messages.append(
                     f"mode {d.index}: sigma^2 deviates from lambda - n + 2 "

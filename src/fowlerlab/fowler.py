@@ -23,7 +23,7 @@ from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
 DEGENERACY_GAP = 1e-6  # reject eps closer to xi* than this (relative)
-DEFAULT_SAMPLES = 2048
+ORBIT_SAMPLES = 2048  # uniform samples over [0, T], both ends included
 
 
 class IntegrationError(RuntimeError):
@@ -245,13 +245,10 @@ class FowlerOrbit:
         half, mirrored = self._fold(t)
         return np.where(mirrored, -1.0, 1.0) * self._dense(half)[1]
 
-    def nonlinear_power(self, t):
-        """c * xi(t)^e, the nonlinear term along the orbit."""
-        return self.params.c * self.value(t) ** self.params.e
-
     def second_derivative(self, t):
         """xi'' from the ODE: q xi - c xi^e (exact given xi)."""
-        return self.params.q * self.value(t) - self.nonlinear_power(t)
+        xi = self.value(t)
+        return self.params.q * xi - self.params.c * xi ** self.params.e
 
 
 def _rhs(t, y, params):
@@ -267,7 +264,7 @@ def constant_orbit(params: FowlerParams) -> FowlerOrbit:
     """
     xistar = constant_solution(params)
     period = small_oscillation_period(params)
-    t = np.linspace(0.0, period, DEFAULT_SAMPLES)
+    t = np.linspace(0.0, period, ORBIT_SAMPLES)
     xi = np.full_like(t, xistar)
     return FowlerOrbit(params=params, epsilon=xistar, period=period, t=t,
                        xi=xi, xi_prime=np.zeros_like(t),
@@ -275,14 +272,14 @@ def constant_orbit(params: FowlerParams) -> FowlerOrbit:
                        is_constant=True, energy_drift=0.0)
 
 
-def periodic_orbit(epsilon: float, params: FowlerParams, tol: float = 1e-10,
-                   samples: int = DEFAULT_SAMPLES) -> FowlerOrbit:
+def periodic_orbit(epsilon: float, params: FowlerParams,
+                   tol: float = 1e-10) -> FowlerOrbit:
     """Shoot the orbit with xi(0) = eps, xi'(0) = 0 over half a period.
 
     The first sign change of xi' (decreasing) locates the maximum at T/2.  The
     orbit is even about both turning points, xi(T - t) = xi(t) and
     xi'(T - t) = -xi'(t), so one solve over [0, T/2] gives the whole period:
-    `samples` uniform samples over [0, T] are taken on the first half and
+    ORBIT_SAMPLES uniform samples over [0, T] are taken on the first half and
     mirrored, and the dense interpolant of that solve is folded the same way.
     The samples, the peak and every later orbit value are read off the
     interpolant through one `DenseSolution`.  A failed solve or check raises
@@ -324,9 +321,9 @@ def periodic_orbit(epsilon: float, params: FowlerParams, tol: float = 1e-10,
     period = 2.0 * float(sol.t_events[0][0])
 
     dense = DenseSolution(sol.sol)
-    t = np.linspace(0.0, period, samples)
-    first = dense(t[:(samples + 1) // 2])
-    mirror = first[:, :samples // 2][:, ::-1]  # the samples at T - t
+    t = np.linspace(0.0, period, ORBIT_SAMPLES)
+    first = dense(t[:(ORBIT_SAMPLES + 1) // 2])
+    mirror = first[:, :ORBIT_SAMPLES // 2][:, ::-1]  # the samples at T - t
     xi = np.concatenate([first[0], mirror[0]])
     xip = np.concatenate([first[1], -mirror[1]])
     h0 = hamiltonian(epsilon, 0.0, params)

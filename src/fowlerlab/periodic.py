@@ -13,26 +13,26 @@ from __future__ import annotations
 
 import numpy as np
 
+FILTER_REL = 1e-13  # relative floor below which Fourier coefficients are noise
+
 
 class PeriodicFunction:
     """A real periodic function reconstructed from uniform samples on [0, T).
 
     Samples of analytic functions have exponentially decaying spectra; the
     sub-roundoff tail is pure sampling noise and would be amplified by k per
-    derivative, so coefficients below `filter_rel` times the peak are zeroed,
+    derivative, so coefficients below FILTER_REL times the peak are zeroed,
     and evaluation sums only up to the last coefficient that survives.
     """
 
-    def __init__(self, values, period: float, filter_rel: float = 1e-13):
+    def __init__(self, values, period: float):
         values = np.asarray(values, dtype=float)
         if values.ndim != 1 or values.size < 4:
             raise ValueError("need a 1-D array of at least 4 samples")
         self.period = float(period)
         self.n = values.size
         coeffs = np.fft.rfft(values) / self.n
-        if filter_rel > 0:
-            floor = filter_rel * np.max(np.abs(coeffs))
-            coeffs[np.abs(coeffs) < floor] = 0.0
+        coeffs[np.abs(coeffs) < FILTER_REL * np.max(np.abs(coeffs))] = 0.0
         keep = int(np.flatnonzero(coeffs)[-1]) + 1 if np.any(coeffs) else 1
         # the Nyquist mode appears once in rfft of an even count, not twice
         self._nyquist = self.n % 2 == 0 and keep == coeffs.size
@@ -86,6 +86,3 @@ class PeriodicFunction:
     def derivative(self, t, order: int = 1):
         out = self._eval(t, order)
         return float(out[0]) if np.isscalar(t) else out
-
-    def mean(self) -> float:
-        return float(np.real(self._coeffs[0]))

@@ -76,13 +76,6 @@ class HarmonicMode:
     def eigenvalue(self) -> int:
         return eigenvalue(self.degree, self.dimension)
 
-    def unit_axis(self) -> np.ndarray:
-        if self.axis is None:
-            a = np.zeros(self.dimension)
-            a[0] = 1.0
-            return a
-        return np.asarray(self.axis)
-
 
 def _gegenbauer_normalized(k, alpha, s):
     """C_k^alpha(s) / C_k^alpha(1) by the three-term recurrence, vectorized."""
@@ -175,39 +168,3 @@ def degree1_square_split(n: int):
     """
     _check_dimension(n)
     return (n - 1) / n, 1.0 / n
-
-
-def laplace_beltrami_on_degree1_square(a, theta) -> float:
-    """Delta_theta applied to <a, theta>^2, evaluated analytically.
-
-    Uses the harmonic decomposition <a,theta>^2 = Q(theta) + |a|^2/n with Q a
-    degree-2 harmonic, so the value is -eigenvalue(2, n) * Q(theta).
-    """
-    a = np.asarray(a, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    n = a.shape[0]
-    _check_dimension(n)
-    dot = float(a @ theta)
-    q_part = dot * dot - float(a @ a) / n
-    return -eigenvalue(2, n) * q_part
-
-
-def degree1_quadratic_identity(a, theta):
-    """Both sides of 2|a|^2 = 2n <a,theta>^2 + Delta_theta(<a,theta>^2).
-
-    The right side evaluates the Laplace-Beltrami term through the analytic
-    degree-2 / degree-0 split, so agreement cross-checks the eigenvalue
-    bookkeeping rather than restating an algebraic identity.
-    """
-    a = np.asarray(a, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if a.shape != theta.shape:
-        raise ValueError("a and theta must have the same dimension")
-    n = a.shape[0]
-    _check_dimension(n)
-    if abs(np.linalg.norm(theta) - 1.0) > 1e-12:
-        raise ValueError("theta must lie on the unit sphere (|theta| = 1)")
-    lhs = 2.0 * float(a @ a)
-    dot = float(a @ theta)
-    rhs = 2.0 * n * dot * dot + laplace_beltrami_on_degree1_square(a, theta)
-    return lhs, rhs

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -112,6 +113,18 @@ def test_construct_subcommand(tmp_path, capsys):
     assert report["trace"]["converged"] is True
     assert abs(report["fit"]["slope_plain"] / 1.5 - 1.0) < 0.05
     assert (tmp_path / "field.csv").exists()
+
+
+def test_construct_short_window_error_names_the_orbit(tmp_path, capsys):
+    # n = 3 at 0.1 xi* has T = 14.47, longer than the default window of 12
+    rc = run_cli(["construct", "--n", "3", "--epsilon-frac", "0.1", "--beta",
+                  "1.5", "--outdir", str(tmp_path)])
+    assert rc == 1
+    record = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert record["error"] == "ValueError"
+    assert re.fullmatch(r"window \[5\.0, 17\.0\] must cover at least one orbit "
+                        r"period \(n = 3, eps = 0\.0707\d*, T = 14\.468\d*\)",
+                        record["message"])
 
 
 def test_construct_modes_alias_and_multi_component(tmp_path):

@@ -13,21 +13,13 @@ def test_translate_reduces_to_orbit_at_zero(conf5_orbit):
     for t in (5.0, 7.3, 11.2):
         v = expansion.translate_zonal(conf5_orbit, 0.0, t, 0.4)
         assert_allclose(v, conf5_orbit.value(t), rtol=1e-14)
-    theta = np.zeros(5)
-    theta[1] = 1.0
-    v = expansion.exact_translate(conf5_orbit, np.zeros(5), 6.0, theta)
+    v = expansion.translate_zonal(conf5_orbit, 0.0, 6.0, 0.0)
     assert_allclose(v, conf5_orbit.value(6.0), rtol=1e-14)
 
 
 def test_translate_domain_error(conf5_orbit):
-    big = np.zeros(5)
-    big[0] = 20.0
-    theta = np.zeros(5)
-    theta[0] = 1.0
     with pytest.raises(ValueError, match="ln|a|".replace("|", r"\|")):
-        expansion.exact_translate(conf5_orbit, big, 1.0, theta)
-    with pytest.raises(ValueError, match="unit"):
-        expansion.exact_translate(conf5_orbit, big, 9.0, 2 * theta)
+        expansion.translate_zonal(conf5_orbit, 20.0, 1.0, 1.0)
 
 
 def test_translate_orthogonal_direction_decays_quadratically(conf5_orbit):
@@ -56,7 +48,7 @@ def test_first_order_coefficient_at_orbit_extremum(conf5_orbit):
     # where xi' = 0 (t = 0), the coefficient is (n-2)/2 xi
     orb = conf5_orbit
     term = expansion.translate_expansion(conf5_orbit, np.array([0.4, 0, 0, 0, 0]), 1)[0]
-    assert_allclose(term.coefficient_samples(0.0), 0.4 * 1.5 * orb.epsilon,
+    assert_allclose(term.coeff(0.0), 0.4 * 1.5 * orb.epsilon,
                     rtol=1e-9)
 
 
@@ -80,21 +72,17 @@ def test_remainder_slopes(conf5_orbit):
 
 
 def test_xi2_pair_consistent_with_translate(conf6_orbit):
-    # with |a| = 1 the translate's quadratic terms are exactly the pair
-    t2, t0 = expansion.xi2_term(conf6_orbit, spheres.HarmonicMode(1, 6))
+    # with |a| = 1 the translate's quadratic terms are the pair (degrees 2
+    # and 0 at rate 2); |a| enters their coefficients squared
     a = np.zeros(6)
     a[0] = 1.0
-    terms = expansion.translate_expansion(conf6_orbit, a, 2)
+    t2, t0 = expansion.translate_expansion(conf6_orbit, a, 2)[1:]
+    assert [(t.mode.degree, t.mu, t.t_power) for t in (t2, t0)] == [
+        (2, 2.0, 0), (0, 2.0, 0)]
+    terms = expansion.translate_expansion(conf6_orbit, 0.5 * a, 2)
     ts = conf6_orbit.t[::97]
-    assert_allclose(t2.coefficient_samples(ts),
-                    terms[1].coefficient_samples(ts), rtol=1e-12)
-    assert_allclose(t0.coefficient_samples(ts),
-                    terms[2].coefficient_samples(ts), rtol=1e-12)
-
-
-def test_xi2_term_warns_below_dimension_six(conf5_orbit):
-    with pytest.warns(UserWarning, match="n < 6"):
-        expansion.xi2_term(conf5_orbit, spheres.HarmonicMode(1, 5))
+    assert_allclose(0.25 * t2.coeff(ts), terms[1].coeff(ts), rtol=1e-12)
+    assert_allclose(0.25 * t0.coeff(ts), terms[2].coeff(ts), rtol=1e-12)
 
 
 def test_xi2_identity_defect_small(conf6_orbit):
@@ -111,7 +99,7 @@ def test_coefficient_of_degree_zero_part(conf6_orbit):
     term0 = expansion.translate_expansion(orb, a, 2)[2]
     ts = np.array([0.0, 1.0, 2.0])
     expected = -0.25 * orb.value(ts) ** orb.params.e / 6.0 / 2.0
-    assert_allclose(term0.coefficient_samples(ts), expected, rtol=1e-9)
+    assert_allclose(term0.coeff(ts), expected, rtol=1e-9)
 
 
 def test_resonant_solver_constant_coefficient_cases(const5_orbit):
@@ -254,7 +242,7 @@ def test_fourier_diff_matrix_matches_fft_of_identity(num, order):
         mult[num // 2] = 0.0
     ref = np.real(np.fft.ifft(mult[:, None] * np.fft.fft(np.eye(num), axis=0),
                               axis=0))
-    got = expansion.fourier_diff_matrix(num, period, order)
+    got = expansion._circulant(expansion._diff_multiplier(num, period, order))
     assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
@@ -293,8 +281,9 @@ def _reference_setup(case, degree):
     T = orbit.period
     nodes = np.arange(num) * (T / num)
     mu = floquet.mode_datum(orbit, 0, lam, degree).sigma
-    d1 = expansion.fourier_diff_matrix(num, T, 1)
-    a_mat = (-expansion.fourier_diff_matrix(num, T, 2) + 2.0 * mu * d1
+    d1 = expansion._circulant(expansion._diff_multiplier(num, T, 1))
+    a_mat = (-expansion._circulant(expansion._diff_multiplier(num, T, 2))
+             + 2.0 * mu * d1
              + np.diag(op.potential(nodes) - mu * mu))
     return op, mu, nodes, d1, np.linalg.svd(a_mat)
 

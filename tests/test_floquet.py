@@ -13,7 +13,7 @@ from fowlerlab import floquet, fowler, spheres
 def test_constant_orbit_monodromy_closed_form(const5_orbit):
     lam = 10.0
     op = floquet.ModeOperator(const5_orbit, lam)
-    m = floquet.monodromy(op)
+    m = floquet.monodromy([op])[0][0]
     # eigenvalues e^{+-rho T} with rho^2 = lambda + q(1-e) = lambda - n + 2
     rho = math.sqrt(lam - 5 + 2)
     T = const5_orbit.period
@@ -27,7 +27,7 @@ def test_constant_orbit_monodromy_closed_form(const5_orbit):
 def test_nonconstant_mode1_trace(conf5_orbit):
     # sigma = 1 exactly for the degree-1 modes, so tr M = e^T + e^{-T}
     op = floquet.ModeOperator(conf5_orbit, 4.0)
-    m = floquet.monodromy(op)
+    m = floquet.monodromy([op])[0][0]
     T = conf5_orbit.period
     assert abs(np.trace(m) - (math.exp(T) + math.exp(-T))) < 1e-6 * math.exp(T)
 
@@ -37,8 +37,8 @@ def test_determinant_is_one(conf3_orbit, ckn_orbit):
     pairs = [(conf3_orbit, lam) for lam in rng.uniform(0.5, 12.0, 10)]
     pairs += [(ckn_orbit, lam) for lam in rng.uniform(0.5, 12.0, 10)]
     for orbit, lam in pairs:
-        _, det, _, _ = floquet.monodromy(floquet.ModeOperator(orbit, float(lam)),
-                                         with_health=True)
+        _, (det,), _, _ = floquet.monodromy([floquet.ModeOperator(orbit,
+                                                                  float(lam))])
         assert abs(det - 1.0) < 1e-9
 
 
@@ -191,8 +191,8 @@ def test_mirrored_q_plus_matches_backward_integration(orbit_name, degree,
 
 
 def test_determinant_failure_is_typed_error(conf5_orbit, monkeypatch):
-    monkeypatch.setattr(floquet, "monodromy", lambda ops, with_health=False:
-                        ([np.eye(2)], [2.0], [256], [0.0]))
+    monkeypatch.setattr(floquet, "monodromy",
+                        lambda ops: ([np.eye(2)], [2.0], [256], [0.0]))
     with pytest.raises(fowler.IntegrationError,
                        match=r"determinant.*n = 5.*lambda = 7\.25") as info:
         floquet.mode_datum(conf5_orbit, 0, 7.25, 1)
@@ -216,8 +216,8 @@ def test_spectrum_returns_the_kept_data_by_eigenvalue(monkeypatch):
     orb = fowler.periodic_orbit(0.5 * fowler.constant_solution(params), params)
     batches = []
     real = floquet.monodromy
-    monkeypatch.setattr(floquet, "monodromy", lambda ops, **k: batches.append(
-        [op.lam for op in ops]) or real(ops, **k))
+    monkeypatch.setattr(floquet, "monodromy", lambda ops: batches.append(
+        [op.lam for op in ops]) or real(ops))
     data = floquet.spectrum(orb, [10, 4.0, 4])
     assert list(data) == [4.0, 10.0] and batches == [[4.0, 10.0]]
     assert all(orb._floquet[lam] is d for lam, d in data.items())
@@ -238,7 +238,7 @@ def test_kernel_basis_constant_orbit_trivial(const5_orbit):
 def test_kernel_basis_requires_type_three(conf5_orbit):
     d0 = floquet.mode_datum(conf5_orbit, 0, 0.0, 0)
     with pytest.raises(ValueError, match="Type III"):
-        floquet.kernel_basis(floquet.ModeOperator(conf5_orbit, 0.0), d0)
+        floquet.kernel_basis([floquet.ModeOperator(conf5_orbit, 0.0)], [d0])
 
 
 def test_growth_rate_cross_check(conf6_orbit):
@@ -352,14 +352,14 @@ def test_batched_solves_match_single_eigenvalue_solves(orbit_name, request):
     orb = request.getfixturevalue(orbit_name)
     lams = [float(spheres.eigenvalue(k, orb.params.n)) for k in (1, 2, 3)]
     ops = [floquet.ModeOperator(orb, lam) for lam in lams]
-    ms, dets, _, _ = floquet.monodromy(ops, with_health=True)
+    ms, dets, _, _ = floquet.monodromy(ops)
     batch = [floquet.FloquetDatum(0, 0, lam, orb.period, m, floquet.TYPE_III,
                                   sigma=floquet.classify(m, orb.period,
                                                          det=det).sigma)
              for lam, m, det in zip(lams, ms, dets)]
     factors = floquet.kernel_basis(ops, batch)
     for op, d, det, (qp, qm, defect) in zip(ops, batch, dets, factors):
-        m1, det1, _, _ = floquet.monodromy(op, with_health=True)
+        (m1,), (det1,), _, _ = floquet.monodromy([op])
         cls = floquet.classify(m1, orb.period, det=det1)
         assert cls.type == floquet.TYPE_III
         assert np.max(np.abs(d.monodromy - m1)) < 1e-10 * np.max(np.abs(m1))
@@ -367,7 +367,7 @@ def test_batched_solves_match_single_eigenvalue_solves(orbit_name, request):
         assert abs(d.sigma - cls.sigma) < 1e-10 * cls.sigma
         single = floquet.FloquetDatum(0, 0, op.lam, orb.period, m1, cls.type,
                                       sigma=cls.sigma)
-        qp1, qm1, defect1 = floquet.kernel_basis(op, single)
+        [(qp1, qm1, defect1)] = floquet.kernel_basis([op], [single])
         for got, ref in ((qp, qp1), (qm, qm1)):
             ref_vals = ref(orb.t)
             assert (np.max(np.abs(got(orb.t) - ref_vals))
@@ -435,7 +435,7 @@ def test_magnus_matches_carried_orbit_integration(orbit_name, request):
     lams = sorted({float(lam) for lam in lams[1:]})  # modes 1..12
     ref = _carried_orbit_monodromy(orb, lams)
     ms, dets, steps, errors = floquet.monodromy(
-        [floquet.ModeOperator(orb, lam) for lam in lams], with_health=True)
+        [floquet.ModeOperator(orb, lam) for lam in lams])
     for m, r, det, n, err in zip(ms, ref, dets, steps, errors):
         assert np.max(np.abs(m - r)) <= 1e-10 * np.max(np.abs(r))
         sigma, sigma_ref = (floquet.classify(x, orb.period).sigma
@@ -451,13 +451,29 @@ def test_unresolved_monodromy_names_the_parameters(conf5_orbit, monkeypatch):
     with pytest.raises(fowler.IntegrationError,
                        match=r"overflows at N = 256 .*lambda = 1000000\.0, "
                              r"estimate = nan"):
-        floquet.monodromy(floquet.ModeOperator(conf5_orbit, 1e6))
+        floquet.monodromy([floquet.ModeOperator(conf5_orbit, 1e6)])
     # lambda = 4 needs 512 steps here; a cap of 256 leaves it unresolved
     monkeypatch.setattr(floquet, "MAGNUS_CAP", 256)
     with pytest.raises(fowler.IntegrationError,
                        match=r"unresolved at N = 256 .*\(n = 5, eps = .*, "
                              r"lambda = 4\.0, estimate = "):
-        floquet.monodromy(floquet.ModeOperator(conf5_orbit, 4.0))
+        floquet.monodromy([floquet.ModeOperator(conf5_orbit, 4.0)])
+
+
+def test_floor_level_with_a_grown_estimate_gives_way_to_the_one_before():
+    # n = 3 at 1e-3 xi*, lambda = 2: the two-level differences fall to
+    # 1.59e-10 at N = 16384 and grow to 6.42e-10 at N = 32768, where the
+    # floor test trips; the earlier level is kept, matrix and determinant too
+    params = fowler.FowlerParams.conformal(3, 1.0)
+    orb = fowler.periodic_orbit(1e-3 * fowler.constant_solution(params),
+                                params)
+    (m,), (det,), (steps,), (error,) = floquet.monodromy(
+        [floquet.ModeOperator(orb, 2.0)])
+    assert steps == 16384 and error == pytest.approx(1.59e-10, rel=1e-2)
+    ref, ref_det = floquet._magnus_product(orb, [2.0], 16384)
+    assert np.array_equal(m, ref[0]) and det == ref_det[0]
+    sigma = floquet.classify(m, orb.period, det=det).sigma
+    assert sigma - 1.0 == pytest.approx(-3.08e-8, rel=1e-2)
 
 
 @pytest.mark.parametrize("params, frac", [

@@ -1,0 +1,40 @@
+"""Every module-level import of the package is used in its module.
+
+A stdlib-`ast` stand-in for a linter's unused-import rule: a name bound by a
+top-level `import` or `from ... import` must appear as a name somewhere in
+the module.  `__init__.py` is skipped (its imports are re-exports) and so are
+`__future__` imports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fowlerlab"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list:
+    """Names bound by the module's top-level imports that it never uses."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(set(bound) - used)
+
+
+def test_checker_flags_an_unused_import():
+    source = ("from __future__ import annotations\nimport math\n"
+              "import numpy as np\nfrom os import path, sep\n"
+              "def f(x: np.ndarray):\n    return path.join(x)\n")
+    assert unused_imports(source) == ["math", "sep"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_imports_are_used(path):
+    assert unused_imports(path.read_text()) == []
