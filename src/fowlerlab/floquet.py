@@ -117,14 +117,22 @@ def variational_rhs(t, y, lams, params):
     columns, and column j sees the potential V_j = lambda_j + q - e c xi^{e-1}
     taken from the state's own xi, which follows xi'' = q xi - c xi^e.
     `lams` holds one eigenvalue per column, or one eigenvalue for all of them.
-    Callers start (xi, xi') on the orbit at the initial time.
+    Callers start (xi, xi') on the orbit at the initial time.  The state is
+    read as Python floats, which at a few columns is cheaper than numpy
+    arithmetic, and the derivative is returned as a list.
     """
+    y = y.tolist()
     k = (len(y) - 2) // 2
-    xi, xi_prime = y[-2:].tolist()  # Python floats: cheaper than numpy here
+    xi, xi_prime = y[-2:]
     c_pow = params.c * xi ** (params.e - 1.0)
-    v = lams + params.q - params.e * c_pow
-    return np.concatenate((y[k:2 * k], v * y[:k],
-                           (xi_prime, (params.q - c_pow) * xi)))
+    e_c_pow = params.e * c_pow
+    lams = (lams.tolist() if isinstance(lams, np.ndarray) and lams.ndim
+            else [float(lams)])
+    v = [lam + params.q - e_c_pow for lam in lams]
+    if len(v) == 1:
+        v *= k
+    return (y[k:2 * k] + [vj * z for vj, z in zip(v, y[:k])]
+            + [xi_prime, (params.q - c_pow) * xi])
 
 
 def _batch(ops) -> tuple:

@@ -252,7 +252,8 @@ class FowlerOrbit:
 
 
 def _rhs(t, y, params):
-    return [y[1], params.q * y[0] - params.c * y[0] ** params.e]
+    xi, xi_prime = y.tolist()  # Python floats: cheaper than numpy here
+    return [xi_prime, params.q * xi - params.c * xi ** params.e]
 
 
 def constant_orbit(params: FowlerParams) -> FowlerOrbit:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -49,28 +49,15 @@ def multiplicity(k: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class HarmonicMode:
-    """A zonal spherical-harmonic mode: degree, ambient dimension, axis.
-
-    The axis defaults to e_1; only <axis, theta> ever enters downstream, so
-    the axis is metadata for evaluation in ambient coordinates.
-    """
+    """A zonal spherical-harmonic mode: degree and ambient dimension."""
 
     degree: int
     dimension: int
-    axis: tuple = field(default=None)
 
     def __post_init__(self):
         _check_dimension(self.dimension)
         if self.degree < 0:
             raise ValueError("degree must be nonnegative")
-        if self.axis is not None:
-            a = np.asarray(self.axis, dtype=float)
-            if a.shape != (self.dimension,):
-                raise ValueError("axis must be a vector in R^n")
-            norm = np.linalg.norm(a)
-            if abs(norm - 1.0) > 1e-12:
-                raise ValueError("axis must be a unit vector")
-            object.__setattr__(self, "axis", tuple(a))
 
     @property
     def eigenvalue(self) -> int:
@@ -106,7 +93,7 @@ def eval_zonal(mode: HarmonicMode, s) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def quadrature(n: int, num: int = DEFAULT_QUADRATURE_NODES):
+def quadrature(n: int, num: int):
     """Gauss-Jacobi nodes/weights on [-1, 1] for weight (1 - s^2)^{(n-3)/2}.
 
     Memoized per (n, num); the returned arrays are shared and read-only.

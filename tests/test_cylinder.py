@@ -61,6 +61,72 @@ def test_degree1_mode_under_laplace_beltrami(grid):
     assert np.max(np.abs(projected[0])) < 1e-12
 
 
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_projector_rule_is_sized_from_the_top_degree(n):
+    for top in range(7):
+        modes = tuple(spheres.HarmonicMode(k, n) for k in range(top + 1))
+        proj = cylinder.ZonalProjector(n, modes)
+        assert proj.s.size == proj.w.size == 8 * (top + 1)
+        # the memoized rule: every projector of that size shares its arrays
+        again = cylinder.ZonalProjector(n, modes[::-1])
+        nodes, weights = spheres.quadrature(n, 8 * (top + 1))
+        assert again.s is proj.s is nodes and again.w is proj.w is weights
+
+
+def _reference_projection(n, modes, values, num=160):
+    """Projection onto `modes` with a `num`-node Gauss-Jacobi rule."""
+    s, w = spheres.quadrature(n, num)
+    basis = np.array([spheres.eval_zonal(m, s) for m in modes])
+    return (basis * w) @ values(s).T / (basis**2 @ w)[:, None]
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+@pytest.mark.parametrize("top", [1, 2, 3, 4, 6])
+@pytest.mark.parametrize("ratio", [0.1, 0.5, 0.8])
+def test_projector_rule_resolves_the_conformal_nonlinearity(n, top, ratio):
+    # (xi + phi)^e with phi / xi = ratio Z_top(s), whose largest size is
+    # `ratio` (|Z_k| <= 1, the value at the pole), against a 160-node rule
+    e = (n + 2) / (n - 2)
+    xi = np.array([0.3, 1.0, 2.5])
+    z_top = spheres.HarmonicMode(top, n)
+    modes = tuple(spheres.HarmonicMode(k, n) for k in range(top + 1))
+
+    def values(s):
+        return (xi[:, None] * (1.0 + ratio * spheres.eval_zonal(z_top, s))) ** e
+
+    proj = cylinder.ZonalProjector(n, modes)
+    got = proj.project(values(proj.s))
+    ref = _reference_projection(n, modes, values)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("case", ["readme", "degree4_forcing", "ckn"])
+def test_construction_agrees_with_a_64_node_projector(case, conf5_orbit,
+                                                      ckn_orbit, monkeypatch):
+    if case == "ckn":
+        def run():
+            w, _, trace = cylinder.ckn_construct(ckn_orbit, 2.4)
+            return w, trace
+    else:
+        # a degree-4 forcing on degrees 0..2 reaches them only through
+        # the nonlinearity, so its projection aliases first
+        comps = ((1, 0.05, 1.5),) + (((4, 0.2, 1.5),)
+                                     if case == "degree4_forcing" else ())
+        prof = cylinder.ForcingProfile(k0=1.0, components=comps)
+
+        def run():
+            return cylinder.contraction_construct(conf5_orbit, prof,
+                                                  max_degree=2)
+    v, trace = run()
+    real = spheres.quadrature
+    monkeypatch.setattr(spheres, "quadrature", lambda n, num: real(n, 64))
+    v64, trace64 = run()
+    assert trace.iterations == trace64.iterations
+    weight = np.exp(trace64.nu * v64.t)
+    gap = np.max(weight * np.sum(np.abs(v.coeffs - v64.coeffs), axis=0))
+    assert gap <= 1e-12 * trace64.norms[-1]
+
+
 def test_residual_of_exact_solutions_refines_at_fourth_order():
     params = fowler.FowlerParams.conformal(5, 1.0)
     orb = fowler.periodic_orbit(0.5 * fowler.constant_solution(params),

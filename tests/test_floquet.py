@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
-from fowlerlab import floquet, fowler, spheres
+from fowlerlab import cylinder, floquet, fowler, spheres
 
 
 def test_constant_orbit_monodromy_closed_form(const5_orbit):
@@ -373,6 +373,45 @@ def test_batched_solves_match_single_eigenvalue_solves(orbit_name, request):
             assert (np.max(np.abs(got(orb.t) - ref_vals))
                     < 1e-10 * np.max(np.abs(ref_vals)))
         assert defect < 1e-8 and defect1 < 1e-8
+
+
+def _array_variational_rhs(t, y, lams, params):
+    """`floquet.variational_rhs` in numpy arithmetic: the reference for its
+    Python-float form, which must give the same bits."""
+    k = (len(y) - 2) // 2
+    xi, xi_prime = y[-2], y[-1]
+    c_pow = params.c * xi ** (params.e - 1.0)
+    v = lams + params.q - params.e * c_pow
+    return np.concatenate((y[k:2 * k], v * y[:k],
+                           (xi_prime, (params.q - c_pow) * xi)))
+
+
+@pytest.mark.parametrize("orbit_name", ["conf5_orbit", "ckn_orbit"])
+def test_variational_rhs_solves_are_bitwise_the_array_form(orbit_name, request,
+                                                          monkeypatch):
+    orb = request.getfixturevalue(orbit_name)
+    lams = [float(spheres.eigenvalue(k, orb.params.n)) for k in (1, 2)]
+    ops = [floquet.ModeOperator(orb, lam) for lam in lams]
+    data = list(floquet.spectrum(orb, lams).values())
+    grid = cylinder.make_grid()
+
+    def solves():
+        factors = floquet.kernel_basis(ops, data)
+        pair = cylinder.ModeSolveContext(orb, 0.0, grid)
+        return ([(qp(orb.t), qm(orb.t), defect) for qp, qm, defect in factors],
+                pair.u, pair.shift)
+
+    got = solves()
+    monkeypatch.setattr(floquet, "variational_rhs", _array_variational_rhs)
+    ref = solves()
+    for (qp, qm, defect), (qp_ref, qm_ref, defect_ref) in zip(got[0], ref[0]):
+        assert np.array_equal(qp, qp_ref) and np.array_equal(qm, qm_ref)
+        assert defect == defect_ref
+    assert np.array_equal(got[1], ref[1]) and np.array_equal(got[2], ref[2])
+    y = np.array([1.0, 0.5, -0.25, 0.3, orb.epsilon, 0.1])
+    for lam in (lams[0], np.array(lams), np.array([lams[0]])):
+        assert np.array_equal(floquet.variational_rhs(0.0, y, lam, orb.params),
+                              _array_variational_rhs(0.0, y, lam, orb.params))
 
 
 def test_kernel_factors_reuse_the_cached_monodromy(monkeypatch):

@@ -229,6 +229,20 @@ def test_dense_solution_is_bitwise_scipy(which, conf5_orbit, monkeypatch):
         assert np.array_equal(dense(t), sol(t)), name
 
 
+def test_orbit_rhs_solve_is_bitwise_the_array_form(conf5_orbit, monkeypatch):
+    # the Python-float right-hand side against its numpy form
+    def array_rhs(t, y, params):
+        return np.array([y[1], params.q * y[0] - params.c * y[0] ** params.e])
+
+    orb, p = conf5_orbit, conf5_orbit.params
+    got = fowler.periodic_orbit(orb.epsilon, p)
+    monkeypatch.setattr(fowler, "_rhs", array_rhs)
+    ref = fowler.periodic_orbit(orb.epsilon, p)
+    assert got.period == ref.period
+    assert np.array_equal(got.xi, ref.xi)
+    assert np.array_equal(got.xi_prime, ref.xi_prime)
+
+
 def test_dense_solution_refuses_descending_solves():
     p = fowler.FowlerParams.conformal(5)
     sol = solve_ivp(fowler._rhs, (1.0, 0.0), [1.0, 0.0], args=(p,),
