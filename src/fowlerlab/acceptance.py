@@ -17,12 +17,14 @@ from . import cylinder, expansion, floquet, index_set, spheres
 from .fowler import (FowlerParams, constant_orbit, constant_solution,
                      periodic_orbit, period_quadrature)
 
+SEED = 20240801  # the random draws of the index-set oracle and the example
+
 
 def _wrap(name):
     def deco(fn):
-        def run(**kwargs):
+        def run():
             start = time.perf_counter()
-            passed, details = fn(**kwargs)
+            passed, details = fn()
             return {"name": name, "passed": bool(passed),
                     "runtime_s": time.perf_counter() - start,
                     "details": details}
@@ -189,9 +191,9 @@ def _brute_force_sums(rho, cutoff, tol):
 
 
 @_wrap("index_set_oracle")
-def check_index_oracle(seed: int = 20240801):
+def check_index_oracle():
     """generate == nested-loop enumeration; mu_2 = min(2, rho_{n+1})."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     tol = 1e-9
     mismatches = 0
     for _ in range(10):
@@ -235,9 +237,10 @@ def _construction_orbit():
 
 
 @_wrap("contraction_construction")
-def check_contraction(beta_values=(1.5, 2.5), resonant_beta=1.0):
+def check_contraction():
     """Constructed v has |v - xi| decaying at the forcing rate; at beta =
     sigma_1 the t e^{-beta t} model wins."""
+    beta_values, resonant_beta = (1.5, 2.5), 1.0
     params, orb = _construction_orbit()
     records = []
     ok = True
@@ -277,8 +280,9 @@ def check_contraction(beta_values=(1.5, 2.5), resonant_beta=1.0):
 
 
 @_wrap("first_order_expansion_of_constructed")
-def check_first_order_expansion(beta: float = 1.5):
+def check_first_order_expansion():
     """decay fit of v - xi - xi_1 lies in the predicted window (1, 2)."""
+    beta = 1.5
     params, orb = _construction_orbit()
     profile = cylinder.ForcingProfile(k0=1.0, components=((1, 0.05, beta),))
     v, trace = cylinder.contraction_construct(orb, profile)
@@ -324,14 +328,13 @@ def _fd_laplacian(func, x, h):
     return acc
 
 
-def gradient_at_origin_estimate(radii=None):
-    """Componentwise one-sided estimate of grad K at 0.
+def gradient_at_origin_estimate():
+    """Componentwise one-sided estimate of grad K at 0 from radii 1e-2..1e-5.
 
     The difference quotient carries t ln^2 t corrections; a least-squares fit
     against the matching slowly-varying basis extrapolates them away.
     """
-    if radii is None:
-        radii = np.geomspace(1e-2, 1e-5, 8)
+    radii = np.geomspace(1e-2, 1e-5, 8)
     out = np.empty(4)
     for axis in range(4):
         g = []
@@ -352,15 +355,15 @@ def gradient_at_origin_estimate(radii=None):
     return out
 
 
-def remark_example_check(num_points: int = 24, h: float = 0.02,
-                         seed: int = 20240801) -> dict:
+def remark_example_check() -> dict:
     """Pointwise self-check of the explicit dimension-4 singular pair (u, K).
 
-    Evaluates |-Delta u - K u^3| with the 4th-order stencil at sample points
-    away from the origin at steps h and h/2; the residual ratio must sit near
-    2^4 = 16.  Also extrapolates grad K(0).
+    Evaluates |-Delta u - K u^3| with the 4th-order stencil at 24 sample
+    points away from the origin at steps h = 0.02 and h/2; the residual ratio
+    must sit near 2^4 = 16.  Also extrapolates grad K(0).
     """
-    rng = np.random.default_rng(seed)
+    num_points, h = 24, 0.02
+    rng = np.random.default_rng(SEED)
     points = []
     while len(points) < num_points:
         x = rng.normal(size=4)
@@ -399,10 +402,10 @@ def check_remark_example():
 
 
 @_wrap("ckn_branch")
-def check_ckn(nu: float = 2.4):
+def check_ckn():
     """CKN: constant-orbit closed form, exponent ordering and q+ positivity,
-    and the N-operator contraction with slope within 5% of nu."""
-    tol_const = 1e-9
+    and the N-operator contraction with slope within 5% of nu = 2.4."""
+    nu, tol_const = 2.4, 1e-9
     params = FowlerParams.ckn(5, 0.5, 0.7)
     n = params.n
     const = constant_orbit(params)

@@ -56,33 +56,36 @@ def _load_config(path):
     return merged
 
 
-def _apply_config(args, parser):
-    """Fill argparse defaults from the config file; explicit flags win."""
-    if not getattr(args, "config", None):
-        return args
-    sub = parser._subparser_map[args.command]
+def _config_defaults(args, sub) -> dict:
+    """The config file's values as defaults of the subcommand `sub`'s flags.
+
+    A repeatable flag (`suite`) reads a comma-separated list, which that
+    flag given on the command line replaces.
+    """
     actions = {a.dest: a for a in sub._actions}
     # accept alias option spellings (e.g. "modes" for max-degree)
     aliases = {opt.lstrip("-").replace("-", "_"): a.dest
                for a in sub._actions for opt in a.option_strings}
-    conf = _load_config(args.config)
-    for key, raw in conf.items():
+    defaults = {}
+    for key, raw in _load_config(args.config).items():
         dest = key.replace("-", "_")
         dest = aliases.get(dest, dest)
         if dest not in actions or not hasattr(args, dest):
             raise SystemExit(f"unknown config key: {key}")
-        if getattr(args, dest) != actions[dest].default:
-            continue  # explicitly set on the command line
         action = actions[dest]
-        if isinstance(action, (argparse._StoreTrueAction,
-                               argparse._StoreFalseAction)):
+        if isinstance(action, argparse._AppendAction):
+            if getattr(args, dest) is not None:
+                continue  # given on the command line
+            value = [x.strip() for x in raw.split(",") if x.strip()]
+        elif isinstance(action, (argparse._StoreTrueAction,
+                                 argparse._StoreFalseAction)):
             value = raw.strip().lower() in ("1", "true", "yes", "on")
         elif action.type is not None:
             value = action.type(raw)
         else:
             value = raw
-        setattr(args, dest, value)
-    return args
+        defaults[dest] = value
+    return defaults
 
 
 def _params_from(args) -> FowlerParams:
@@ -161,14 +164,11 @@ def _cmd_floquet(args):
     rows = []
     print(f"{'i':>3} {'lambda':>10} {'type':>5} {'sigma/omega':>14} "
           f"{'bound margin':>13}")
-    for d in data:
-        if orbit.params.kind == "conformal":
-            margin = (d.sigma**2 - (d.lam - orbit.params.n + 2)
-                      if orbit.is_constant
-                      else d.sigma**2 - (d.lam - (3 * orbit.params.n - 2) / 2))
-            margin_text = f"{margin:>13.6f}"
-        else:
-            margin, margin_text = None, f"{'-':>13}"  # no bound for CKN
+    # the conformal exponent bound has no CKN counterpart
+    margins = (floquet.lower_bound_check(data, orbit).margins
+               if orbit.params.kind == "conformal" else [None] * len(data))
+    for d, margin in zip(data, margins):
+        margin_text = f"{'-':>13}" if margin is None else f"{margin:>13.6f}"
         rate = d.sigma if d.sigma is not None else d.omega
         print(f"{d.index:>3} {d.lam:>10.4f} {d.type:>5} {rate:>14.8f} "
               f"{margin_text}")
@@ -347,7 +347,8 @@ def build_parser():
     p = subs.add_parser("verify", help="run acceptance criteria")
     _add_io(p)  # the criteria fix their own orbits
     p.add_argument("--suite", action="append",
-                   help="criterion name (repeatable); default all")
+                   help="criterion name (repeatable; comma-separated in a "
+                        "config file); default all")
     p.set_defaults(func=_cmd_verify)
 
     parser._subparser_map = {name: sp for name, sp in
@@ -358,7 +359,12 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args = _apply_config(args, parser)
+    if args.config:
+        # config values become defaults, so every flag on the command line
+        # wins, one given at its default value too
+        sub = parser._subparser_map[args.command]
+        sub.set_defaults(**_config_defaults(args, sub))
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, KeyError, RuntimeError) as exc:

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -91,7 +91,6 @@ class CylinderField:
     modes: tuple
     coeffs: np.ndarray  # shape (len(modes), len(t))
     params: object = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.coeffs = np.atleast_2d(np.asarray(self.coeffs, dtype=float))
@@ -104,9 +103,9 @@ class CylinderField:
         basis = np.array([spheres.eval_zonal(m, s) for m in self.modes])
         return self.coeffs.T @ basis
 
-    def sup_theta(self, num: int = 201) -> np.ndarray:
-        """sup over theta of |field| per grid time (dense cosine sampling)."""
-        s = np.linspace(-1.0, 1.0, num)
+    def sup_theta(self) -> np.ndarray:
+        """sup over theta of |field| per grid time (201 cosine samples)."""
+        s = np.linspace(-1.0, 1.0, 201)
         return np.max(np.abs(self.evaluate(s)), axis=1)
 
     def mode_coefficient(self, degree: int) -> np.ndarray:
@@ -116,8 +115,7 @@ class CylinderField:
         raise KeyError(f"no retained mode of degree {degree}")
 
     def combination(self, other: "CylinderField", alpha: float, beta_: float):
-        return replace(self, coeffs=alpha * self.coeffs + beta_ * other.coeffs,
-                       meta={})
+        return replace(self, coeffs=alpha * self.coeffs + beta_ * other.coeffs)
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -263,9 +261,7 @@ def _residual(field: CylinderField, k_eval) -> CylinderField:
                   + (lam + params.q) * field.coeffs[i])
     out = lin - nl_coeffs
     return CylinderField(t=field.t, modes=field.modes, coeffs=out,
-                         params=params,
-                         meta={"one_sided_rows": [0, 1, field.t.size - 2,
-                                                  field.t.size - 1]})
+                         params=params)
 
 
 def residual_M(field: CylinderField, profile: ForcingProfile) -> CylinderField:
@@ -598,12 +594,12 @@ def decay_rate_fit(arg, t_window=None, floor: float = UNDERFLOW_FLOOR) -> FitRes
         warning=warning)
 
 
-def period_aligned_window(field, orbit, lead: float = 0.5,
-                          trail: float = 1.5):
+def period_aligned_window(field, orbit):
     """Fit window spanning a whole number of orbit periods, so the periodic
-    coefficient modulation does not bias the slope."""
-    lo = field.t[0] + lead
-    avail = field.t[-1] - trail - lo
+    coefficient modulation does not bias the slope: from 0.5 after the
+    field's first time to at most 1.5 before its last."""
+    lo = field.t[0] + 0.5
+    avail = field.t[-1] - 1.5 - lo
     k = max(1, int(math.floor(avail / orbit.period)))
     return lo, lo + k * orbit.period
 
@@ -879,18 +875,17 @@ def ckn_construct(orbit: FowlerOrbit, nu: float, amplitude: float = 0.05,
     return w, w_hat, trace
 
 
-def fit_kernel_amplitude(field_diff: CylinderField, orbit: FowlerOrbit,
-                         tail_periods: float = 2.0) -> float:
+def fit_kernel_amplitude(field_diff: CylinderField, orbit: FowlerOrbit) -> float:
     """Amplitude of the first-order kernel term in a difference field.
 
     The degree-1 coefficient is regressed on e^{-t}((n-2)/2 xi - xi') over
-    the trailing `tail_periods` orbit periods only: the kernel branch decays
+    the trailing two orbit periods only: the kernel branch decays
     slowest, so genuine kernel content dominates the tail while any
     faster-decaying response contributes an exponentially small bias there.
     """
     n = orbit.params.n
     t = field_diff.t
-    mask = t >= t[-1] - tail_periods * orbit.period
+    mask = t >= t[-1] - 2.0 * orbit.period
     c1 = field_diff.mode_coefficient(1)[mask]
     basis = np.exp(-t[mask]) * ((n - 2) / 2.0 * orbit.value(t[mask])
                                 - orbit.derivative(t[mask]))

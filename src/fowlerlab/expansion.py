@@ -53,8 +53,9 @@ class ExpansionTerm:
         angular = spheres.eval_zonal(self.mode, s)
         return np.outer(radial, angular)
 
-    def to_dict(self, num: int = 128) -> dict:
-        ts = np.linspace(0.0, self.coeff.period, num + 1)[:-1]
+    def to_dict(self) -> dict:
+        """The term with its coefficient sampled at 128 points of a period."""
+        ts = np.linspace(0.0, self.coeff.period, 129)[:-1]
         return {
             "mu": self.mu,
             "t_power": self.t_power,
@@ -242,38 +243,36 @@ class ResonantSolution:
         return acc * np.exp(-self.mu * t)
 
 
-def _as_node_values(a_coeff, nodes, period):
-    if isinstance(a_coeff, PeriodicFunction):
-        return a_coeff(nodes)
-    if callable(a_coeff):
-        return np.asarray(a_coeff(nodes), dtype=float)
-    arr = np.asarray(a_coeff, dtype=float)
-    if arr.shape == nodes.shape:
-        return arr
-    return PeriodicFunction(arr, period)(nodes)
-
-
 def solve_resonant_mode(a_coeff, mu: float, op: floquet.ModeOperator,
-                        t_power: int = 0, num: int = COLLOCATION_SIZE,
-                        resonance_tol: float = RESONANCE_TOL) -> ResonantSolution:
+                        t_power: int = 0) -> ResonantSolution:
     """Solve L_i(e^{-mu t} sum t^j r_j) = a(t) t^m e^{-mu t} with periodic r_j.
 
-    Off resonance the powers run to m; at resonance (mu equal to the mode's
-    hyperbolic exponent within `resonance_tol`) to m + 1, with the top
-    coefficient a kernel-factor multiple fixed by solvability and the j = 0
-    coefficient gauged to zero projection onto the kernel factor.
+    The periodic forcing a is given either as a callable of t (a
+    PeriodicFunction among them) or as its values on the COLLOCATION_SIZE
+    nodes k T / COLLOCATION_SIZE; an array of any other length raises
+    ValueError.  Off resonance the powers run to m; at resonance (mu equal to
+    the mode's hyperbolic exponent within RESONANCE_TOL) to m + 1, with the
+    top coefficient a kernel-factor multiple fixed by solvability and the
+    j = 0 coefficient gauged to zero projection onto the kernel factor.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
     orbit = op.orbit
     T = orbit.period
+    num = COLLOCATION_SIZE
     nodes = np.arange(num) * (T / num)
-    a_nodes = _as_node_values(a_coeff, nodes, T)
     where = (f"(n = {orbit.params.n}, eps = {orbit.epsilon:.6g}, "
              f"lambda = {op.lam:g}, mu = {mu:.12g})")
+    if callable(a_coeff):
+        a_nodes = np.asarray(a_coeff(nodes), dtype=float)
+    else:
+        a_nodes = np.asarray(a_coeff, dtype=float)
+        if a_nodes.shape != nodes.shape:
+            raise ValueError(f"forcing array of shape {a_nodes.shape}, not "
+                             f"one value per {num} collocation nodes {where}")
 
     datum = floquet.spectrum(orbit, [op.lam], with_factors=True)[op.lam]
-    resonant = datum.type == floquet.TYPE_III and abs(mu - datum.sigma) <= resonance_tol
+    resonant = datum.type == floquet.TYPE_III and abs(mu - datum.sigma) <= RESONANCE_TOL
     oscillatory = datum.type != floquet.TYPE_III
 
     # A = -d^2 + 2 mu d + V - mu^2 is a circulant with multiplier

@@ -135,20 +135,10 @@ def variational_rhs(t, y, lams, params):
             + [xi_prime, (params.q - c_pow) * xi])
 
 
-def _batch(ops) -> tuple:
-    """A nonempty sequence of mode operators on one orbit, as a tuple."""
-    ops = tuple(ops)
-    if not ops:
-        raise ValueError("no mode operators given")
-    if any(op.orbit is not ops[0].orbit for op in ops):
-        raise ValueError("batched mode operators must share one orbit")
-    return ops
-
-
-def _constant_monodromy(op: ModeOperator) -> np.ndarray:
+def _constant_monodromy(orbit: FowlerOrbit, lam: float) -> np.ndarray:
     """Closed-form matrix exponential of the autonomous system."""
-    T = op.orbit.period
-    v = float(op.potential(0.0))
+    T = orbit.period
+    v = float(ModeOperator(orbit, lam).potential(0.0))
     if v > 0:
         r = math.sqrt(v)
         ch, sh = math.cosh(r * T), math.sinh(r * T)
@@ -204,26 +194,27 @@ def _magnus_product(orbit: FowlerOrbit, lams, n: int):
     return np.stack([x[:, 0] for x in e], axis=1).reshape(-1, 2, 2), det
 
 
-def monodromy(ops):
+def monodromy(orbit: FowlerOrbit, lams):
     """Fundamental solutions over one period with identity initial data.
 
-    `ops` is a sequence of operators on one orbit; the answer is (matrices,
-    determinant products, step counts N, estimates), each in the order of
-    `ops`.  Constant orbits get the closed-form exponential (N = 0).
-    Otherwise N doubles from MAGNUS_START for every eigenvalue alike, and
+    `lams` is a nonempty sequence of eigenvalues of modes on `orbit`; the
+    answer is (matrices, determinant products, step counts N, estimates),
+    each in the order of `lams`.  Constant orbits get the closed-form
+    exponential (N = 0).  Otherwise N doubles from MAGNUS_START for every eigenvalue alike, and
     each keeps the first level where ||M_2N - M_N|| / max(1, ||M_2N||) is at
     most MAGNUS_TOL, or shrank less than 4x after an earlier doubling shrank
     it 16x: the accuracy floor of the stored orbit.  A level at that floor
     whose estimate grew gives way to the level before it.  An eigenvalue
     unresolved at MAGNUS_CAP steps, or overflowing, raises IntegrationError.
     """
-    ops = _batch(ops)
-    orbit, k = ops[0].orbit, len(ops)
-    lams = np.array([op.lam for op in ops])
+    lams = np.array(lams, dtype=float)
+    k = len(lams)
+    if not k:
+        raise ValueError("no eigenvalues given")
     ms, dets = np.empty((k, 2, 2)), np.ones(k)
     steps, errors = np.zeros(k, dtype=int), np.zeros(k)
     if orbit.is_constant:
-        ms[:] = [_constant_monodromy(op) for op in ops]
+        ms[:] = [_constant_monodromy(orbit, lam) for lam in lams]
         return ms, dets, steps, errors
     live, fell = np.ones(k, dtype=bool), np.zeros(k, dtype=bool)
     last, last_det = np.full((k, 2, 2), np.nan), np.full(k, np.nan)
@@ -260,21 +251,14 @@ class Classification:
     warning: str | None
 
 
-def classify(m: np.ndarray, period: float,
-             det: float | None = None) -> Classification:
+def classify(m: np.ndarray, period: float, det: float) -> Classification:
     """Kernel type from the monodromy trace; see module docstring.
 
-    `det` may carry a well-conditioned determinant estimate (the product of
-    the step determinants); otherwise the determinant is formed from the
-    entries, with the tolerance widened by the roundoff floor eps * ||M||^2
-    that a large-entry matrix imposes.
+    `det` is a well-conditioned determinant estimate, such as the product of
+    the step determinants: formed from the entries of a large-entry matrix,
+    it would carry a roundoff of order eps * ||M||^2.
     """
-    if det is None:
-        det = float(np.linalg.det(m))
-        floor = 1e-13 * float(np.sum(m * m))
-    else:
-        floor = 0.0
-    if abs(det - 1.0) > 100.0 * TRACE_TOL + floor:
+    if abs(det - 1.0) > 100.0 * TRACE_TOL:
         raise ValueError(f"monodromy determinant {det!r} too far from 1")
     tr = float(np.trace(m))
     if abs(tr) > 2.0 + TRACE_TOL:
@@ -311,13 +295,13 @@ def _eigvec(m, mu):
     return v
 
 
-def kernel_basis(ops, data):
+def kernel_basis(orbit: FowlerOrbit, data):
     """Periodic factors (q_plus, q_minus, periodicity defect) of Type III
     kernels.
 
-    `ops` and `data` are matching sequences of operators on one orbit and
-    their FloquetData, answered with a list of triples in the same order; the
-    growing branches share one solve.
+    `data` is a nonempty sequence of FloquetData of modes on `orbit`,
+    answered with a list of triples in the same order; the growing branches
+    share one solve.
     q_plus multiplies the decaying branch e^{-sigma t} and q_minus the growing
     branch e^{+sigma t}.  Only the growing branch is integrated, forward from
     the orbit minimum where it grows, so it is not contaminated by the other.
@@ -328,13 +312,14 @@ def kernel_basis(ops, data):
     value there is nonzero; the periodicity defect of the one integrated branch
     is also that of its mirror.
     """
-    ops, data = _batch(ops), tuple(data)
+    data = tuple(data)
+    if not data:
+        raise ValueError("no Floquet data given")
     if any(d.type != TYPE_III for d in data):
         raise ValueError("kernel_basis requires a Type III mode")
-    orbit = ops[0].orbit
     T = orbit.period
     starts = []
-    for op, d in zip(ops, data):
+    for d in data:
         m = d.monodromy
         tr = float(np.trace(m))
         mu_big = (abs(tr) + math.sqrt(tr * tr - 4.0)) / 2.0 * (1.0 if tr > 0 else -1.0)
@@ -343,19 +328,19 @@ def kernel_basis(ops, data):
         if not np.all(np.isfinite([*m.ravel(), *w_big])):
             raise IntegrationError(
                 f"non-finite monodromy or eigenvector (n = {orbit.params.n}, "
-                f"eps = {orbit.epsilon!r}, lambda = {op.lam!r}): the growth "
+                f"eps = {orbit.epsilon!r}, lambda = {d.lam!r}): the growth "
                 "over one period overflows")
         starts.append(w_big)
     t_eval = orbit.t
 
     if orbit.is_constant:
         qp = PeriodicFunction.from_closed_grid(np.ones_like(t_eval), T)
-        return [(qp, qp, 0.0)] * len(ops)
+        return [(qp, qp, 0.0)] * len(data)
 
     # growing branches, integrated forward; the orbit starts at its minimum
-    k = len(ops)
+    k = len(data)
     w = np.array(starts)
-    lams = [op.lam for op in ops]
+    lams = [d.lam for d in data]
     sol = solve_ivp(variational_rhs, (0.0, T),
                     [*w[:, 0], *w[:, 1], orbit.epsilon, 0.0],
                     args=(np.array(lams), orbit.params),
@@ -437,7 +422,7 @@ def spectrum(orbit: FowlerOrbit, lams, with_factors: bool = False) -> dict:
     lams = sorted({float(lam) for lam in lams})
     new = [lam for lam in lams if lam not in store]
     if new:
-        health = monodromy([ModeOperator(orbit, lam) for lam in new])
+        health = monodromy(orbit, new)
         data = [_classified(orbit, lam, m, float(det), int(n), float(err))
                 for lam, m, det, n, err in zip(new, *health)]
         store.update((d.lam, d) for d in data)
@@ -445,8 +430,7 @@ def spectrum(orbit: FowlerOrbit, lams, with_factors: bool = False) -> dict:
     bare = [d for d in out.values() if with_factors and d.type == TYPE_III
             and d.q_plus is None]
     if bare:
-        ops = [ModeOperator(orbit, d.lam) for d in bare]
-        for d, (qp, qm, defect) in zip(bare, kernel_basis(ops, bare)):
+        for d, (qp, qm, defect) in zip(bare, kernel_basis(orbit, bare)):
             d.q_plus, d.q_minus, d.periodicity_defect = qp, qm, defect
     return out
 
@@ -512,7 +496,6 @@ def exponent_sequence(orbit: FowlerOrbit, count: int,
 class BoundReport:
     ok: bool
     margins: list
-    messages: list
 
 
 def lower_bound_check(data: list[FloquetDatum], orbit: FowlerOrbit) -> BoundReport:
@@ -525,26 +508,19 @@ def lower_bound_check(data: list[FloquetDatum], orbit: FowlerOrbit) -> BoundRepo
     if p.kind != "conformal":
         raise ValueError("lower_bound_check applies to conformal provenance")
     n = p.n
-    margins, messages, ok = [], [], True
+    margins, ok = [], True
     for d in data:
         if d.sigma is None:
             ok = False
-            messages.append(f"mode {d.index}: no hyperbolic exponent")
             margins.append(float("nan"))
-            continue
-        if orbit.is_constant:
+        elif orbit.is_constant:
             err = d.sigma**2 - (d.lam - n + 2)
             margins.append(err)
             if abs(err) > CLOSED_FORM_TOL:
                 ok = False
-                messages.append(
-                    f"mode {d.index}: sigma^2 deviates from lambda - n + 2 "
-                    f"by {err:.3e}")
         else:
             margin = d.sigma**2 - (d.lam - (3 * n - 2) / 2.0)
             margins.append(margin)
             if margin <= 0:
                 ok = False
-                messages.append(f"mode {d.index}: lower bound violated, "
-                                f"margin {margin:.3e}")
-    return BoundReport(ok=ok, margins=margins, messages=messages)
+    return BoundReport(ok=ok, margins=margins)

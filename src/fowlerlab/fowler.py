@@ -30,6 +30,14 @@ class IntegrationError(RuntimeError):
     """Raised when the ODE integrator fails; carries the last accepted step."""
 
 
+def _check_dimension(n, problem: str) -> None:
+    if not float(n).is_integer():
+        raise ValueError(f"{problem} problem requires an integer dimension, "
+                         f"got n = {n!r}")
+    if n < 3:
+        raise ValueError(f"{problem} problem requires n >= 3")
+
+
 @dataclass(frozen=True)
 class FowlerParams:
     """Coefficients of -xi'' + q xi = c xi^e plus their provenance."""
@@ -46,8 +54,7 @@ class FowlerParams:
 
     @staticmethod
     def conformal(n: int, k0: float = 1.0) -> "FowlerParams":
-        if n < 3:
-            raise ValueError("conformal problem requires n >= 3")
+        _check_dimension(n, "conformal")
         if k0 <= 0:
             raise ValueError("K(0) must be positive")
         q = (n - 2) ** 2 / 4.0
@@ -56,8 +63,7 @@ class FowlerParams:
 
     @staticmethod
     def ckn(n: int, a: float, b: float) -> "FowlerParams":
-        if n < 3:
-            raise ValueError("CKN problem requires n >= 3")
+        _check_dimension(n, "CKN")
         if not (0 <= a < (n - 2) / 2):
             raise ValueError(f"need 0 <= a < (n-2)/2, got a={a}")
         if not (a <= b < a + 1):

@@ -112,10 +112,10 @@ def sphere_area(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
-def l2_norm(mode: HarmonicMode, num: int = DEFAULT_QUADRATURE_NODES) -> float:
+def l2_norm(mode: HarmonicMode) -> float:
     """L^2(S^{n-1}) norm of the pole-normalized zonal harmonic."""
     n = mode.dimension
-    s, w = quadrature(n, num)
+    s, w = quadrature(n, DEFAULT_QUADRATURE_NODES)
     vals = eval_zonal(mode, s)
     ring = sphere_area(n - 1)  # |S^{n-2}|
     return math.sqrt(ring * float(np.sum(w * vals * vals)))

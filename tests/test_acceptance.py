@@ -138,6 +138,6 @@ def test_remark_example_pointwise():
         r = np.linalg.norm(x)
         lap_u0 = (-1.0) * (-1.0 + 2.0) * r ** (-3.0)
         assert_allclose(-lap_u0, r ** (-3.0), rtol=1e-14)
-    report = acceptance.remark_example_check(num_points=12, h=0.02)
+    report = acceptance.remark_example_check()
     assert 14.0 <= report["refinement_ratio"] <= 18.0
     assert report["grad_k_error"] < 1e-4

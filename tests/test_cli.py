@@ -94,6 +94,35 @@ def test_config_rejects_unknown_key(tmp_path):
         run_cli(["fowler", "--config", str(conf), "--outdir", str(tmp_path)])
 
 
+def test_config_loses_to_a_flag_given_at_its_default(tmp_path):
+    # --n 5 is the default value; it used to lose to the file's n = 6
+    conf = tmp_path / "run.ini"
+    conf.write_text("n = 6\nconstant = true\n")
+    rc = run_cli(["fowler", "--config", str(conf), "--n", "5",
+                  "--outdir", str(tmp_path)])
+    assert rc == 0
+    summary = json.loads((tmp_path / "orbit_summary.json").read_text())
+    assert summary["is_constant"] is True
+    assert summary["epsilon"] == pytest.approx(1.5 ** 1.5)  # xi* for n = 5
+
+
+def test_config_suite_is_a_comma_separated_list(tmp_path, capsys):
+    # `suite = xi2` used to be split into the names 'x', 'i', '2'
+    conf = tmp_path / "run.ini"
+    conf.write_text("suite = xi2, remark\n")
+    assert run_cli(["verify", "--config", str(conf), "--outdir",
+                    str(tmp_path)]) == 0
+    names = [r["name"] for r in
+             json.loads((tmp_path / "verify.json").read_text())]
+    assert names == ["second_order_operator_identity", "dimension4_example"]
+    # --suite on the command line replaces the file's list
+    assert run_cli(["verify", "--config", str(conf), "--suite", "remark",
+                    "--outdir", str(tmp_path)]) == 0
+    names = [r["name"] for r in
+             json.loads((tmp_path / "verify.json").read_text())]
+    assert names == ["dimension4_example"]
+
+
 def test_verify_subcommand_deterministic(tmp_path, capsys):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     for d in (d1, d2):

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import lu_factor
 
 from fowlerlab import expansion, floquet, fowler, spheres
+from fowlerlab.periodic import PeriodicFunction
 
 
 def test_translate_reduces_to_orbit_at_zero(conf5_orbit):
@@ -148,6 +149,24 @@ def test_resonant_solver_nonconstant_residual_and_linearity(conf6_orbit):
     dev = np.max(np.abs(sol_scaled.coefficients[0](nodes)
                         - 2.5 * sol.coefficients[0](nodes)))
     assert dev < 1e-9
+
+
+def test_resonant_solver_forcing_forms(conf6_orbit):
+    # a callable (a PeriodicFunction among them) or the values on the
+    # collocation nodes; an array of any other length is refused
+    op = floquet.ModeOperator(conf6_orbit, 5.0)
+    T = conf6_orbit.period
+    nodes = np.arange(expansion.COLLOCATION_SIZE) * (
+        T / expansion.COLLOCATION_SIZE)
+    forcing = PeriodicFunction(1 + 0.3 * np.cos(2 * np.pi * nodes / T), T)
+    from_values = expansion.solve_resonant_mode(forcing(nodes), 1.4, op)
+    from_callable = expansion.solve_resonant_mode(forcing, 1.4, op)
+    assert np.array_equal(from_values.coefficients[0](nodes),
+                          from_callable.coefficients[0](nodes))
+    with pytest.raises(ValueError, match=r"forcing array of shape \(128,\).*"
+                                         r"\(n = 6, eps = .*, lambda = 5, "
+                                         r"mu = 1\.4\)"):
+        expansion.solve_resonant_mode(forcing(nodes[::2]), 1.4, op)
 
 
 def test_resonant_solver_nonconstant_resonance(conf6_orbit):

@@ -12,8 +12,7 @@ from fowlerlab import cylinder, floquet, fowler, spheres
 
 def test_constant_orbit_monodromy_closed_form(const5_orbit):
     lam = 10.0
-    op = floquet.ModeOperator(const5_orbit, lam)
-    m = floquet.monodromy([op])[0][0]
+    m = floquet.monodromy(const5_orbit, [lam])[0][0]
     # eigenvalues e^{+-rho T} with rho^2 = lambda + q(1-e) = lambda - n + 2
     rho = math.sqrt(lam - 5 + 2)
     T = const5_orbit.period
@@ -26,8 +25,7 @@ def test_constant_orbit_monodromy_closed_form(const5_orbit):
 
 def test_nonconstant_mode1_trace(conf5_orbit):
     # sigma = 1 exactly for the degree-1 modes, so tr M = e^T + e^{-T}
-    op = floquet.ModeOperator(conf5_orbit, 4.0)
-    m = floquet.monodromy([op])[0][0]
+    m = floquet.monodromy(conf5_orbit, [4.0])[0][0]
     T = conf5_orbit.period
     assert abs(np.trace(m) - (math.exp(T) + math.exp(-T))) < 1e-6 * math.exp(T)
 
@@ -37,8 +35,7 @@ def test_determinant_is_one(conf3_orbit, ckn_orbit):
     pairs = [(conf3_orbit, lam) for lam in rng.uniform(0.5, 12.0, 10)]
     pairs += [(ckn_orbit, lam) for lam in rng.uniform(0.5, 12.0, 10)]
     for orbit, lam in pairs:
-        _, (det,), _, _ = floquet.monodromy([floquet.ModeOperator(orbit,
-                                                                  float(lam))])
+        _, (det,), _, _ = floquet.monodromy(orbit, [float(lam)])
         assert abs(det - 1.0) < 1e-9
 
 
@@ -58,21 +55,21 @@ def test_classify_rotation_cases(ckn_const_orbit):
 
 
 def test_classify_synthetic_matrices():
-    # hyperbolic
-    c = floquet.classify(np.diag([math.exp(2.0), math.exp(-2.0)]), 1.0)
+    # each matrix with its exact determinant; hyperbolic
+    c = floquet.classify(np.diag([math.exp(2.0), math.exp(-2.0)]), 1.0, 1.0)
     assert c.type == floquet.TYPE_III and abs(c.sigma - 2.0) < 1e-12
     # elliptic
     th = 0.7
     rot = np.array([[math.cos(th), math.sin(th)],
                     [-math.sin(th), math.cos(th)]])
-    c = floquet.classify(rot, 1.0)
+    c = floquet.classify(rot, 1.0, 1.0)
     assert c.type == floquet.TYPE_IV and abs(c.omega - th) < 1e-12
     # unit eigenvalue, diagonal vs Jordan block
-    assert floquet.classify(np.eye(2), 1.0).type == floquet.TYPE_I
-    assert floquet.classify(np.array([[1.0, 0.5], [0.0, 1.0]]), 1.0).type \
-        == floquet.TYPE_II
+    assert floquet.classify(np.eye(2), 1.0, 1.0).type == floquet.TYPE_I
+    assert floquet.classify(np.array([[1.0, 0.5], [0.0, 1.0]]), 1.0,
+                            1.0).type == floquet.TYPE_II
     with pytest.raises(ValueError, match="determinant"):
-        floquet.classify(np.diag([2.0, 1.0]), 1.0)
+        floquet.classify(np.diag([2.0, 1.0]), 1.0, det=2.0)
 
 
 def test_mode0_kernel_contains_orbit_derivative():
@@ -192,7 +189,7 @@ def test_mirrored_q_plus_matches_backward_integration(orbit_name, degree,
 
 def test_determinant_failure_is_typed_error(conf5_orbit, monkeypatch):
     monkeypatch.setattr(floquet, "monodromy",
-                        lambda ops: ([np.eye(2)], [2.0], [256], [0.0]))
+                        lambda orbit, lams: ([np.eye(2)], [2.0], [256], [0.0]))
     with pytest.raises(fowler.IntegrationError,
                        match=r"determinant.*n = 5.*lambda = 7\.25") as info:
         floquet.mode_datum(conf5_orbit, 0, 7.25, 1)
@@ -202,13 +199,12 @@ def test_determinant_failure_is_typed_error(conf5_orbit, monkeypatch):
 
 def test_kernel_branch_failure_names_the_parameters(conf5_orbit, monkeypatch):
     d = floquet.spectrum(conf5_orbit, [4.0, 10.0])
-    ops = [floquet.ModeOperator(conf5_orbit, lam) for lam in d]
     monkeypatch.setattr(floquet, "solve_ivp",
                         lambda *a, **k: SimpleNamespace(success=False))
     with pytest.raises(fowler.IntegrationError,
                        match=r"kernel branch.*\(n = 5, eps = .*, "
                              r"lambda = 4\.0, 10\.0\)"):
-        floquet.kernel_basis(ops, list(d.values()))
+        floquet.kernel_basis(conf5_orbit, list(d.values()))
 
 
 def test_spectrum_returns_the_kept_data_by_eigenvalue(monkeypatch):
@@ -216,8 +212,8 @@ def test_spectrum_returns_the_kept_data_by_eigenvalue(monkeypatch):
     orb = fowler.periodic_orbit(0.5 * fowler.constant_solution(params), params)
     batches = []
     real = floquet.monodromy
-    monkeypatch.setattr(floquet, "monodromy", lambda ops: batches.append(
-        [op.lam for op in ops]) or real(ops))
+    monkeypatch.setattr(floquet, "monodromy", lambda orbit, lams: batches.append(
+        list(lams)) or real(orbit, lams))
     data = floquet.spectrum(orb, [10, 4.0, 4])
     assert list(data) == [4.0, 10.0] and batches == [[4.0, 10.0]]
     assert all(orb._floquet[lam] is d for lam, d in data.items())
@@ -238,7 +234,14 @@ def test_kernel_basis_constant_orbit_trivial(const5_orbit):
 def test_kernel_basis_requires_type_three(conf5_orbit):
     d0 = floquet.mode_datum(conf5_orbit, 0, 0.0, 0)
     with pytest.raises(ValueError, match="Type III"):
-        floquet.kernel_basis([floquet.ModeOperator(conf5_orbit, 0.0)], [d0])
+        floquet.kernel_basis(conf5_orbit, [d0])
+
+
+def test_batches_refuse_to_be_empty(conf5_orbit):
+    with pytest.raises(ValueError, match="no eigenvalues"):
+        floquet.monodromy(conf5_orbit, [])
+    with pytest.raises(ValueError, match="no Floquet data"):
+        floquet.kernel_basis(conf5_orbit, [])
 
 
 def test_growth_rate_cross_check(conf6_orbit):
@@ -351,23 +354,22 @@ def test_batched_solves_match_single_eigenvalue_solves(orbit_name, request):
     # per eigenvalue (a batch of one, the per-mode integration)
     orb = request.getfixturevalue(orbit_name)
     lams = [float(spheres.eigenvalue(k, orb.params.n)) for k in (1, 2, 3)]
-    ops = [floquet.ModeOperator(orb, lam) for lam in lams]
-    ms, dets, _, _ = floquet.monodromy(ops)
+    ms, dets, _, _ = floquet.monodromy(orb, lams)
     batch = [floquet.FloquetDatum(0, 0, lam, orb.period, m, floquet.TYPE_III,
                                   sigma=floquet.classify(m, orb.period,
                                                          det=det).sigma)
              for lam, m, det in zip(lams, ms, dets)]
-    factors = floquet.kernel_basis(ops, batch)
-    for op, d, det, (qp, qm, defect) in zip(ops, batch, dets, factors):
-        (m1,), (det1,), _, _ = floquet.monodromy([op])
+    factors = floquet.kernel_basis(orb, batch)
+    for lam, d, det, (qp, qm, defect) in zip(lams, batch, dets, factors):
+        (m1,), (det1,), _, _ = floquet.monodromy(orb, [lam])
         cls = floquet.classify(m1, orb.period, det=det1)
         assert cls.type == floquet.TYPE_III
         assert np.max(np.abs(d.monodromy - m1)) < 1e-10 * np.max(np.abs(m1))
         assert abs(det - det1) < 1e-10
         assert abs(d.sigma - cls.sigma) < 1e-10 * cls.sigma
-        single = floquet.FloquetDatum(0, 0, op.lam, orb.period, m1, cls.type,
+        single = floquet.FloquetDatum(0, 0, lam, orb.period, m1, cls.type,
                                       sigma=cls.sigma)
-        [(qp1, qm1, defect1)] = floquet.kernel_basis([op], [single])
+        [(qp1, qm1, defect1)] = floquet.kernel_basis(orb, [single])
         for got, ref in ((qp, qp1), (qm, qm1)):
             ref_vals = ref(orb.t)
             assert (np.max(np.abs(got(orb.t) - ref_vals))
@@ -391,12 +393,11 @@ def test_variational_rhs_solves_are_bitwise_the_array_form(orbit_name, request,
                                                           monkeypatch):
     orb = request.getfixturevalue(orbit_name)
     lams = [float(spheres.eigenvalue(k, orb.params.n)) for k in (1, 2)]
-    ops = [floquet.ModeOperator(orb, lam) for lam in lams]
     data = list(floquet.spectrum(orb, lams).values())
     grid = cylinder.make_grid()
 
     def solves():
-        factors = floquet.kernel_basis(ops, data)
+        factors = floquet.kernel_basis(orb, data)
         pair = cylinder.ModeSolveContext(orb, 0.0, grid)
         return ([(qp(orb.t), qm(orb.t), defect) for qp, qm, defect in factors],
                 pair.u, pair.shift)
@@ -449,22 +450,25 @@ def test_magnus_error_falls_at_sixth_order(conf5_orbit):
 def _carried_orbit_monodromy(orbit, lams):
     """The DOP853 monodromy the Magnus propagator replaced: the orbit carried
     in the state, the period cut into subintervals by the largest eigenvalue,
-    and the partial propagators multiplied."""
+    and the partial propagators multiplied.  Returns the matrices and the
+    products of the subinterval determinants, which stay well conditioned
+    where the determinant of a large-entry product would not."""
     T, k = orbit.period, len(lams)
     rate = math.sqrt(max(1.0, max(lams) + orbit.params.q))
     pieces = max(1, min(64, math.ceil(rate * T / 3.0)))
     breaks = np.linspace(0.0, T, pieces + 1)
     z0 = [1.0, 0.0] * k + [0.0, 1.0] * k
-    ms = np.tile(np.eye(2), (k, 1, 1))
+    ms, dets = np.tile(np.eye(2), (k, 1, 1)), np.ones(k)
     xi_state = [orbit.epsilon, 0.0]
     for a, b in zip(breaks[:-1], breaks[1:]):
         sol = solve_ivp(floquet.variational_rhs, (a, b), [*z0, *xi_state],
                         args=(np.repeat(lams, 2), orbit.params),
                         method="DOP853", rtol=1e-12, atol=1e-14)
         yb = sol.y[:, -1]
-        ms = yb[:4 * k].reshape(2, k, 2).transpose(1, 0, 2) @ ms
+        step = yb[:4 * k].reshape(2, k, 2).transpose(1, 0, 2)
+        ms, dets = step @ ms, dets * np.linalg.det(step)
         xi_state = yb[4 * k:]
-    return ms
+    return ms, dets
 
 
 @pytest.mark.parametrize("orbit_name", ["conf5_orbit", "ckn_orbit"])
@@ -472,13 +476,12 @@ def test_magnus_matches_carried_orbit_integration(orbit_name, request):
     orb = request.getfixturevalue(orbit_name)
     lams, _ = spheres.eigenvalue_sequence(orb.params.n, 13)
     lams = sorted({float(lam) for lam in lams[1:]})  # modes 1..12
-    ref = _carried_orbit_monodromy(orb, lams)
-    ms, dets, steps, errors = floquet.monodromy(
-        [floquet.ModeOperator(orb, lam) for lam in lams])
-    for m, r, det, n, err in zip(ms, ref, dets, steps, errors):
+    ref, ref_dets = _carried_orbit_monodromy(orb, lams)
+    ms, dets, steps, errors = floquet.monodromy(orb, lams)
+    for m, r, det, r_det, n, err in zip(ms, ref, dets, ref_dets, steps, errors):
         assert np.max(np.abs(m - r)) <= 1e-10 * np.max(np.abs(r))
-        sigma, sigma_ref = (floquet.classify(x, orb.period).sigma
-                            for x in (m, r))
+        sigma, sigma_ref = (floquet.classify(x, orb.period, x_det).sigma
+                            for x, x_det in ((m, det), (r, r_det)))
         assert abs(sigma - sigma_ref) <= 1e-10 * sigma_ref
         assert abs(det - 1.0) < 1e-12 and err <= floquet.MAGNUS_TOL
         assert floquet.MAGNUS_START < n <= 4096
@@ -490,13 +493,13 @@ def test_unresolved_monodromy_names_the_parameters(conf5_orbit, monkeypatch):
     with pytest.raises(fowler.IntegrationError,
                        match=r"overflows at N = 256 .*lambda = 1000000\.0, "
                              r"estimate = nan"):
-        floquet.monodromy([floquet.ModeOperator(conf5_orbit, 1e6)])
+        floquet.monodromy(conf5_orbit, [1e6])
     # lambda = 4 needs 512 steps here; a cap of 256 leaves it unresolved
     monkeypatch.setattr(floquet, "MAGNUS_CAP", 256)
     with pytest.raises(fowler.IntegrationError,
                        match=r"unresolved at N = 256 .*\(n = 5, eps = .*, "
                              r"lambda = 4\.0, estimate = "):
-        floquet.monodromy([floquet.ModeOperator(conf5_orbit, 4.0)])
+        floquet.monodromy(conf5_orbit, [4.0])
 
 
 def test_floor_level_with_a_grown_estimate_gives_way_to_the_one_before():
@@ -506,8 +509,7 @@ def test_floor_level_with_a_grown_estimate_gives_way_to_the_one_before():
     params = fowler.FowlerParams.conformal(3, 1.0)
     orb = fowler.periodic_orbit(1e-3 * fowler.constant_solution(params),
                                 params)
-    (m,), (det,), (steps,), (error,) = floquet.monodromy(
-        [floquet.ModeOperator(orb, 2.0)])
+    (m,), (det,), (steps,), (error,) = floquet.monodromy(orb, [2.0])
     assert steps == 16384 and error == pytest.approx(1.59e-10, rel=1e-2)
     ref, ref_det = floquet._magnus_product(orb, [2.0], 16384)
     assert np.array_equal(m, ref[0]) and det == ref_det[0]

@@ -35,6 +35,15 @@ def test_ckn_parameter_validation():
     assert_allclose(p.q, 1.0, rtol=1e-15)
 
 
+def test_non_integer_dimension_is_rejected():
+    # n = 5.5 used to give n = 5 with q and e taken from 5.5
+    with pytest.raises(ValueError, match=r"integer dimension, got n = 5\.5"):
+        fowler.FowlerParams.conformal(5.5)
+    with pytest.raises(ValueError, match=r"integer dimension, got n = 5\.5"):
+        fowler.FowlerParams.ckn(5.5, 0.5, 0.7)
+    assert fowler.FowlerParams.conformal(5.0) == fowler.FowlerParams.conformal(5)
+
+
 def test_hamiltonian_examples():
     p = fowler.FowlerParams.conformal(5, 1.0)
     xistar = fowler.constant_solution(p)

@@ -76,6 +76,6 @@ def test_lame_band_edges_have_trace_two(c, frac):
     root = 2.0 * math.sqrt(1.0 - m + m * m)
     edges = (1.0 + m, 1.0 + 4.0 * m, 4.0 + m,
              2.0 * (1.0 + m) + root, 2.0 * (1.0 + m) - root)
-    ops = [floquet.ModeOperator(orb, (6.0 - h) * beta**2 - 1.0) for h in edges]
-    traces = np.trace(floquet.monodromy(ops)[0], axis1=1, axis2=2)
+    lams = [(6.0 - h) * beta**2 - 1.0 for h in edges]
+    traces = np.trace(floquet.monodromy(orb, lams)[0], axis1=1, axis2=2)
     assert np.all(np.abs(np.abs(traces) - 2.0) <= 1e-9)
