@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
 import json
 import math
 import os
@@ -19,8 +20,7 @@ import numpy as np
 
 from . import acceptance, cylinder, expansion, floquet, index_set, spheres
 from .fowler import (FowlerParams, constant_orbit, constant_solution,
-                     orbit_to_csv, orbit_to_json, periodic_orbit,
-                     period_quadrature)
+                     orbit_to_dict, periodic_orbit, period_quadrature)
 
 
 def _json_default(obj):
@@ -43,6 +43,15 @@ def write_json(payload, path):
         fh.write("\n")
 
 
+def write_csv(header, columns, path):
+    """One row per index of the equal-length `columns`, floats via repr."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in np.column_stack(columns).tolist():
+            writer.writerow([repr(v) for v in row])
+
+
 def _load_config(path):
     parser = configparser.ConfigParser()
     with open(path) as fh:
@@ -59,31 +68,33 @@ def _load_config(path):
 def _config_defaults(args, sub) -> dict:
     """The config file's values as defaults of the subcommand `sub`'s flags.
 
-    A repeatable flag (`suite`) reads a comma-separated list, which that
-    flag given on the command line replaces.
+    Each `key = value` becomes the token `--key=value` and `sub` itself
+    parses them, so a bad value is a usage error naming its flag.  A switch
+    (`constant`) is given when its value reads true.  A repeatable flag
+    (`suite`) reads a comma-separated list, which that flag given on the
+    command line replaces.
     """
-    actions = {a.dest: a for a in sub._actions}
-    # accept alias option spellings (e.g. "modes" for max-degree)
-    aliases = {opt.lstrip("-").replace("-", "_"): a.dest
-               for a in sub._actions for opt in a.option_strings}
-    defaults = {}
+    tokens, dests = [], []
     for key, raw in _load_config(args.config).items():
-        dest = key.replace("-", "_")
-        dest = aliases.get(dest, dest)
-        if dest not in actions or not hasattr(args, dest):
+        flag = "--" + key.replace("_", "-")
+        action = sub._option_string_actions.get(flag)
+        # help has no destination in `args`: a file cannot reach it
+        if action is None or not hasattr(args, action.dest):
             raise SystemExit(f"unknown config key: {key}")
-        action = actions[dest]
-        if isinstance(action, argparse._AppendAction):
+        dests.append(action.dest)
+        if action.nargs != 0:
+            tokens.append(f"{flag}={raw}")
+        elif raw.strip().lower() in ("1", "true", "yes", "on"):
+            tokens.append(flag)
+    parsed = vars(sub.parse_args(tokens))
+    defaults = {}
+    for dest in dests:
+        value = parsed[dest]
+        if isinstance(value, list):
             if getattr(args, dest) is not None:
                 continue  # given on the command line
-            value = [x.strip() for x in raw.split(",") if x.strip()]
-        elif isinstance(action, (argparse._StoreTrueAction,
-                                 argparse._StoreFalseAction)):
-            value = raw.strip().lower() in ("1", "true", "yes", "on")
-        elif action.type is not None:
-            value = action.type(raw)
-        else:
-            value = raw
+            value = [x.strip() for item in value for x in item.split(",")
+                     if x.strip()]
         defaults[dest] = value
     return defaults
 
@@ -136,8 +147,9 @@ def _add_common(sub):
 def _cmd_fowler(args):
     outdir = _ensure_outdir(args)
     orbit = _orbit_from(args)
-    orbit_to_csv(orbit, os.path.join(outdir, "orbit.csv"))
-    orbit_to_json(orbit, os.path.join(outdir, "orbit.json"))
+    write_csv(["t", "xi", "xi_prime"], [orbit.t, orbit.xi, orbit.xi_prime],
+              os.path.join(outdir, "orbit.csv"))
+    write_json(orbit_to_dict(orbit), os.path.join(outdir, "orbit.json"))
     summary = {"period": orbit.period, "energy": orbit.energy,
                "max_xi": float(np.max(orbit.xi)), "epsilon": orbit.epsilon,
                "is_constant": orbit.is_constant,
@@ -215,11 +227,8 @@ def _cmd_expand(args):
     ts = np.linspace(args.t0, args.t0 + args.window, 257)
     svals = np.linspace(-1.0, 1.0, 33)
     total = orbit.value(ts)[:, None] + expansion.evaluate_terms(terms, ts, svals)
-    with open(os.path.join(outdir, "expansion_eval.csv"), "w") as fh:
-        fh.write("t," + ",".join(f"s_{s:.4f}" for s in svals) + "\n")
-        for i, t in enumerate(ts):
-            fh.write(",".join([repr(float(t))]
-                              + [repr(float(v)) for v in total[i]]) + "\n")
+    write_csv(["t"] + [f"s_{s:.4f}" for s in svals], [ts, *total.T],
+              os.path.join(outdir, "expansion_eval.csv"))
     print(f"wrote {len(terms)} terms (order {args.order})")
     return 0
 
@@ -260,7 +269,8 @@ def _cmd_construct(args):
     # itself: there is no decay to fit and no rate to compare with
     fit = None if flat else cylinder.decay_rate_fit(
         diff, t_window=cylinder.period_aligned_window(v, orbit))
-    v.to_csv(os.path.join(outdir, "field.csv"))
+    write_csv(["t"] + [f"degree_{m.degree}" for m in v.modes],
+              [v.t, *v.coeffs], os.path.join(outdir, "field.csv"))
     report = {"trace": trace.to_dict(), "fit": fit.to_dict() if fit else None,
               "target_rate": base_rate,
               "angular_normalization": "pole (zonal value 1 at <axis,theta>=1)",

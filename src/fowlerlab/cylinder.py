@@ -37,9 +37,8 @@ rule on the partial interval at T - P.  The grid must be uniform.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -116,14 +115,6 @@ class CylinderField:
 
     def combination(self, other: "CylinderField", alpha: float, beta_: float):
         return replace(self, coeffs=alpha * self.coeffs + beta_ * other.coeffs)
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t"] + [f"degree_{m.degree}" for m in self.modes])
-            for i, tv in enumerate(self.t):
-                writer.writerow([repr(float(tv))]
-                                + [repr(float(c[i])) for c in self.coeffs])
 
 
 @dataclass(frozen=True)
@@ -536,9 +527,7 @@ class FitResult:
     warning: str | None = None
 
     def to_dict(self):
-        return {k: getattr(self, k) for k in
-                ("slope", "log_corrected", "r2", "slope_plain", "slope_log",
-                 "r2_plain", "r2_log", "n_points", "window", "warning")}
+        return asdict(self)
 
 
 def decay_rate_fit(arg, t_window=None, floor: float = UNDERFLOW_FLOOR) -> FitResult:
@@ -619,9 +608,7 @@ class IterationTrace:
     escalations: int
 
     def to_dict(self):
-        return {"norms": self.norms, "factors": self.factors, "t0": self.t0,
-                "nu": self.nu, "converged": self.converged,
-                "iterations": self.iterations, "escalations": self.escalations}
+        return asdict(self)
 
 
 def _power_remainder(exponent: float, base, delta):
@@ -720,12 +707,16 @@ def _construct(orbit: FowlerOrbit, modes, nu: float, build, t0: float,
                window: float, h: float, tol: float, max_iter: int):
     """The fixed-point construction near an orbit shared by both problems.
 
-    `build(tgrid, xi_t, proj)` supplies the base coefficients on the window
-    and the rhs map of the iteration phi <- L^{-1} rhs(phi); xi_t are the
-    orbit's read-only samples on the window.  Whenever the iteration
-    fails to converge within `max_iter` sweeps (a measured factor >= 1 or the
-    sweep cap) the window start t0 doubles, at most four times.  Returns the
-    base field, the field base + phi and the iteration trace.
+    `build(tgrid, xi_t, proj)` is the problem: on the window it returns the
+    base coefficients, the base values on the (t, Gauss node) grid and the
+    pointwise map (vals, phi_vals) -> values of the rhs, where vals = base +
+    phi; xi_t are the orbit's read-only samples on the window.  Each sweep
+    synthesizes phi on the nodes, refuses an iterate that is not positive
+    there and projects the map's values: phi <- L^{-1} rhs(phi).  Whenever
+    the iteration fails to converge within `max_iter` sweeps (a measured
+    factor >= 1 or the sweep cap) the window start t0 doubles, at most four
+    times.  Returns the base field, the field base + phi and the iteration
+    trace.
     """
     params = orbit.params
     # Floquet data with kernel factors for every mode in one batch; each
@@ -735,7 +726,16 @@ def _construct(orbit: FowlerOrbit, modes, nu: float, build, t0: float,
     escalations = 0
     while True:
         tgrid = make_grid(t0, window, h)
-        base, rhs_fn = build(tgrid, _window(orbit, tgrid).xi, proj)
+        base, base_vals, pointwise = build(tgrid, _window(orbit, tgrid).xi,
+                                           proj)
+
+        def rhs_fn(phi_coeffs):
+            phi_vals = phi_coeffs.T @ proj.basis
+            vals = base_vals + phi_vals
+            if np.min(vals) <= 0:
+                raise PositivityError("iterate lost positivity")
+            return proj.project(pointwise(vals, phi_vals))
+
         phi, norms, factors, converged, iters = _iterate(
             orbit, tgrid, modes, rhs_fn, nu, tol, max_iter)
         if converged:
@@ -784,21 +784,16 @@ def contraction_construct(orbit: FowlerOrbit, profile: ForcingProfile,
         profile.evaluate(tgrid, proj.s, n)  # positivity check of K itself
         k_dev = profile.deviation(tgrid, proj.s, n)
 
-        def rhs_fn(phi_coeffs):
+        def pointwise(vals, phi_vals):
             # (K - K0)(xi + phi)^e + K0 [(xi + phi)^e - xi^e - e xi^{e-1} phi],
             # each group formed without cancellation so the projected rhs is
             # accurate relative to its own exponentially small size
-            phi_vals = phi_coeffs.T @ proj.basis
-            vals = xi_t[:, None] + phi_vals
-            if np.min(vals) <= 0:
-                raise PositivityError("iterate lost positivity")
-            pointwise = (k_dev * vals**e
-                         + k0 * _power_remainder(e, xi_t[:, None], phi_vals))
-            return proj.project(pointwise)
+            return (k_dev * vals**e
+                    + k0 * _power_remainder(e, xi_t[:, None], phi_vals))
 
         base = np.zeros((len(modes), tgrid.size))
         base[0] = xi_t
-        return base, rhs_fn
+        return base, xi_t[:, None], pointwise
 
     _, v, trace = _construct(orbit, modes, nu, build, t0, window, h, tol,
                              max_iter)
@@ -854,21 +849,15 @@ def ckn_construct(orbit: FowlerOrbit, nu: float, amplitude: float = 0.05,
         lin_offset = (p - 1.0) * (zeta_t ** (p - 2.0))[:, None] * np.expm1(
             (p - 2.0) * np.log1p(rel))
 
-        def rhs_fn(phi_coeffs):
+        def pointwise(vals, phi_vals):
             # -N(w_hat) + (w_hat+phi)^{p-1} - w_hat^{p-1} - (p-1) zeta^{p-2} phi
-            phi_vals = phi_coeffs.T @ proj.basis
-            wv = what_vals + phi_vals
-            if np.min(wv) <= 0:
-                raise PositivityError("iterate lost positivity")
-            pointwise = (-n_what
-                         + _power_remainder(p - 1.0, what_vals, phi_vals)
-                         + lin_offset * phi_vals)
-            return proj.project(pointwise)
+            return (-n_what + _power_remainder(p - 1.0, what_vals, phi_vals)
+                    + lin_offset * phi_vals)
 
         what_coeffs = np.zeros((len(modes), tgrid.size))
         what_coeffs[0] = zeta_t
         what_coeffs[degree] += amplitude * np.exp(-nu * tgrid)
-        return what_coeffs, rhs_fn
+        return what_coeffs, what_vals, pointwise
 
     w_hat, w, trace = _construct(orbit, modes, nu, build, t0, window, h, tol,
                                  max_iter)

@@ -72,17 +72,14 @@ def _require_conformal(orbit):
         raise ValueError("translate machinery requires conformal provenance")
 
 
-def _periodic_from_orbit(orbit, values):
-    return PeriodicFunction.from_closed_grid(values, orbit.period)
-
-
 def first_order_term(orbit: FowlerOrbit, amplitude: float = 1.0) -> ExpansionTerm:
     """The kernel term e^{-t} ((n-2)/2 xi - xi') Y with Y = amplitude * Z_1."""
     _require_conformal(orbit)
     n = orbit.params.n
     coeff = amplitude * ((n - 2) / 2.0 * orbit.xi - orbit.xi_prime)
     return ExpansionTerm(mu=1.0, t_power=0,
-                         coeff=_periodic_from_orbit(orbit, coeff),
+                         coeff=PeriodicFunction.from_closed_grid(
+                             coeff, orbit.period),
                          mode=spheres.HarmonicMode(1, n))
 
 
@@ -122,12 +119,11 @@ def translate_expansion(orbit: FowlerOrbit, a, order: int):
         b_coeff = -(n - 2) / 8.0 * orbit.xi + 0.25 * orbit.xi_prime
         c22 = amag**2 * (n - 1) * (a_coeff / n - 2.0 * b_coeff)
         c20 = amag**2 * a_coeff / n
-        terms.append(ExpansionTerm(mu=2.0, t_power=0,
-                                   coeff=_periodic_from_orbit(orbit, c22),
-                                   mode=spheres.HarmonicMode(2, n)))
-        terms.append(ExpansionTerm(mu=2.0, t_power=0,
-                                   coeff=_periodic_from_orbit(orbit, c20),
-                                   mode=spheres.HarmonicMode(0, n)))
+        for degree, values in ((2, c22), (0, c20)):
+            terms.append(ExpansionTerm(
+                mu=2.0, t_power=0,
+                coeff=PeriodicFunction.from_closed_grid(values, orbit.period),
+                mode=spheres.HarmonicMode(degree, n)))
     return terms
 
 

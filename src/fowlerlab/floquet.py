@@ -251,6 +251,15 @@ class Classification:
     warning: str | None
 
 
+def _multiplier(tr: float) -> float:
+    """The larger-magnitude eigenvalue of a unimodular 2x2 matrix of trace
+    tr, |tr| > 2.  Where tr * tr overflows, sqrt(tr^2 - 4) rounds to |tr|
+    and the eigenvalue to tr itself."""
+    if not math.isfinite(tr * tr):
+        return tr
+    return math.copysign((abs(tr) + math.sqrt(tr * tr - 4.0)) / 2.0, tr)
+
+
 def classify(m: np.ndarray, period: float, det: float) -> Classification:
     """Kernel type from the monodromy trace; see module docstring.
 
@@ -263,8 +272,7 @@ def classify(m: np.ndarray, period: float, det: float) -> Classification:
     tr = float(np.trace(m))
     if abs(tr) > 2.0 + TRACE_TOL:
         # hyperbolic; the larger eigenvalue magnitude sets the exponent
-        mu_big = (abs(tr) + math.sqrt(tr * tr - 4.0)) / 2.0
-        sigma = math.log(mu_big) / period
+        sigma = math.log(abs(_multiplier(tr))) / period
         warn = None if tr > 0 else "negative trace: factors are antiperiodic"
         return Classification(TYPE_III, sigma, None, warn)
     if abs(tr) < 2.0 - TRACE_TOL:
@@ -321,14 +329,14 @@ def kernel_basis(orbit: FowlerOrbit, data):
     starts = []
     for d in data:
         m = d.monodromy
-        tr = float(np.trace(m))
-        mu_big = (abs(tr) + math.sqrt(tr * tr - 4.0)) / 2.0 * (1.0 if tr > 0 else -1.0)
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            w_big = _eigvec(m, mu_big)
-        if not np.all(np.isfinite([*m.ravel(), *w_big])):
+            w_big = _eigvec(m, _multiplier(float(np.trace(m))))
+        # an overflowing norm in _eigvec leaves a vanished eigenvector
+        if not (np.all(np.isfinite([*m.ravel(), *w_big])) and np.any(w_big)):
             raise IntegrationError(
-                f"non-finite monodromy or eigenvector (n = {orbit.params.n}, "
-                f"eps = {orbit.epsilon!r}, lambda = {d.lam!r}): the growth "
+                f"non-finite monodromy or lost eigenvector (n = "
+                f"{orbit.params.n}, eps = {orbit.epsilon!r}, lambda = "
+                f"{d.lam!r}): the growth "
                 "over one period overflows")
         starts.append(w_big)
     t_eval = orbit.t

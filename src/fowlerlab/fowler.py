@@ -13,8 +13,6 @@ the Hamiltonian H = xi'^2/2 - (q/2) xi^2 + (c/(e+1)) xi^{e+1}.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -351,14 +349,6 @@ def periodic_orbit(epsilon: float, params: FowlerParams,
                        is_constant=False, energy_drift=drift, _dense=dense)
 
 
-def orbit_to_csv(orbit: FowlerOrbit, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "xi", "xi_prime"])
-        for row in zip(orbit.t, orbit.xi, orbit.xi_prime):
-            writer.writerow([repr(float(v)) for v in row])
-
-
 def orbit_to_dict(orbit: FowlerOrbit) -> dict:
     return {
         "params": orbit.params.describe(),
@@ -371,10 +361,3 @@ def orbit_to_dict(orbit: FowlerOrbit) -> dict:
         "xi": orbit.xi.tolist(),
         "xi_prime": orbit.xi_prime.tolist(),
     }
-
-
-def orbit_to_json(orbit: FowlerOrbit, path):
-    with open(path, "w") as fh:
-        json.dump(orbit_to_dict(orbit), fh, indent=1, sort_keys=True,
-                  allow_nan=False)
-        fh.write("\n")

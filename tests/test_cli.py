@@ -123,6 +123,36 @@ def test_config_suite_is_a_comma_separated_list(tmp_path, capsys):
     assert names == ["dimension4_example"]
 
 
+@pytest.mark.parametrize("line, flag, message", [
+    ("problem = cnk", "--problem", "invalid choice: 'cnk'"),
+    ("n = 5.5", "--n", "invalid int value: '5.5'")], ids=["problem", "n"])
+def test_config_value_is_checked_by_its_flag(tmp_path, capsys, line, flag,
+                                             message):
+    # `problem = cnk` used to run the conformal problem and exit 0, and
+    # `n = 5.5` to end in a raw ValueError traceback
+    conf = tmp_path / "run.ini"
+    conf.write_text(line + "\n")
+    with pytest.raises(SystemExit) as info:
+        run_cli(["fowler", "--config", str(conf), "--outdir", str(tmp_path)])
+    assert info.value.code == 2  # argparse usage error
+    assert f"argument {flag}: {message}" in capsys.readouterr().err
+
+
+def test_config_keys_are_option_strings(tmp_path):
+    # `modes` is construct's second spelling of --max-degree; `help` names
+    # no destination, so a file cannot print help and exit
+    parser = cli.build_parser()
+    conf = tmp_path / "run.ini"
+    argv = ["construct", "--config", str(conf)]
+    sub = parser._subparser_map["construct"]
+    conf.write_text("modes = 1\nepsilon_frac = 0.25\nconstant = no\n")
+    assert cli._config_defaults(parser.parse_args(argv), sub) == {
+        "max_degree": 1, "epsilon_frac": 0.25, "constant": False}
+    conf.write_text("help = 1\n")
+    with pytest.raises(SystemExit, match="unknown config key: help"):
+        cli._config_defaults(parser.parse_args(argv), sub)
+
+
 def test_verify_subcommand_deterministic(tmp_path, capsys):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     for d in (d1, d2):

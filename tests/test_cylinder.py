@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad, solve_ivp
 from scipy.interpolate import CubicSpline
 
-from fowlerlab import cylinder, expansion, floquet, fowler, spheres
+from fowlerlab import cli, cylinder, expansion, floquet, fowler, spheres
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +232,15 @@ def test_forcing_profile_validation_and_flatness():
     with pytest.raises(cylinder.PositivityError):
         big = cylinder.ForcingProfile(k0=1.0, components=((1, 40.0, 1.5),))
         big.evaluate(np.array([0.0]), np.array([-1.0]), 5)
+
+
+def test_construction_refuses_an_iterate_that_loses_positivity(conf5_orbit):
+    # K itself stays positive on the window (1000 e^{-1.5 t} <= 0.56 from
+    # t0 = 5), but the iteration drives xi + phi below zero on the nodes
+    prof = cylinder.ForcingProfile(k0=1.0, components=((1, 1000.0, 1.5),))
+    with pytest.raises(cylinder.PositivityError,
+                       match="iterate lost positivity"):
+        cylinder.contraction_construct(conf5_orbit, prof)
 
 
 def _inverse(op, rhs, nu, tgrid, return_info=False):
@@ -769,7 +778,8 @@ def test_cylinder_field_csv(tmp_path, grid):
     f = cylinder.CylinderField(t=grid, modes=modes,
                                coeffs=np.ones((1, grid.size)), params=params)
     path = tmp_path / "field.csv"
-    f.to_csv(path)
+    cli.write_csv(["t"] + [f"degree_{m.degree}" for m in f.modes],
+                  [f.t, *f.coeffs], path)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,degree_0"
     assert len(lines) == grid.size + 1

@@ -166,6 +166,20 @@ def test_overflowing_branch_raises_typed_error():
         floquet.mode_datum(orb, 0, 42.0, 6, with_factors=True)
 
 
+def test_overflowing_trace_gives_a_finite_exponent():
+    # n = 3 at eps = 1e-6 xi*: from degree 6 (lambda = 42) on, tr * tr
+    # overflows; sqrt(tr^2 - 4) rounds to |tr| there, so sigma = ln|tr| / T
+    params = fowler.FowlerParams.conformal(3, 1.0)
+    orb = fowler.periodic_orbit(1e-6 * fowler.constant_solution(params),
+                                params)
+    data = floquet.spectrum(orb, [30.0, 42.0, 56.0])
+    assert data[30.0].sigma == 5.488490579564954  # as before, bit for bit
+    for lam, sigma in ((42.0, 6.490321630672212), (56.0, 7.491644223521441)):
+        tr = float(np.trace(data[lam].monodromy))
+        assert math.isinf(tr * tr)
+        assert data[lam].sigma == sigma == math.log(abs(tr)) / orb.period
+
+
 @pytest.mark.parametrize("orbit_name, degree", [
     ("conf5_orbit", 1), ("conf5_orbit", 2), ("ckn_orbit", 1), ("ckn_orbit", 2)])
 def test_mirrored_q_plus_matches_backward_integration(orbit_name, degree,

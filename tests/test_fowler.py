@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import OdeSolution, solve_ivp
 
-from fowlerlab import cylinder, expansion, floquet, fowler
+from fowlerlab import cli, cylinder, expansion, floquet, fowler
 
 
 def test_constant_solution_examples():
@@ -172,8 +172,10 @@ def test_log_growth_of_period():
 def test_orbit_export(tmp_path, conf3_orbit):
     csv_path = tmp_path / "orbit.csv"
     json_path = tmp_path / "orbit.json"
-    fowler.orbit_to_csv(conf3_orbit, csv_path)
-    fowler.orbit_to_json(conf3_orbit, json_path)
+    cli.write_csv(["t", "xi", "xi_prime"],
+                  [conf3_orbit.t, conf3_orbit.xi, conf3_orbit.xi_prime],
+                  csv_path)
+    cli.write_json(fowler.orbit_to_dict(conf3_orbit), json_path)
     header = csv_path.read_text().splitlines()[0]
     assert header == "t,xi,xi_prime"
     payload = json.loads(json_path.read_text())

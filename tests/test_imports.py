@@ -38,3 +38,20 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_only_the_command_line_reads_and_writes_files():
+    # cli owns every file format: config parsing and JSON and CSV output
+    formats = {"csv", "json", "configparser"}
+    importers = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = {a.name for a in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                names = {node.module}
+            else:
+                continue
+            if names & formats:
+                importers.append(path.name)
+    assert set(importers) == {"cli.py"}
