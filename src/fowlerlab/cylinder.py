@@ -9,7 +9,10 @@ only through s = <axis, theta>.  The nonlinear operators
 are evaluated with 4th-order finite differences in t (biased stencils on the
 outermost two rows) and pseudo-spectral handling of the fractional power:
 pointwise on a Gauss-Jacobi cosine grid of 8 (D + 1) nodes, D the highest
-retained degree, then projected back onto the retained modes.
+retained degree, then projected back onto the retained modes.  The projector
+of each (n, modes) and the basis on each fixed cosine grid (the 201 samples
+of `sup_theta`, the 101 of the final positivity check) are formed once per
+process, with read-only arrays.
 
 The per-mode linear inverse realizes the bounded right inverse of
 L_i = -d^2/dt^2 + V_i(t) on decaying functions through the variation-of-
@@ -25,9 +28,14 @@ the unique representation decaying at the faster rate nu.  Truncated upper
 tails are restored by one-period extrapolation: the integrands reproduce
 themselves under t -> t + T_orbit up to the factor e^{+-sigma T} e^{-nu T},
 so the missing integral is a geometric sum of the last computed period.
-Mode 0 (no dichotomy) uses the same from-the-right representation with a
+A mode without dichotomy (mode 0, Type II on a nonconstant orbit and Type IV
+on a constant one) uses the same from-the-right representation with a
 fundamental pair integrated over one period and carried across the window by
-its 2x2 quasi-periodicity relation, which also gives the tails.  All
+its 2x2 quasi-periodicity relation, which also gives the tails.  All three
+branches share one form, so a construction sweep inverts every retained mode
+at once: the window's kernel rows are stacked once, the rate checks, branch
+choices and tail maps are settled once per rate, and each sweep makes one
+set of array operations over (modes x 2 x nt).  All
 cumulative integrals are sums of per-interval 6-point local quintic (O(h^6)
 per interval) quadratures taken in the direction that keeps every partial sum
 dominated by its leading term, so no exponential cancellation occurs; the
@@ -37,6 +45,7 @@ rule on the partial interval at T - P.  The grid must be uniform.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, replace
 
@@ -102,10 +111,15 @@ class CylinderField:
         basis = np.array([spheres.eval_zonal(m, s) for m in self.modes])
         return self.coeffs.T @ basis
 
+    def on_cosines(self, num: int) -> np.ndarray:
+        """Values at `num` equally spaced cosines s in [-1, 1], per grid time;
+        `evaluate` on that grid, through a basis formed once per process."""
+        return self.coeffs.T @ _cosine_basis(tuple(self.modes), num)
+
     def sup_theta(self) -> np.ndarray:
         """sup over theta of |field| per grid time (201 cosine samples)."""
-        s = np.linspace(-1.0, 1.0, 201)
-        return np.max(np.abs(self.evaluate(s)), axis=1)
+        vals = self.on_cosines(201)
+        return np.max(np.abs(vals, out=vals), axis=1)
 
     def mode_coefficient(self, degree: int) -> np.ndarray:
         for m, c in zip(self.modes, self.coeffs):
@@ -145,23 +159,29 @@ class ForcingProfile:
         active = [b for _, k, b in self.components if k != 0.0]
         return min(active) if active else math.inf
 
-    def deviation(self, t, s, n: int) -> np.ndarray:
-        """K - K(0) on the (t, s) tensor grid, formed without cancellation."""
+    def deviation(self, t, s, rows) -> np.ndarray:
+        """K - K(0) on the (t, s) tensor grid, formed without cancellation.
+
+        `rows[k]` is the degree-k harmonic on s, for every degree with a
+        nonzero kappa.  Raises PositivityError where K itself is not
+        positive.
+        """
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        out = np.zeros((t.size, s.size))
+        out = np.zeros((t.size, np.size(s)))
         for deg, kappa, beta_ in self.components:
             if kappa == 0.0:
                 continue
-            z = spheres.eval_zonal(spheres.HarmonicMode(deg, n), s)
-            out += kappa * np.outer(np.exp(-beta_ * t), z)
-        return self.k0 * out
-
-    def evaluate(self, t, s, n: int) -> np.ndarray:
-        out = self.k0 + self.deviation(t, s, n)
-        if np.min(out) <= 0:
+            out += kappa * np.outer(np.exp(-beta_ * t), rows[deg])
+        out = self.k0 * out
+        if np.min(self.k0 + out) <= 0:
             raise PositivityError("forcing profile K is not positive on the grid")
         return out
+
+    def evaluate(self, t, s, n: int) -> np.ndarray:
+        s = np.atleast_1d(np.asarray(s, dtype=float))
+        rows = {deg: spheres.eval_zonal(spheres.HarmonicMode(deg, n), s)
+                for deg, kappa, _ in self.components if kappa != 0.0}
+        return self.k0 + self.deviation(t, s, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -217,16 +237,33 @@ class ZonalProjector:
         self.s, self.w = spheres.quadrature(n, 8 * (top + 1))
         self.basis = np.array([spheres.eval_zonal(m, self.s) for m in self.modes])
         self.norms = self.basis**2 @ self.w
+        self.basis.flags.writeable = self.norms.flags.writeable = False
 
     def project(self, values: np.ndarray) -> np.ndarray:
         """(nt, ns) pointwise values -> (nmodes, nt) coefficients."""
         return (self.basis * self.w) @ values.T / self.norms[:, None]
 
+    def rows(self, degrees) -> dict:
+        """The harmonic of each degree on the nodes: a basis row when the
+        degree is retained, evaluated otherwise."""
+        held = {m.degree: z for m, z in zip(self.modes, self.basis)}
+        return {k: held[k] if k in held else spheres.eval_zonal(
+            spheres.HarmonicMode(k, self.n), self.s) for k in degrees}
 
-def _field_values(field: CylinderField, proj: ZonalProjector) -> np.ndarray:
-    basis = proj.basis if field.modes == proj.modes else np.array(
-        [spheres.eval_zonal(m, proj.s) for m in field.modes])
-    return field.coeffs.T @ basis
+
+# one projector per (n, modes) and one basis per cosine grid, for the life of
+# the process: every construction and residual on those modes shares them
+_projector = functools.lru_cache(maxsize=None)(ZonalProjector)
+
+
+@functools.lru_cache(maxsize=None)
+def _cosine_basis(modes, num: int) -> np.ndarray:
+    """The zonal basis of `modes` at `num` equally spaced cosines in [-1, 1]
+    (read-only)."""
+    s = np.linspace(-1.0, 1.0, num)
+    basis = np.array([spheres.eval_zonal(m, s) for m in modes])
+    basis.flags.writeable = False
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +274,8 @@ def _residual(field: CylinderField, k_eval) -> CylinderField:
     params = field.params
     if params is None:
         raise ValueError("field carries no problem parameters")
-    proj = ZonalProjector(params.n, field.modes)
-    vals = _field_values(field, proj)
+    proj = _projector(params.n, tuple(field.modes))
+    vals = field.coeffs.T @ proj.basis
     if np.min(vals) <= 0:
         raise PositivityError("field must be strictly positive on the grid "
                               "(fractional power undefined)")
@@ -305,18 +342,22 @@ _INT_RIGHT0 = _stencil_weights(range(-4, 2), 1.0 / _POWERS)  # last interval
 
 
 def _interval_increments(y: np.ndarray, h: float) -> np.ndarray:
-    """Integral over each grid interval via local quintic interpolation."""
-    n = y.size
-    inc = np.empty(n - 1)
+    """Integral over each grid interval via local quintic interpolation,
+    along the last axis of y (one row or a stack of rows)."""
+    n = y.shape[-1]
+    inc = np.empty(y.shape[:-1] + (n - 1,))
     # the window starting at j - 2 integrates interval j, j = 2 .. n - 4
-    inc[2:n - 3] = np.correlate(y, _INT_CENTER, "valid")
-    inc[0] = _INT_LEFT0 @ y[:6]
-    inc[1] = _INT_LEFT1 @ y[:6]
-    inc[n - 3] = _INT_RIGHT1 @ y[-6:]
-    inc[n - 2] = _INT_RIGHT0 @ y[-6:]
+    for row, out in zip(y.reshape(-1, n), inc.reshape(-1, n - 1)):
+        out[2:n - 3] = np.correlate(row, _INT_CENTER, "valid")
+    inc[..., 0] = y[..., :6] @ _INT_LEFT0
+    inc[..., 1] = y[..., :6] @ _INT_LEFT1
+    inc[..., n - 3] = y[..., -6:] @ _INT_RIGHT1
+    inc[..., n - 2] = y[..., -6:] @ _INT_RIGHT0
     return inc * h
 
 
+# the one-row cumulative integrals: `_StackedInverse` sums the same
+# increments over a stack of rows
 def _cum_from_left(y: np.ndarray, h: float) -> np.ndarray:
     inc = _interval_increments(y, h)
     return np.concatenate([[0.0], np.cumsum(inc)])
@@ -355,7 +396,13 @@ def _check_uniform(t: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 class ModeSolveContext:
-    """Kernel data of one mode operator on a window, reused across solves."""
+    """Kernel data of one mode operator on a window, reused across solves.
+
+    `outer` holds the rows (A, B) and `inner` the rows (a, b) of the
+    inverse's common form (see `_StackedInverse`): (psi+, psi-) and
+    (psi-, psi+) / W for a hyperbolic mode, (u2, -u1) and (u1, u2) for the
+    fundamental pair.
+    """
 
     def __init__(self, orbit: FowlerOrbit, lam: float, tgrid):
         self.orbit = orbit
@@ -375,6 +422,7 @@ class ModeSolveContext:
             self._setup_hyperbolic()
         else:
             self._setup_fundamental_pair()
+        self.outer.flags.writeable = self.inner.flags.writeable = False
 
     def _setup_hyperbolic(self):
         d = self.datum
@@ -383,8 +431,8 @@ class ModeSolveContext:
         qp, qm = d.q_plus(t), d.q_minus(t)
         # the kernel pair psi- = q+ e^{-sigma(t-t0)}, psi+ = q- e^{+sigma(t-t0)}
         # and its Wronskian at t0, the one place derivatives are needed
-        self.psi_m = qp * np.exp(-self.sigma * (t - t0))
-        self.psi_p = qm * np.exp(self.sigma * (t - t0))
+        self.outer = np.array([qm * np.exp(self.sigma * (t - t0)),
+                               qp * np.exp(-self.sigma * (t - t0))])
         qp_d, qm_d = d.q_plus.derivative(t0), d.q_minus.derivative(t0)
         self.wronskian = float(qp[0] * (qm_d + self.sigma * qm[0])
                                - (qp_d - self.sigma * qp[0]) * qm[0])
@@ -393,6 +441,7 @@ class ModeSolveContext:
                 f"degenerate Floquet kernel pair (n = {self.orbit.params.n}, "
                 f"eps = {self.orbit.epsilon!r}, lambda = {self.lam!r}, "
                 f"wronskian = {self.wronskian!r})")
+        self.inner = self.outer[::-1] / self.wronskian
 
     def _setup_fundamental_pair(self):
         t, t0 = self.t, self.t[0]
@@ -418,60 +467,57 @@ class ModeSolveContext:
             self.u[:, sel] = power.T @ first[:, sel]
             power = power @ self.shift
         self.wronskian = 1.0
-
-    # -- tail extrapolation -------------------------------------------------
+        self.outer = np.array([self.u[1], -self.u[0]])
+        self.inner = self.u
 
     def _last_period(self, integrand, cum):
-        """int_{T-P}^{T} of the integrand, from its from-the-right sums."""
+        """int_{T-P}^{T} of the integrand (per row), from its from-the-right
+        sums."""
         k, first, w = self.last_period_rule
-        return cum[k] + self.h * (w @ integrand[first:first + 6])
+        return cum[..., k] + self.h * (integrand[..., first:first + 6] @ w)
 
-    def _geometric_tail(self, integrand, cum, rate, nu):
-        """Missing int_T^inf of an integrand that scales by e^{(rate - nu) P}
-        per period, via the last period (a ratio below 1: `solve` checks nu)."""
-        r = math.exp((rate - nu) * self.orbit.period)
-        return r * self._last_period(integrand, cum) / (1.0 - r)
+    def tail_map(self, nu: float):
+        """What the inverse fixes at decay rate nu: the 2x2 map T from the
+        last-period integrals J of (a f, b f) to their missing tails T J, the
+        sign of B, and whether b f is summed from the left.
+
+        Raises DecayRateError for nu <= 0, where the from-the-right
+        integrals diverge, and ResonanceError within RESONANCE_GAP of the
+        mode exponent.
+        """
+        where = (f"n = {self.orbit.params.n}, eps = {self.orbit.epsilon!r}, "
+                 f"lambda = {self.lam!r}, nu = {nu!r}")
+        if not nu > 0.0:
+            raise DecayRateError(f"decay rate must be positive ({where})")
+        period = self.orbit.period
+        if self.datum.type != floquet.TYPE_III:
+            # the integrands of period k beyond the window are those of the
+            # last period times (r M^T)^k, r = e^{-nu P}: a geometric series
+            m = math.exp(-nu * period) * self.shift.T
+            return np.linalg.solve(np.eye(2) - m, m), 1.0, False
+        sigma = self.sigma
+        if abs(sigma - nu) < RESONANCE_GAP:
+            raise ResonanceError(
+                f"decay rate {nu!r} within {RESONANCE_GAP:g} of the mode "
+                f"exponent {sigma!r} ({where}); use the t-power (resonant) "
+                f"path")
+        # a f scales by e^{(-sigma - nu) P} per period and b f by
+        # e^{(sigma - nu) P}: ratios below 1 give tails r / (1 - r) times the
+        # last period; for sigma > nu, b f is summed from the left instead
+        ra = math.exp((-sigma - nu) * period)
+        if sigma > nu:
+            return np.diag([ra / (1.0 - ra), 0.0]), 1.0, True
+        rb = math.exp((sigma - nu) * period)
+        return np.diag([ra / (1.0 - ra), rb / (1.0 - rb)]), -1.0, False
 
     def solve(self, rhs, nu: float, return_info: bool = False):
-        """phi with L phi = rhs, decaying at rate nu, on the window grid."""
+        """phi with L phi = rhs, decaying at rate nu, on the window grid: the
+        one-mode case of `_StackedInverse`."""
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape != self.t.shape:
             raise ValueError("rhs must live on the context grid")
-        if not nu > 0.0:
-            raise DecayRateError(
-                f"decay rate must be positive (n = {self.orbit.params.n}, "
-                f"eps = {self.orbit.epsilon!r}, lambda = {self.lam!r}, "
-                f"nu = {nu!r})")
-        period = self.orbit.period
-        if self.datum.type == floquet.TYPE_III:
-            sigma = self.sigma
-            if abs(sigma - nu) < RESONANCE_GAP:
-                raise ResonanceError(
-                    f"decay rate {nu!r} within {RESONANCE_GAP:g} of the mode "
-                    f"exponent {sigma!r}; use the t-power (resonant) path")
-            psi_m, psi_p = self.psi_m, self.psi_p
-            g_minus = psi_m * rhs / self.wronskian
-            g_plus = psi_p * rhs / self.wronskian
-            cum_m = _cum_from_right(g_minus, self.h)
-            tail_m = self._geometric_tail(g_minus, cum_m, -sigma, nu)
-            if sigma > nu:
-                phi = (psi_m * _cum_from_left(g_plus, self.h)
-                       + psi_p * (cum_m + tail_m))
-            else:
-                cum_p = _cum_from_right(g_plus, self.h)
-                tail_p = self._geometric_tail(g_plus, cum_p, sigma, nu)
-                phi = psi_p * (cum_m + tail_m) - psi_m * (cum_p + tail_p)
-        else:
-            g1 = self.u[0] * rhs
-            g2 = self.u[1] * rhs
-            cum1 = _cum_from_right(g1, self.h)
-            cum2 = _cum_from_right(g2, self.h)
-            j = np.array([self._last_period(g1, cum1),
-                          self._last_period(g2, cum2)])
-            r = math.exp(-nu * period)
-            tails = np.linalg.solve(np.eye(2) - r * self.shift.T,
-                                    r * self.shift.T @ j)
-            phi = self.u[1] * (cum1 + tails[0]) - self.u[0] * (cum2 + tails[1])
+        inverse = _StackedInverse([self], nu, self.outer[None], self.inner[None])
+        phi = inverse(rhs[None])[0]
         if not return_info:
             return phi
         wn = np.exp(nu * self.t)
@@ -482,14 +528,67 @@ class ModeSolveContext:
         return phi, info
 
 
+class _StackedInverse:
+    """The bounded inverses of several modes of one window at one decay
+    rate nu, applied to all of them in one set of array operations.
+
+    Every branch of the per-mode inverse has the form
+
+        phi = A (R[a f] + tau_a) + B (S[b f] + tau_b),
+
+    R the cumulative integral from the right and S the one from the left
+    (Type III with sigma > nu, where tau_b = 0) or again R.  The tails
+    tau = T J come from the last-period integrals J of (a f, b f) through
+    each mode's `tail_map`.  `outer` and `inner`, (modes, 2, nt), hold the
+    contexts' rows (A, B) and (a, b); the rate checks, the branch choices
+    and the maps T are settled here, once per rate.
+    """
+
+    def __init__(self, contexts, nu: float, outer, inner):
+        tails, signs, from_left = zip(*(ctx.tail_map(nu) for ctx in contexts))
+        self.tails = np.array(tails)
+        self.outer = outer * np.array([[1.0, s] for s in signs])[:, :, None]
+        self.inner = inner
+        left = np.array([[False, f] for f in from_left]).ravel()
+        self.left, self.right = np.flatnonzero(left), np.flatnonzero(~left)
+        self.h = contexts[0].h
+        # every context of a window shares the grid, the period and the rule
+        self.last_period = contexts[0]._last_period
+
+    def __call__(self, rhs: np.ndarray) -> np.ndarray:
+        """(modes, nt) right-hand sides -> (modes, nt) solutions."""
+        g = (self.inner * rhs[:, None, :]).reshape(-1, rhs.shape[-1])
+        inc = _interval_increments(g, self.h)
+        cum = np.zeros_like(g)
+        cum[self.right, :-1] = np.cumsum(inc[self.right, ::-1], axis=1)[:, ::-1]
+        cum[self.left, 1:] = np.cumsum(inc[self.left], axis=1)
+        # a row summed from the left meets a zero column of its T
+        j = self.last_period(g, cum).reshape(-1, 2, 1)
+        cum = cum.reshape(self.outer.shape) + self.tails @ j
+        return self.outer[:, 0] * cum[:, 0] + self.outer[:, 1] * cum[:, 1]
+
+
 class _Window:
-    """An orbit on a window: read-only grid and samples, and its contexts."""
+    """An orbit on a window: read-only grid and samples, its contexts and
+    their stacked kernel rows."""
 
     def __init__(self, orbit: FowlerOrbit, tgrid):
         self.t = np.array(tgrid, dtype=float)
         self.xi = orbit.value(self.t)
         self.t.flags.writeable = self.xi.flags.writeable = False
         self.contexts = {}
+        self.stacks = {}
+
+    def kernels(self, contexts):
+        """The contexts' `outer` and `inner` rows stacked, (modes, 2, nt)
+        each and read-only, formed once per tuple of eigenvalues."""
+        key = tuple(ctx.lam for ctx in contexts)
+        if key not in self.stacks:
+            outer = np.array([ctx.outer for ctx in contexts])
+            inner = np.array([ctx.inner for ctx in contexts])
+            outer.flags.writeable = inner.flags.writeable = False
+            self.stacks[key] = outer, inner
+        return self.stacks[key]
 
 
 def _window(orbit: FowlerOrbit, tgrid) -> _Window:
@@ -663,7 +762,7 @@ def _degree_exponents(orbit: FowlerOrbit, top: int) -> list:
 
 
 def _iterate(orbit, tgrid, modes, rhs_fn, nu, tol, max_iter):
-    """Generic fixed-point loop phi <- L^{-1} rhs(phi), mode by mode.
+    """Generic fixed-point loop phi <- L^{-1} rhs(phi), every mode at once.
 
     Stops on a relative update below tol, or once updates stagnate at the
     weighted-norm roundoff floor (the e^{nu t} weight amplifies right-end
@@ -671,6 +770,8 @@ def _iterate(orbit, tgrid, modes, rhs_fn, nu, tol, max_iter):
     non-contraction only while updates are still far above that floor.
     """
     contexts = [_context_cache(orbit, float(m.eigenvalue), tgrid) for m in modes]
+    inverse = _StackedInverse(contexts, nu,
+                              *_window(orbit, tgrid).kernels(contexts))
     phi = np.zeros((len(modes), len(tgrid)))
     wn = np.exp(nu * tgrid)
 
@@ -680,9 +781,7 @@ def _iterate(orbit, tgrid, modes, rhs_fn, nu, tol, max_iter):
     norms, factors, diffs = [], [], []
     converged = False
     for it in range(max_iter):
-        rhs_coeffs = rhs_fn(phi)
-        new = np.array([ctx.solve(rhs_coeffs[i], nu)
-                        for i, ctx in enumerate(contexts)])
+        new = inverse(rhs_fn(phi))
         diff = norm(new - phi)
         norms.append(norm(new))
         if diffs and diffs[-1] > 0:
@@ -709,8 +808,9 @@ def _construct(orbit: FowlerOrbit, modes, nu: float, build, t0: float,
 
     `build(tgrid, xi_t, proj)` is the problem: on the window it returns the
     base coefficients, the base values on the (t, Gauss node) grid and the
-    pointwise map (vals, phi_vals) -> values of the rhs, where vals = base +
-    phi; xi_t are the orbit's read-only samples on the window.  Each sweep
+    pointwise map phi_vals -> values of the rhs; xi_t are the orbit's
+    read-only samples on the window.  Everything that does not depend on
+    phi is formed there, once per window.  Each sweep
     synthesizes phi on the nodes, refuses an iterate that is not positive
     there and projects the map's values: phi <- L^{-1} rhs(phi).  Whenever
     the iteration fails to converge within `max_iter` sweeps (a measured
@@ -722,7 +822,7 @@ def _construct(orbit: FowlerOrbit, modes, nu: float, build, t0: float,
     # Floquet data with kernel factors for every mode in one batch; each
     # window's contexts then read them from `floquet.spectrum`
     floquet.spectrum(orbit, [m.eigenvalue for m in modes], with_factors=True)
-    proj = ZonalProjector(params.n, modes)
+    proj = _projector(params.n, modes)
     escalations = 0
     while True:
         tgrid = make_grid(t0, window, h)
@@ -734,7 +834,7 @@ def _construct(orbit: FowlerOrbit, modes, nu: float, build, t0: float,
             vals = base_vals + phi_vals
             if np.min(vals) <= 0:
                 raise PositivityError("iterate lost positivity")
-            return proj.project(pointwise(vals, phi_vals))
+            return proj.project(pointwise(phi_vals))
 
         phi, norms, factors, converged, iters = _iterate(
             orbit, tgrid, modes, rhs_fn, nu, tol, max_iter)
@@ -773,6 +873,15 @@ def contraction_construct(orbit: FowlerOrbit, profile: ForcingProfile,
     if params.kind != "conformal":
         raise ValueError("contraction_construct requires conformal provenance")
     n, e, k0 = params.n, params.e, params.c
+    # phi is seeded only by forcing of a retained degree; a degree k above
+    # them reaches degrees <= max_degree only through products with phi's
+    # modes (Z_k Z_j holds degrees k - j and up), and never above twice that
+    active = sorted(deg for deg, kappa, _ in profile.components if kappa != 0.0)
+    reach = 2 * max_degree if active and active[0] <= max_degree else max_degree
+    if active and active[-1] > reach:
+        raise ValueError(f"forcing degree {active[-1]} outside the degrees "
+                         f"0..{reach} that couple to the retained degrees "
+                         f"0..{max_degree}")
     modes = tuple(spheres.HarmonicMode(k, n) for k in range(max_degree + 1))
     if profile.is_flat:
         nu = 2.0  # arbitrary finite rate; the rhs vanishes and phi = 0
@@ -781,23 +890,26 @@ def contraction_construct(orbit: FowlerOrbit, profile: ForcingProfile,
         nu = _pick_off_resonant_rate(profile.min_rate, sigmas)
 
     def build(tgrid, xi_t, proj):
-        profile.evaluate(tgrid, proj.s, n)  # positivity check of K itself
-        k_dev = profile.deviation(tgrid, proj.s, n)
+        k_dev = profile.deviation(tgrid, proj.s, proj.rows(active))
+        k = k0 + k_dev
+        xi = xi_t[:, None]
+        xi_e, dxi_e = xi**e, e * xi ** (e - 1.0)
 
-        def pointwise(vals, phi_vals):
-            # (K - K0)(xi + phi)^e + K0 [(xi + phi)^e - xi^e - e xi^{e-1} phi],
-            # each group formed without cancellation so the projected rhs is
-            # accurate relative to its own exponentially small size
-            return (k_dev * vals**e
-                    + k0 * _power_remainder(e, xi_t[:, None], phi_vals))
+        def pointwise(phi_vals):
+            # (K - K0)(xi + phi)^e + K0 R = (K - K0)(xi^e + e xi^{e-1} phi)
+            # + K R, R = (xi + phi)^e - xi^e - e xi^{e-1} phi: each group is
+            # formed without cancellation, so the projected rhs is accurate
+            # relative to its own exponentially small size
+            return (k_dev * (xi_e + dxi_e * phi_vals)
+                    + k * _power_remainder(e, xi, phi_vals))
 
         base = np.zeros((len(modes), tgrid.size))
         base[0] = xi_t
-        return base, xi_t[:, None], pointwise
+        return base, xi, pointwise
 
     _, v, trace = _construct(orbit, modes, nu, build, t0, window, h, tol,
                              max_iter)
-    if np.min(v.evaluate(np.linspace(-1, 1, 101))) <= 0:
+    if np.min(v.on_cosines(101)) <= 0:
         raise PositivityError("constructed field is not positive")
     return v, trace
 
@@ -832,8 +944,7 @@ def ckn_construct(orbit: FowlerOrbit, nu: float, amplitude: float = 0.05,
     lam_pert = float(spheres.eigenvalue(degree, n))
 
     def build(tgrid, zeta_t, proj):
-        z_pert = spheres.eval_zonal(spheres.HarmonicMode(degree, n), proj.s)
-        pert = amplitude * np.outer(np.exp(-nu * tgrid), z_pert)
+        pert = amplitude * np.outer(np.exp(-nu * tgrid), proj.basis[degree])
         what_vals = zeta_t[:, None] + pert
         if np.min(what_vals) <= 0:
             raise PositivityError("approximate solution w_hat not positive")
@@ -849,7 +960,7 @@ def ckn_construct(orbit: FowlerOrbit, nu: float, amplitude: float = 0.05,
         lin_offset = (p - 1.0) * (zeta_t ** (p - 2.0))[:, None] * np.expm1(
             (p - 2.0) * np.log1p(rel))
 
-        def pointwise(vals, phi_vals):
+        def pointwise(phi_vals):
             # -N(w_hat) + (w_hat+phi)^{p-1} - w_hat^{p-1} - (p-1) zeta^{p-2} phi
             return (-n_what + _power_remainder(p - 1.0, what_vals, phi_vals)
                     + lin_offset * phi_vals)

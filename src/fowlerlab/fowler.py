@@ -109,11 +109,22 @@ def upper_turning_bound(params: FowlerParams) -> float:
     return ((params.e + 1.0) * params.q / (2.0 * params.c)) ** (1.0 / (params.e - 1.0))
 
 
-def max_value(epsilon: float, params: FowlerParams) -> float:
-    """The orbit maximum: unique root s > xi* of G(s) = G(eps)."""
+def _check_epsilon(epsilon: float, params: FowlerParams) -> float:
+    """xi*, once eps is checked to lie in (0, xi*), where the periodic orbits
+    with minimum eps are."""
     xistar = constant_solution(params)
     if not 0 < epsilon < xistar:
-        raise ValueError("no periodic orbit above the constant solution")
+        bound = "be positive" if not epsilon > 0 else "lie below xi*"
+        raise ValueError(
+            f"no periodic orbit with minimum eps: eps must {bound} "
+            f"({params.kind} problem, n = {params.n}, eps = {epsilon!r}, "
+            f"xi* = {xistar!r})")
+    return xistar
+
+
+def max_value(epsilon: float, params: FowlerParams) -> float:
+    """The orbit maximum: unique root s > xi* of G(s) = G(eps)."""
+    xistar = _check_epsilon(epsilon, params)
     h0 = _potential(epsilon, params)
     hi = upper_turning_bound(params)
     return brentq(lambda s: _potential(s, params) - h0, xistar, hi,
@@ -142,9 +153,7 @@ def period_quadrature(epsilon: float, params: FowlerParams) -> float:
     expm1/log1p so the integrand stays smooth down to u = 0 even for orbits
     close to the constant solution.
     """
-    xistar = constant_solution(params)
-    if not 0 < epsilon < xistar:
-        raise ValueError("no periodic orbit above the constant solution")
+    xistar = _check_epsilon(epsilon, params)
     smax = max_value(epsilon, params)
     q, c, e = params.q, params.c, params.e
 
@@ -292,9 +301,7 @@ def periodic_orbit(epsilon: float, params: FowlerParams,
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    xistar = constant_solution(params)
-    if not 0 < epsilon < xistar:
-        raise ValueError("no periodic orbit above the constant solution")
+    xistar = _check_epsilon(epsilon, params)
     if xistar - epsilon < DEGENERACY_GAP * xistar:
         raise ValueError(
             f"eps within {DEGENERACY_GAP:g}*xi* of the constant solution: "

@@ -49,6 +49,25 @@ def test_fowler_ckn_and_bad_epsilon(tmp_path, capsys):
     assert "no periodic orbit" in record["message"]
 
 
+def test_epsilon_outside_the_orbit_range_names_the_bound(tmp_path, capsys):
+    records = []
+    for frac in ("-0.5", "0", "1.5"):
+        rc = run_cli(["fowler", f"--epsilon-frac={frac}", "--outdir",
+                      str(tmp_path)])
+        assert rc == 1
+        records.append(json.loads(
+            capsys.readouterr().out.strip().splitlines()[-1]))
+    assert {r["error"] for r in records} == {"ValueError"}
+    messages = [r["message"] for r in records]
+    assert len(set(messages)) == 3
+    for msg, bound in zip(messages, ("be positive", "be positive",
+                                     "lie below xi*")):
+        assert re.fullmatch(rf"no periodic orbit with minimum eps: eps must "
+                            rf"{re.escape(bound)} \(conformal problem, n = 5, "
+                            rf"eps = \S+, xi\* = 1\.837\d*\)", msg), msg
+    assert "eps = -0.918" in messages[0] and "eps = 0.0," in messages[1]
+
+
 def test_floquet_subcommand_constant_formula(tmp_path, capsys):
     rc = run_cli(["floquet", "--n", "5", "--constant", "--modes", "6",
                   "--outdir", str(tmp_path)])
@@ -184,6 +203,19 @@ def test_construct_short_window_error_names_the_orbit(tmp_path, capsys):
     assert re.fullmatch(r"window \[5\.0, 17\.0\] must cover at least one orbit "
                         r"period \(n = 3, eps = 0\.0707\d*, T = 14\.468\d*\)",
                         record["message"])
+
+
+def test_construct_refuses_a_forcing_degree_above_the_retained_ones(
+        tmp_path, capsys):
+    # a degree-1 forcing projects to nothing on degree 0 alone: the
+    # construction used to converge to the orbit and then fail its fit
+    rc = run_cli(["construct", "--n", "5", "--epsilon-frac", "0.5", "--beta",
+                  "1.5", "--max-degree", "0", "--outdir", str(tmp_path)])
+    assert rc == 1
+    record = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert record == {"error": "ValueError",
+                      "message": "forcing degree 1 outside the degrees 0..0 "
+                                 "that couple to the retained degrees 0..0"}
 
 
 def test_construct_modes_alias_and_multi_component(tmp_path):

@@ -1,4 +1,6 @@
+import functools
 import math
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -120,7 +122,12 @@ def test_construction_agrees_with_a_64_node_projector(case, conf5_orbit,
     v, trace = run()
     real = spheres.quadrature
     monkeypatch.setattr(spheres, "quadrature", lambda n, num: real(n, 64))
+    # a fresh projector memo for the 64-node run, the process-wide one back
+    # after the test
+    monkeypatch.setattr(cylinder, "_projector",
+                        functools.lru_cache(maxsize=None)(cylinder.ZonalProjector))
     v64, trace64 = run()
+    assert cylinder._projector(5, v64.modes).s.size == 64
     assert trace.iterations == trace64.iterations
     weight = np.exp(trace64.nu * v64.t)
     gap = np.max(weight * np.sum(np.abs(v.coeffs - v64.coeffs), axis=0))
@@ -783,3 +790,154 @@ def test_cylinder_field_csv(tmp_path, grid):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,degree_0"
     assert len(lines) == grid.size + 1
+
+
+@pytest.mark.parametrize("comps, top", [
+    (((3, 0.05, 1.5),), 3),                     # nothing seeds phi
+    (((1, 0.05, 1.5), (5, 0.02, 1.5)), 5),      # above twice max_degree
+])
+def test_forcing_degree_must_couple_to_the_retained_modes(comps, top,
+                                                          monkeypatch):
+    orb = _fresh_orbit("conformal")
+    calls = []
+    _record_solve_ivp(monkeypatch, calls)
+    prof = cylinder.ForcingProfile(k0=1.0, components=comps)
+    with pytest.raises(ValueError, match=rf"forcing degree {top} outside"):
+        cylinder.contraction_construct(orb, prof, max_degree=2)
+    assert calls == [] and orb._floquet == {}
+
+
+@pytest.mark.parametrize("kind", ["conformal", "ckn"])
+def test_warm_construction_forms_no_basis(kind, conf5_orbit, ckn_orbit,
+                                          monkeypatch):
+    # the projector and the cosine-grid bases are formed once per process:
+    # a second construction on a warm window evaluates no harmonic
+    if kind == "conformal":
+        prof = cylinder.ForcingProfile(k0=1.0, components=((2, 0.05, 2.3),))
+        call = lambda: cylinder.contraction_construct(conf5_orbit, prof)
+    else:
+        call = lambda: cylinder.ckn_construct(ckn_orbit, 2.6)
+    first = call()
+    calls = []
+    real_eval, real_init = spheres.eval_zonal, cylinder.ZonalProjector.__init__
+    monkeypatch.setattr(spheres, "eval_zonal",
+                        lambda *a: calls.append("eval_zonal") or real_eval(*a))
+    monkeypatch.setattr(cylinder.ZonalProjector, "__init__",
+                        lambda *a: calls.append("projector") or real_init(*a))
+    again = call()
+    assert calls == []
+    assert np.array_equal(again[0].coeffs, first[0].coeffs)
+
+
+def test_cosine_grid_values_match_evaluate(conf5_orbit):
+    # sup_theta and the final positivity check read the memoized bases; the
+    # forms they replace evaluated every harmonic on the grid each call
+    prof = cylinder.ForcingProfile(k0=1.0, components=((1, 0.05, 1.5),
+                                                       (2, 0.03, 2.5)))
+    v, _ = cylinder.contraction_construct(conf5_orbit, prof)
+    diff = v.combination(cylinder.orbit_field(conf5_orbit, v.t), 1.0, -1.0)
+    for field in (v, diff):
+        old_sup = np.max(np.abs(field.evaluate(np.linspace(-1.0, 1.0, 201))),
+                         axis=1)
+        assert np.array_equal(field.sup_theta(), old_sup)
+        old_min = np.min(field.evaluate(np.linspace(-1, 1, 101)))
+        assert np.min(field.on_cosines(101)) == old_min
+
+
+def test_memoized_arrays_are_read_only(conf5_orbit):
+    prof = cylinder.ForcingProfile(k0=1.0, components=((1, 0.05, 1.5),))
+    v, _ = cylinder.contraction_construct(conf5_orbit, prof)
+    proj = cylinder._projector(5, v.modes)
+    assert cylinder._projector(5, v.modes) is proj
+    contexts = [cylinder._context_cache(conf5_orbit, float(m.eigenvalue), v.t)
+                for m in v.modes]
+    stacks = cylinder._window(conf5_orbit, v.t).kernels(contexts)
+    assert cylinder._window(conf5_orbit, v.t).kernels(contexts) is stacks
+    arrays = [proj.basis, proj.norms, cylinder._cosine_basis(v.modes, 201),
+              cylinder._cosine_basis(v.modes, 101), *stacks]
+    arrays += [a for ctx in contexts for a in (ctx.outer, ctx.inner)]
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
+def _reference_solve(ctx, rhs, nu):
+    """The per-mode inverse as one branch per case, each with its own
+    cumulative sums and tails: the form the stacked inverse replaces."""
+    h, period = ctx.h, ctx.orbit.period
+
+    def geometric_tail(integrand, cum, rate):
+        r = math.exp((rate - nu) * period)
+        return r * ctx._last_period(integrand, cum) / (1.0 - r)
+
+    if ctx.datum.type == floquet.TYPE_III:
+        sigma, (psi_p, psi_m) = ctx.sigma, ctx.outer
+        g_minus = psi_m * rhs / ctx.wronskian
+        g_plus = psi_p * rhs / ctx.wronskian
+        cum_m = cylinder._cum_from_right(g_minus, h)
+        tail_m = geometric_tail(g_minus, cum_m, -sigma)
+        if sigma > nu:
+            return (psi_m * cylinder._cum_from_left(g_plus, h)
+                    + psi_p * (cum_m + tail_m))
+        cum_p = cylinder._cum_from_right(g_plus, h)
+        tail_p = geometric_tail(g_plus, cum_p, sigma)
+        return psi_p * (cum_m + tail_m) - psi_m * (cum_p + tail_p)
+    g1, g2 = ctx.u[0] * rhs, ctx.u[1] * rhs
+    cum1 = cylinder._cum_from_right(g1, h)
+    cum2 = cylinder._cum_from_right(g2, h)
+    j = np.array([ctx._last_period(g1, cum1), ctx._last_period(g2, cum2)])
+    r = math.exp(-nu * period)
+    tails = np.linalg.solve(np.eye(2) - r * ctx.shift.T, r * ctx.shift.T @ j)
+    return ctx.u[1] * (cum1 + tails[0]) - ctx.u[0] * (cum2 + tails[1])
+
+
+@pytest.mark.parametrize("case", ["readme", "constant", "one_period"])
+def test_stacked_inverse_matches_the_per_mode_branches(case, conf5_orbit,
+                                                       const5_orbit):
+    # modes 0..2 at nu = 1.5: Type II (Type IV on the constant orbit), a
+    # mode with sigma < nu and one with sigma > nu, all in one stack
+    orbit = const5_orbit if case == "constant" else conf5_orbit
+    h = cylinder.DEFAULT_H
+    if case == "one_period":
+        t = 5.0 + h * np.arange(math.ceil(orbit.period / h) + 1)
+    else:
+        t = cylinder.make_grid()
+    nu = 1.5
+    contexts = [cylinder._context_cache(orbit, float(spheres.eigenvalue(k, 5)),
+                                        t) for k in range(3)]
+    kinds = [(ctx.datum.type, ctx.datum.type == floquet.TYPE_III
+              and ctx.sigma > nu) for ctx in contexts]
+    assert kinds[1:] == [(floquet.TYPE_III, False), (floquet.TYPE_III, True)]
+    assert kinds[0][0] == (floquet.TYPE_IV if case == "constant"
+                           else floquet.TYPE_II)
+    rhs = np.array([np.exp(-b * t) * (1.0 + 0.3 * np.cos(c * t))
+                    for b, c in ((1.7, 2.0), (1.9, 5.0), (2.2, 3.0))])
+    got = cylinder._StackedInverse(
+        contexts, nu, *cylinder._window(orbit, t).kernels(contexts))(rhs)
+    for ctx, f, phi in zip(contexts, rhs, got):
+        ref = _reference_solve(ctx, f, nu)
+        assert np.max(np.abs(phi - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert np.array_equal(ctx.solve(f, nu), phi)
+
+
+def test_stacked_inverse_checks_its_rate_once(conf5_orbit):
+    # the construction's inverse refuses nu <= 0 and a resonant nu before
+    # any sweep, naming the problem, the mode and the rate
+    t = cylinder.make_grid()
+    contexts = [cylinder._context_cache(conf5_orbit,
+                                        float(spheres.eigenvalue(k, 5)), t)
+                for k in range(3)]
+    kernels = cylinder._window(conf5_orbit, t).kernels(contexts)
+    with pytest.raises(cylinder.DecayRateError,
+                       match=r"must be positive \(n = 5, eps = .*, "
+                             r"lambda = 0\.0, nu = -1\.0\)"):
+        cylinder._StackedInverse(contexts, -1.0, *kernels)
+    sigma = contexts[1].sigma
+    nu = sigma + 5e-7
+    with pytest.raises(cylinder.ResonanceError,
+                       match=rf"exponent {re.escape(repr(sigma))} \(n = 5, "
+                             rf"eps = .*, lambda = 4\.0, "
+                             rf"nu = {re.escape(repr(nu))}\)"):
+        cylinder._StackedInverse(contexts, nu, *kernels)
+    with pytest.raises(cylinder.ResonanceError, match=r"lambda = 4\.0"):
+        contexts[1].solve(np.exp(-t), nu)
