@@ -33,9 +33,9 @@ on a constant one) uses the same from-the-right representation with a
 fundamental pair integrated over one period and carried across the window by
 its 2x2 quasi-periodicity relation, which also gives the tails.  All three
 branches share one form, so a construction sweep inverts every retained mode
-at once: the window's kernel rows are stacked once, the rate checks, branch
-choices and tail maps are settled once per rate, and each sweep makes one
-set of array operations over (modes x 2 x nt).  All
+at once: the kernel rows are stacked, and the rate checks, branch choices
+and tail maps settled, once per construction, and each sweep makes one set
+of array operations over (modes x 2 x nt).  All
 cumulative integrals are sums of per-interval 6-point local quintic (O(h^6)
 per interval) quadratures taken in the direction that keeps every partial sum
 dominated by its leading term, so no exponential cancellation occurs; the
@@ -356,16 +356,19 @@ def _interval_increments(y: np.ndarray, h: float) -> np.ndarray:
     return inc * h
 
 
-# the one-row cumulative integrals: `_StackedInverse` sums the same
-# increments over a stack of rows
+# the cumulative integrals from the left and from the right, along the
+# last axis of y (one row or a stack of rows)
 def _cum_from_left(y: np.ndarray, h: float) -> np.ndarray:
     inc = _interval_increments(y, h)
-    return np.concatenate([[0.0], np.cumsum(inc)])
+    zero = np.zeros(inc.shape[:-1] + (1,))
+    return np.concatenate([zero, np.cumsum(inc, axis=-1)], axis=-1)
 
 
 def _cum_from_right(y: np.ndarray, h: float) -> np.ndarray:
     inc = _interval_increments(y, h)
-    return np.concatenate([np.cumsum(inc[::-1])[::-1], [0.0]])
+    zero = np.zeros(inc.shape[:-1] + (1,))
+    return np.concatenate([np.cumsum(inc[..., ::-1], axis=-1)[..., ::-1], zero],
+                          axis=-1)
 
 
 def _partial_interval_rule(num: int, start: float):
@@ -516,7 +519,7 @@ class ModeSolveContext:
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape != self.t.shape:
             raise ValueError("rhs must live on the context grid")
-        inverse = _StackedInverse([self], nu, self.outer[None], self.inner[None])
+        inverse = _StackedInverse([self], nu)
         phi = inverse(rhs[None])[0]
         if not return_info:
             return phi
@@ -539,16 +542,17 @@ class _StackedInverse:
     R the cumulative integral from the right and S the one from the left
     (Type III with sigma > nu, where tau_b = 0) or again R.  The tails
     tau = T J come from the last-period integrals J of (a f, b f) through
-    each mode's `tail_map`.  `outer` and `inner`, (modes, 2, nt), hold the
-    contexts' rows (A, B) and (a, b); the rate checks, the branch choices
-    and the maps T are settled here, once per rate.
+    each mode's `tail_map`.  The contexts' rows (A, B) and (a, b) are
+    stacked to (modes, 2, nt); the rate checks, the branch choices and the
+    maps T are settled here, once per rate.
     """
 
-    def __init__(self, contexts, nu: float, outer, inner):
+    def __init__(self, contexts, nu: float):
         tails, signs, from_left = zip(*(ctx.tail_map(nu) for ctx in contexts))
         self.tails = np.array(tails)
-        self.outer = outer * np.array([[1.0, s] for s in signs])[:, :, None]
-        self.inner = inner
+        self.outer = (np.array([ctx.outer for ctx in contexts])
+                      * np.array([[1.0, s] for s in signs])[:, :, None])
+        self.inner = np.array([ctx.inner for ctx in contexts])
         left = np.array([[False, f] for f in from_left]).ravel()
         self.left, self.right = np.flatnonzero(left), np.flatnonzero(~left)
         self.h = contexts[0].h
@@ -558,10 +562,9 @@ class _StackedInverse:
     def __call__(self, rhs: np.ndarray) -> np.ndarray:
         """(modes, nt) right-hand sides -> (modes, nt) solutions."""
         g = (self.inner * rhs[:, None, :]).reshape(-1, rhs.shape[-1])
-        inc = _interval_increments(g, self.h)
-        cum = np.zeros_like(g)
-        cum[self.right, :-1] = np.cumsum(inc[self.right, ::-1], axis=1)[:, ::-1]
-        cum[self.left, 1:] = np.cumsum(inc[self.left], axis=1)
+        cum = np.empty_like(g)
+        cum[self.right] = _cum_from_right(g[self.right], self.h)
+        cum[self.left] = _cum_from_left(g[self.left], self.h)
         # a row summed from the left meets a zero column of its T
         j = self.last_period(g, cum).reshape(-1, 2, 1)
         cum = cum.reshape(self.outer.shape) + self.tails @ j
@@ -569,26 +572,13 @@ class _StackedInverse:
 
 
 class _Window:
-    """An orbit on a window: read-only grid and samples, its contexts and
-    their stacked kernel rows."""
+    """An orbit on a window: read-only grid and samples, and its contexts."""
 
     def __init__(self, orbit: FowlerOrbit, tgrid):
         self.t = np.array(tgrid, dtype=float)
         self.xi = orbit.value(self.t)
         self.t.flags.writeable = self.xi.flags.writeable = False
         self.contexts = {}
-        self.stacks = {}
-
-    def kernels(self, contexts):
-        """The contexts' `outer` and `inner` rows stacked, (modes, 2, nt)
-        each and read-only, formed once per tuple of eigenvalues."""
-        key = tuple(ctx.lam for ctx in contexts)
-        if key not in self.stacks:
-            outer = np.array([ctx.outer for ctx in contexts])
-            inner = np.array([ctx.inner for ctx in contexts])
-            outer.flags.writeable = inner.flags.writeable = False
-            self.stacks[key] = outer, inner
-        return self.stacks[key]
 
 
 def _window(orbit: FowlerOrbit, tgrid) -> _Window:
@@ -770,8 +760,7 @@ def _iterate(orbit, tgrid, modes, rhs_fn, nu, tol, max_iter):
     non-contraction only while updates are still far above that floor.
     """
     contexts = [_context_cache(orbit, float(m.eigenvalue), tgrid) for m in modes]
-    inverse = _StackedInverse(contexts, nu,
-                              *_window(orbit, tgrid).kernels(contexts))
+    inverse = _StackedInverse(contexts, nu)
     phi = np.zeros((len(modes), len(tgrid)))
     wn = np.exp(nu * tgrid)
 
@@ -873,15 +862,13 @@ def contraction_construct(orbit: FowlerOrbit, profile: ForcingProfile,
     if params.kind != "conformal":
         raise ValueError("contraction_construct requires conformal provenance")
     n, e, k0 = params.n, params.e, params.c
-    # phi is seeded only by forcing of a retained degree; a degree k above
-    # them reaches degrees <= max_degree only through products with phi's
-    # modes (Z_k Z_j holds degrees k - j and up), and never above twice that
+    # phi is seeded only by forcing of a retained degree: without one,
+    # phi = 0 is the exact fixed point and the decay fit has nothing to fit
     active = sorted(deg for deg, kappa, _ in profile.components if kappa != 0.0)
-    reach = 2 * max_degree if active and active[0] <= max_degree else max_degree
-    if active and active[-1] > reach:
-        raise ValueError(f"forcing degree {active[-1]} outside the degrees "
-                         f"0..{reach} that couple to the retained degrees "
-                         f"0..{max_degree}")
+    if active and active[0] > max_degree:
+        raise ValueError(f"forcing degree {active[0]} above the retained "
+                         f"degrees 0..{max_degree}: no forcing component of "
+                         f"a retained degree seeds the construction")
     modes = tuple(spheres.HarmonicMode(k, n) for k in range(max_degree + 1))
     if profile.is_flat:
         nu = 2.0  # arbitrary finite rate; the rhs vanishes and phi = 0

@@ -214,8 +214,9 @@ def test_construct_refuses_a_forcing_degree_above_the_retained_ones(
     assert rc == 1
     record = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert record == {"error": "ValueError",
-                      "message": "forcing degree 1 outside the degrees 0..0 "
-                                 "that couple to the retained degrees 0..0"}
+                      "message": "forcing degree 1 above the retained "
+                                 "degrees 0..0: no forcing component of a "
+                                 "retained degree seeds the construction"}
 
 
 def test_construct_modes_alias_and_multi_component(tmp_path):

@@ -102,7 +102,8 @@ def test_projector_rule_resolves_the_conformal_nonlinearity(n, top, ratio):
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("case", ["readme", "degree4_forcing", "ckn"])
+@pytest.mark.parametrize("case", ["readme", "degree4_forcing",
+                                  "degree5_forcing", "ckn"])
 def test_construction_agrees_with_a_64_node_projector(case, conf5_orbit,
                                                       ckn_orbit, monkeypatch):
     if case == "ckn":
@@ -110,10 +111,11 @@ def test_construction_agrees_with_a_64_node_projector(case, conf5_orbit,
             w, _, trace = cylinder.ckn_construct(ckn_orbit, 2.4)
             return w, trace
     else:
-        # a degree-4 forcing on degrees 0..2 reaches them only through
-        # the nonlinearity, so its projection aliases first
-        comps = ((1, 0.05, 1.5),) + (((4, 0.2, 1.5),)
-                                     if case == "degree4_forcing" else ())
+        # a forcing of degree 4 or 5 on degrees 0..2 reaches them only
+        # through the nonlinearity, so its projection aliases first
+        extra = {"degree4_forcing": ((4, 0.2, 1.5),),
+                 "degree5_forcing": ((5, 0.02, 1.5),)}.get(case, ())
+        comps = ((1, 0.05, 1.5),) + extra
         prof = cylinder.ForcingProfile(k0=1.0, components=comps)
 
         def run():
@@ -792,17 +794,17 @@ def test_cylinder_field_csv(tmp_path, grid):
     assert len(lines) == grid.size + 1
 
 
-@pytest.mark.parametrize("comps, top", [
-    (((3, 0.05, 1.5),), 3),                     # nothing seeds phi
-    (((1, 0.05, 1.5), (5, 0.02, 1.5)), 5),      # above twice max_degree
-])
-def test_forcing_degree_must_couple_to_the_retained_modes(comps, top,
-                                                          monkeypatch):
+@pytest.mark.parametrize("comps", [((3, 0.05, 1.5),),
+                                   ((4, 0.02, 1.5), (3, 0.05, 2.5))])
+def test_forcing_of_no_retained_degree_is_refused(comps, monkeypatch):
+    # nothing seeds phi, so phi = 0 is the exact fixed point: refused before
+    # any Floquet work, naming the lowest forcing degree
     orb = _fresh_orbit("conformal")
     calls = []
     _record_solve_ivp(monkeypatch, calls)
     prof = cylinder.ForcingProfile(k0=1.0, components=comps)
-    with pytest.raises(ValueError, match=rf"forcing degree {top} outside"):
+    with pytest.raises(ValueError, match=r"forcing degree 3 above the "
+                                         r"retained degrees 0\.\.2"):
         cylinder.contraction_construct(orb, prof, max_degree=2)
     assert calls == [] and orb._floquet == {}
 
@@ -851,10 +853,8 @@ def test_memoized_arrays_are_read_only(conf5_orbit):
     assert cylinder._projector(5, v.modes) is proj
     contexts = [cylinder._context_cache(conf5_orbit, float(m.eigenvalue), v.t)
                 for m in v.modes]
-    stacks = cylinder._window(conf5_orbit, v.t).kernels(contexts)
-    assert cylinder._window(conf5_orbit, v.t).kernels(contexts) is stacks
     arrays = [proj.basis, proj.norms, cylinder._cosine_basis(v.modes, 201),
-              cylinder._cosine_basis(v.modes, 101), *stacks]
+              cylinder._cosine_basis(v.modes, 101)]
     arrays += [a for ctx in contexts for a in (ctx.outer, ctx.inner)]
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
@@ -912,8 +912,7 @@ def test_stacked_inverse_matches_the_per_mode_branches(case, conf5_orbit,
                            else floquet.TYPE_II)
     rhs = np.array([np.exp(-b * t) * (1.0 + 0.3 * np.cos(c * t))
                     for b, c in ((1.7, 2.0), (1.9, 5.0), (2.2, 3.0))])
-    got = cylinder._StackedInverse(
-        contexts, nu, *cylinder._window(orbit, t).kernels(contexts))(rhs)
+    got = cylinder._StackedInverse(contexts, nu)(rhs)
     for ctx, f, phi in zip(contexts, rhs, got):
         ref = _reference_solve(ctx, f, nu)
         assert np.max(np.abs(phi - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -927,17 +926,16 @@ def test_stacked_inverse_checks_its_rate_once(conf5_orbit):
     contexts = [cylinder._context_cache(conf5_orbit,
                                         float(spheres.eigenvalue(k, 5)), t)
                 for k in range(3)]
-    kernels = cylinder._window(conf5_orbit, t).kernels(contexts)
     with pytest.raises(cylinder.DecayRateError,
                        match=r"must be positive \(n = 5, eps = .*, "
                              r"lambda = 0\.0, nu = -1\.0\)"):
-        cylinder._StackedInverse(contexts, -1.0, *kernels)
+        cylinder._StackedInverse(contexts, -1.0)
     sigma = contexts[1].sigma
     nu = sigma + 5e-7
     with pytest.raises(cylinder.ResonanceError,
                        match=rf"exponent {re.escape(repr(sigma))} \(n = 5, "
                              rf"eps = .*, lambda = 4\.0, "
                              rf"nu = {re.escape(repr(nu))}\)"):
-        cylinder._StackedInverse(contexts, nu, *kernels)
+        cylinder._StackedInverse(contexts, nu)
     with pytest.raises(cylinder.ResonanceError, match=r"lambda = 4\.0"):
         contexts[1].solve(np.exp(-t), nu)
