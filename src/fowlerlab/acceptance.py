@@ -20,11 +20,17 @@ from .fowler import (FowlerParams, constant_orbit, constant_solution,
 SEED = 20240801  # the random draws of the index-set oracle and the example
 
 
-def _wrap(name):
+def _wrap(name, shares=False):
+    """A criterion body as a report-returning criterion.  With `shares`, the
+    body takes the dict `run_suite` passes to every criterion of one run
+    (an empty one when called on its own) and reuses what it holds."""
     def deco(fn):
-        def run():
+        def run(share=None):
             start = time.perf_counter()
-            passed, details = fn()
+            if shares:
+                passed, details = fn({} if share is None else share)
+            else:
+                passed, details = fn()
             return {"name": name, "passed": bool(passed),
                     "runtime_s": time.perf_counter() - start,
                     "details": details}
@@ -225,17 +231,22 @@ def check_index_oracle():
         "mu2_records": mu2_records}
 
 
-def _construction_orbit():
-    params = FowlerParams.conformal(5, 1.0)
-    return periodic_orbit(0.5 * constant_solution(params), params)
+def _construction_orbit(share: dict):
+    """The orbit of both construction criteria, shot once per `share`: its
+    Floquet data and window contexts then serve the second criterion too."""
+    if "construction_orbit" not in share:
+        params = FowlerParams.conformal(5, 1.0)
+        share["construction_orbit"] = periodic_orbit(
+            0.5 * constant_solution(params), params)
+    return share["construction_orbit"]
 
 
-@_wrap("contraction_construction")
-def check_contraction():
+@_wrap("contraction_construction", shares=True)
+def check_contraction(share):
     """Constructed v has |v - xi| decaying at the forcing rate; at beta =
     sigma_1 the t e^{-beta t} model wins."""
     beta_values, resonant_beta = (1.5, 2.5), 1.0
-    orb = _construction_orbit()
+    orb = _construction_orbit(share)
     records = []
     ok = True
     for beta in beta_values:
@@ -273,11 +284,11 @@ def check_contraction():
     return ok, {"records": records, "epsilon": orb.epsilon}
 
 
-@_wrap("first_order_expansion_of_constructed")
-def check_first_order_expansion():
+@_wrap("first_order_expansion_of_constructed", shares=True)
+def check_first_order_expansion(share):
     """decay fit of v - xi - xi_1 lies in the predicted window (1, 2)."""
     beta = 1.5
-    orb = _construction_orbit()
+    orb = _construction_orbit(share)
     profile = cylinder.ForcingProfile(k0=1.0, components=((1, 0.05, beta),))
     v, trace = cylinder.contraction_construct(orb, profile)
     diff = v.combination(cylinder.orbit_field(orb, v.t), 1.0, -1.0)
@@ -474,4 +485,6 @@ def run_suite(names=None) -> list:
             raise KeyError(f"unknown suite name(s): {unknown}; "
                            f"choose from {sorted(set(SUITES))}")
         fns = [SUITES[x] for x in names]
-    return [fn() for fn in fns]
+    # one run shares the construction orbit; the next run shoots its own
+    share = {}
+    return [fn(share) for fn in fns]

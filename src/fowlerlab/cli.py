@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import json
 import math
 import os
@@ -44,12 +43,16 @@ def write_json(payload, path):
 
 
 def write_csv(header, columns, path):
-    """One row per index of the equal-length `columns`, floats via repr."""
+    """One row per index of the equal-length `columns`, floats via repr.
+
+    The bytes are those of `csv.writer`'s excel dialect: comma-separated,
+    CRLF-terminated, and no field (a float repr or a header name) needs
+    quoting.  Rows stream through the file's buffer, never held as one
+    string."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in np.column_stack(columns).tolist():
-            writer.writerow([repr(v) for v in row])
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(map(repr, row)) + "\r\n"
+                      for row in np.column_stack(columns).tolist())
 
 
 def _load_config(path):
@@ -121,27 +124,33 @@ def _ensure_outdir(args):
     return args.outdir
 
 
-def _add_io(sub):
-    sub.add_argument("--config", help="INI-style flat config file")
-    sub.add_argument("--outdir", default=".")
-
-
-def _add_common(sub):
-    _add_io(sub)
-    sub.add_argument("--problem", choices=("conformal", "ckn"),
-                     default="conformal")
-    sub.add_argument("--n", type=int, default=5, help="ambient dimension")
-    sub.add_argument("--k0", type=float, default=1.0,
-                     help="curvature value at the singularity (conformal)")
-    sub.add_argument("--a", type=float, default=None, help="CKN parameter a")
-    sub.add_argument("--b", type=float, default=None, help="CKN parameter b")
-    sub.add_argument("--epsilon", type=float, default=None,
-                     help="orbit minimum (absolute)")
-    sub.add_argument("--epsilon-frac", type=float, default=0.5,
-                     help="orbit minimum as a fraction of the constant solution")
-    sub.add_argument("--constant", action="store_true",
-                     help="use the constant solution")
-    sub.add_argument("--orbit-tol", type=float, default=1e-10)
+def _parent_parsers():
+    """The I/O flags of every subcommand, and those plus the orbit flags of
+    every subcommand but `verify`, as parents: each subcommand copies their
+    actions instead of adding its own.  The copies share Action objects, so
+    the parents are made anew for every parser."""
+    io = argparse.ArgumentParser(add_help=False)
+    io.add_argument("--config", help="INI-style flat config file")
+    io.add_argument("--outdir", default=".")
+    common = argparse.ArgumentParser(add_help=False, parents=[io])
+    common.add_argument("--problem", choices=("conformal", "ckn"),
+                        default="conformal")
+    common.add_argument("--n", type=int, default=5, help="ambient dimension")
+    common.add_argument("--k0", type=float, default=1.0,
+                        help="curvature value at the singularity (conformal)")
+    common.add_argument("--a", type=float, default=None,
+                        help="CKN parameter a")
+    common.add_argument("--b", type=float, default=None,
+                        help="CKN parameter b")
+    common.add_argument("--epsilon", type=float, default=None,
+                        help="orbit minimum (absolute)")
+    common.add_argument("--epsilon-frac", type=float, default=0.5,
+                        help="orbit minimum as a fraction of the constant "
+                             "solution")
+    common.add_argument("--constant", action="store_true",
+                        help="use the constant solution")
+    common.add_argument("--orbit-tol", type=float, default=1e-10)
+    return io, common
 
 
 def _cmd_fowler(args):
@@ -310,33 +319,34 @@ def build_parser():
         description="Fowler orbits, Floquet spectra, index sets, expansion "
                     "terms and cylinder constructions")
     subs = parser.add_subparsers(dest="command", required=True)
+    io, common = _parent_parsers()
 
-    p = subs.add_parser("fowler", help="compute one periodic orbit")
-    _add_common(p)
+    p = subs.add_parser("fowler", parents=[common],
+                        help="compute one periodic orbit")
     p.set_defaults(func=_cmd_fowler)
 
-    p = subs.add_parser("floquet", help="mode spectrum at an orbit")
-    _add_common(p)
+    p = subs.add_parser("floquet", parents=[common],
+                        help="mode spectrum at an orbit")
     p.add_argument("--modes", type=int, default=12)
     p.set_defaults(func=_cmd_floquet)
 
-    p = subs.add_parser("index-set", help="exponent sums and resonances")
-    _add_common(p)
+    p = subs.add_parser("index-set", parents=[common],
+                        help="exponent sums and resonances")
     p.add_argument("--cutoff", type=float, default=4.0)
     p.add_argument("--max-degree", type=int, default=3)
     p.add_argument("--resonance-tol", type=float, default=1e-8)
     p.set_defaults(func=_cmd_index_set)
 
-    p = subs.add_parser("expand", help="translate-family expansion terms")
-    _add_common(p)
+    p = subs.add_parser("expand", parents=[common],
+                        help="translate-family expansion terms")
     p.add_argument("--order", type=int, choices=(1, 2), default=2)
     p.add_argument("--amplitude", type=float, default=0.5)
     p.add_argument("--t0", type=float, default=cylinder.DEFAULT_T0)
     p.add_argument("--window", type=float, default=cylinder.DEFAULT_WINDOW)
     p.set_defaults(func=_cmd_expand)
 
-    p = subs.add_parser("construct", help="contraction construction run")
-    _add_common(p)
+    p = subs.add_parser("construct", parents=[common],
+                        help="contraction construction run")
     p.add_argument("--beta", default="1.5",
                    help="forcing decay rate(s), comma separated (conformal)")
     p.add_argument("--nu", type=float, default=2.4,
@@ -354,8 +364,9 @@ def build_parser():
     p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=_cmd_construct)
 
-    p = subs.add_parser("verify", help="run acceptance criteria")
-    _add_io(p)  # the criteria fix their own orbits
+    # the criteria fix their own orbits
+    p = subs.add_parser("verify", parents=[io],
+                        help="run acceptance criteria")
     p.add_argument("--suite", action="append",
                    help="criterion name (repeatable; comma-separated in a "
                         "config file); default all")

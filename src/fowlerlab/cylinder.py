@@ -54,6 +54,7 @@ from scipy.integrate import solve_ivp
 
 from . import floquet, index_set, spheres
 from .fowler import DenseSolution, FowlerOrbit, IntegrationError
+from .periodic import evaluate_pair
 
 DEFAULT_H = 1.0 / 64.0
 DEFAULT_WINDOW = 12.0
@@ -410,8 +411,7 @@ class ModeSolveContext:
     def __init__(self, orbit: FowlerOrbit, lam: float, tgrid):
         self.orbit = orbit
         self.lam = float(lam)
-        self.t = np.asarray(tgrid, dtype=float)
-        _check_uniform(self.t)
+        self.t = _window(orbit, tgrid).t  # the grid checked once per window
         self.h = float(self.t[1] - self.t[0])
         if orbit.period > self.t[-1] - self.t[0]:
             raise ValueError(
@@ -431,7 +431,7 @@ class ModeSolveContext:
         d = self.datum
         t, t0 = self.t, self.t[0]
         self.sigma = d.sigma
-        qp, qm = d.q_plus(t), d.q_minus(t)
+        qp, qm = evaluate_pair(d.q_plus, d.q_minus, t)
         # the kernel pair psi- = q+ e^{-sigma(t-t0)}, psi+ = q- e^{+sigma(t-t0)}
         # and its Wronskian at t0, the one place derivatives are needed
         self.outer = np.array([qm * np.exp(self.sigma * (t - t0)),
@@ -582,13 +582,19 @@ class _Window:
 
 
 def _window(orbit: FowlerOrbit, tgrid) -> _Window:
-    """The orbit's state on a uniform window, set up on first use."""
-    _check_uniform(tgrid)
+    """The orbit's state on a uniform window, set up, and its grid checked,
+    on first use."""
+    tgrid = np.asarray(tgrid, dtype=float)
     # the key holds the endpoints and size only, which fix a uniform grid
     key = float(tgrid[0]), float(tgrid[-1]), len(tgrid)
-    if key not in orbit._windows:
-        orbit._windows[key] = _Window(orbit, tgrid)
-    return orbit._windows[key]
+    win = orbit._windows.get(key)
+    if win is None:
+        _check_uniform(tgrid)
+        win = orbit._windows[key] = _Window(orbit, tgrid)
+    elif tgrid is not win.t and not np.array_equal(tgrid, win.t):
+        # another grid under the same key passes if uniform up to roundoff
+        _check_uniform(tgrid)
+    return win
 
 
 def _context_cache(orbit, lam, tgrid) -> ModeSolveContext:
@@ -700,8 +706,9 @@ class IterationTrace:
         return asdict(self)
 
 
-def _power_remainder(exponent: float, base, delta):
-    """(base + delta)^e - base^e - e base^{e-1} delta without cancellation.
+def _power_remainder(exponent: float, base, base_pow, delta):
+    """(base + delta)^e - base^e - e base^{e-1} delta without cancellation,
+    given base_pow = base^e, which a construction forms once per window.
 
     For |delta/base| below 1e-3 the quadratic Taylor remainder is evaluated
     by its series, keeping the result accurate relative to its own (tiny)
@@ -709,7 +716,7 @@ def _power_remainder(exponent: float, base, delta):
     """
     x = delta / base
     c2 = exponent * (exponent - 1.0) / 2.0
-    out = (base**exponent * c2 * x * x
+    out = (base_pow * c2 * x * x
            * (1.0 + (exponent - 2.0) * x / 3.0
               + (exponent - 2.0) * (exponent - 3.0) * x * x / 12.0))
     # the direct form is evaluated only on the points that use it
@@ -717,7 +724,8 @@ def _power_remainder(exponent: float, base, delta):
     if far.any():
         b = np.broadcast_to(base, x.shape)[far]
         d = np.broadcast_to(delta, x.shape)[far]
-        out[far] = (b + d) ** exponent - b**exponent - exponent * b ** (
+        b_pow = np.broadcast_to(base_pow, x.shape)[far]
+        out[far] = (b + d) ** exponent - b_pow - exponent * b ** (
             exponent - 1.0) * d
     return out
 
@@ -815,8 +823,8 @@ def _construct(orbit: FowlerOrbit, modes, nu: float, build, t0: float,
     escalations = 0
     while True:
         tgrid = make_grid(t0, window, h)
-        base, base_vals, pointwise = build(tgrid, _window(orbit, tgrid).xi,
-                                           proj)
+        win = _window(orbit, tgrid)
+        base, base_vals, pointwise = build(tgrid, win.xi, proj)
 
         def rhs_fn(phi_coeffs):
             phi_vals = phi_coeffs.T @ proj.basis
@@ -825,8 +833,9 @@ def _construct(orbit: FowlerOrbit, modes, nu: float, build, t0: float,
                 raise PositivityError("iterate lost positivity")
             return proj.project(pointwise(phi_vals))
 
+        # on the window's own grid, the context lookups skip the grid check
         phi, norms, factors, converged, iters = _iterate(
-            orbit, tgrid, modes, rhs_fn, nu, tol, max_iter)
+            orbit, win.t, modes, rhs_fn, nu, tol, max_iter)
         if converged:
             break
         if escalations >= 4:
@@ -888,7 +897,7 @@ def contraction_construct(orbit: FowlerOrbit, profile: ForcingProfile,
             # formed without cancellation, so the projected rhs is accurate
             # relative to its own exponentially small size
             return (k_dev * (xi_e + dxi_e * phi_vals)
-                    + k * _power_remainder(e, xi, phi_vals))
+                    + k * _power_remainder(e, xi, xi_e, phi_vals))
 
         base = np.zeros((len(modes), tgrid.size))
         base[0] = xi_t
@@ -935,6 +944,7 @@ def ckn_construct(orbit: FowlerOrbit, nu: float, amplitude: float = 0.05,
         what_vals = zeta_t[:, None] + pert
         if np.min(what_vals) <= 0:
             raise PositivityError("approximate solution w_hat not positive")
+        what_pow = what_vals ** (p - 1.0)
         # N(w_hat) analytically: the zeta part solves the ODE and the
         # perturbation is an explicit exponential times a harmonic, so
         #   N(w_hat) = (lam + q - nu^2) pert - [w_hat^{p-1} - zeta^{p-1}],
@@ -949,7 +959,8 @@ def ckn_construct(orbit: FowlerOrbit, nu: float, amplitude: float = 0.05,
 
         def pointwise(phi_vals):
             # -N(w_hat) + (w_hat+phi)^{p-1} - w_hat^{p-1} - (p-1) zeta^{p-2} phi
-            return (-n_what + _power_remainder(p - 1.0, what_vals, phi_vals)
+            return (-n_what + _power_remainder(p - 1.0, what_vals, what_pow,
+                                               phi_vals)
                     + lin_offset * phi_vals)
 
         what_coeffs = np.zeros((len(modes), tgrid.size))

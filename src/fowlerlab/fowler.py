@@ -131,16 +131,23 @@ def max_value(epsilon: float, params: FowlerParams) -> float:
                   xtol=1e-13, rtol=8.9e-16)
 
 
-def _expm1_log1p_ratio(y, scale):
-    """(exp(scale*log1p(y)) - 1) / y, computed without cancellation."""
-    y = np.asarray(y, dtype=float)
-    x = scale * np.log1p(y)
-    small_y = np.abs(y) < 1e-8
-    log_ratio = np.where(small_y, 1.0 - y / 2.0 + y * y / 3.0,
-                         np.log1p(np.where(small_y, 1.0, y)) / np.where(small_y, 1.0, y))
-    small_x = np.abs(x) < 1e-8
-    exp_ratio = np.where(small_x, 1.0 + x / 2.0 + x * x / 6.0,
-                         np.expm1(np.where(small_x, 1.0, x)) / np.where(small_x, 1.0, x))
+def _expm1_log1p_ratio(y: float, scale: float) -> float:
+    """(exp(scale*log1p(y)) - 1) / y for a scalar y, without cancellation.
+
+    QUADPACK calls the integrand one point at a time, so the series branches
+    are chosen in Python.  log1p and expm1 stay numpy's: `math`'s differ from
+    numpy's SIMD loops in the last bit on some arguments.
+    """
+    log1p_y = np.log1p(y)
+    x = scale * log1p_y
+    if abs(y) < 1e-8:
+        log_ratio = 1.0 - y / 2.0 + y * y / 3.0
+    else:
+        log_ratio = log1p_y / y
+    if abs(x) < 1e-8:
+        exp_ratio = 1.0 + x / 2.0 + x * x / 6.0
+    else:
+        exp_ratio = np.expm1(x) / x
     return scale * log_ratio * exp_ratio
 
 

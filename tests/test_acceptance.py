@@ -141,3 +141,71 @@ def test_remark_example_pointwise():
     report = acceptance.remark_example_check()
     assert 14.0 <= report["refinement_ratio"] <= 18.0
     assert report["grad_k_error"] < 1e-4
+
+
+@pytest.fixture
+def orbit_shots(monkeypatch):
+    """Count the periodic orbits the criteria shoot; the orbit itself is
+    replaced by a cheap stand-in, so only the sharing is under test."""
+    shots = []
+
+    def shoot(epsilon, params, **kwargs):
+        shots.append(object())
+        return shots[-1]
+
+    monkeypatch.setattr(acceptance, "periodic_orbit", shoot)
+    return shots
+
+
+def _orbit_probe(name, monkeypatch, fail=False):
+    """A registered criterion reading the shared construction orbit."""
+    @acceptance._wrap(name, shares=True)
+    def probe(share):
+        orb = acceptance._construction_orbit(share)
+        if fail:
+            raise RuntimeError("probe failed")
+        return True, {"orbit": id(orb)}
+    monkeypatch.setitem(acceptance.SUITES, name, probe)
+    return probe
+
+
+def test_run_suite_shoots_the_construction_orbit_once_per_run(
+        orbit_shots, monkeypatch):
+    first = _orbit_probe("probe_a", monkeypatch)
+    _orbit_probe("probe_b", monkeypatch)
+    reports = acceptance.run_suite(["probe_a", "probe_b"])
+    assert len(orbit_shots) == 1
+    assert {r["details"]["orbit"] for r in reports} == {id(orbit_shots[0])}
+    acceptance.run_suite(["probe_b", "probe_a"])  # the next run: its own
+    assert len(orbit_shots) == 2
+    first()  # a criterion called on its own shoots its own
+    first()
+    assert len(orbit_shots) == 4
+
+
+def test_a_raising_criterion_leaves_no_shared_orbit(orbit_shots, monkeypatch):
+    _orbit_probe("probe_a", monkeypatch)
+    _orbit_probe("probe_fail", monkeypatch, fail=True)
+    with pytest.raises(RuntimeError, match="probe failed"):
+        acceptance.run_suite(["probe_a", "probe_fail"])
+    assert len(orbit_shots) == 1
+    acceptance.run_suite(["probe_a"])
+    assert len(orbit_shots) == 2
+
+
+def test_construction_criteria_report_the_same_in_any_order(monkeypatch):
+    shoot, shots = acceptance.periodic_orbit, []
+    monkeypatch.setattr(acceptance, "periodic_orbit",
+                        lambda *args: shots.append(args) or shoot(*args))
+
+    def stable(reports):
+        return [{k: v for k, v in r.items() if k != "runtime_s"}
+                for r in reports]
+
+    names = ["construct", "first_order_expansion_of_constructed"]
+    alone = stable(acceptance.run_suite([names[0]])
+                   + acceptance.run_suite([names[1]]))
+    assert len(shots) == 2 and all(r["passed"] for r in alone)
+    assert stable(acceptance.run_suite(names)) == alone
+    assert stable(acceptance.run_suite(names[::-1])) == alone[::-1]
+    assert len(shots) == 4

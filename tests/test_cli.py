@@ -1,9 +1,11 @@
+import csv
 import json
 import os
 import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import fowlerlab
@@ -285,3 +287,61 @@ def test_verify_takes_no_orbit_flags(tmp_path, capsys):
     conf.write_text("n = 7\n")
     with pytest.raises(SystemExit, match="unknown config key: n"):
         run_cli(["verify", "--config", str(conf), "--outdir", str(tmp_path)])
+
+
+def test_config_defaults_do_not_reach_the_next_call(tmp_path):
+    # every subcommand copies the common flags' actions from one parent, so
+    # a config default set on them lasts only as long as their parser
+    conf = tmp_path / "run.ini"
+    conf.write_text("n = 6\nconstant = true\n")
+    for argv in (["floquet", "--modes", "2"], ["fowler"]):
+        assert run_cli(argv + ["--config", str(conf), "--outdir",
+                               str(tmp_path)]) == 0
+    assert run_cli(["fowler", "--constant", "--outdir", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "orbit_summary.json").read_text())
+    assert summary["epsilon"] == pytest.approx(1.5 ** 1.5)  # n = 5
+    parser = cli.build_parser()
+    for sub in parser._subparser_map.values():
+        assert sub.get_default("n") in (5, None)
+
+
+COMMON = ["--config", "--outdir", "--problem", "--n", "--k0", "--a", "--b",
+          "--epsilon", "--epsilon-frac", "--constant", "--orbit-tol"]
+
+
+def test_every_subcommand_lists_its_options_in_order(capsys):
+    expected = {
+        "fowler": COMMON,
+        "floquet": COMMON + ["--modes"],
+        "index-set": COMMON + ["--cutoff", "--max-degree", "--resonance-tol"],
+        "expand": COMMON + ["--order", "--amplitude", "--t0", "--window"],
+        "construct": COMMON + ["--beta", "--nu", "--kappa", "--kdegree",
+                               "--max-degree", "--modes", "--t0", "--window",
+                               "--h", "--tol"],
+        "verify": ["--config", "--outdir", "--suite"],
+    }
+    assert list(cli.build_parser()._subparser_map) == list(expected)
+    for name, options in expected.items():
+        with pytest.raises(SystemExit):
+            run_cli([name, "--help"])
+        # option lines start "  -"; metavars are upper case
+        lines = re.findall(r"^  (-.*?)(?:  |$)", capsys.readouterr().out,
+                           re.M)
+        listed = [o for line in lines
+                  for o in re.findall(r"(?<![\w-])--?[a-z][\w-]*", line)]
+        assert listed == ["-h", "--help"] + options, name
+
+
+def test_write_csv_bytes_are_those_of_the_csv_module(tmp_path):
+    rng = np.random.default_rng(3)
+    columns = [np.linspace(0.0, 1.0, 65), rng.normal(size=65) * 1e-300,
+               rng.normal(size=65) * 1e12, np.full(65, -0.0)]
+    header = ["t", "s_-1.0000", "degree_2", "xi_prime"]
+    cli.write_csv(header, columns, tmp_path / "fast.csv")
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in np.column_stack(columns).tolist():
+            writer.writerow([repr(v) for v in row])
+    assert ((tmp_path / "fast.csv").read_bytes()
+            == (tmp_path / "ref.csv").read_bytes())

@@ -472,7 +472,7 @@ def test_power_remainder_matches_the_where_form(grid, base_cols, exponent):
     delta = base * ratio
     x = delta / base
     assert np.any(np.abs(x) < 1e-3) and np.any(np.abs(x) >= 1e-3)
-    got = cylinder._power_remainder(exponent, base, delta)
+    got = cylinder._power_remainder(exponent, base, base**exponent, delta)
     assert got.shape == (grid.size, 64)
     assert np.array_equal(got, _power_remainder_where(exponent, base, delta))
 

@@ -311,3 +311,51 @@ def test_shooting_errors_name_the_orbit(monkeypatch):
     with pytest.raises(fowler.IntegrationError,
                        match=rf"orbit maximum .* root 2 {where}"):
         fowler.periodic_orbit(eps, params)
+
+
+def _expm1_log1p_ratio_vectorized(y, scale):
+    """Reference: the whole-array form the quadrature integrand once used."""
+    y = np.asarray(y, dtype=float)
+    x = scale * np.log1p(y)
+    small_y = np.abs(y) < 1e-8
+    log_ratio = np.where(small_y, 1.0 - y / 2.0 + y * y / 3.0,
+                         np.log1p(np.where(small_y, 1.0, y))
+                         / np.where(small_y, 1.0, y))
+    small_x = np.abs(x) < 1e-8
+    exp_ratio = np.where(small_x, 1.0 + x / 2.0 + x * x / 6.0,
+                         np.expm1(np.where(small_x, 1.0, x))
+                         / np.where(small_x, 1.0, x))
+    return scale * log_ratio * exp_ratio
+
+
+@pytest.mark.parametrize("scale", [0.5, 2.4, 8.0 / 3.0, 4.0])
+def test_scalar_ratio_matches_the_vectorized_form(scale):
+    # both series branches, each alone (scale 0.5 makes |x| < 1e-8 <= |y|),
+    # and the direct forms on either side of them
+    ys = [0.0, 1e-12, -3e-10, 5e-9, -9.9e-9, 1.5e-8, -1.9e-8, 1e-8, 3e-7,
+          1e-3, -0.25, 0.7, 3.0, -0.999]
+    for y in ys:
+        got = fowler._expm1_log1p_ratio(y, scale)
+        assert got == float(_expm1_log1p_ratio_vectorized(y, scale)), y
+    if scale < 1.0:
+        assert any(abs(scale * math.log1p(y)) < 1e-8 <= abs(y) for y in ys)
+
+
+@pytest.mark.parametrize("params", [
+    fowler.FowlerParams.conformal(3, 1.0),
+    fowler.FowlerParams.conformal(5, 1.0),
+    fowler.FowlerParams.ckn(5, 0.5, 0.7)], ids=["conf3", "conf5", "ckn"])
+def test_period_quadrature_is_bitwise_that_of_the_vectorized_ratio(
+        params, monkeypatch):
+    xistar = fowler.constant_solution(params)
+    eps_list = [f * xistar for f in (1e-5, 1e-3, 0.2, 0.5, 0.8, 0.9999)]
+    if params.kind == "ckn":
+        flat = fowler.FowlerParams.ckn(5, 0.0, 0.0)
+        cases = [(e, params) for e in eps_list] + [
+            (10.0 ** -k, flat) for k in range(1, 5)]
+    else:
+        cases = [(e, params) for e in eps_list]
+    got = [fowler.period_quadrature(e, p) for e, p in cases]
+    monkeypatch.setattr(fowler, "_expm1_log1p_ratio",
+                        _expm1_log1p_ratio_vectorized)
+    assert got == [fowler.period_quadrature(e, p) for e, p in cases]
