@@ -86,6 +86,9 @@ class ConstructionError(RuntimeError):
 def make_grid(t0: float = DEFAULT_T0, window: float = DEFAULT_WINDOW,
               h: float = DEFAULT_H) -> np.ndarray:
     """Uniform grid on [t0, t0 + window] with spacing (window rounded to h)."""
+    if not (math.isfinite(t0) and 0.0 < window < math.inf and 0.0 < h < math.inf):
+        raise ValueError(f"grid needs a finite t0 and a finite positive window "
+                         f"and h (t0 = {t0!r}, window = {window!r}, h = {h!r})")
     num = int(round(window / h))
     if num < 8:
         raise ValueError("window too short for the stencil width")
@@ -713,14 +716,26 @@ def _power_remainder(exponent: float, base, base_pow, delta):
     For |delta/base| below 1e-3 the quadratic Taylor remainder is evaluated
     by its series, keeping the result accurate relative to its own (tiny)
     size; the direct form would leave absolute roundoff of the O(1) terms.
+    The series base_pow c2 x x (1 + (e-2) x/3 + (e-2)(e-3) x x/12) is formed
+    in three buffers, with the operations and their order of the expression.
     """
     x = delta / base
-    c2 = exponent * (exponent - 1.0) / 2.0
-    out = (base_pow * c2 * x * x
-           * (1.0 + (exponent - 2.0) * x / 3.0
-              + (exponent - 2.0) * (exponent - 3.0) * x * x / 12.0))
+    tmp = np.abs(x)
+    # NaN counts as far
+    far = ~(tmp < 1e-3)
+    np.multiply(x, (exponent - 2.0) * (exponent - 3.0), out=tmp)
+    tmp *= x
+    tmp /= 12.0
+    out = np.multiply(base_pow, exponent * (exponent - 1.0) / 2.0,
+                      out=np.empty_like(x))
+    out *= x
+    out *= x
+    x *= exponent - 2.0
+    x /= 3.0
+    x += 1.0
+    x += tmp
+    out *= x
     # the direct form is evaluated only on the points that use it
-    far = ~(np.abs(x) < 1e-3)
     if far.any():
         b = np.broadcast_to(base, x.shape)[far]
         d = np.broadcast_to(delta, x.shape)[far]
@@ -759,8 +774,9 @@ def _degree_exponents(orbit: FowlerOrbit, top: int) -> list:
     return [d.sigma for d in data]
 
 
-def _iterate(orbit, tgrid, modes, rhs_fn, nu, tol, max_iter):
-    """Generic fixed-point loop phi <- L^{-1} rhs(phi), every mode at once.
+def _iterate(orbit, tgrid, modes, rhs0, rhs_fn, nu, tol, max_iter):
+    """Generic fixed-point loop phi <- L^{-1} rhs(phi), every mode at once,
+    from phi = 0, where the rhs is rhs0.
 
     Stops on a relative update below tol, or once updates stagnate at the
     weighted-norm roundoff floor (the e^{nu t} weight amplifies right-end
@@ -769,7 +785,7 @@ def _iterate(orbit, tgrid, modes, rhs_fn, nu, tol, max_iter):
     """
     contexts = [_context_cache(orbit, float(m.eigenvalue), tgrid) for m in modes]
     inverse = _StackedInverse(contexts, nu)
-    phi = np.zeros((len(modes), len(tgrid)))
+    phi = None
     wn = np.exp(nu * tgrid)
 
     def norm(arr):
@@ -778,9 +794,14 @@ def _iterate(orbit, tgrid, modes, rhs_fn, nu, tol, max_iter):
     norms, factors, diffs = [], [], []
     converged = False
     for it in range(max_iter):
-        new = inverse(rhs_fn(phi))
-        diff = norm(new - phi)
-        norms.append(norm(new))
+        if phi is None:
+            new = inverse(rhs0)
+            diff = norm(new)  # new - 0 is new exactly
+            norms.append(diff)
+        else:
+            new = inverse(rhs_fn(phi))
+            diff = norm(new - phi)
+            norms.append(norm(new))
         if diffs and diffs[-1] > 0:
             factors.append(diff / diffs[-1])
         diffs.append(diff)
@@ -804,12 +825,15 @@ def _construct(orbit: FowlerOrbit, modes, nu: float, build, t0: float,
     """The fixed-point construction near an orbit shared by both problems.
 
     `build(tgrid, xi_t, proj)` is the problem: on the window it returns the
-    base coefficients, the base values on the (t, Gauss node) grid and the
-    pointwise map phi_vals -> values of the rhs; xi_t are the orbit's
-    read-only samples on the window.  Everything that does not depend on
-    phi is formed there, once per window.  Each sweep
-    synthesizes phi on the nodes, refuses an iterate that is not positive
-    there and projects the map's values: phi <- L^{-1} rhs(phi).  Whenever
+    base coefficients, the base values on the (t, Gauss node) grid, the
+    pointwise map phi_vals -> values of the rhs, which may write into
+    phi_vals, and the forcing, the map's read-only values at phi = 0; xi_t
+    are the orbit's read-only samples on the window.  Everything that does
+    not depend on phi is formed there, once per window.  The first sweep
+    projects the forcing; each later one synthesizes phi on the nodes,
+    refuses an iterate that is not positive there and projects the map's
+    values: phi <- L^{-1} rhs(phi).  (The base itself is positive: the
+    orbit is, and `build` checks any perturbed base.)  Whenever
     the iteration fails to converge within `max_iter` sweeps (a measured
     factor >= 1 or the sweep cap) the window start t0 doubles, at most four
     times.  Returns the base field, the field base + phi and the iteration
@@ -824,18 +848,19 @@ def _construct(orbit: FowlerOrbit, modes, nu: float, build, t0: float,
     while True:
         tgrid = make_grid(t0, window, h)
         win = _window(orbit, tgrid)
-        base, base_vals, pointwise = build(tgrid, win.xi, proj)
+        base, base_vals, pointwise, forcing = build(tgrid, win.xi, proj)
+        vals = np.empty(forcing.shape)
 
         def rhs_fn(phi_coeffs):
             phi_vals = phi_coeffs.T @ proj.basis
-            vals = base_vals + phi_vals
-            if np.min(vals) <= 0:
+            if np.min(np.add(base_vals, phi_vals, out=vals)) <= 0:
                 raise PositivityError("iterate lost positivity")
             return proj.project(pointwise(phi_vals))
 
         # on the window's own grid, the context lookups skip the grid check
         phi, norms, factors, converged, iters = _iterate(
-            orbit, win.t, modes, rhs_fn, nu, tol, max_iter)
+            orbit, win.t, modes, proj.project(forcing), rhs_fn, nu, tol,
+            max_iter)
         if converged:
             break
         if escalations >= 4:
@@ -890,18 +915,26 @@ def contraction_construct(orbit: FowlerOrbit, profile: ForcingProfile,
         k = k0 + k_dev
         xi = xi_t[:, None]
         xi_e, dxi_e = xi**e, e * xi ** (e - 1.0)
+        forcing = k_dev * xi_e
+        forcing.flags.writeable = False
 
         def pointwise(phi_vals):
             # (K - K0)(xi + phi)^e + K0 R = (K - K0)(xi^e + e xi^{e-1} phi)
             # + K R, R = (xi + phi)^e - xi^e - e xi^{e-1} phi: each group is
             # formed without cancellation, so the projected rhs is accurate
-            # relative to its own exponentially small size
-            return (k_dev * (xi_e + dxi_e * phi_vals)
-                    + k * _power_remainder(e, xi, xi_e, phi_vals))
+            # relative to its own exponentially small size; both groups are
+            # formed in place, the sum with its operands swapped
+            out = _power_remainder(e, xi, xi_e, phi_vals)
+            out *= k
+            phi_vals *= dxi_e
+            phi_vals += xi_e
+            phi_vals *= k_dev
+            out += phi_vals
+            return out
 
         base = np.zeros((len(modes), tgrid.size))
         base[0] = xi_t
-        return base, xi, pointwise
+        return base, xi, pointwise, forcing
 
     _, v, trace = _construct(orbit, modes, nu, build, t0, window, h, tol,
                              max_iter)
@@ -949,24 +982,28 @@ def ckn_construct(orbit: FowlerOrbit, nu: float, amplitude: float = 0.05,
         # perturbation is an explicit exponential times a harmonic, so
         #   N(w_hat) = (lam + q - nu^2) pert - [w_hat^{p-1} - zeta^{p-1}],
         # with the power difference taken through expm1 for stability
-        rel = pert / zeta_t[:, None]
+        log_rel = np.log1p(pert / zeta_t[:, None])
         power_jump = (zeta_t ** (p - 1.0))[:, None] * np.expm1(
-            (p - 1.0) * np.log1p(rel))
-        n_what = (lam_pert + params.q - nu * nu) * pert - power_jump
+            (p - 1.0) * log_rel)
+        forcing = -((lam_pert + params.q - nu * nu) * pert - power_jump)
+        forcing.flags.writeable = False
         # (p-1)(w_hat^{p-2} - zeta^{p-2}), the linearization-offset factor
         lin_offset = (p - 1.0) * (zeta_t ** (p - 2.0))[:, None] * np.expm1(
-            (p - 2.0) * np.log1p(rel))
+            (p - 2.0) * log_rel)
 
         def pointwise(phi_vals):
-            # -N(w_hat) + (w_hat+phi)^{p-1} - w_hat^{p-1} - (p-1) zeta^{p-2} phi
-            return (-n_what + _power_remainder(p - 1.0, what_vals, what_pow,
-                                               phi_vals)
-                    + lin_offset * phi_vals)
+            # -N(w_hat) + (w_hat+phi)^{p-1} - w_hat^{p-1} - (p-1) zeta^{p-2} phi,
+            # formed in place, each sum with its operands swapped
+            out = _power_remainder(p - 1.0, what_vals, what_pow, phi_vals)
+            out += forcing
+            phi_vals *= lin_offset
+            out += phi_vals
+            return out
 
         what_coeffs = np.zeros((len(modes), tgrid.size))
         what_coeffs[0] = zeta_t
         what_coeffs[degree] += amplitude * np.exp(-nu * tgrid)
-        return what_coeffs, what_vals, pointwise
+        return what_coeffs, what_vals, pointwise, forcing
 
     w_hat, w, trace = _construct(orbit, modes, nu, build, t0, window, h, tol,
                                  max_iter)

@@ -143,6 +143,31 @@ def test_remark_example_pointwise():
     assert report["grad_k_error"] < 1e-4
 
 
+def _pointwise_laplacian(x, h):
+    """Reference: the stencil Laplacian of the example u, one point and one
+    stencil entry at a time."""
+    acc = 0.0
+    for axis in range(x.size):
+        vals = []
+        for k in (-2, -1, 0, 1, 2):
+            y = x.copy()
+            y[axis] += k * h
+            r = np.linalg.norm(y)
+            s = float(np.sum(y))
+            vals.append((1.0 + s * (1.0 - math.log(r)) / 16.0) / r)
+        acc += float(acceptance.cylinder._D2_INTERIOR @ vals) / (h * h)
+    return acc
+
+
+def test_stacked_laplacian_is_bitwise_that_of_each_point():
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(200, 4))
+    x *= rng.uniform(0.3, 0.7, (200, 1)) / np.linalg.norm(x, axis=1)[:, None]
+    for h in (0.02, 0.01):
+        got = acceptance._fd_laplacian(acceptance._example_u, x, h)
+        assert np.array_equal(got, [_pointwise_laplacian(p, h) for p in x])
+
+
 @pytest.fixture
 def orbit_shots(monkeypatch):
     """Count the periodic orbits the criteria shoot; the orbit itself is

@@ -207,6 +207,18 @@ def test_construct_short_window_error_names_the_orbit(tmp_path, capsys):
                         record["message"])
 
 
+def test_construct_reports_a_zero_grid_step_as_a_record(tmp_path, capsys):
+    # --h 0 used to die with a ZeroDivisionError traceback
+    rc = run_cli(["construct", "--n", "5", "--epsilon-frac", "0.5", "--h", "0",
+                  "--outdir", str(tmp_path)])
+    assert rc == 1
+    record = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert record == {"error": "ValueError",
+                      "message": "grid needs a finite t0 and a finite positive "
+                                 "window and h (t0 = 5.0, window = 12.0, "
+                                 "h = 0.0)"}
+
+
 def test_construct_refuses_a_forcing_degree_above_the_retained_ones(
         tmp_path, capsys):
     # a degree-1 forcing projects to nothing on degree 0 alone: the

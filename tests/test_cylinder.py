@@ -24,6 +24,21 @@ def test_make_grid_spacing():
     assert_allclose(np.diff(g), 0.25)
 
 
+@pytest.mark.parametrize("t0, window, h", [
+    (5.0, 12.0, 0.0), (5.0, 12.0, -0.01), (5.0, 12.0, math.nan),
+    (5.0, 12.0, math.inf), (5.0, math.inf, 1 / 64), (5.0, math.nan, 1 / 64),
+    (5.0, -1.0, 1 / 64), (5.0, 0.0, 1 / 64), (math.nan, 12.0, 1 / 64),
+    (math.inf, 12.0, 1 / 64), (-math.inf, 12.0, 1 / 64)])
+def test_make_grid_refuses_non_finite_or_non_positive_values(t0, window, h):
+    # these used to escape as ZeroDivisionError, OverflowError, "cannot
+    # convert float NaN to integer" or a misleading stencil-width message
+    with pytest.raises(ValueError) as err:
+        cylinder.make_grid(t0, window, h)
+    assert str(err.value) == (
+        f"grid needs a finite t0 and a finite positive window and h "
+        f"(t0 = {t0!r}, window = {window!r}, h = {h!r})")
+
+
 def test_field_evaluation_and_norms(grid):
     params = fowler.FowlerParams.conformal(5, 1.0)
     modes = (spheres.HarmonicMode(0, 5), spheres.HarmonicMode(1, 5))
@@ -475,6 +490,79 @@ def test_power_remainder_matches_the_where_form(grid, base_cols, exponent):
     got = cylinder._power_remainder(exponent, base, base**exponent, delta)
     assert got.shape == (grid.size, 64)
     assert np.array_equal(got, _power_remainder_where(exponent, base, delta))
+
+
+def _captured_build(monkeypatch, construct):
+    """The `build` a construction hands to `_construct`, and its window."""
+    seen = []
+    real = cylinder._construct
+    monkeypatch.setattr(cylinder, "_construct",
+                        lambda orbit, modes, nu, build, t0, window, *rest:
+                        seen.append((orbit, modes, build, t0, window))
+                        or real(orbit, modes, nu, build, t0, window, *rest))
+    construct()
+    orbit, modes, build, t0, window = seen[0]
+    tgrid = cylinder.make_grid(t0, window)
+    proj = cylinder._projector(orbit.params.n, modes)
+    return build(tgrid, cylinder._window(orbit, tgrid).xi, proj)
+
+
+@pytest.mark.parametrize("case", ["one", "degrees_1_4", "flat", "ckn"])
+def test_forcing_is_the_pointwise_map_at_zero(case, conf5_orbit, ckn_orbit,
+                                              monkeypatch):
+    # the first sweep projects the forcing instead of the map at phi = 0
+    if case == "ckn":
+        call = lambda: cylinder.ckn_construct(ckn_orbit, 2.4)
+    else:
+        comps, top = {"one": (((1, 0.05, 1.5),), 2),
+                      "degrees_1_4": (((1, 0.05, 1.5), (4, 0.02, 2.5)), 4),
+                      "flat": ((), 2)}[case]
+        prof = cylinder.ForcingProfile(k0=1.0, components=comps)
+        call = lambda: cylinder.contraction_construct(conf5_orbit, prof,
+                                                      max_degree=top)
+    _, _, pointwise, forcing = _captured_build(monkeypatch, call)
+    at_zero = pointwise(np.zeros(forcing.shape))
+    assert not forcing.flags.writeable
+    assert np.array_equal(at_zero, forcing)
+    assert np.array_equal(np.signbit(at_zero), np.signbit(forcing))
+    assert (case == "flat") == (not np.any(forcing))
+
+
+@pytest.mark.parametrize("kind", ["conformal", "ckn"])
+def test_warm_construction_is_bitwise_that_of_a_fresh_orbit(kind):
+    # warm contexts, the window's shared samples and the forcing formed once
+    # per window change no bit of the result
+    if kind == "conformal":
+        params, eps = fowler.FowlerParams.conformal(5, 1.0), 0.5
+        warm_up, probe = (1, 0.05, 1.5), (2, 0.03, 2.2)
+
+        def construct(orbit, comps):
+            prof = cylinder.ForcingProfile(k0=1.0, components=(comps,))
+            v, trace = cylinder.contraction_construct(orbit, prof)
+            base = cylinder.orbit_field(orbit, v.t)
+            return v.combination(base, 1.0, -1.0), trace
+    else:
+        params, eps = fowler.FowlerParams.ckn(5, 0.5, 0.7), 0.4
+        warm_up, probe = 2.4, 2.7
+
+        def construct(orbit, nu):
+            w, w_hat, trace = cylinder.ckn_construct(orbit, nu)
+            return w.combination(w_hat, 1.0, -1.0), trace
+
+    def shoot():
+        return fowler.periodic_orbit(eps * fowler.constant_solution(params),
+                                     params)
+
+    warm = shoot()
+    construct(warm, warm_up)
+    (d_warm, t_warm), (d_fresh, t_fresh) = (construct(warm, probe),
+                                            construct(shoot(), probe))
+    assert np.array_equal(d_warm.coeffs, d_fresh.coeffs)
+    assert t_warm.to_dict() == t_fresh.to_dict()
+    fits = [cylinder.decay_rate_fit(
+        d, t_window=cylinder.period_aligned_window(d, warm)).to_dict()
+        for d in (d_warm, d_fresh)]
+    assert fits[0] == fits[1]
 
 
 def test_construction_window_keeps_its_orbit_samples(monkeypatch):

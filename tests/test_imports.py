@@ -3,7 +3,8 @@
 A stdlib-`ast` stand-in for a linter's unused-import rule: a name bound by a
 top-level `import` or `from ... import` must appear as a name somewhere in
 the module.  `__init__.py` is skipped (its imports are re-exports) and so are
-`__future__` imports.
+`__future__` imports.  The same walk checks that the library reads no
+environment variables.
 """
 
 import ast
@@ -55,3 +56,30 @@ def test_only_the_command_line_reads_and_writes_files():
             if names & formats:
                 importers.append(path.name)
     assert set(importers) == {"cli.py"}
+
+
+def environment_reads(source: str) -> list:
+    """Line numbers where the module reads os.environ or os.getenv."""
+    names = {"environ", "getenv"}
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in names
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.ImportFrom) and node.module == "os"
+              and any(a.name in names for a in node.names)):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_checker_flags_an_environment_read():
+    source = ("import os\nfrom os import getenv\n"
+              "a = os.environ.get('A')\nb = os.getenv('B')\nc = os.path.sep\n")
+    assert environment_reads(source) == [2, 3, 4]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_library_reads_no_environment_variables(path):
+    # the library has no environment knobs: every setting is an argument
+    assert environment_reads(path.read_text()) == []
