@@ -539,15 +539,13 @@ def test_warm_construction_is_bitwise_that_of_a_fresh_orbit(kind):
         def construct(orbit, comps):
             prof = cylinder.ForcingProfile(k0=1.0, components=(comps,))
             v, trace = cylinder.contraction_construct(orbit, prof)
-            base = cylinder.orbit_field(orbit, v.t)
-            return v.combination(base, 1.0, -1.0), trace
+            return v, cylinder.orbit_field(orbit, v.t), trace
     else:
         params, eps = fowler.FowlerParams.ckn(5, 0.5, 0.7), 0.4
         warm_up, probe = 2.4, 2.7
 
         def construct(orbit, nu):
-            w, w_hat, trace = cylinder.ckn_construct(orbit, nu)
-            return w.combination(w_hat, 1.0, -1.0), trace
+            return cylinder.ckn_construct(orbit, nu)
 
     def shoot():
         return fowler.periodic_orbit(eps * fowler.constant_solution(params),
@@ -555,13 +553,15 @@ def test_warm_construction_is_bitwise_that_of_a_fresh_orbit(kind):
 
     warm = shoot()
     construct(warm, warm_up)
-    (d_warm, t_warm), (d_fresh, t_fresh) = (construct(warm, probe),
-                                            construct(shoot(), probe))
-    assert np.array_equal(d_warm.coeffs, d_fresh.coeffs)
-    assert t_warm.to_dict() == t_fresh.to_dict()
+    (v, base, trace), (v2, base2, trace2) = (construct(warm, probe),
+                                             construct(shoot(), probe))
+    assert np.array_equal(v.coeffs, v2.coeffs)
+    assert np.array_equal(base.coeffs, base2.coeffs)
+    assert trace.to_dict() == trace2.to_dict()
     fits = [cylinder.decay_rate_fit(
-        d, t_window=cylinder.period_aligned_window(d, warm)).to_dict()
-        for d in (d_warm, d_fresh)]
+        f.combination(b, 1.0, -1.0),
+        t_window=cylinder.period_aligned_window(f, warm)).to_dict()
+        for f, b in ((v, base), (v2, base2))]
     assert fits[0] == fits[1]
 
 
