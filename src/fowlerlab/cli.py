@@ -222,6 +222,9 @@ def _cmd_index_set(args):
 
 
 def _cmd_expand(args):
+    if not cylinder.valid_window(args.t0, args.window):
+        raise ValueError(f"expand needs a finite t0 and a finite positive "
+                         f"window (t0 = {args.t0!r}, window = {args.window!r})")
     outdir = _ensure_outdir(args)
     orbit = _orbit_from(args)
     if orbit.params.kind != "conformal":

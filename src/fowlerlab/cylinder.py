@@ -61,6 +61,7 @@ DEFAULT_WINDOW = 12.0
 DEFAULT_T0 = 5.0
 RESONANCE_GAP = 1e-6
 UNDERFLOW_FLOOR = 1e-14
+MAX_SWEEPS = 60  # fixed-point sweeps per window before the start shifts
 
 
 class PositivityError(ValueError):
@@ -83,10 +84,15 @@ class ConstructionError(RuntimeError):
 # grids, fields, forcing profiles
 # ---------------------------------------------------------------------------
 
+def valid_window(t0: float, window: float) -> bool:
+    """Whether [t0, t0 + window] is a finite interval of positive length."""
+    return math.isfinite(t0) and 0.0 < window < math.inf
+
+
 def make_grid(t0: float = DEFAULT_T0, window: float = DEFAULT_WINDOW,
               h: float = DEFAULT_H) -> np.ndarray:
     """Uniform grid on [t0, t0 + window] with spacing (window rounded to h)."""
-    if not (math.isfinite(t0) and 0.0 < window < math.inf and 0.0 < h < math.inf):
+    if not (valid_window(t0, window) and 0.0 < h < math.inf):
         raise ValueError(f"grid needs a finite t0 and a finite positive window "
                          f"and h (t0 = {t0!r}, window = {window!r}, h = {h!r})")
     num = int(round(window / h))
@@ -774,7 +780,7 @@ def _degree_exponents(orbit: FowlerOrbit, top: int) -> list:
     return [d.sigma for d in data]
 
 
-def _iterate(orbit, tgrid, modes, rhs0, rhs_fn, nu, tol, max_iter):
+def _iterate(orbit, tgrid, modes, rhs0, rhs_fn, nu, tol):
     """Generic fixed-point loop phi <- L^{-1} rhs(phi), every mode at once,
     from phi = 0, where the rhs is rhs0.
 
@@ -793,7 +799,7 @@ def _iterate(orbit, tgrid, modes, rhs0, rhs_fn, nu, tol, max_iter):
 
     norms, factors, diffs = [], [], []
     converged = False
-    for it in range(max_iter):
+    for it in range(MAX_SWEEPS):
         if phi is None:
             new = inverse(rhs0)
             diff = norm(new)  # new - 0 is new exactly
@@ -821,7 +827,7 @@ def _iterate(orbit, tgrid, modes, rhs0, rhs_fn, nu, tol, max_iter):
 
 
 def _construct(orbit: FowlerOrbit, modes, nu: float, build, t0: float,
-               window: float, h: float, tol: float, max_iter: int):
+               window: float, h: float, tol: float):
     """The fixed-point construction near an orbit shared by both problems.
 
     `build(tgrid, xi_t, proj)` is the problem: on the window it returns the
@@ -834,7 +840,7 @@ def _construct(orbit: FowlerOrbit, modes, nu: float, build, t0: float,
     refuses an iterate that is not positive there and projects the map's
     values: phi <- L^{-1} rhs(phi).  (The base itself is positive: the
     orbit is, and `build` checks any perturbed base.)  Whenever
-    the iteration fails to converge within `max_iter` sweeps (a measured
+    the iteration fails to converge within MAX_SWEEPS sweeps (a measured
     factor >= 1 or the sweep cap) the window start t0 doubles, at most four
     times.  Returns the base field, the field base + phi and the iteration
     trace.
@@ -859,15 +865,14 @@ def _construct(orbit: FowlerOrbit, modes, nu: float, build, t0: float,
 
         # on the window's own grid, the context lookups skip the grid check
         phi, norms, factors, converged, iters = _iterate(
-            orbit, win.t, modes, proj.project(forcing), rhs_fn, nu, tol,
-            max_iter)
+            orbit, win.t, modes, proj.project(forcing), rhs_fn, nu, tol)
         if converged:
             break
         if escalations >= 4:
             raise ConstructionError(
                 f"{params.kind} construction (n = {params.n}, eps = "
-                f"{orbit.epsilon!r}) did not converge in max_iter = "
-                f"{max_iter} sweeps at t0 = {t0!r} after {escalations} window shifts; "
+                f"{orbit.epsilon!r}) did not converge in {MAX_SWEEPS} sweeps "
+                f"at t0 = {t0!r} after {escalations} window shifts; "
                 f"measured factors {factors[-3:]}")
         t0 *= 2.0
         escalations += 1
@@ -883,13 +888,13 @@ def _construct(orbit: FowlerOrbit, modes, nu: float, build, t0: float,
 def contraction_construct(orbit: FowlerOrbit, profile: ForcingProfile,
                           t0: float = DEFAULT_T0, window: float = DEFAULT_WINDOW,
                           max_degree: int = 2, tol: float = 1e-10,
-                          max_iter: int = 60, h: float = DEFAULT_H):
+                          h: float = DEFAULT_H):
     """Fixed-point construction of a solution v = xi + phi of the conformal
     cylinder equation with curvature profile K.
 
     Iterates phi <- L^{-1}[(K - K0)(xi + phi)^e + K0((xi + phi)^e - xi^e
     - e xi^{e-1} phi)] in the discrete weighted norm; whenever the iteration
-    fails to converge within `max_iter` sweeps the window start t0 doubles
+    fails to converge within MAX_SWEEPS sweeps the window start t0 doubles
     (up to 4 times) before giving up.
     """
     params = orbit.params
@@ -936,8 +941,7 @@ def contraction_construct(orbit: FowlerOrbit, profile: ForcingProfile,
         base[0] = xi_t
         return base, xi, pointwise, forcing
 
-    _, v, trace = _construct(orbit, modes, nu, build, t0, window, h, tol,
-                             max_iter)
+    _, v, trace = _construct(orbit, modes, nu, build, t0, window, h, tol)
     if np.min(v.on_cosines(101)) <= 0:
         raise PositivityError("constructed field is not positive")
     return v, trace
@@ -946,7 +950,7 @@ def contraction_construct(orbit: FowlerOrbit, profile: ForcingProfile,
 def ckn_construct(orbit: FowlerOrbit, nu: float, amplitude: float = 0.05,
                   degree: int = 1, t0: float = DEFAULT_T0,
                   window: float = DEFAULT_WINDOW, max_degree: int = 2,
-                  tol: float = 1e-10, max_iter: int = 60, h: float = DEFAULT_H):
+                  tol: float = 1e-10, h: float = DEFAULT_H):
     """Fixed-point solution w of the CKN cylinder equation near the approximate
     solution w_hat = zeta + amplitude e^{-nu t} Z_degree.
 
@@ -1005,8 +1009,7 @@ def ckn_construct(orbit: FowlerOrbit, nu: float, amplitude: float = 0.05,
         what_coeffs[degree] += amplitude * np.exp(-nu * tgrid)
         return what_coeffs, what_vals, pointwise, forcing
 
-    w_hat, w, trace = _construct(orbit, modes, nu, build, t0, window, h, tol,
-                                 max_iter)
+    w_hat, w, trace = _construct(orbit, modes, nu, build, t0, window, h, tol)
     return w, w_hat, trace
 
 

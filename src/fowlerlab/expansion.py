@@ -18,7 +18,9 @@ LU shared by every power of t.  When mu hits the mode's Floquet exponent, A is
 singular, the ansatz gains one power of t and the top coefficient is fixed by
 solvability against the adjoint kernel; the one LU is then of A bordered by
 the sampled kernel factors (Keller's bordering), which yields A's null vectors
-and every solve in the gauge orthogonal to its kernel.
+and every solve in the gauge orthogonal to its kernel.  The equation of each
+power of t is stated once: every branch solves the same cascade, from the
+top power down, and the residual is taken from those same equations.
 """
 
 from __future__ import annotations
@@ -289,30 +291,26 @@ def solve_resonant_mode(a_coeff, mu: float, op: floquet.ModeOperator,
         return lambda b, trans=0: lu_solve(lu_piv, b, trans=trans,
                                            check_finite=False)
 
-    def cascade_rhs(k, r_next, r_next2):
+    # r_0..r_J (J = m off resonance, m + 1 at it) and two zero rows above
+    max_power = t_power + 1 if resonant else t_power
+    rs = np.zeros((max_power + 3, num))
+
+    def cascade(k):
+        """Right side of the t^k equation A r_k = cascade(k), given r_{k+1}
+        and r_{k+2}."""
         rhs = a_nodes if k == t_power else np.zeros(num)
-        if r_next is not None:
-            rhs = rhs - (k + 1) * (-2.0 * d1(r_next) + 2.0 * mu * r_next)
-        if r_next2 is not None:
-            rhs = rhs + (k + 1) * (k + 2) * r_next2
-        return rhs
+        return (rhs - (k + 1) * (-2.0 * d1(rs[k + 1]) + 2.0 * mu * rs[k + 1])
+                + (k + 1) * (k + 2) * rs[k + 2])
 
     if not resonant:
-        rs = [None] * (t_power + 1)
         if oscillatory and np.linalg.cond(a_mat) > 1e12:
             solve = _pinv_solver(*np.linalg.svd(a_mat))
         else:
             solve = factor(a_mat)  # one LU for every level of the cascade
-        for k in range(t_power, -1, -1):
-            r_next = rs[k + 1] if k + 1 <= t_power else None
-            r_next2 = rs[k + 2] if k + 2 <= t_power else None
-            rs[k] = solve(cascade_rhs(k, r_next, r_next2))
-        max_power = t_power
     else:
-        # powers run to J = m + 1; the top coefficient is a pure kernel-factor
-        # multiple, each lower gamma is fixed by solvability one level down,
-        # and the j = 0 coefficient gets the zero-kernel-projection gauge.
-        max_power = t_power + 1
+        # the top coefficient is a pure kernel-factor multiple, each gamma
+        # is fixed by solvability one level down, and the j = 0 coefficient
+        # gets the zero-kernel-projection gauge.
         # Keller's bordering: A is singular with null vector ~ q+ and left
         # null vector ~ q-, so B = [[A, q-], [q+^T, 0]] is not, and one LU of
         # B gives both null vectors from its last column and row.  They are
@@ -338,30 +336,24 @@ def solve_resonant_mode(a_coeff, mu: float, op: floquet.ModeOperator,
             raise ResonantSolveError(
                 f"degenerate solvability pairing {denom:.3e} in resonant "
                 f"solve {where}")
-        rs = [None] * (max_power + 1)
-        rs[max_power] = np.zeros(num)  # kernel part filled in below
-        for k in range(max_power - 1, -1, -1):
-            r_next2 = rs[k + 2] if k + 2 <= max_power else None
-            base = cascade_rhs(k, rs[k + 1], r_next2)
-            gamma = float(w_null @ base) / ((k + 1) * denom)
-            rs[k + 1] = rs[k + 1] + gamma * qk
-            rhs = base - gamma * (k + 1) * gvec
-            sol = border_solve(np.append(rhs, 0.0))[:num]
-            rs[k] = sol - (qk @ sol) * qk  # deterministic gauge
 
-    # residual of the assembled ansatz, per power of t
+        def solve(rhs):
+            sol = border_solve(np.append(rhs, 0.0))[:num]
+            return sol - (qk @ sol) * qk  # deterministic gauge
+
+    for k in range(t_power, -1, -1):
+        rhs = cascade(k)
+        if resonant:  # solvability fixes the kernel part of r_{k+1}
+            gamma = float(w_null @ rhs) / ((k + 1) * denom)
+            rs[k + 1] += gamma * qk
+            rhs = rhs - gamma * (k + 1) * gvec
+        rs[k] = solve(rhs)
+
+    # residual of the assembled ansatz in the same equations (np.max keeps
+    # a NaN, which the check refuses)
     scale = max(1.0, float(np.max(np.abs(a_nodes))))
-    res = 0.0
-    full = rs + [np.zeros(num), np.zeros(num)]
-    for k in range(max_power + 1):
-        target = a_nodes if k == t_power else np.zeros(num)
-        lhs = a_mat @ full[k]
-        if k + 1 <= max_power:
-            lhs = lhs + (k + 1) * (-2.0 * d1(full[k + 1]) + 2.0 * mu * full[k + 1])
-        if k + 2 <= max_power:
-            lhs = lhs - (k + 1) * (k + 2) * full[k + 2]
-        res = max(res, float(np.max(np.abs(lhs - target))))
-    res /= scale
+    res = float(np.max([np.max(np.abs(a_mat @ rs[k] - cascade(k)))
+                        for k in range(max_power + 1)])) / scale
     if not res <= RESIDUAL_LIMIT:  # NaN fails too
         raise ResonantSolveError(f"resonant-mode solve residual {res:.3e} "
                                  f"exceeds {RESIDUAL_LIMIT:g} {where}")

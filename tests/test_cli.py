@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -96,6 +97,24 @@ def test_expand_subcommand(tmp_path):
     payload = json.loads((tmp_path / "expansion.json").read_text())
     assert len(payload["terms"]) == 3
     assert (tmp_path / "expansion_eval.csv").exists()
+
+
+@pytest.mark.parametrize("flag, t0, window", [
+    ("--window=nan", 5.0, math.nan), ("--window=0", 5.0, 0.0),
+    ("--t0=nan", math.nan, 12.0), ("--t0=inf", math.inf, 12.0)])
+def test_expand_refuses_a_non_finite_window(flag, t0, window, tmp_path,
+                                            capsys):
+    # these used to exit 0 with an expansion_eval.csv of nan rows
+    outdir = tmp_path / "out"
+    rc = run_cli(["expand", "--n", "5", "--epsilon-frac", "0.8", flag,
+                  "--outdir", str(outdir)])
+    assert rc == 1
+    record = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert record == {"error": "ValueError",
+                      "message": f"expand needs a finite t0 and a finite "
+                                 f"positive window (t0 = {t0!r}, "
+                                 f"window = {window!r})"}
+    assert not outdir.exists()
 
 
 def test_config_file_merging(tmp_path, capsys):

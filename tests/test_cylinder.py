@@ -631,7 +631,7 @@ def test_contraction_flat_profile_returns_orbit(conf5_orbit):
     assert np.max(np.abs(v.coeffs - ref.coeffs)) < 1e-12
 
 
-def test_contraction_slope_and_stability(conf5_orbit):
+def test_contraction_slope_and_stability(conf5_orbit, monkeypatch):
     orb = conf5_orbit
     prof = cylinder.ForcingProfile(k0=1.0, components=((1, 0.05, 1.5),))
     v, trace = cylinder.contraction_construct(orb, prof, tol=1e-9)
@@ -644,7 +644,8 @@ def test_contraction_slope_and_stability(conf5_orbit):
     fit = cylinder.decay_rate_fit(diff, t_window=(lo, hi))
     assert abs(fit.slope_plain / 1.5 - 1.0) < 0.05
     # insensitive to extra iterations beyond convergence
-    v2, _ = cylinder.contraction_construct(orb, prof, tol=1e-9, max_iter=25)
+    monkeypatch.setattr(cylinder, "MAX_SWEEPS", 25)
+    v2, _ = cylinder.contraction_construct(orb, prof, tol=1e-9)
     assert np.max(np.abs(v2.coeffs - v.coeffs)) < 1e-8
 
 
@@ -853,13 +854,13 @@ def test_construction_escalates_four_times_then_raises(kind, conf5_orbit,
     real = cylinder.make_grid
     monkeypatch.setattr(cylinder, "make_grid",
                         lambda t0, *a: starts.append(t0) or real(t0, *a))
+    monkeypatch.setattr(cylinder, "MAX_SWEEPS", 1)
     if kind == "conformal":
         prof = cylinder.ForcingProfile(k0=1.0, components=((1, 0.05, 1.5),))
-        call = lambda: cylinder.contraction_construct(conf5_orbit, prof,
-                                                      max_iter=1)
+        call = lambda: cylinder.contraction_construct(conf5_orbit, prof)
         eps = conf5_orbit.epsilon
     else:
-        call = lambda: cylinder.ckn_construct(ckn_orbit, 2.4, max_iter=1)
+        call = lambda: cylinder.ckn_construct(ckn_orbit, 2.4)
         eps = ckn_orbit.epsilon
     with pytest.raises(cylinder.ConstructionError) as err:
         call()

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.linalg import lu_factor
+from scipy.linalg import lu_factor, lu_solve
 
 from fowlerlab import expansion, floquet, fowler, spheres
 from fowlerlab.periodic import PeriodicFunction
@@ -397,3 +397,162 @@ def test_resonant_solve_errors_are_typed_and_named(conf6_orbit, monkeypatch):
     monkeypatch.setattr(expansion, "lu_factor", zero_pivot_lu)
     with pytest.raises(expansion.ResonantSolveError, match="singular"):
         expansion.solve_resonant_mode(ones, 1.0, op)
+
+
+def test_resonant_solve_pseudo_inverse_branch(const5_orbit, monkeypatch):
+    # mode 0 of the constant orbit is oscillatory, and at mu -> 0 its
+    # collocation matrix is too ill-conditioned for the LU: the SVD
+    # pseudo-inverse solves the cascade
+    calls = []
+    real = expansion._pinv_solver
+    monkeypatch.setattr(expansion, "_pinv_solver",
+                        lambda *usv: calls.append(1) or real(*usv))
+    sol = expansion.solve_resonant_mode(lambda t: np.ones_like(t), 1e-8,
+                                        floquet.ModeOperator(const5_orbit, 0.0))
+    assert calls == [1]
+    assert sol.oscillatory and not sol.resonant
+    assert sol.residual <= expansion.RESIDUAL_LIMIT
+
+
+def test_resonant_solve_refuses_nan_forcing(conf6_orbit):
+    # a NaN in the forcing spreads to every coefficient; the residual keeps
+    # it and the solve raises instead of returning NaN coefficients
+    op = floquet.ModeOperator(conf6_orbit, 5.0)
+    forcing = np.ones(expansion.COLLOCATION_SIZE)
+    forcing[3] = np.nan
+    for mu in (1.0, 1.4):  # resonant and not
+        with pytest.raises(expansion.ResonantSolveError,
+                           match=r"residual nan .*n = 6, .*lambda = 5"):
+            expansion.solve_resonant_mode(forcing, mu, op)
+
+
+# Reference for the single-cascade solve: the body it replaced, which
+# wrote the t-power cascade out once per branch.  Error checks are left out;
+# the comparison runs on cases that pass them.
+
+def _cascade_reference(a_nodes, mu, op, t_power):
+    orbit = op.orbit
+    T = orbit.period
+    num = expansion.COLLOCATION_SIZE
+    nodes = np.arange(num) * (T / num)
+    datum = floquet.spectrum(orbit, [op.lam], with_factors=True)[op.lam]
+    resonant = (datum.type == floquet.TYPE_III
+                and abs(mu - datum.sigma) <= expansion.RESONANCE_TOL)
+    oscillatory = datum.type != floquet.TYPE_III
+    d1_mult = expansion._diff_multiplier(num, T, 1)
+    a_mat = expansion._circulant(-expansion._diff_multiplier(num, T, 2)
+                                 + 2.0 * mu * d1_mult)
+    a_mat[np.diag_indices(num)] += op.potential(nodes) - mu * mu
+
+    def d1(x):
+        return np.real(np.fft.ifft(d1_mult * np.fft.fft(x)))
+
+    def factor(mat):
+        lu_piv = lu_factor(mat, check_finite=False)
+        return lambda b, trans=0: lu_solve(lu_piv, b, trans=trans,
+                                           check_finite=False)
+
+    def cascade_rhs(k, r_next, r_next2):
+        rhs = a_nodes if k == t_power else np.zeros(num)
+        if r_next is not None:
+            rhs = rhs - (k + 1) * (-2.0 * d1(r_next) + 2.0 * mu * r_next)
+        if r_next2 is not None:
+            rhs = rhs + (k + 1) * (k + 2) * r_next2
+        return rhs
+
+    if not resonant:
+        rs = [None] * (t_power + 1)
+        if oscillatory and np.linalg.cond(a_mat) > 1e12:
+            solve = expansion._pinv_solver(*np.linalg.svd(a_mat))
+        else:
+            solve = factor(a_mat)
+        for k in range(t_power, -1, -1):
+            r_next = rs[k + 1] if k + 1 <= t_power else None
+            r_next2 = rs[k + 2] if k + 2 <= t_power else None
+            rs[k] = solve(cascade_rhs(k, r_next, r_next2))
+        max_power = t_power
+    else:
+        max_power = t_power + 1
+        q_plus = datum.q_plus(nodes)
+        q_minus = np.roll(q_plus[::-1], 1)
+        bordered = np.zeros((num + 1, num + 1))
+        bordered[:num, :num] = a_mat
+        bordered[:num, num] = q_minus / np.linalg.norm(q_minus)
+        bordered[num, :num] = q_plus / np.linalg.norm(q_plus)
+        border_solve = factor(bordered)
+        unit = np.zeros(num + 1)
+        unit[num] = 1.0
+        qk = border_solve(unit)[:num]
+        qk /= np.linalg.norm(qk)
+        w_null = border_solve(unit, trans=1)[:num]
+        w_null /= np.linalg.norm(w_null)
+        gvec = -2.0 * d1(qk) + 2.0 * mu * qk
+        denom = float(w_null @ gvec)
+        rs = [None] * (max_power + 1)
+        rs[max_power] = np.zeros(num)
+        for k in range(max_power - 1, -1, -1):
+            r_next2 = rs[k + 2] if k + 2 <= max_power else None
+            base = cascade_rhs(k, rs[k + 1], r_next2)
+            gamma = float(w_null @ base) / ((k + 1) * denom)
+            rs[k + 1] = rs[k + 1] + gamma * qk
+            rhs = base - gamma * (k + 1) * gvec
+            sol = border_solve(np.append(rhs, 0.0))[:num]
+            rs[k] = sol - (qk @ sol) * qk
+
+    scale = max(1.0, float(np.max(np.abs(a_nodes))))
+    res = 0.0
+    full = rs + [np.zeros(num), np.zeros(num)]
+    for k in range(max_power + 1):
+        target = a_nodes if k == t_power else np.zeros(num)
+        lhs = a_mat @ full[k]
+        if k + 1 <= max_power:
+            lhs = lhs + (k + 1) * (-2.0 * d1(full[k + 1])
+                                   + 2.0 * mu * full[k + 1])
+        if k + 2 <= max_power:
+            lhs = lhs - (k + 1) * (k + 2) * full[k + 2]
+        res = max(res, float(np.max(np.abs(lhs - target))))
+    res /= scale
+    return expansion.ResonantSolution(
+        mu=mu, coefficients=[PeriodicFunction(r, T) for r in rs],
+        max_power=max_power, resonant=resonant, residual=res,
+        oscillatory=oscillatory)
+
+
+# (degree, t-power, mu) per case: mu None is the degree's exponent, "off"
+# 0.4 above it.  Mode 0 is solved by LU, except on the constant orbit, where
+# mu = 1e-8 leaves the collocation matrix near-singular and the
+# pseudo-inverse takes over.
+CASCADE_CASES = [(1, 0, None), (1, 1, None), (1, 0, "off"), (1, 1, "off"),
+                 (1, 2, "off"), (0, 0, 0.8)]
+
+
+@pytest.mark.parametrize("degree, t_power, mu", CASCADE_CASES)
+@pytest.mark.parametrize("orbit_name", ["conf3_orbit", "conf5_orbit",
+                                        "conf6_orbit", "const5_orbit"])
+def test_resonant_solve_matches_cascade_reference(orbit_name, degree, t_power,
+                                                  mu, request):
+    orbit = request.getfixturevalue(orbit_name)
+    lam = float(spheres.eigenvalue(degree, orbit.params.n))
+    op = floquet.ModeOperator(orbit, lam)
+    T = orbit.period
+    nodes = np.arange(expansion.COLLOCATION_SIZE) * (
+        T / expansion.COLLOCATION_SIZE)
+    first = 0.3 * np.cos(2 * np.pi * nodes / T)
+    if degree == 0 and orbit_name == "const5_orbit":
+        # the first harmonic spans that near-kernel: no periodic solution
+        mu, first = 1e-8, 0.0
+    elif mu is None or mu == "off":
+        sigma = floquet.mode_datum(orbit, 0, lam, degree).sigma
+        mu = sigma if mu is None else sigma + 0.4
+    a_nodes = 1 + first + 0.1 * np.sin(4 * np.pi * nodes / T)
+    sol = expansion.solve_resonant_mode(a_nodes, mu, op, t_power=t_power)
+    ref = _cascade_reference(a_nodes, mu, op, t_power)
+    assert (sol.max_power, sol.resonant, sol.oscillatory) == (
+        ref.max_power, ref.resonant, ref.oscillatory)
+    assert len(sol.coefficients) == len(ref.coefficients)
+    for r, r_ref in zip(sol.coefficients, ref.coefficients):
+        assert r._coeffs.tobytes() == r_ref._coeffs.tobytes()
+    # the residuals sum the same terms in another order: they agree to
+    # 1e-15 of the coefficients' size (up to 74 at t-power 2)
+    size = max(float(np.max(np.abs(r(nodes)))) for r in ref.coefficients)
+    assert abs(sol.residual - ref.residual) <= 1e-15 * max(1.0, size)
