@@ -20,6 +20,16 @@ from .fowler import (FowlerParams, constant_orbit, constant_solution,
 SEED = 20240801  # the random draws of the index-set oracle and the example
 
 
+def _conformal_orbits(dims, frac):
+    """The constant and the periodic conformal orbit (K(0) = 1, minimum
+    frac xi*) of each dimension n in dims, as (n, orbit, tag)."""
+    for n in dims:
+        params = FowlerParams.conformal(n, 1.0)
+        yield n, constant_orbit(params), "constant"
+        yield (n, periodic_orbit(frac * constant_solution(params), params),
+               "nonconstant")
+
+
 def _wrap(name, shares=False):
     """A criterion body as a report-returning criterion.  With `shares`, the
     body takes the dict `run_suite` passes to every criterion of one run
@@ -84,24 +94,20 @@ def check_lower_bound():
     count = 12
     all_ok = True
     records = []
-    for n in range(3, 9):
-        params = FowlerParams.conformal(n, 1.0)
-        for orb, tag in ((constant_orbit(params), "constant"),
-                         (periodic_orbit(0.5 * constant_solution(params), params),
-                          "nonconstant")):
-            data = floquet.exponent_sequence(orb, count)
-            report = floquet.lower_bound_check(data, orb)
-            entry = {"n": n, "orbit": tag, "ok": report.ok,
-                     "min_margin": float(np.min(report.margins))}
-            if n >= 6:
-                sig = [d.sigma for d in data]
-                deg = [d.degree for d in data]
-                iset = index_set.generate(sig, 2.5, degrees=deg)
-                entry["mu2"] = float(iset.values[1])
-                entry["mu2_ok"] = abs(entry["mu2"] - 2.0) < 1e-9
-                all_ok &= entry["mu2_ok"]
-            all_ok &= report.ok
-            records.append(entry)
+    for n, orb, tag in _conformal_orbits(range(3, 9), 0.5):
+        data = floquet.exponent_sequence(orb, count)
+        report = floquet.lower_bound_check(data, orb)
+        entry = {"n": n, "orbit": tag, "ok": report.ok,
+                 "min_margin": float(np.min(report.margins))}
+        if n >= 6:
+            sig = [d.sigma for d in data]
+            deg = [d.degree for d in data]
+            iset = index_set.generate(sig, 2.5, degrees=deg)
+            entry["mu2"] = float(iset.values[1])
+            entry["mu2_ok"] = abs(entry["mu2"] - 2.0) < 1e-9
+            all_ok &= entry["mu2_ok"]
+        all_ok &= report.ok
+        records.append(entry)
     return all_ok, {"records": records, "modes": count}
 
 
@@ -147,14 +153,10 @@ def check_xi2_identity():
     tol = 1e-6
     worst = 0.0
     records = []
-    for n in (6, 7, 8):
-        params = FowlerParams.conformal(n, 1.0)
-        for orb, tag in ((constant_orbit(params), "constant"),
-                         (periodic_orbit(0.6 * constant_solution(params), params),
-                          "nonconstant")):
-            defect = expansion.xi2_identity_defect(orb)
-            worst = max(worst, defect)
-            records.append({"n": n, "orbit": tag, "defect": defect})
+    for n, orb, tag in _conformal_orbits((6, 7, 8), 0.6):
+        defect = expansion.xi2_identity_defect(orb)
+        worst = max(worst, defect)
+        records.append({"n": n, "orbit": tag, "defect": defect})
     return worst < tol, {"max_defect": worst, "tolerance": tol,
                          "records": records}
 
@@ -212,20 +214,15 @@ def check_index_oracle():
             mismatches += 1
     mu2_records = []
     mu2_ok = True
-    for n in range(3, 9):
-        params = FowlerParams.conformal(n, 1.0)
-        for orb, tag in ((constant_orbit(params), "constant"),
-                         (periodic_orbit(0.45 * constant_solution(params),
-                                         params), "nonconstant")):
-            data = floquet.exponent_sequence(orb, n + 1)
-            sig = [d.sigma for d in data]
-            iset = index_set.generate(sig, 3.0,
-                                      degrees=[d.degree for d in data])
-            expected = min(2.0, sig[-1])
-            err = abs(float(iset.values[1]) - expected)
-            mu2_ok &= err < 1e-9
-            mu2_records.append({"n": n, "orbit": tag, "mu2": float(iset.values[1]),
-                                "expected": expected, "error": err})
+    for n, orb, tag in _conformal_orbits(range(3, 9), 0.45):
+        data = floquet.exponent_sequence(orb, n + 1)
+        sig = [d.sigma for d in data]
+        iset = index_set.generate(sig, 3.0, degrees=[d.degree for d in data])
+        expected = min(2.0, sig[-1])
+        err = abs(float(iset.values[1]) - expected)
+        mu2_ok &= err < 1e-9
+        mu2_records.append({"n": n, "orbit": tag, "mu2": float(iset.values[1]),
+                            "expected": expected, "error": err})
     return mismatches == 0 and mu2_ok, {
         "oracle_mismatches": mismatches, "trials": 10, "tol": tol,
         "mu2_records": mu2_records}
@@ -241,20 +238,29 @@ def _construction_orbit(share: dict):
     return share["construction_orbit"]
 
 
+def _constructed(share: dict, beta: float):
+    """The construction forced at rate beta near the construction orbit, made
+    once per `share`: the orbit, its trace, and v - xi with its decay fit."""
+    key = ("constructed", beta)
+    if key not in share:
+        orb = _construction_orbit(share)
+        profile = cylinder.ForcingProfile(k0=1.0, components=((1, 0.05, beta),))
+        v, trace = cylinder.contraction_construct(orb, profile)
+        diff, fit = cylinder.perturbation_fit(
+            v, cylinder.orbit_field(orb, v.t), orb)
+        share[key] = orb, trace, diff, fit
+    return share[key]
+
+
 @_wrap("contraction_construction", shares=True)
 def check_contraction(share):
     """Constructed v has |v - xi| decaying at the forcing rate; at beta =
     sigma_1 the t e^{-beta t} model wins."""
     beta_values, resonant_beta = (1.5, 2.5), 1.0
-    orb = _construction_orbit(share)
     records = []
     ok = True
     for beta in beta_values:
-        profile = cylinder.ForcingProfile(k0=1.0, components=((1, 0.05, beta),))
-        v, trace = cylinder.contraction_construct(orb, profile)
-        diff = v.combination(cylinder.orbit_field(orb, v.t), 1.0, -1.0)
-        fit = cylinder.decay_rate_fit(
-            diff, t_window=cylinder.period_aligned_window(v, orb))
+        orb, trace, _, fit = _constructed(share, beta)
         rel = abs(fit.slope_plain / beta - 1.0)
         ok &= rel < 0.05 and trace.converged
         records.append({"beta": beta, "slope": fit.slope_plain,
@@ -262,12 +268,7 @@ def check_contraction(share):
                         "iterations": trace.iterations,
                         "factors": trace.factors[-3:],
                         "log_corrected": fit.log_corrected})
-    profile = cylinder.ForcingProfile(
-        k0=1.0, components=((1, 0.05, resonant_beta),))
-    v, trace = cylinder.contraction_construct(orb, profile)
-    diff = v.combination(cylinder.orbit_field(orb, v.t), 1.0, -1.0)
-    fit = cylinder.decay_rate_fit(
-        diff, t_window=cylinder.period_aligned_window(v, orb))
+    orb, trace, _, fit = _constructed(share, resonant_beta)
     rel = abs(fit.slope_log / resonant_beta - 1.0)
     # t e^{-beta t} signature: the log-corrected slope matches the rate while
     # the plain slope drifts below it
@@ -288,17 +289,14 @@ def check_contraction(share):
 def check_first_order_expansion(share):
     """decay fit of v - xi - xi_1 lies in the predicted window (1, 2)."""
     beta = 1.5
-    orb = _construction_orbit(share)
-    profile = cylinder.ForcingProfile(k0=1.0, components=((1, 0.05, beta),))
-    v, trace = cylinder.contraction_construct(orb, profile)
-    diff = v.combination(cylinder.orbit_field(orb, v.t), 1.0, -1.0)
+    orb, _, diff, _ = _constructed(share, beta)
     c1 = cylinder.fit_kernel_amplitude(diff, orb)
     term = expansion.first_order_term(orb, amplitude=c1)
     svals = np.linspace(-1.0, 1.0, 201)
     resid = np.abs(diff.evaluate(svals) - term.evaluate(diff.t, svals))
     sup = np.max(resid, axis=1)
     fit = cylinder.decay_rate_fit(
-        (diff.t, sup), t_window=cylinder.period_aligned_window(v, orb))
+        (diff.t, sup), t_window=cylinder.period_aligned_window(diff, orb))
     gamma = fit.slope_plain
     ok = 1.0 < gamma < 2.0
     return ok, {"gamma": gamma, "window": (1.0, 2.0), "kernel_amplitude": c1,
@@ -307,39 +305,27 @@ def check_first_order_expansion(share):
 
 def _example_u(x):
     """|x|^{-1} (1 + (x1+..+x4)(1 - ln|x|)/16) in dimension 4, at each point
-    of a stack x (coordinates on the last axis).
-
-    Each value is bitwise that of the point on its own: the norms are
-    sqrt(vecdot), as in np.linalg.norm, and the logarithms math.log's.
-    """
-    r = np.sqrt(np.vecdot(x, x))
-    s = np.sum(x, axis=-1)
-    log_r = np.reshape([math.log(v) for v in r.ravel().tolist()], r.shape)
-    return (1.0 + s * (1.0 - log_r) / 16.0) / r
+    of a stack x (coordinates on the last axis)."""
+    r = np.linalg.norm(x, axis=-1)
+    return (1.0 + np.sum(x, axis=-1) * (1.0 - np.log(r)) / 16.0) / r
 
 
 def _example_k(x):
-    r = np.linalg.norm(x)
-    if r == 0.0:
-        return 1.0
-    s = float(np.sum(x))
-    g = 1.0 + s * (1.0 - math.log(r)) / 16.0
-    return (1.0 + 3.0 * s * (1.0 - math.log(r)) / 16.0 + s / 8.0) / g**3
+    """The K of the pair, -Delta u = K u^3, at each point of a stack x."""
+    r = np.linalg.norm(x, axis=-1)
+    s = np.sum(x, axis=-1)
+    a = s * (1.0 - np.log(r)) / 16.0
+    return (1.0 + 3.0 * a + s / 8.0) / (1.0 + a) ** 3
 
 
 def _fd_laplacian(func, x, h):
     """The 4th-order stencil Laplacian of func at each row of x (points, dim),
-    from one call of func on all (points, dim, 5) stencil points; the axes
-    are added in order."""
+    from one call of func on all (points, dim, 5) stencil points."""
     dim = x.shape[-1]
     y = np.broadcast_to(x[:, None, None, :], (len(x), dim, 5, dim)).copy()
     axes = np.arange(dim)
     y[:, axes, :, axes] += np.arange(-2, 3) * h
-    second = np.vecdot(func(y), cylinder._D2_INTERIOR) / (h * h)
-    acc = 0.0
-    for column in second.T:
-        acc = acc + column
-    return acc
+    return np.sum(func(y) @ cylinder._D2_INTERIOR, axis=-1) / (h * h)
 
 
 def gradient_at_origin_estimate():
@@ -349,53 +335,38 @@ def gradient_at_origin_estimate():
     against the matching slowly-varying basis extrapolates them away.
     """
     radii = np.geomspace(1e-2, 1e-5, 8)
-    out = np.empty(4)
-    for axis in range(4):
-        g = []
-        for r in radii:
-            x = np.zeros(4)
-            x[axis] = r
-            g.append((_example_k(x) - 1.0) / r)
-        l_ = np.log(radii)
-        design = np.column_stack([
-            np.ones_like(radii),
-            radii * (1.0 - l_),
-            radii * (1.0 - l_) ** 2,
-            radii**2 * (1.0 - l_) ** 3,
-            radii**2 * (1.0 - l_) ** 4,
-        ])
-        coef, *_ = np.linalg.lstsq(design, np.array(g), rcond=None)
-        out[axis] = coef[0]
-    return out
+    # (radius, axis) difference quotients, one column per axis
+    g = (_example_k(radii[:, None, None] * np.eye(4)) - 1.0) / radii[:, None]
+    l_ = np.log(radii)
+    design = np.column_stack([
+        np.ones_like(radii),
+        radii * (1.0 - l_),
+        radii * (1.0 - l_) ** 2,
+        radii**2 * (1.0 - l_) ** 3,
+        radii**2 * (1.0 - l_) ** 4,
+    ])
+    coef, *_ = np.linalg.lstsq(design, g, rcond=None)
+    return coef[0]
 
 
 def remark_example_check() -> dict:
     """Pointwise self-check of the explicit dimension-4 singular pair (u, K).
 
     Evaluates |-Delta u - K u^3| with the 4th-order stencil at 24 sample
-    points away from the origin at steps h = 0.02 and h/2; the residual ratio
-    must sit near 2^4 = 16.  Also extrapolates grad K(0).
+    points with |x| in [0.3, 0.7] at steps h = 0.02 and h/2; the residual
+    ratio must sit near 2^4 = 16.  Also extrapolates grad K(0).
     """
     num_points, h = 24, 0.02
     rng = np.random.default_rng(SEED)
-    points = []
-    while len(points) < num_points:
-        x = rng.normal(size=4)
+    points = np.empty((num_points, 4))
+    for x in points:  # per point: a direction, then its radius
+        x[:] = rng.normal(size=4)
         x *= rng.uniform(0.3, 0.7) / np.linalg.norm(x)
-        if np.linalg.norm(x) > 10.0 * h:
-            points.append(x)
-
-    stack = np.array(points)
-    # u^3 per point in numpy's scalar power, which the array power's SIMD
-    # loop does not match bitwise
-    u = _example_u(stack)
+    source = _example_k(points) * _example_u(points) ** 3
 
     def residual(step):
-        worst = 0.0
-        laps = _fd_laplacian(_example_u, stack, step)
-        for x, lap, u_x in zip(points, laps, u):
-            worst = max(worst, abs(-lap - _example_k(x) * u_x ** 3))
-        return worst
+        return float(np.max(np.abs(_fd_laplacian(_example_u, points, step)
+                                   + source)))
 
     res_h = residual(h)
     res_h2 = residual(h / 2.0)
@@ -407,7 +378,7 @@ def remark_example_check() -> dict:
         "refinement_ratio": res_h / res_h2 if res_h2 > 0 else math.inf,
         "grad_k_origin": grad.tolist(),
         "grad_k_error": float(np.max(np.abs(grad - 0.125))),
-        "num_points": len(points),
+        "num_points": num_points,
     }
 
 
@@ -447,9 +418,7 @@ def check_ckn():
     iset = index_set.generate(sig, nu + 1.0, degrees=[d.degree for d in data])
     gap = float(np.min(np.abs(iset.values - nu)))
     w, w_hat, trace = cylinder.ckn_construct(orb, nu)
-    diff = w.combination(w_hat, 1.0, -1.0)
-    fit = cylinder.decay_rate_fit(
-        diff, t_window=cylinder.period_aligned_window(w, orb))
+    _, fit = cylinder.perturbation_fit(w, w_hat, orb)
     rel = abs(fit.slope_plain / nu - 1.0)
     ok = (worst_const < tol_const and ordering_ok and qplus_min > 0.0
           and rel < 0.05 and trace.converged)

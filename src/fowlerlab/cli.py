@@ -265,22 +265,22 @@ def _cmd_construct(args):
             orbit, profile, t0=args.t0, window=args.window,
             max_degree=args.max_degree, tol=args.tol, h=args.h)
         ref = cylinder.orbit_field(orbit, v.t, max_degree=args.max_degree)
-        diff = v.combination(ref, 1.0, -1.0)
         flat = profile.is_flat
         base_rate = None if flat else profile.min_rate
     else:
-        amplitude = float(str(args.kappa).split(",")[0])
-        v, w_hat, trace = cylinder.ckn_construct(
-            orbit, args.nu, amplitude=amplitude,
+        if "," in f"{args.kdegree}{args.kappa}":
+            raise SystemExit("the CKN perturbation takes one --kdegree and "
+                             "one --kappa value")
+        amplitude = float(args.kappa)
+        v, ref, trace = cylinder.ckn_construct(
+            orbit, args.nu, amplitude=amplitude, degree=int(args.kdegree),
             t0=args.t0, window=args.window, max_degree=args.max_degree,
             tol=args.tol, h=args.h)
-        diff = v.combination(w_hat, 1.0, -1.0)
         flat = amplitude == 0.0
         base_rate = None if flat else args.nu
     # a flat profile's (or a zero CKN perturbation's) solution is the orbit
     # itself: there is no decay to fit and no rate to compare with
-    fit = None if flat else cylinder.decay_rate_fit(
-        diff, t_window=cylinder.period_aligned_window(v, orbit))
+    fit = None if flat else cylinder.perturbation_fit(v, ref, orbit)[1]
     write_csv(["t"] + [f"degree_{m.degree}" for m in v.modes],
               [v.t, *v.coeffs], os.path.join(outdir, "field.csv"))
     report = {"trace": trace.to_dict(), "fit": fit.to_dict() if fit else None,
@@ -337,7 +337,7 @@ def build_parser():
                         help="exponent sums and resonances")
     p.add_argument("--cutoff", type=float, default=4.0)
     p.add_argument("--max-degree", type=int, default=3)
-    p.add_argument("--resonance-tol", type=float, default=1e-8)
+    p.add_argument("--resonance-tol", type=float, default=index_set.DEFAULT_TOL)
     p.set_defaults(func=_cmd_index_set)
 
     p = subs.add_parser("expand", parents=[common],

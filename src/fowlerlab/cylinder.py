@@ -462,7 +462,8 @@ class ModeSolveContext:
               float(orbit.value(t0)), float(orbit.derivative(t0))]
         sol = solve_ivp(floquet.variational_rhs, (t0, t0 + period), y0,
                         args=(self.lam, orbit.params), method="DOP853",
-                        rtol=1e-12, atol=1e-14, dense_output=True)
+                        rtol=floquet._MONODROMY_RTOL,
+                        atol=floquet._MONODROMY_ATOL, dense_output=True)
         if not sol.success:
             raise IntegrationError(
                 f"fundamental pair integration failed (n = {orbit.params.n}, "
@@ -522,22 +523,13 @@ class ModeSolveContext:
         rb = math.exp((sigma - nu) * period)
         return np.diag([ra / (1.0 - ra), rb / (1.0 - rb)]), -1.0, False
 
-    def solve(self, rhs, nu: float, return_info: bool = False):
+    def solve(self, rhs, nu: float):
         """phi with L phi = rhs, decaying at rate nu, on the window grid: the
         one-mode case of `_StackedInverse`."""
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape != self.t.shape:
             raise ValueError("rhs must live on the context grid")
-        inverse = _StackedInverse([self], nu)
-        phi = inverse(rhs[None])[0]
-        if not return_info:
-            return phi
-        wn = np.exp(nu * self.t)
-        rhs_norm = float(np.max(wn * np.abs(rhs)))
-        phi_norm = float(np.max(wn * np.abs(phi)))
-        info = {"bound_constant": phi_norm / rhs_norm if rhs_norm > 0 else 0.0,
-                "type": self.datum.type, "sigma": self.datum.sigma}
-        return phi, info
+        return _StackedInverse([self], nu)(rhs[None])[0]
 
 
 class _StackedInverse:
@@ -695,6 +687,12 @@ def period_aligned_window(field, orbit):
     avail = field.t[-1] - 1.5 - lo
     k = max(1, int(math.floor(avail / orbit.period)))
     return lo, lo + k * orbit.period
+
+
+def perturbation_fit(field, reference, orbit):
+    """field - reference and its decay fit over whole orbit periods."""
+    diff = field.combination(reference, 1.0, -1.0)
+    return diff, decay_rate_fit(diff, t_window=period_aligned_window(diff, orbit))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ classifies the kernel:
 
 A complex off-circle pair would require a fifth type, but a real 2x2 matrix
 with unit determinant has complex eigenvalues only on the unit circle, so
-that type is recorded as unreachable.
+that type never occurs.
 
 On a nonconstant orbit M is a product of sixth-order Magnus steps (Iserles
 & Norsett 1999; Blanes, Casas, Oteo & Ros 2009), and mode 0 is Type II by
@@ -35,11 +35,10 @@ from .fowler import DenseSolution, FowlerOrbit, IntegrationError
 from .periodic import PeriodicFunction
 
 TYPE_I, TYPE_II, TYPE_III, TYPE_IV = "I", "II", "III", "IV"
-TYPE_V_UNREACHABLE = "V (unreachable for real unit-determinant monodromy)"
 
 TRACE_TOL = 1e-7  # |tr M| - 2 boundary tolerance
 CLOSED_FORM_TOL = 1e-9  # constant-orbit sigma^2 against lambda - n + 2
-_MONODROMY_RTOL = 1e-12  # the kernel-branch solve
+_MONODROMY_RTOL = 1e-12  # the kernel-branch and fundamental-pair solves
 _MONODROMY_ATOL = 1e-14
 MAGNUS_TOL = 6.3e-12  # accepted two-level difference of the monodromy
 MAGNUS_START, MAGNUS_CAP = 256, 2 ** 15  # step counts: first and last level

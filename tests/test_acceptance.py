@@ -159,13 +159,14 @@ def _pointwise_laplacian(x, h):
     return acc
 
 
-def test_stacked_laplacian_is_bitwise_that_of_each_point():
+def test_stacked_laplacian_is_that_of_each_point():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(200, 4))
     x *= rng.uniform(0.3, 0.7, (200, 1)) / np.linalg.norm(x, axis=1)[:, None]
     for h in (0.02, 0.01):
         got = acceptance._fd_laplacian(acceptance._example_u, x, h)
-        assert np.array_equal(got, [_pointwise_laplacian(p, h) for p in x])
+        assert_allclose(got, [_pointwise_laplacian(p, h) for p in x],
+                        rtol=1e-10)
 
 
 @pytest.fixture
@@ -216,6 +217,19 @@ def test_a_raising_criterion_leaves_no_shared_orbit(orbit_shots, monkeypatch):
     assert len(orbit_shots) == 1
     acceptance.run_suite(["probe_a"])
     assert len(orbit_shots) == 2
+
+
+def test_one_run_constructs_each_forcing_rate_once(monkeypatch):
+    construct, rates = acceptance.cylinder.contraction_construct, []
+
+    def counted(orbit, profile, **kwargs):
+        rates.append(profile.components[0][2])
+        return construct(orbit, profile, **kwargs)
+
+    monkeypatch.setattr(acceptance.cylinder, "contraction_construct", counted)
+    reports = acceptance.run_suite(["construct", "first-order"])
+    assert all(r["passed"] for r in reports)
+    assert sorted(rates) == [1.0, 1.5, 2.5]
 
 
 def test_construction_criteria_report_the_same_in_any_order(monkeypatch):

@@ -263,6 +263,30 @@ def test_construct_modes_alias_and_multi_component(tmp_path):
     assert report["trace"]["converged"] is True
 
 
+CKN_CONSTRUCT = ["construct", "--problem", "ckn", "--n", "5", "--a", "0.5",
+                 "--b", "0.7", "--epsilon-frac", "0.4", "--nu", "2.4"]
+
+
+def test_ckn_construct_perturbs_the_given_degree(tmp_path):
+    # a degree-2 perturbation and the orbit generate even degrees only
+    rc = run_cli(CKN_CONSTRUCT + ["--kdegree", "2", "--outdir", str(tmp_path)])
+    assert rc == 0
+    with open(tmp_path / "field.csv", newline="") as fh:
+        columns = dict(zip(*[next(csv.reader(fh)),
+                             np.loadtxt(fh, delimiter=",").T]))
+    # the perturbation 0.05 e^{-2.4 t} starts at 3.1e-7 at t0 = 5
+    assert np.max(np.abs(columns["degree_2"])) > 0.5 * 0.05 * math.exp(-12.0)
+    assert np.max(np.abs(columns["degree_1"])) < 1e-15
+
+
+@pytest.mark.parametrize("flag,value", [("--kdegree", "1,2"),
+                                        ("--kappa", "0.05,0.3")])
+def test_ckn_construct_takes_one_perturbation(tmp_path, flag, value):
+    with pytest.raises(SystemExit, match="one --kdegree and one --kappa"):
+        run_cli(CKN_CONSTRUCT + [flag, value, "--outdir", str(tmp_path)])
+    assert not (tmp_path / "construct.json").exists()
+
+
 @pytest.mark.parametrize("args", [
     ["--n", "5", "--epsilon-frac", "0.5", "--kappa", "0"],
     ["--problem", "ckn", "--n", "5", "--a", "0.5", "--b", "0.7",

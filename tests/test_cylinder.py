@@ -267,11 +267,10 @@ def test_construction_refuses_an_iterate_that_loses_positivity(conf5_orbit):
         cylinder.contraction_construct(conf5_orbit, prof)
 
 
-def _inverse(op, rhs, nu, tgrid, return_info=False):
+def _inverse(op, rhs, nu, tgrid):
     """The bounded inverse of a mode operator on a window, through the
     window's cached context."""
-    return cylinder._context_cache(op.orbit, op.lam, tgrid).solve(
-        rhs, nu, return_info=return_info)
+    return cylinder._context_cache(op.orbit, op.lam, tgrid).solve(rhs, nu)
 
 
 def test_inverse_constant_coefficient_closed_form(grid, const5_orbit):
@@ -349,8 +348,10 @@ def test_inverse_bound_constant_window_uniform(conf5_orbit):
     for window in (8.0, 14.0):
         g = cylinder.make_grid(5.0, window, 1 / 64)
         rhs = np.exp(-beta * g) * (1 + 0.3 * np.cos(2 * np.pi * g / orb.period))
-        _, info = _inverse(op, rhs, beta, g, return_info=True)
-        consts.append(info["bound_constant"])
+        phi = _inverse(op, rhs, beta, g)
+        # the ratio of the e^{beta t}-weighted sup norms
+        wn = np.exp(beta * g)
+        consts.append(np.max(wn * np.abs(phi)) / np.max(wn * np.abs(rhs)))
     assert consts[1] < 2.0 * consts[0]
 
 
