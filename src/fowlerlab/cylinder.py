@@ -53,7 +53,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import floquet, index_set, spheres
-from .fowler import DenseSolution, FowlerOrbit, IntegrationError
+from .fowler import BareDOP853, DenseSolution, FowlerOrbit, IntegrationError
 from .periodic import evaluate_pair
 
 DEFAULT_H = 1.0 / 64.0
@@ -414,7 +414,9 @@ class ModeSolveContext:
     `outer` holds the rows (A, B) and `inner` the rows (a, b) of the
     inverse's common form (see `_StackedInverse`): (psi+, psi-) and
     (psi-, psi+) / W for a hyperbolic mode, (u2, -u1) and (u1, u2) for the
-    fundamental pair.
+    fundamental pair.  `pair_rhs_evals` and `pair_steps` count the
+    fundamental-pair solve's right-hand-side evaluations and accepted steps;
+    they are 0 for a hyperbolic mode, whose datum counts its kernel solve.
     """
 
     def __init__(self, orbit: FowlerOrbit, lam: float, tgrid):
@@ -430,6 +432,7 @@ class ModeSolveContext:
         self.last_period_rule = _partial_interval_rule(
             self.t.size, (self.t[-1] - orbit.period - self.t[0]) / self.h)
         self.datum = floquet.spectrum(orbit, [self.lam], with_factors=True)[self.lam]
+        self.pair_rhs_evals = self.pair_steps = 0
         if self.datum.type == floquet.TYPE_III:
             self._setup_hyperbolic()
         else:
@@ -461,13 +464,14 @@ class ModeSolveContext:
         y0 = [1.0, 0.0, 0.0, 1.0,
               float(orbit.value(t0)), float(orbit.derivative(t0))]
         sol = solve_ivp(floquet.variational_rhs, (t0, t0 + period), y0,
-                        args=(self.lam, orbit.params), method="DOP853",
+                        args=(self.lam, orbit.params), method=BareDOP853,
                         rtol=floquet._MONODROMY_RTOL,
                         atol=floquet._MONODROMY_ATOL, dense_output=True)
         if not sol.success:
             raise IntegrationError(
                 f"fundamental pair integration failed (n = {orbit.params.n}, "
                 f"eps = {orbit.epsilon!r}, lambda = {self.lam!r})")
+        self.pair_rhs_evals, self.pair_steps = int(sol.nfev), len(sol.t) - 1
         # quasi-periodicity: (u1, u2)(s + P) = (u1, u2)(s) M, M the pair's
         # state at t0 + P, so period k of the window is the first times M^k
         self.shift = sol.y[:4, -1].reshape(2, 2)

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import spheres
-from .fowler import DenseSolution, FowlerOrbit, IntegrationError
+from .fowler import BareDOP853, DenseSolution, FowlerOrbit, IntegrationError
 from .periodic import PeriodicFunction
 
 TYPE_I, TYPE_II, TYPE_III, TYPE_IV = "I", "II", "III", "IV"
@@ -83,6 +83,10 @@ class FloquetDatum:
     magnus_steps: int = 0            # N of the kept level (0: closed form)
     magnus_error: float = 0.0        # its two-level difference estimate
     trace_defect: float | None = None  # |tr M - 2| of the mode-0 monodromy
+    # right-hand-side evaluations and accepted steps of the kernel-branch
+    # solve that made q_plus and q_minus, shared by its whole batch
+    kernel_rhs_evals: int = 0
+    kernel_steps: int = 0
 
     def to_dict(self) -> dict:
         d = {
@@ -303,12 +307,13 @@ def _eigvec(m, mu):
 
 
 def kernel_basis(orbit: FowlerOrbit, data):
-    """Periodic factors (q_plus, q_minus, periodicity defect) of Type III
-    kernels.
+    """Periodic factors of Type III kernels: (q_plus, q_minus, periodicity
+    defect, rhs evaluations, steps) per datum.
 
     `data` is a nonempty sequence of FloquetData of modes on `orbit`,
-    answered with a list of triples in the same order; the growing branches
-    share one solve.
+    answered in the same order.  The growing branches share one solve, and
+    every answer carries its right-hand-side evaluations and accepted steps
+    (0 on a constant orbit).
     q_plus multiplies the decaying branch e^{-sigma t} and q_minus the growing
     branch e^{+sigma t}.  Only the growing branch is integrated, forward from
     the orbit minimum where it grows, so it is not contaminated by the other.
@@ -342,7 +347,7 @@ def kernel_basis(orbit: FowlerOrbit, data):
 
     if orbit.is_constant:
         qp = PeriodicFunction.from_closed_grid(np.ones_like(t_eval), T)
-        return [(qp, qp, 0.0)] * len(data)
+        return [(qp, qp, 0.0, 0, 0)] * len(data)
 
     # growing branches, integrated forward; the orbit starts at its minimum
     k = len(data)
@@ -351,7 +356,7 @@ def kernel_basis(orbit: FowlerOrbit, data):
     sol = solve_ivp(variational_rhs, (0.0, T),
                     [*w[:, 0], *w[:, 1], orbit.epsilon, 0.0],
                     args=(np.array(lams), orbit.params),
-                    method="DOP853", rtol=_MONODROMY_RTOL,
+                    method=BareDOP853, rtol=_MONODROMY_RTOL,
                     atol=_MONODROMY_ATOL, dense_output=True)
     if not sol.success:
         raise IntegrationError(
@@ -369,7 +374,8 @@ def kernel_basis(orbit: FowlerOrbit, data):
                      abs(qm_prime[-1] - qm_prime[0])) / scale
         q_plus = PeriodicFunction.from_closed_grid(q_minus_vals[::-1], T)
         q_minus = PeriodicFunction.from_closed_grid(q_minus_vals, T)
-        out.append((q_plus, q_minus, float(defect)))
+        out.append((q_plus, q_minus, float(defect), int(sol.nfev),
+                    len(sol.t) - 1))
     return out
 
 
@@ -437,8 +443,10 @@ def spectrum(orbit: FowlerOrbit, lams, with_factors: bool = False) -> dict:
     bare = [d for d in out.values() if with_factors and d.type == TYPE_III
             and d.q_plus is None]
     if bare:
-        for d, (qp, qm, defect) in zip(bare, kernel_basis(orbit, bare)):
+        for d, (qp, qm, defect, evals, steps) in zip(bare,
+                                                     kernel_basis(orbit, bare)):
             d.q_plus, d.q_minus, d.periodicity_defect = qp, qm, defect
+            d.kernel_rhs_evals, d.kernel_steps = evals, steps
     return out
 
 

@@ -17,7 +17,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import DOP853, quad, solve_ivp
+from scipy.integrate._ivp.dop853_coefficients import INTERPOLATOR_POWER
+from scipy.integrate._ivp.rk import (MAX_FACTOR, MIN_FACTOR, SAFETY,
+                                     Dop853DenseOutput)
 from scipy.optimize import brentq
 
 DEGENERACY_GAP = 1e-6  # reject eps closer to xi* than this (relative)
@@ -224,6 +227,114 @@ class DenseSolution:
         return y
 
 
+class BareDOP853(DOP853):
+    """scipy's DOP853 (Hairer, Norsett & Wanner) without its per-evaluation
+    wrappers, for `solve_ivp(..., method=BareDOP853)`.
+
+    The right-hand side is the callable `solve_ivp` hands over, called as it
+    is on a real state, not vectorized (it must return one value per state),
+    and `nfev` is counted here: 12 per attempted step, 3 per dense output.
+    The stage views K[:s].T and the coefficient rows A[s, :s] are formed
+    once per solver.  Every float operation is scipy's, in scipy's order:
+    `t`, `y`, `nfev`, events and dense output are bitwise those of
+    `method="DOP853"`.
+    """
+
+    def __init__(self, fun, t0, y0, t_bound, **options):
+        super().__init__(fun, t0, y0, t_bound, **options)
+        if self.vectorized or np.iscomplexobj(self.y):
+            raise ValueError("BareDOP853 takes a real state and a "
+                             "non-vectorized right-hand side")
+        self._rhs = fun
+        k = self.K_extended
+        self._stages = [(s, k[:s].T, a[:s], c) for s, (a, c) in enumerate(
+            zip(self.A[1:], self.C[1:]), start=1)]
+        self._extra = [(s, k[:s].T, a[:s], c) for s, (a, c) in enumerate(
+            zip(self.A_EXTRA, self.C_EXTRA), start=self.n_stages + 1)]
+        self._k_t = self.K.T
+        self._k_b = self.K[:-1].T
+
+    def _error_norm(self, h, scale):
+        # np.linalg.norm(x) is sqrt(x.dot(x)) for a real vector
+        err5 = np.dot(self._k_t, self.E5) / scale
+        err3 = np.dot(self._k_t, self.E3) / scale
+        err5_norm_2 = np.sqrt(err5.dot(err5)) ** 2
+        err3_norm_2 = np.sqrt(err3.dot(err3)) ** 2
+        if err5_norm_2 == 0 and err3_norm_2 == 0:
+            return 0.0
+        denom = err5_norm_2 + 0.01 * err3_norm_2
+        return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+
+    def _step_impl(self):
+        t, y, fun, k = self.t, self.y, self._rhs, self.K
+        max_step, rtol, atol = self.max_step, self.rtol, self.atol
+        min_step = 10 * abs(math.nextafter(t, self.direction * math.inf) - t)
+        if self.h_abs > max_step:
+            h_abs = max_step
+        elif self.h_abs < min_step:
+            h_abs = min_step
+        else:
+            h_abs = self.h_abs
+
+        step_accepted = step_rejected = False
+        while not step_accepted:
+            if h_abs < min_step:
+                return False, self.TOO_SMALL_STEP
+            h = h_abs * self.direction
+            t_new = t + h
+            if self.direction * (t_new - self.t_bound) > 0:
+                t_new = self.t_bound
+            h = t_new - t
+            h_abs = np.abs(h)
+
+            k[0] = self.f
+            for s, k_s, a, c in self._stages:
+                k[s] = fun(t + c * h, y + np.dot(k_s, a) * h)
+            y_new = y + h * np.dot(self._k_b, self.B)
+            k[-1] = fun(t + h, y_new)
+            self.nfev += self.n_stages
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = self._error_norm(h, scale)
+
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = MAX_FACTOR
+                else:
+                    factor = min(MAX_FACTOR,
+                                 SAFETY * error_norm ** self.error_exponent)
+                if step_rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                step_accepted = True
+            else:
+                h_abs *= max(MIN_FACTOR,
+                             SAFETY * error_norm ** self.error_exponent)
+                step_rejected = True
+
+        self.h_previous = h
+        self.y_old = y
+        self.t = t_new
+        self.y = y_new
+        self.h_abs = h_abs
+        self.f = k[-1].copy()
+        return True, None
+
+    def _dense_output_impl(self):
+        k, h = self.K_extended, self.h_previous
+        t_old, y_old = self.t_old, self.y_old
+        for s, k_s, a, c in self._extra:
+            k[s] = self._rhs(t_old + c * h, y_old + np.dot(k_s, a) * h)
+        self.nfev += len(self._extra)
+        f_old = k[0]
+        delta_y = self.y - y_old
+        coeffs = np.empty((INTERPOLATOR_POWER, self.n), dtype=y_old.dtype)
+        coeffs[0] = delta_y
+        coeffs[1] = h * f_old - delta_y
+        coeffs[2] = 2 * delta_y - h * (self.f + f_old)
+        coeffs[3:] = h * np.dot(self.D, k)
+        return Dop853DenseOutput(t_old, self.t, y_old, coeffs)
+
+
 @dataclass(frozen=True)
 class FowlerOrbit:
     """One period of a positive Fowler solution, from the minimum at t = 0.
@@ -241,6 +352,9 @@ class FowlerOrbit:
     energy: float
     is_constant: bool
     energy_drift: float
+    # the shooting solve's right-hand-side evaluations and accepted steps
+    rhs_evals: int = field(default=0, compare=False)
+    steps: int = field(default=0, compare=False)
     _dense: DenseSolution | None = field(default=None, repr=False, compare=False)
     # per eigenvalue, kept by floquet.spectrum; per window, kept by cylinder
     _floquet: dict = field(default_factory=dict, repr=False, compare=False)
@@ -303,11 +417,12 @@ def periodic_orbit(epsilon: float, params: FowlerParams,
     ORBIT_SAMPLES uniform samples over [0, T] are taken on the first half and
     mirrored, and the dense interpolant of that solve is folded the same way.
     The samples, the peak and every later orbit value are read off the
-    interpolant through one `DenseSolution`.  A failed solve or check raises
-    `IntegrationError` naming the problem kind, n and eps.
+    interpolant through one `DenseSolution`, and the orbit keeps the solve's
+    right-hand-side evaluations and accepted steps.  A failed solve or check
+    raises `IntegrationError` naming the problem kind, n and eps.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:  # a NaN or infinite tol never ends the solve
+        raise ValueError(f"tol must be positive and finite, got tol = {tol!r}")
     xistar = _check_epsilon(epsilon, params)
     if xistar - epsilon < DEGENERACY_GAP * xistar:
         raise ValueError(
@@ -330,7 +445,7 @@ def periodic_orbit(epsilon: float, params: FowlerParams,
     # of small oscillations about xi*, the limit of T as eps -> xi*
     step_cap = t_lin / 16.0
     sol = solve_ivp(_rhs, (0.0, t_cap), [epsilon, 0.0], args=(params,),
-                    method="DOP853", rtol=rtol, atol=atol, events=at_max,
+                    method=BareDOP853, rtol=rtol, atol=atol, events=at_max,
                     dense_output=True, max_step=step_cap)
     orbit_name = f"{params.kind} n = {params.n}, eps = {epsilon!r}"
     if not sol.success or len(sol.t_events[0]) == 0:
@@ -360,7 +475,9 @@ def periodic_orbit(epsilon: float, params: FowlerParams,
 
     return FowlerOrbit(params=params, epsilon=float(epsilon), period=period,
                        t=t, xi=xi, xi_prime=xip, energy=h0,
-                       is_constant=False, energy_drift=drift, _dense=dense)
+                       is_constant=False, energy_drift=drift,
+                       rhs_evals=int(sol.nfev), steps=len(sol.t) - 1,
+                       _dense=dense)
 
 
 def orbit_to_dict(orbit: FowlerOrbit) -> dict:

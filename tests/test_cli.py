@@ -52,6 +52,17 @@ def test_fowler_ckn_and_bad_epsilon(tmp_path, capsys):
     assert "no periodic orbit" in record["message"]
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_orbit_tolerance_is_an_error_record(tol, tmp_path, capsys):
+    # it used to hang the shooting solve
+    rc = run_cli(["fowler", "--n", "5", "--epsilon-frac", "0.5",
+                  f"--orbit-tol={tol}", "--outdir", str(tmp_path)])
+    assert rc == 1
+    record = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert record == {"error": "ValueError", "message":
+                      f"tol must be positive and finite, got tol = {tol}"}
+
+
 def test_epsilon_outside_the_orbit_range_names_the_bound(tmp_path, capsys):
     records = []
     for frac in ("-0.5", "0", "1.5"):

@@ -374,7 +374,8 @@ def test_batched_solves_match_single_eigenvalue_solves(orbit_name, request):
                                                          det=det).sigma)
              for lam, m, det in zip(lams, ms, dets)]
     factors = floquet.kernel_basis(orb, batch)
-    for lam, d, det, (qp, qm, defect) in zip(lams, batch, dets, factors):
+    assert len({f[3:] for f in factors}) == 1  # one shared solve
+    for lam, d, det, (qp, qm, defect, *_) in zip(lams, batch, dets, factors):
         (m1,), (det1,), _, _ = floquet.monodromy(orb, [lam])
         cls = floquet.classify(m1, orb.period, det=det1)
         assert cls.type == floquet.TYPE_III
@@ -383,7 +384,7 @@ def test_batched_solves_match_single_eigenvalue_solves(orbit_name, request):
         assert abs(d.sigma - cls.sigma) < 1e-10 * cls.sigma
         single = floquet.FloquetDatum(0, 0, lam, orb.period, m1, cls.type,
                                       sigma=cls.sigma)
-        [(qp1, qm1, defect1)] = floquet.kernel_basis(orb, [single])
+        [(qp1, qm1, defect1, *_)] = floquet.kernel_basis(orb, [single])
         for got, ref in ((qp, qp1), (qm, qm1)):
             ref_vals = ref(orb.t)
             assert (np.max(np.abs(got(orb.t) - ref_vals))
@@ -413,7 +414,8 @@ def test_variational_rhs_solves_are_bitwise_the_array_form(orbit_name, request,
     def solves():
         factors = floquet.kernel_basis(orb, data)
         pair = cylinder.ModeSolveContext(orb, 0.0, grid)
-        return ([(qp(orb.t), qm(orb.t), defect) for qp, qm, defect in factors],
+        return ([(qp(orb.t), qm(orb.t), defect)
+                 for qp, qm, defect, *_ in factors],
                 pair.u, pair.shift)
 
     got = solves()

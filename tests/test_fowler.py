@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -7,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import OdeSolution, solve_ivp
 
-from fowlerlab import cli, cylinder, expansion, floquet, fowler
+from fowlerlab import cli, cylinder, expansion, floquet, fowler, spheres
 
 
 def test_constant_solution_examples():
@@ -65,6 +66,16 @@ def test_orbit_domain_errors():
         fowler.periodic_orbit(xistar * (1 - 1e-8), p)
     with pytest.raises(ValueError):
         fowler.max_value(xistar * 2.0, p)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
+def test_orbit_tolerance_must_be_positive_and_finite(tol):
+    # a NaN or infinite tol used to reject every step of the shooting solve
+    # forever, its step size NaN
+    p = fowler.FowlerParams.conformal(5, 1.0)
+    with pytest.raises(ValueError, match=rf"tol must be positive and finite, "
+                                         rf"got tol = {re.escape(repr(tol))}"):
+        fowler.periodic_orbit(0.5 * fowler.constant_solution(p), p, tol=tol)
 
 
 def test_small_oscillation_limit():
@@ -194,16 +205,23 @@ def test_constant_orbit_packaging():
     assert_allclose(orb.period, 2 * math.pi / math.sqrt(p.q * (p.e - 1)))
 
 
+def _record_solves(monkeypatch):
+    """Every `solve_ivp` call the library makes from now on, in order, as
+    (module, args, kwargs, solution)."""
+    calls = []
+    for mod in (fowler, floquet, cylinder):
+        def kept(*args, real=mod.solve_ivp, mod=mod, **kwargs):
+            calls.append((mod, args, kwargs, real(*args, **kwargs)))
+            return calls[-1][-1]
+        monkeypatch.setattr(mod, "solve_ivp", kept)
+    return calls
+
+
 def _orbit_solution(orbit, monkeypatch):
     """The event-terminated shooting solve behind `orbit`, done again."""
-    solves, real = [], fowler.solve_ivp
-
-    def kept(*args, **kwargs):
-        solves.append(real(*args, **kwargs))
-        return solves[-1]
-    monkeypatch.setattr(fowler, "solve_ivp", kept)
+    calls = _record_solves(monkeypatch)
     fowler.periodic_orbit(orbit.epsilon, orbit.params)
-    return solves[0].sol
+    return calls[0][-1].sol
 
 
 def _kernel_solution(orbit):
@@ -252,6 +270,131 @@ def test_orbit_rhs_solve_is_bitwise_the_array_form(conf5_orbit, monkeypatch):
     assert got.period == ref.period
     assert np.array_equal(got.xi, ref.xi)
     assert np.array_equal(got.xi_prime, ref.xi_prime)
+
+
+def _assert_same_solve(got, ref):
+    """Every output of two solve_ivp results bitwise equal."""
+    assert (got.status, got.message, got.nfev) == (ref.status, ref.message,
+                                                   ref.nfev)
+    assert np.array_equal(got.t, ref.t) and np.array_equal(got.y, ref.y)
+    for events in ("t_events", "y_events"):
+        a, b = getattr(got, events), getattr(ref, events)
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert len(a) == len(b)
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    assert (got.sol is None) == (ref.sol is None)
+    if ref.sol is not None:
+        t = np.linspace(ref.t[0], ref.t[-1], 2048)
+        assert np.array_equal(fowler.DenseSolution(got.sol)(t),
+                              fowler.DenseSolution(ref.sol)(t))
+
+
+def _assert_bitwise_scipy_dop853(call):
+    """A library solve, as recorded, against scipy's DOP853 on its inputs."""
+    _, args, kwargs, sol = call
+    assert kwargs["method"] is fowler.BareDOP853
+    _assert_same_solve(sol, solve_ivp(*args, **{**kwargs, "method": "DOP853"}))
+
+
+_SHOT_ORBITS = {  # the README's construction orbits and a slow one
+    "conformal": (fowler.FowlerParams.conformal(5, 1.0), 0.5),
+    "ckn": (fowler.FowlerParams.ckn(5, 0.5, 0.7), 0.4),
+    "n = 3 at 1e-6 xi*": (fowler.FowlerParams.conformal(3, 1.0), 1e-6),
+}
+
+
+@pytest.mark.parametrize("name", list(_SHOT_ORBITS))
+def test_shooting_solve_is_bitwise_scipy_dop853(name, monkeypatch):
+    params, frac = _SHOT_ORBITS[name]
+    calls = _record_solves(monkeypatch)
+    fowler.periodic_orbit(frac * fowler.constant_solution(params), params)
+    [call] = calls
+    assert call[0] is fowler and call[2]["max_step"] < math.inf
+    _assert_bitwise_scipy_dop853(call)
+    # rejected steps were taken: the start costs 2 evaluations, an accepted
+    # step 12 and its dense output 3, a rejected step 12
+    sol = call[-1]
+    assert sol.nfev > 15 * (len(sol.t) - 1) + 2
+
+
+@pytest.mark.parametrize("name", ["conformal", "ckn"])
+def test_kernel_and_pair_solves_are_bitwise_scipy_dop853(name, monkeypatch):
+    # the kernel branches of degrees 1..3 in one 3-column solve, and the
+    # mode-0 fundamental pair started at the window's t0 = 5
+    params, frac = _SHOT_ORBITS[name]
+    orb = fowler.periodic_orbit(frac * fowler.constant_solution(params), params)
+    calls = _record_solves(monkeypatch)
+    lams = [float(spheres.eigenvalue(k, params.n)) for k in (1, 2, 3)]
+    floquet.spectrum(orb, lams, with_factors=True)
+    cylinder.ModeSolveContext(orb, 0.0, cylinder.make_grid())
+    kernel, pair = calls
+    assert kernel[0] is floquet and kernel[-1].y.shape[0] == 2 * 3 + 2
+    assert pair[0] is cylinder and pair[1][1][0] == 5.0
+    for call in calls:
+        _assert_bitwise_scipy_dop853(call)
+
+
+@pytest.mark.parametrize("dense_output", [False, True])
+def test_failed_solve_is_bitwise_scipy_dop853(dense_output):
+    # y' = y^2, y(0) = 1 blows up at t = 1: near there the step size falls
+    # below the spacing of floats
+    got, ref = (solve_ivp(lambda t, y: y * y, (0.0, 2.0), [1.0], method=m,
+                          rtol=1e-10, atol=1e-12, dense_output=dense_output)
+                for m in (fowler.BareDOP853, "DOP853"))
+    assert got.status == -1 and abs(got.t[-1] - 1.0) < 1e-4
+    _assert_same_solve(got, ref)
+
+
+@pytest.mark.parametrize("name", ["conformal", "ckn"])
+def test_results_carry_their_integrator_work(name, monkeypatch):
+    params, frac = _SHOT_ORBITS[name]
+    calls = _record_solves(monkeypatch)
+    orb = fowler.periodic_orbit(frac * fowler.constant_solution(params), params)
+    lams = [float(spheres.eigenvalue(k, params.n)) for k in (1, 2)]
+    data = floquet.spectrum(orb, lams, with_factors=True)
+    grid = cylinder.make_grid()
+    pair = cylinder.ModeSolveContext(orb, 0.0, grid)
+    hyperbolic = cylinder.ModeSolveContext(orb, lams[0], grid)
+    shoot, kernel, pair_solve = (call[-1] for call in calls)
+
+    def work(sol):
+        return int(sol.nfev), len(sol.t) - 1
+    assert (orb.rhs_evals, orb.steps) == work(shoot)
+    for d in [*data.values(), floquet.mode_datum(orb, 1, lams[0], 1)]:
+        assert (d.kernel_rhs_evals, d.kernel_steps) == work(kernel)
+    assert (pair.pair_rhs_evals, pair.pair_steps) == work(pair_solve)
+    assert (pair.datum.kernel_rhs_evals, pair.datum.kernel_steps) == (0, 0)
+    assert (hyperbolic.pair_rhs_evals, hyperbolic.pair_steps) == (0, 0)
+    # counts stay out of the result files and out of orbit equality
+    assert not {"rhs_evals", "steps"} & set(fowler.orbit_to_dict(orb))
+    assert not {"kernel_rhs_evals", "kernel_steps"} & set(data[lams[0]].to_dict())
+    assert {f.name for f in dataclasses.fields(fowler.FowlerOrbit)
+            if not f.compare} >= {"rhs_evals", "steps"}
+    const = fowler.constant_orbit(params)
+    assert (const.rhs_evals, const.steps) == (0, 0)
+
+
+def test_error_norm_is_bitwise_scipy_dop853():
+    # sqrt(x.dot(x)) ** 2 for numpy's norm squared: x.dot(x) alone differs
+    # in the last bit on some draws
+    solver = fowler.BareDOP853(lambda t, y: -y, 0.0, np.ones(6), 1.0)
+    rng = np.random.default_rng(5)
+    for _ in range(500):
+        solver.K[:] = rng.normal(size=solver.K.shape) * 10.0 ** rng.integers(
+            -12, 3)
+        h, scale = rng.uniform(1e-3, 1.0), rng.uniform(1e-14, 1e-6, 6)
+        assert solver._error_norm(h, scale) == solver._estimate_error_norm(
+            solver.K, h, scale)
+
+
+@pytest.mark.parametrize("y0, vectorized", [([1.0 + 1.0j], False),
+                                           ([1.0], True)])
+def test_stepper_refuses_what_it_does_not_repeat(y0, vectorized):
+    # its error norm is the real-vector one; its right-hand side takes (n,)
+    with pytest.raises(ValueError, match="real state and a non-vectorized"):
+        solve_ivp(lambda t, y: -y, (0.0, 1.0), y0, method=fowler.BareDOP853,
+                  vectorized=vectorized)
 
 
 def test_dense_solution_refuses_descending_solves():
