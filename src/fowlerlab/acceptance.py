@@ -7,7 +7,6 @@ the CLI and the tests report from one source of truth.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 
@@ -188,14 +187,16 @@ def check_translate_orders():
 
 
 def _brute_force_sums(rho, cutoff, tol):
+    """Every sum of counts times rho on the whole count grid, count i up to
+    cutoff / rho_i, kept in (0, cutoff + tol) and rounded to units of tol."""
     rho = np.asarray(rho, dtype=float)
     caps = [int(math.floor(cutoff / r + tol)) for r in rho]
-    sums = set()
-    for counts in itertools.product(*[range(c + 1) for c in caps]):
-        s = float(np.dot(counts, rho))
-        if 0.0 < s <= cutoff + tol:
-            sums.add(round(s / tol))
-    return sorted(sums)
+    # axis i of the grid holds count_i rho_i; the terms are added in order
+    sums = 0.0
+    for terms in np.ix_(*[np.arange(c + 1) * r for c, r in zip(caps, rho)]):
+        sums = sums + terms
+    sums = sums[(sums > 0.0) & (sums <= cutoff + tol)]
+    return np.unique(np.rint(sums / tol).astype(np.int64)).tolist()
 
 
 @_wrap("index_set_oracle")

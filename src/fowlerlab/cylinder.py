@@ -349,6 +349,15 @@ _INT_LEFT0 = _stencil_weights(range(0, 6), 1.0 / _POWERS)    # first interval
 _INT_LEFT1 = _stencil_weights(range(-1, 5), 1.0 / _POWERS)   # second interval
 _INT_RIGHT1 = _stencil_weights(range(-3, 3), 1.0 / _POWERS)  # second to last
 _INT_RIGHT0 = _stencil_weights(range(-4, 2), 1.0 / _POWERS)  # last interval
+_INT_LEFT = np.array([_INT_LEFT0, _INT_LEFT1])     # rules on the first 6 points
+_INT_RIGHT = np.array([_INT_RIGHT1, _INT_RIGHT0])  # rules on the last 6 points
+
+
+def _weighted_sum(points: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_i w[..., i] points[..., i], added in index order (the last running
+    sum): a row gets the same bits alone and in any stack, which a BLAS
+    product does not promise."""
+    return np.cumsum(points * w, axis=-1)[..., -1]
 
 
 def _interval_increments(y: np.ndarray, h: float) -> np.ndarray:
@@ -359,10 +368,8 @@ def _interval_increments(y: np.ndarray, h: float) -> np.ndarray:
     # the window starting at j - 2 integrates interval j, j = 2 .. n - 4
     for row, out in zip(y.reshape(-1, n), inc.reshape(-1, n - 1)):
         out[2:n - 3] = np.correlate(row, _INT_CENTER, "valid")
-    inc[..., 0] = y[..., :6] @ _INT_LEFT0
-    inc[..., 1] = y[..., :6] @ _INT_LEFT1
-    inc[..., n - 3] = y[..., -6:] @ _INT_RIGHT1
-    inc[..., n - 2] = y[..., -6:] @ _INT_RIGHT0
+    inc[..., :2] = _weighted_sum(y[..., None, :6], _INT_LEFT)
+    inc[..., -2:] = _weighted_sum(y[..., None, -6:], _INT_RIGHT)
     return inc * h
 
 
@@ -385,7 +392,7 @@ def _partial_interval_rule(num: int, start: float):
     """Rule for int_a^{t_k} y on a uniform grid of `num` points, where
     a = t_0 + start h and t_k is the first grid point above a.
 
-    Returns (k, first, w) with the integral h * (w @ y[first:first + 6]); the
+    Returns (k, first, w) with the integral h * sum_i w_i y[first + i]; the
     six points are the ones `_interval_increments` uses for interval k - 1,
     so the rule is shifted inward at both edges of the grid as there.
     """
@@ -463,8 +470,8 @@ class ModeSolveContext:
         orbit, period = self.orbit, self.orbit.period
         y0 = [1.0, 0.0, 0.0, 1.0,
               float(orbit.value(t0)), float(orbit.derivative(t0))]
-        sol = solve_ivp(floquet.variational_rhs, (t0, t0 + period), y0,
-                        args=(self.lam, orbit.params), method=BareDOP853,
+        rhs = floquet.variational_system([self.lam, self.lam], orbit.params)
+        sol = solve_ivp(rhs, (t0, t0 + period), y0, method=BareDOP853,
                         rtol=floquet._MONODROMY_RTOL,
                         atol=floquet._MONODROMY_ATOL, dense_output=True)
         if not sol.success:
@@ -491,7 +498,8 @@ class ModeSolveContext:
         """int_{T-P}^{T} of the integrand (per row), from its from-the-right
         sums."""
         k, first, w = self.last_period_rule
-        return cum[..., k] + self.h * (integrand[..., first:first + 6] @ w)
+        return cum[..., k] + self.h * _weighted_sum(
+            integrand[..., first:first + 6], w)
 
     def tail_map(self, nu: float):
         """What the inverse fixes at decay rate nu: the 2x2 map T from the

@@ -155,20 +155,20 @@ def xi2_identity_defect(orbit: FowlerOrbit) -> float:
     xi, xip = orbit.xi[:-1], orbit.xi_prime[:-1]
     e, c, q = params.e, params.c, params.q
 
+    xi_em1 = xi ** (e - 1.0)
+    v0 = q - e * c * xi_em1
     xipp = q * xi - c * xi**e
-    xippp = (q - e * c * xi ** (e - 1.0)) * xip
+    xippp = v0 * xip
 
     # A = -(c/2) xi^e multiplies Y^2; B = -(n-2)/8 xi + xi'/4 multiplies
     # Delta_theta(Y^2); derivatives via the ODE
     a0 = -0.5 * c * xi**e
-    a1 = -0.5 * c * e * xi ** (e - 1.0) * xip
+    a1 = -0.5 * c * e * xi_em1 * xip
     a2 = -0.5 * c * e * ((e - 1.0) * xi ** (e - 2.0) * xip**2
-                         + xi ** (e - 1.0) * xipp)
+                         + xi_em1 * xipp)
     b0 = -(n - 2) / 8.0 * xi + 0.25 * xip
     b1 = -(n - 2) / 8.0 * xip + 0.25 * xipp
     b2 = -(n - 2) / 8.0 * xipp + 0.25 * xippp
-
-    v0 = q - e * c * xi ** (e - 1.0)
 
     def conjugated(f0, f1, f2, lam):
         # e^{2t} L_lam (f e^{-2t}) for f with explicit derivatives

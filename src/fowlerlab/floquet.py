@@ -113,29 +113,25 @@ class FloquetDatum:
         return d
 
 
-def variational_rhs(t, y, lams, params):
-    """Z' = [[0, 1], [V, 0]] Z with the orbit carried in the state.
-
-    The state is (Z values, Z derivatives, xi, xi'): Z holds any number of
-    columns, and column j sees the potential V_j = lambda_j + q - e c xi^{e-1}
-    taken from the state's own xi, which follows xi'' = q xi - c xi^e.
-    `lams` holds one eigenvalue per column, or one eigenvalue for all of them.
-    Callers start (xi, xi') on the orbit at the initial time.  The state is
-    read as Python floats, which at a few columns is cheaper than numpy
-    arithmetic, and the derivative is returned as a list.
+def variational_system(lams, params):
+    """rhs(t, y) of Z' = [[0, 1], [V, 0]] Z with the orbit carried in the
+    state (Z values, Z derivatives, xi, xi'), Z one column per eigenvalue of
+    `lams`.  Column j sees V_j = lambda_j + q - e c xi^{e-1} from the state's
+    own xi, which follows xi'' = q xi - c xi^e; callers start (xi, xi') on
+    the orbit.  lambda_j + q and the constants are bound once per solve, and
+    the state is read as Python floats, cheaper than numpy at a few columns.
     """
-    y = y.tolist()
-    k = (len(y) - 2) // 2
-    xi, xi_prime = y[-2:]
-    c_pow = params.c * xi ** (params.e - 1.0)
-    e_c_pow = params.e * c_pow
-    lams = (lams.tolist() if isinstance(lams, np.ndarray) and lams.ndim
-            else [float(lams)])
-    v = [lam + params.q - e_c_pow for lam in lams]
-    if len(v) == 1:
-        v *= k
-    return (y[k:2 * k] + [vj * z for vj, z in zip(v, y[:k])]
-            + [xi_prime, (params.q - c_pow) * xi])
+    q, c, e, e_minus_1 = params.q, params.c, params.e, params.e - 1.0
+    lam_q = [float(lam) + q for lam in lams]
+    k = len(lam_q)
+
+    def rhs(t, y):
+        *z, xi, xi_prime = y.tolist()
+        c_pow = c * xi ** e_minus_1
+        e_c_pow = e * c_pow
+        return (z[k:] + [(lq - e_c_pow) * u for lq, u in zip(lam_q, z)]
+                + [xi_prime, (q - c_pow) * xi])
+    return rhs
 
 
 def _constant_monodromy(orbit: FowlerOrbit, lam: float) -> np.ndarray:
@@ -353,9 +349,8 @@ def kernel_basis(orbit: FowlerOrbit, data):
     k = len(data)
     w = np.array(starts)
     lams = [d.lam for d in data]
-    sol = solve_ivp(variational_rhs, (0.0, T),
+    sol = solve_ivp(variational_system(lams, orbit.params), (0.0, T),
                     [*w[:, 0], *w[:, 1], orbit.epsilon, 0.0],
-                    args=(np.array(lams), orbit.params),
                     method=BareDOP853, rtol=_MONODROMY_RTOL,
                     atol=_MONODROMY_ATOL, dense_output=True)
     if not sol.success:
@@ -367,8 +362,8 @@ def kernel_basis(orbit: FowlerOrbit, data):
     for j, d in enumerate(data):
         h, hp = vals[j], vals[k + j]
         sigma = d.sigma
-        q_minus_vals = np.exp(-sigma * t_eval) * h
-        qm_prime = np.exp(-sigma * t_eval) * (hp - sigma * h)
+        decay = np.exp(-sigma * t_eval)
+        q_minus_vals, qm_prime = decay * h, decay * (hp - sigma * h)
         scale = max(np.max(np.abs(q_minus_vals)), 1e-300)
         defect = max(abs(q_minus_vals[-1] - q_minus_vals[0]),
                      abs(qm_prime[-1] - qm_prime[0])) / scale

@@ -385,9 +385,14 @@ class FowlerOrbit:
         return self.params.q * xi - self.params.c * xi ** self.params.e
 
 
-def _rhs(t, y, params):
-    xi, xi_prime = y.tolist()  # Python floats: cheaper than numpy here
-    return [xi_prime, params.q * xi - params.c * xi ** params.e]
+def _orbit_system(params: FowlerParams):
+    """rhs(t, y) of xi'' = q xi - c xi^e on (xi, xi'), constants bound once."""
+    q, c, e = params.q, params.c, params.e
+
+    def rhs(t, y):
+        xi, xi_prime = y.tolist()  # Python floats: cheaper than numpy here
+        return [xi_prime, q * xi - c * xi ** e]
+    return rhs
 
 
 def constant_orbit(params: FowlerParams) -> FowlerOrbit:
@@ -429,7 +434,7 @@ def periodic_orbit(epsilon: float, params: FowlerParams,
             f"eps within {DEGENERACY_GAP:g}*xi* of the constant solution: "
             "orbit is numerically degenerate")
 
-    def at_max(t, y, params):
+    def at_max(t, y):
         return y[1]
     at_max.terminal = True
     at_max.direction = -1
@@ -444,7 +449,7 @@ def periodic_orbit(epsilon: float, params: FowlerParams,
     # the step cap is needed before T is known: a sixteenth of the period
     # of small oscillations about xi*, the limit of T as eps -> xi*
     step_cap = t_lin / 16.0
-    sol = solve_ivp(_rhs, (0.0, t_cap), [epsilon, 0.0], args=(params,),
+    sol = solve_ivp(_orbit_system(params), (0.0, t_cap), [epsilon, 0.0],
                     method=BareDOP853, rtol=rtol, atol=atol, events=at_max,
                     dense_output=True, max_step=step_cap)
     orbit_name = f"{params.kind} n = {params.n}, eps = {epsilon!r}"

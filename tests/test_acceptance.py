@@ -5,6 +5,7 @@ criterion's own verdict and the key measured numbers against the pinned
 tolerances, so a silently weakened criterion cannot slip through.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -78,6 +79,21 @@ def test_criterion_7_index_set_oracle():
     assert out["details"]["oracle_mismatches"] == 0
     for rec in out["details"]["mu2_records"]:
         assert rec["error"] < 1e-9
+
+
+def test_brute_force_oracle_matches_a_per_count_enumeration():
+    # the array enumeration against one dot product per count vector
+    rng = np.random.default_rng(4)
+    tol = 1e-9
+    for _ in range(40):
+        rho = np.sort(rng.uniform(0.5, 2.5, size=int(rng.integers(1, 5))))
+        cutoff = float(rng.uniform(3.0, 6.0))
+        caps = [int(math.floor(cutoff / r + tol)) for r in rho]
+        ref = sorted({round(s / tol) for s in (
+            float(np.dot(c, rho))
+            for c in itertools.product(*[range(m + 1) for m in caps]))
+            if 0.0 < s <= cutoff + tol})
+        assert acceptance._brute_force_sums(rho, cutoff, tol) == ref
 
 
 def test_criterion_8_contraction_construction():

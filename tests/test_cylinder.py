@@ -437,6 +437,22 @@ def test_interval_increments_match_the_sliding_window_form():
     assert np.all(np.abs(got - windows @ cylinder._INT_CENTER) <= bound)
 
 
+def test_six_point_rules_give_a_row_the_same_bits_in_any_stack():
+    # the edge and partial-interval rules add their six products in index
+    # order, so a row's sums do not depend on how many rows come with it
+    g = cylinder.make_grid()
+    rng = np.random.default_rng(8)
+    rows = rng.normal(size=(7, g.size)) * np.exp(-rng.uniform(0, 2, (7, 1)) * g)
+    alone = [cylinder._interval_increments(r, 1.0) for r in rows]
+    k, first, w = cylinder._partial_interval_rule(g.size, 3.37)
+    parts = [cylinder._weighted_sum(r[first:first + 6], w) for r in rows]
+    for m in range(1, 8):
+        assert np.array_equal(cylinder._interval_increments(rows[:m], 1.0),
+                              alone[:m])
+        assert np.array_equal(
+            cylinder._weighted_sum(rows[:m, first:first + 6], w), parts[:m])
+
+
 def test_stencil_weights_match_the_derivative_and_quadrature_rules():
     # the moment solve reproduces, bit for bit, the rules as first derived
     def old_rule(offsets, moments):
@@ -822,8 +838,8 @@ def _whole_window_pair(orbit, lam, t):
     that one period and quasi-periodicity replace."""
     y0 = [1.0, 0.0, 0.0, 1.0,
           float(orbit.value(t[0])), float(orbit.derivative(t[0]))]
-    sol = solve_ivp(floquet.variational_rhs, (t[0], t[-1]), y0,
-                    args=(lam, orbit.params), method="DOP853",
+    sol = solve_ivp(floquet.variational_system([lam, lam], orbit.params),
+                    (t[0], t[-1]), y0, method="DOP853",
                     rtol=1e-12, atol=1e-14, dense_output=True)
     return sol.sol(t)[0:2]
 

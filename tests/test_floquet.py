@@ -192,9 +192,8 @@ def test_mirrored_q_plus_matches_backward_integration(orbit_name, degree,
     T, m = orb.period, d.monodromy
     tr = float(np.trace(m))
     w_small = floquet._eigvec(m, 2.0 / (tr + math.sqrt(tr * tr - 4.0)))
-    sol = solve_ivp(floquet.variational_rhs, (T, 0.0),
-                    [w_small[0], w_small[1], orb.epsilon, 0.0],
-                    args=(lam, orb.params), method="DOP853",
+    sol = solve_ivp(floquet.variational_system([lam], orb.params), (T, 0.0),
+                    [w_small[0], w_small[1], orb.epsilon, 0.0], method="DOP853",
                     rtol=1e-12, atol=1e-14, dense_output=True)
     ref = np.exp(d.sigma * (orb.t - T)) * sol.sol(orb.t)[0]
     got = d.q_plus(orb.t)
@@ -392,15 +391,57 @@ def test_batched_solves_match_single_eigenvalue_solves(orbit_name, request):
         assert defect < 1e-8 and defect1 < 1e-8
 
 
-def _array_variational_rhs(t, y, lams, params):
-    """`floquet.variational_rhs` in numpy arithmetic: the reference for its
-    Python-float form, which must give the same bits."""
+def _parent_variational_rhs(t, y, lams, params):
+    """The right-hand side before it became a factory: one eigenvalue per
+    column, or one for all of them, constants read on every call."""
+    y = y.tolist()
     k = (len(y) - 2) // 2
-    xi, xi_prime = y[-2], y[-1]
+    xi, xi_prime = y[-2:]
     c_pow = params.c * xi ** (params.e - 1.0)
-    v = lams + params.q - params.e * c_pow
-    return np.concatenate((y[k:2 * k], v * y[:k],
-                           (xi_prime, (params.q - c_pow) * xi)))
+    e_c_pow = params.e * c_pow
+    lams = (lams.tolist() if isinstance(lams, np.ndarray) and lams.ndim
+            else [float(lams)])
+    v = [lam + params.q - e_c_pow for lam in lams]
+    if len(v) == 1:
+        v *= k
+    return (y[k:2 * k] + [vj * z for vj, z in zip(v, y[:k])]
+            + [xi_prime, (params.q - c_pow) * xi])
+
+
+def _array_variational_system(lams, params):
+    """`floquet.variational_system` in numpy arithmetic: the reference for its
+    Python-float form, which must give the same bits."""
+    lams = np.asarray(lams, dtype=float)
+
+    def rhs(t, y):
+        k = (len(y) - 2) // 2
+        xi, xi_prime = y[-2], y[-1]
+        c_pow = params.c * xi ** (params.e - 1.0)
+        v = lams + params.q - params.e * c_pow
+        return np.concatenate((y[k:2 * k], v * y[:k],
+                               (xi_prime, (params.q - c_pow) * xi)))
+    return rhs
+
+
+@pytest.mark.parametrize("orbit_name", ["conf5_orbit", "ckn_orbit"])
+def test_variational_system_is_bitwise_the_parent_rhs(orbit_name, request):
+    # k = 1, 2 and 3 columns, and the fundamental pair's [lam, lam], whose
+    # parent form took the scalar eigenvalue
+    orb = request.getfixturevalue(orbit_name)
+    lams = [float(spheres.eigenvalue(k, orb.params.n)) for k in (1, 2, 3)]
+    rng = np.random.default_rng(11)
+    for cols, parent_lams in ((lams[:1], np.array(lams[:1])),
+                              (lams[:2], np.array(lams[:2])),
+                              (lams, np.array(lams)),
+                              ([lams[0], lams[0]], lams[0]),
+                              ([0.0, 0.0], 0.0)):
+        rhs = floquet.variational_system(cols, orb.params)
+        for t in (0.0, 1.7):
+            y = np.concatenate((rng.normal(size=2 * len(cols)),
+                                [orb.value(t), orb.derivative(t)]))
+            assert np.array_equal(
+                rhs(t, y), _parent_variational_rhs(t, y, parent_lams,
+                                                   orb.params))
 
 
 @pytest.mark.parametrize("orbit_name", ["conf5_orbit", "ckn_orbit"])
@@ -419,16 +460,18 @@ def test_variational_rhs_solves_are_bitwise_the_array_form(orbit_name, request,
                 pair.u, pair.shift)
 
     got = solves()
-    monkeypatch.setattr(floquet, "variational_rhs", _array_variational_rhs)
+    monkeypatch.setattr(floquet, "variational_system",
+                        _array_variational_system)
     ref = solves()
     for (qp, qm, defect), (qp_ref, qm_ref, defect_ref) in zip(got[0], ref[0]):
         assert np.array_equal(qp, qp_ref) and np.array_equal(qm, qm_ref)
         assert defect == defect_ref
     assert np.array_equal(got[1], ref[1]) and np.array_equal(got[2], ref[2])
     y = np.array([1.0, 0.5, -0.25, 0.3, orb.epsilon, 0.1])
-    for lam in (lams[0], np.array(lams), np.array([lams[0]])):
-        assert np.array_equal(floquet.variational_rhs(0.0, y, lam, orb.params),
-                              _array_variational_rhs(0.0, y, lam, orb.params))
+    for cols in (lams, [lams[0], lams[0]]):
+        assert np.array_equal(
+            floquet.variational_system(cols, orb.params)(0.0, y),
+            _array_variational_system(cols, orb.params)(0.0, y))
 
 
 def test_kernel_factors_reuse_the_cached_monodromy(monkeypatch):
@@ -477,9 +520,10 @@ def _carried_orbit_monodromy(orbit, lams):
     ms, dets = np.tile(np.eye(2), (k, 1, 1)), np.ones(k)
     xi_state = [orbit.epsilon, 0.0]
     for a, b in zip(breaks[:-1], breaks[1:]):
-        sol = solve_ivp(floquet.variational_rhs, (a, b), [*z0, *xi_state],
-                        args=(np.repeat(lams, 2), orbit.params),
-                        method="DOP853", rtol=1e-12, atol=1e-14)
+        sol = solve_ivp(floquet.variational_system(np.repeat(lams, 2),
+                                                   orbit.params),
+                        (a, b), [*z0, *xi_state], method="DOP853", rtol=1e-12,
+                        atol=1e-14)
         yb = sol.y[:, -1]
         step = yb[:4 * k].reshape(2, k, 2).transpose(1, 0, 2)
         ms, dets = step @ ms, dets * np.linalg.det(step)

@@ -228,8 +228,8 @@ def _kernel_solution(orbit):
     """A multi-column variational solve, like the kernel branches."""
     lams = np.array([4.0, 10.0, 18.0])
     y0 = [1.0, 0.5, -0.25, 0.3, 1.0, 2.0, orbit.epsilon, 0.0]
-    return solve_ivp(floquet.variational_rhs, (0.0, orbit.period), y0,
-                     args=(lams, orbit.params), method="DOP853", rtol=1e-12,
+    return solve_ivp(floquet.variational_system(lams, orbit.params),
+                     (0.0, orbit.period), y0, method="DOP853", rtol=1e-12,
                      atol=1e-14, dense_output=True).sol
 
 
@@ -260,12 +260,13 @@ def test_dense_solution_is_bitwise_scipy(which, conf5_orbit, monkeypatch):
 
 def test_orbit_rhs_solve_is_bitwise_the_array_form(conf5_orbit, monkeypatch):
     # the Python-float right-hand side against its numpy form
-    def array_rhs(t, y, params):
-        return np.array([y[1], params.q * y[0] - params.c * y[0] ** params.e])
+    def array_system(params):
+        return lambda t, y: np.array(
+            [y[1], params.q * y[0] - params.c * y[0] ** params.e])
 
     orb, p = conf5_orbit, conf5_orbit.params
     got = fowler.periodic_orbit(orb.epsilon, p)
-    monkeypatch.setattr(fowler, "_rhs", array_rhs)
+    monkeypatch.setattr(fowler, "_orbit_system", array_system)
     ref = fowler.periodic_orbit(orb.epsilon, p)
     assert got.period == ref.period
     assert np.array_equal(got.xi, ref.xi)
@@ -399,7 +400,7 @@ def test_stepper_refuses_what_it_does_not_repeat(y0, vectorized):
 
 def test_dense_solution_refuses_descending_solves():
     p = fowler.FowlerParams.conformal(5)
-    sol = solve_ivp(fowler._rhs, (1.0, 0.0), [1.0, 0.0], args=(p,),
+    sol = solve_ivp(fowler._orbit_system(p), (1.0, 0.0), [1.0, 0.0],
                     method="DOP853", dense_output=True).sol
     with pytest.raises(ValueError, match="ascending"):
         fowler.DenseSolution(sol)
