@@ -35,11 +35,13 @@ def _json_default(obj):
 
 
 def write_json(payload, path):
-    # allow_nan=False: a non-finite float is an error, never a bare NaN token
+    # allow_nan=False: a non-finite float is an error, never a bare NaN
+    # token; the text is formed before the file is opened, so an error
+    # leaves any file at `path` as it was
+    text = json.dumps(payload, indent=1, sort_keys=True, allow_nan=False,
+                      default=_json_default)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True, allow_nan=False,
-                  default=_json_default)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_csv(header, columns, path):

@@ -149,20 +149,28 @@ class ForcingProfile:
     components: tuple = ()  # (degree, kappa, beta) triples
 
     def __post_init__(self):
-        if self.k0 <= 0:
-            raise ValueError("K(0) must be positive")
+        if not 0.0 < self.k0 < math.inf:
+            raise ValueError(f"K(0) must be positive and finite, got "
+                             f"k0 = {self.k0!r}")
         for deg, kappa, beta_ in self.components:
+            if not math.isfinite(kappa):
+                raise ValueError(f"forcing amplitudes must be finite, got "
+                                 f"kappa = {kappa!r}")
             # flatness order at least 1; equality admits the resonant case
             # beta = sigma_1 = 1
-            if beta_ < 1.0 - 1e-12:
-                raise ValueError("forcing rates must be at least 1 "
-                                 "(flatness order)")
+            if not 1.0 - 1e-12 <= beta_ < math.inf:
+                raise ValueError(f"forcing rates must be finite and at least "
+                                 f"1 (flatness order), got beta = {beta_!r}")
             if deg < 0:
                 raise ValueError("harmonic degree must be nonnegative")
 
     @property
+    def degrees(self) -> list:  # those with a nonzero kappa, ascending
+        return sorted(deg for deg, kappa, _ in self.components if kappa != 0.0)
+
+    @property
     def is_flat(self) -> bool:
-        return len(self.components) == 0 or all(k == 0 for _, k, _ in self.components)
+        return not self.degrees
 
     @property
     def min_rate(self) -> float:
@@ -187,12 +195,6 @@ class ForcingProfile:
             raise PositivityError("forcing profile K is not positive on the grid")
         return out
 
-    def evaluate(self, t, s, n: int) -> np.ndarray:
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        rows = {deg: spheres.eval_zonal(spheres.HarmonicMode(deg, n), s)
-                for deg, kappa, _ in self.components if kappa != 0.0}
-        return self.k0 + self.deviation(t, s, rows)
-
 
 # ---------------------------------------------------------------------------
 # finite differences
@@ -205,13 +207,23 @@ def _stencil_weights(offsets, moments) -> np.ndarray:
     return np.linalg.solve(vander, moments)
 
 
+def _weighted_sum(points: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_i w[..., i] points[..., i], added in index order (the last running
+    sum): a row gets the same bits alone and in any stack, which a BLAS
+    product does not promise."""
+    return np.cumsum(points * w, axis=-1)[..., -1]
+
+
 _D2_INTERIOR = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 _D2_EDGE0 = _stencil_weights(range(6), [0.0, 0.0, 2.0, 0.0, 0.0, 0.0])
 _D2_EDGE1 = _stencil_weights(range(-1, 5), [0.0, 0.0, 2.0, 0.0, 0.0, 0.0])
+_D2_LEFT = np.array([_D2_EDGE0, _D2_EDGE1])  # rows 0, 1 from the first 6 points
+_D2_RIGHT = _D2_LEFT[::-1, ::-1]             # rows -2, -1 from the last 6
 
 
 def second_derivative(values: np.ndarray, h: float) -> np.ndarray:
-    """4th-order second derivative; biased stencils on the outer two rows."""
+    """4th-order second derivative along the last axis; biased stencils on
+    the outer two rows.  A row gets the same bits alone and in any stack."""
     values = np.asarray(values, dtype=float)
     n = values.shape[-1]
     if n < 6:
@@ -219,10 +231,8 @@ def second_derivative(values: np.ndarray, h: float) -> np.ndarray:
     out = np.empty_like(values)
     out[..., 2:-2] = sum(w * values[..., i:n - 4 + i]
                          for i, w in enumerate(_D2_INTERIOR))
-    out[..., 0] = values[..., :6] @ _D2_EDGE0
-    out[..., 1] = values[..., :6] @ _D2_EDGE1
-    out[..., -1] = values[..., -6:] @ _D2_EDGE0[::-1]
-    out[..., -2] = values[..., -6:] @ _D2_EDGE1[::-1]
+    out[..., :2] = _weighted_sum(values[..., None, :6], _D2_LEFT)
+    out[..., -2:] = _weighted_sum(values[..., None, -6:], _D2_RIGHT)
     return out / (h * h)
 
 
@@ -280,48 +290,43 @@ def _cosine_basis(modes, num: int) -> np.ndarray:
 # nonlinear residual operators
 # ---------------------------------------------------------------------------
 
-def _residual(field: CylinderField, k_eval) -> CylinderField:
+def _residual(field: CylinderField, proj: ZonalProjector, k) -> CylinderField:
+    """-f_tt - Delta_theta f + q f - K f^e on the retained modes, every mode
+    at once; K is a constant or its values on proj's (t, node) grid."""
     params = field.params
-    if params is None:
-        raise ValueError("field carries no problem parameters")
-    proj = _projector(params.n, tuple(field.modes))
     vals = field.coeffs.T @ proj.basis
     if np.min(vals) <= 0:
         raise PositivityError("field must be strictly positive on the grid "
                               "(fractional power undefined)")
-    nonlin = k_eval(field.t, proj.s) * vals ** params.e
-    nl_coeffs = proj.project(nonlin)
-    lin = np.empty_like(field.coeffs)
-    h = float(field.t[1] - field.t[0])
-    for i, m in enumerate(field.modes):
-        lam = float(m.eigenvalue)
-        lin[i] = (-second_derivative(field.coeffs[i], h)
-                  + (lam + params.q) * field.coeffs[i])
-    out = lin - nl_coeffs
-    return CylinderField(t=field.t, modes=field.modes, coeffs=out,
+    nl_coeffs = proj.project(k * vals ** params.e)
+    shift = np.array([[float(m.eigenvalue) + params.q] for m in field.modes])
+    lin = (-second_derivative(field.coeffs, float(field.t[1] - field.t[0]))
+           + shift * field.coeffs)
+    return CylinderField(t=field.t, modes=field.modes, coeffs=lin - nl_coeffs,
                          params=params)
 
 
 def residual_M(field: CylinderField, profile: ForcingProfile) -> CylinderField:
     """Conformal residual -f_tt - Delta_theta f + q f - K f^{(n+2)/(n-2)}."""
-    if field.params.kind != "conformal":
+    if getattr(field.params, "kind", None) != "conformal":
         raise ValueError("residual_M requires conformal parameters")
-    n = field.params.n
-    return _residual(field, lambda t, s: profile.evaluate(t, s, n))
+    proj = _projector(field.params.n, tuple(field.modes))
+    return _residual(field, proj, profile.k0 + profile.deviation(
+        field.t, proj.s, proj.rows(profile.degrees)))
 
 
 def residual_N(field: CylinderField) -> CylinderField:
     """CKN residual -f_tt - Delta_theta f + q f - f^{p-1}."""
-    if field.params.kind != "ckn":
+    if getattr(field.params, "kind", None) != "ckn":
         raise ValueError("residual_N requires CKN parameters")
-    return _residual(field, lambda t, s: 1.0)
+    return _residual(field, _projector(field.params.n, tuple(field.modes)), 1.0)
 
 
 def _orbit_samples(orbit: FowlerOrbit, tgrid) -> np.ndarray:
-    """xi on tgrid, read from a window with exactly that grid if there is one."""
-    for win in orbit._windows.values():
-        if np.array_equal(win.t, tgrid):
-            return win.xi
+    """xi on tgrid, read from the window with exactly that grid if any."""
+    win = orbit._windows.get(_window_key(tgrid)) if len(tgrid) else None
+    if win is not None and np.array_equal(win.t, tgrid):
+        return win.xi
     return orbit.value(tgrid)
 
 
@@ -351,13 +356,6 @@ _INT_RIGHT1 = _stencil_weights(range(-3, 3), 1.0 / _POWERS)  # second to last
 _INT_RIGHT0 = _stencil_weights(range(-4, 2), 1.0 / _POWERS)  # last interval
 _INT_LEFT = np.array([_INT_LEFT0, _INT_LEFT1])     # rules on the first 6 points
 _INT_RIGHT = np.array([_INT_RIGHT1, _INT_RIGHT0])  # rules on the last 6 points
-
-
-def _weighted_sum(points: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_i w[..., i] points[..., i], added in index order (the last running
-    sum): a row gets the same bits alone and in any stack, which a BLAS
-    product does not promise."""
-    return np.cumsum(points * w, axis=-1)[..., -1]
 
 
 def _interval_increments(y: np.ndarray, h: float) -> np.ndarray:
@@ -429,15 +427,8 @@ class ModeSolveContext:
     def __init__(self, orbit: FowlerOrbit, lam: float, tgrid):
         self.orbit = orbit
         self.lam = float(lam)
-        self.t = _window(orbit, tgrid).t  # the grid checked once per window
-        self.h = float(self.t[1] - self.t[0])
-        if orbit.period > self.t[-1] - self.t[0]:
-            raise ValueError(
-                f"window [{float(self.t[0])!r}, {float(self.t[-1])!r}] must cover "
-                f"at least one orbit period (n = {orbit.params.n}, eps = "
-                f"{orbit.epsilon!r}, T = {orbit.period!r})")
-        self.last_period_rule = _partial_interval_rule(
-            self.t.size, (self.t[-1] - orbit.period - self.t[0]) / self.h)
+        self.window = _window(orbit, tgrid)  # grid, checks, last-period rule
+        self.t = self.window.t
         self.datum = floquet.spectrum(orbit, [self.lam], with_factors=True)[self.lam]
         self.pair_rhs_evals = self.pair_steps = 0
         if self.datum.type == floquet.TYPE_III:
@@ -493,13 +484,6 @@ class ModeSolveContext:
         self.wronskian = 1.0
         self.outer = np.array([self.u[1], -self.u[0]])
         self.inner = self.u
-
-    def _last_period(self, integrand, cum):
-        """int_{T-P}^{T} of the integrand (per row), from its from-the-right
-        sums."""
-        k, first, w = self.last_period_rule
-        return cum[..., k] + self.h * _weighted_sum(
-            integrand[..., first:first + 6], w)
 
     def tail_map(self, nu: float):
         """What the inverse fixes at decay rate nu: the 2x2 map T from the
@@ -561,6 +545,7 @@ class _StackedInverse:
     """
 
     def __init__(self, contexts, nu: float):
+        (self.window,) = {ctx.window for ctx in contexts}  # the one they share
         tails, signs, from_left = zip(*(ctx.tail_map(nu) for ctx in contexts))
         self.tails = np.array(tails)
         self.outer = (np.array([ctx.outer for ctx in contexts])
@@ -568,38 +553,55 @@ class _StackedInverse:
         self.inner = np.array([ctx.inner for ctx in contexts])
         left = np.array([[False, f] for f in from_left]).ravel()
         self.left, self.right = np.flatnonzero(left), np.flatnonzero(~left)
-        self.h = contexts[0].h
-        # every context of a window shares the grid, the period and the rule
-        self.last_period = contexts[0]._last_period
 
     def __call__(self, rhs: np.ndarray) -> np.ndarray:
         """(modes, nt) right-hand sides -> (modes, nt) solutions."""
         g = (self.inner * rhs[:, None, :]).reshape(-1, rhs.shape[-1])
         cum = np.empty_like(g)
-        cum[self.right] = _cum_from_right(g[self.right], self.h)
-        cum[self.left] = _cum_from_left(g[self.left], self.h)
+        cum[self.right] = _cum_from_right(g[self.right], self.window.h)
+        cum[self.left] = _cum_from_left(g[self.left], self.window.h)
         # a row summed from the left meets a zero column of its T
-        j = self.last_period(g, cum).reshape(-1, 2, 1)
+        j = self.window.last_period(g, cum).reshape(-1, 2, 1)
         cum = cum.reshape(self.outer.shape) + self.tails @ j
         return self.outer[:, 0] * cum[:, 0] + self.outer[:, 1] * cum[:, 1]
 
 
 class _Window:
-    """An orbit on a window: read-only grid and samples, and its contexts."""
+    """An orbit on a window covering one period: read-only grid and samples,
+    what its modes' inverses share (step, last-period rule), their contexts."""
 
     def __init__(self, orbit: FowlerOrbit, tgrid):
         self.t = np.array(tgrid, dtype=float)
+        if orbit.period > self.t[-1] - self.t[0]:
+            raise ValueError(
+                f"window [{float(self.t[0])!r}, {float(self.t[-1])!r}] must cover "
+                f"at least one orbit period (n = {orbit.params.n}, eps = "
+                f"{orbit.epsilon!r}, T = {orbit.period!r})")
+        self.h = float(self.t[1] - self.t[0])
+        self.last_period_rule = _partial_interval_rule(
+            self.t.size, (self.t[-1] - orbit.period - self.t[0]) / self.h)
         self.xi = orbit.value(self.t)
         self.t.flags.writeable = self.xi.flags.writeable = False
         self.contexts = {}
+
+    def last_period(self, integrand, cum):
+        """int_{T-P}^{T} of the integrand (per row), from its from-the-right
+        sums."""
+        k, first, w = self.last_period_rule
+        return cum[..., k] + self.h * _weighted_sum(
+            integrand[..., first:first + 6], w)
+
+
+def _window_key(tgrid) -> tuple:
+    """The endpoints and size only, which fix a uniform grid."""
+    return float(tgrid[0]), float(tgrid[-1]), len(tgrid)
 
 
 def _window(orbit: FowlerOrbit, tgrid) -> _Window:
     """The orbit's state on a uniform window, set up, and its grid checked,
     on first use."""
     tgrid = np.asarray(tgrid, dtype=float)
-    # the key holds the endpoints and size only, which fix a uniform grid
-    key = float(tgrid[0]), float(tgrid[-1]), len(tgrid)
+    key = _window_key(tgrid)
     win = orbit._windows.get(key)
     if win is None:
         _check_uniform(tgrid)
@@ -856,6 +858,8 @@ def _construct(orbit: FowlerOrbit, modes, nu: float, build, t0: float,
     trace.
     """
     params = orbit.params
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got tol = {tol!r}")
     # Floquet data with kernel factors for every mode in one batch; each
     # window's contexts then read them from `floquet.spectrum`
     floquet.spectrum(orbit, [m.eigenvalue for m in modes], with_factors=True)
@@ -910,10 +914,13 @@ def contraction_construct(orbit: FowlerOrbit, profile: ForcingProfile,
     params = orbit.params
     if params.kind != "conformal":
         raise ValueError("contraction_construct requires conformal provenance")
+    if profile.k0 != params.c:
+        raise ValueError(f"profile K(0) = {profile.k0!r} differs from the "
+                         f"orbit's K(0) = {params.c!r}")
     n, e, k0 = params.n, params.e, params.c
     # phi is seeded only by forcing of a retained degree: without one,
     # phi = 0 is the exact fixed point and the decay fit has nothing to fit
-    active = sorted(deg for deg, kappa, _ in profile.components if kappa != 0.0)
+    active = profile.degrees
     if active and active[0] > max_degree:
         raise ValueError(f"forcing degree {active[0]} above the retained "
                          f"degrees 0..{max_degree}: no forcing component of "
@@ -974,6 +981,9 @@ def ckn_construct(orbit: FowlerOrbit, nu: float, amplitude: float = 0.05,
     if not 0 <= degree <= max_degree:
         raise ValueError(f"perturbation degree {degree} outside the retained "
                          f"degrees 0..{max_degree}")
+    for name, value in (("nu", nu), ("amplitude", amplitude)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {name} = {value!r}")
     n, p = params.n, params.p
     sigmas = _degree_exponents(orbit, max_degree + 3)
     if nu <= sigmas[0]:

@@ -56,8 +56,8 @@ class FowlerParams:
     @staticmethod
     def conformal(n: int, k0: float = 1.0) -> "FowlerParams":
         _check_dimension(n, "conformal")
-        if k0 <= 0:
-            raise ValueError("K(0) must be positive")
+        if not 0.0 < k0 < math.inf:
+            raise ValueError(f"K(0) must be positive and finite, got k0 = {k0!r}")
         q = (n - 2) ** 2 / 4.0
         e = (n + 2) / (n - 2)
         return FowlerParams(q=q, c=float(k0), e=e, kind="conformal", n=int(n), k0=float(k0))

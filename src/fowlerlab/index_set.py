@@ -10,6 +10,7 @@ outside it are reported as warnings.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,8 +86,10 @@ def generate(rho, cutoff: float, tol: float = DEFAULT_TOL, degrees=None) -> Inde
         raise ValueError("exponent list must be nonempty")
     if np.any(rho <= 0):
         raise ValueError("all exponents must be positive")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got tol = {tol!r}")
+    if not math.isfinite(cutoff):
+        raise ValueError(f"cutoff must be finite, got cutoff = {cutoff!r}")
     if cutoff < np.min(rho):
         raise ValueError("cutoff must be at least the smallest exponent")
     if degrees is None:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -340,8 +341,13 @@ def test_floquet_ckn_json_has_no_bare_nan(tmp_path, capsys):
 
 
 def test_write_json_refuses_non_finite(tmp_path):
+    # json.dump used to stream into the file and stop at the first NaN,
+    # leaving a truncated report in place of the one already there
+    path = tmp_path / "bad.json"
+    path.write_text('{"x": 1.0}\n')
     with pytest.raises(ValueError):
-        cli.write_json({"x": float("nan")}, tmp_path / "bad.json")
+        cli.write_json({"a": 1.0, "x": float("nan")}, path)
+    assert path.read_text() == '{"x": 1.0}\n'
 
 
 def test_verify_takes_no_orbit_flags(tmp_path, capsys):
@@ -411,3 +417,52 @@ def test_write_csv_bytes_are_those_of_the_csv_module(tmp_path):
             writer.writerow([repr(v) for v in row])
     assert ((tmp_path / "fast.csv").read_bytes()
             == (tmp_path / "ref.csv").read_bytes())
+
+
+CONFORMAL_CONSTRUCT = ["construct", "--n", "5", "--epsilon-frac", "0.5"]
+CKN_BASE = CKN_CONSTRUCT[:-2]  # without --nu
+INDEX_SET = ["index-set", "--n", "5", "--constant"]
+
+
+REFUSED = [
+    (INDEX_SET + ["--cutoff", "inf"], "cutoff = inf"),
+    (INDEX_SET + ["--cutoff", "nan"], "cutoff = nan"),
+    (INDEX_SET + ["--resonance-tol", "inf"], "tol = inf"),
+    (INDEX_SET + ["--resonance-tol", "nan"], "tol = nan"),
+    (CKN_BASE + ["--nu", "inf"], "nu = inf"),
+    (CKN_BASE + ["--nu", "nan"], "nu = nan"),
+    (CKN_CONSTRUCT + ["--kappa", "nan"], "amplitude = nan"),
+    (CKN_CONSTRUCT + ["--tol", "nan"], "tol = nan"),
+    (CONFORMAL_CONSTRUCT + ["--kappa", "nan"], "kappa = nan"),
+    (CONFORMAL_CONSTRUCT + ["--beta", "inf"], "beta = inf"),
+    (CONFORMAL_CONSTRUCT + ["--beta", "nan"], "beta = nan"),
+    (CONFORMAL_CONSTRUCT + ["--tol", "nan"], "tol = nan"),
+    (CONFORMAL_CONSTRUCT + ["--tol", "inf"], "tol = inf"),
+    (CONFORMAL_CONSTRUCT + ["--tol", "-1"], "tol = -1.0"),
+    (CONFORMAL_CONSTRUCT + ["--k0", "nan"], "k0 = nan"),
+    (["fowler", "--n", "5", "--k0", "nan"], "k0 = nan"),
+    (["fowler", "--n", "5", "--k0", "inf"], "k0 = inf")]
+
+
+@pytest.mark.parametrize("argv, named", REFUSED, ids=[
+    f"{argv[0]}{'-ckn' if 'ckn' in argv else ''}-{named.replace(' = ', '=')}"
+    for argv, named in REFUSED])
+def test_refused_inputs_end_in_one_record_before_any_sweep(argv, named,
+                                                          tmp_path, capsys,
+                                                          monkeypatch):
+    # these used to end in an OverflowError traceback, an untyped "cannot
+    # convert float NaN to integer", 300 sweeps and a ConstructionError, or
+    # an error record that blamed eps
+    def no_sweep(*args):
+        raise AssertionError("a construction sweep ran")
+
+    monkeypatch.setattr(cli.cylinder, "_iterate", no_sweep)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_cli(argv + ["--outdir", str(tmp_path)])
+    assert rc == 1
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "ValueError"
+    assert record["message"].endswith(named)

@@ -246,6 +246,31 @@ def test_residual_rejects_nonpositive_field(grid):
         cylinder.residual_M(f, cylinder.ForcingProfile(k0=1.0))
 
 
+@pytest.mark.parametrize("residual", ["M", "N"])
+def test_residual_of_a_field_without_parameters_is_refused(grid, residual):
+    f = cylinder.CylinderField(t=grid, modes=(spheres.HarmonicMode(0, 5),),
+                               coeffs=np.ones((1, grid.size)))
+    with pytest.raises(ValueError, match=f"residual_{residual} requires"):
+        if residual == "M":
+            cylinder.residual_M(f, cylinder.ForcingProfile(k0=1.0))
+        else:
+            cylinder.residual_N(f)
+
+
+def test_construction_refuses_a_profile_with_another_k0(monkeypatch):
+    # the equation takes K from the orbit's K(0) and the profile's deviation,
+    # which the profile scales by its own k0: a mismatch used to converge to
+    # a field that solves neither K
+    params = fowler.FowlerParams.conformal(5, 2.0)
+    orb = fowler.periodic_orbit(0.5 * fowler.constant_solution(params), params)
+    prof = cylinder.ForcingProfile(k0=1.0, components=((1, 0.05, 1.5),))
+    monkeypatch.setattr(cylinder, "_iterate", None)
+    with pytest.raises(ValueError) as err:
+        cylinder.contraction_construct(orb, prof)
+    assert str(err.value) == ("profile K(0) = 1.0 differs from the orbit's "
+                              "K(0) = 2.0")
+
+
 def test_forcing_profile_validation_and_flatness():
     with pytest.raises(ValueError):
         cylinder.ForcingProfile(k0=-1.0)
@@ -255,7 +280,7 @@ def test_forcing_profile_validation_and_flatness():
     assert not prof.is_flat and prof.min_rate == 1.5
     with pytest.raises(cylinder.PositivityError):
         big = cylinder.ForcingProfile(k0=1.0, components=((1, 40.0, 1.5),))
-        big.evaluate(np.array([0.0]), np.array([-1.0]), 5)
+        big.deviation(np.array([0.0]), np.array([-1.0]), {1: np.array([-1.0])})
 
 
 def test_construction_refuses_an_iterate_that_loses_positivity(conf5_orbit):
@@ -383,7 +408,7 @@ def test_last_period_integral_against_quad(conf5_orbit, fills_window):
     else:
         g = cylinder.make_grid()
     ctx = cylinder.ModeSolveContext(orb, 4.0, g)
-    assert (ctx.last_period_rule[:2] == (1, 0)) == fills_window
+    assert (ctx.window.last_period_rule[:2] == (1, 0)) == fills_window
     a, b = g[-1] - orb.period, g[-1]
     for f in (lambda t: np.exp(-1.2 * t) * np.cos(3.0 * t),
               lambda t: np.exp(-2.5 * t) * orb.value(t),
@@ -391,7 +416,7 @@ def test_last_period_integral_against_quad(conf5_orbit, fills_window):
         y = f(g)
         ref = quad(lambda t: float(f(np.array(t))), a, b, epsabs=0.0,
                    epsrel=1e-13, limit=200)[0]
-        new = ctx._last_period(y, cylinder._cum_from_right(y, h))
+        new = ctx.window.last_period(y, cylinder._cum_from_right(y, h))
         spline = CubicSpline(g, y).integrate(a, b)
         assert abs(new - ref) <= 0.1 * abs(spline - ref)
         assert abs(new - ref) < 2e-8 * abs(ref)
@@ -438,17 +463,21 @@ def test_interval_increments_match_the_sliding_window_form():
 
 
 def test_six_point_rules_give_a_row_the_same_bits_in_any_stack():
-    # the edge and partial-interval rules add their six products in index
-    # order, so a row's sums do not depend on how many rows come with it
+    # the edge and partial-interval rules and the edge stencils of the
+    # second derivative add their six products in index order, so a row's
+    # sums and derivatives do not depend on how many rows come with it
     g = cylinder.make_grid()
     rng = np.random.default_rng(8)
     rows = rng.normal(size=(7, g.size)) * np.exp(-rng.uniform(0, 2, (7, 1)) * g)
     alone = [cylinder._interval_increments(r, 1.0) for r in rows]
     k, first, w = cylinder._partial_interval_rule(g.size, 3.37)
     parts = [cylinder._weighted_sum(r[first:first + 6], w) for r in rows]
+    d2 = [cylinder.second_derivative(r, 1 / 64) for r in rows]
     for m in range(1, 8):
         assert np.array_equal(cylinder._interval_increments(rows[:m], 1.0),
                               alone[:m])
+        assert np.array_equal(cylinder.second_derivative(rows[:m], 1 / 64),
+                              d2[:m])
         assert np.array_equal(
             cylinder._weighted_sum(rows[:m, first:first + 6], w), parts[:m])
 
@@ -603,6 +632,7 @@ def test_construction_window_keeps_its_orbit_samples(monkeypatch):
     assert np.array_equal(cylinder.orbit_field(orb, other).coeffs[0],
                           real(orb, other))
     assert calls == [v.t.size]
+    assert cylinder.orbit_field(orb, np.array([])).coeffs.shape == (3, 0)
     samples = cylinder._orbit_samples(orb, v.t)
     with pytest.raises(ValueError):
         samples[0] = 0.0
@@ -970,11 +1000,11 @@ def test_memoized_arrays_are_read_only(conf5_orbit):
 def _reference_solve(ctx, rhs, nu):
     """The per-mode inverse as one branch per case, each with its own
     cumulative sums and tails: the form the stacked inverse replaces."""
-    h, period = ctx.h, ctx.orbit.period
+    h, period = ctx.window.h, ctx.orbit.period
 
     def geometric_tail(integrand, cum, rate):
         r = math.exp((rate - nu) * period)
-        return r * ctx._last_period(integrand, cum) / (1.0 - r)
+        return r * ctx.window.last_period(integrand, cum) / (1.0 - r)
 
     if ctx.datum.type == floquet.TYPE_III:
         sigma, (psi_p, psi_m) = ctx.sigma, ctx.outer
@@ -991,7 +1021,8 @@ def _reference_solve(ctx, rhs, nu):
     g1, g2 = ctx.u[0] * rhs, ctx.u[1] * rhs
     cum1 = cylinder._cum_from_right(g1, h)
     cum2 = cylinder._cum_from_right(g2, h)
-    j = np.array([ctx._last_period(g1, cum1), ctx._last_period(g2, cum2)])
+    j = np.array([ctx.window.last_period(g1, cum1),
+                  ctx.window.last_period(g2, cum2)])
     r = math.exp(-nu * period)
     tails = np.linalg.solve(np.eye(2) - r * ctx.shift.T, r * ctx.shift.T @ j)
     return ctx.u[1] * (cum1 + tails[0]) - ctx.u[0] * (cum2 + tails[1])
