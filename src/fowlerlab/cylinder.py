@@ -15,27 +15,24 @@ of `sup_theta`, the 101 of the final positivity check) are formed once per
 process, with read-only arrays.
 
 The per-mode linear inverse realizes the bounded right inverse of
-L_i = -d^2/dt^2 + V_i(t) on decaying functions through the variation-of-
-parameters representation with Floquet-adapted kernel pairs.  For a mode with
-hyperbolic exponent sigma and target decay rate nu:
+L_i = -d^2/dt^2 + V_i(t) on functions decaying at a rate nu in one form for
+every mode.  Each mode supplies a pair u = (u1, u2) on the window, its
+Wronskian W and its period map S, (u1, u2)(s + P) = (u1, u2)(s) S, and
 
-    sigma > nu:  phi = [psi-  int_{t0}^t psi+ f  +  psi+ int_t^T psi- f] / W
-    sigma < nu:  phi = [psi+  int_t^T  psi- f  -  psi-  int_t^T psi+ f] / W
+    phi = [u2 int_t^inf u1 f - u1 int_t^inf u2 f] / W.
 
-(psi-/psi+ the decaying/growing kernel elements).  The first is the
-exponential-dichotomy Green kernel, bounded by e^{-sigma|t-s|}; the second is
-the unique representation decaying at the faster rate nu.  Truncated upper
-tails are restored by one-period extrapolation: the integrands reproduce
-themselves under t -> t + T_orbit up to the factor e^{+-sigma T} e^{-nu T},
-so the missing integral is a geometric sum of the last computed period.
-A mode without dichotomy (mode 0, Type II on a nonconstant orbit and Type IV
-on a constant one) uses the same from-the-right representation with a
-fundamental pair integrated over one period and carried across the window by
-its 2x2 quasi-periodicity relation, which also gives the tails.  All three
-branches share one form, so a construction sweep inverts every retained mode
-at once: the kernel rows are stacked, and the rate checks, branch choices
-and tail maps settled, once per construction, and each sweep makes one set
-of array operations over (modes x 2 x nt).  All
+A hyperbolic mode takes the kernel pair (psi-, psi+) = (q+ e^{-sigma t},
+q- e^{sigma t}), S = diag(e^{-sigma P}, e^{sigma P}); for sigma > nu its
+growing row is summed from the left, which gives the exponential-dichotomy
+Green kernel, bounded by e^{-sigma|t-s|}.  A mode without dichotomy (mode 0,
+Type II on a nonconstant orbit and Type IV on a constant one) takes its
+fundamental pair, integrated over one period and carried across the window
+by S, and W = 1.  The integrands of period k beyond the window are those of
+the last period times (e^{-nu P} S^T)^k, so the truncated tails are a
+geometric sum of the last computed period.  A construction sweep inverts
+every retained mode at once: the pairs are stacked, and the rate checks,
+row directions and tail maps settled, once per construction, and each sweep
+makes one set of array operations over (modes x 2 x nt).  All
 cumulative integrals are sums of per-interval 6-point local quintic (O(h^6)
 per interval) quadratures taken in the direction that keeps every partial sum
 dominated by its leading term, so no exponential cancellation occurs; the
@@ -414,12 +411,9 @@ def _check_uniform(t: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 class ModeSolveContext:
-    """Kernel data of one mode operator on a window, reused across solves.
-
-    `outer` holds the rows (A, B) and `inner` the rows (a, b) of the
-    inverse's common form (see `_StackedInverse`): (psi+, psi-) and
-    (psi-, psi+) / W for a hyperbolic mode, (u2, -u1) and (u1, u2) for the
-    fundamental pair.  `pair_rhs_evals` and `pair_steps` count the
+    """Kernel data of one mode operator on a window, reused across solves:
+    the pair `u`, its `wronskian` u1 u2' - u1' u2 and its period map `shift`
+    (see the module docstring).  `pair_rhs_evals` and `pair_steps` count the
     fundamental-pair solve's right-hand-side evaluations and accepted steps;
     they are 0 for a hyperbolic mode, whose datum counts its kernel solve.
     """
@@ -435,7 +429,7 @@ class ModeSolveContext:
             self._setup_hyperbolic()
         else:
             self._setup_fundamental_pair()
-        self.outer.flags.writeable = self.inner.flags.writeable = False
+        self.u.flags.writeable = self.shift.flags.writeable = False
 
     def _setup_hyperbolic(self):
         d = self.datum
@@ -444,8 +438,10 @@ class ModeSolveContext:
         qp, qm = evaluate_pair(d.q_plus, d.q_minus, t)
         # the kernel pair psi- = q+ e^{-sigma(t-t0)}, psi+ = q- e^{+sigma(t-t0)}
         # and its Wronskian at t0, the one place derivatives are needed
-        self.outer = np.array([qm * np.exp(self.sigma * (t - t0)),
-                               qp * np.exp(-self.sigma * (t - t0))])
+        self.u = np.array([qp * np.exp(-self.sigma * (t - t0)),
+                           qm * np.exp(self.sigma * (t - t0))])
+        self.shift = np.diag(np.exp([-self.sigma * self.orbit.period,
+                                     self.sigma * self.orbit.period]))
         qp_d, qm_d = d.q_plus.derivative(t0), d.q_minus.derivative(t0)
         self.wronskian = float(qp[0] * (qm_d + self.sigma * qm[0])
                                - (qp_d - self.sigma * qp[0]) * qm[0])
@@ -454,7 +450,6 @@ class ModeSolveContext:
                 f"degenerate Floquet kernel pair (n = {self.orbit.params.n}, "
                 f"eps = {self.orbit.epsilon!r}, lambda = {self.lam!r}, "
                 f"wronskian = {self.wronskian!r})")
-        self.inner = self.outer[::-1] / self.wronskian
 
     def _setup_fundamental_pair(self):
         t, t0 = self.t, self.t[0]
@@ -470,8 +465,8 @@ class ModeSolveContext:
                 f"fundamental pair integration failed (n = {orbit.params.n}, "
                 f"eps = {orbit.epsilon!r}, lambda = {self.lam!r})")
         self.pair_rhs_evals, self.pair_steps = int(sol.nfev), len(sol.t) - 1
-        # quasi-periodicity: (u1, u2)(s + P) = (u1, u2)(s) M, M the pair's
-        # state at t0 + P, so period k of the window is the first times M^k
+        # S is the pair's state at t0 + P, so period k of the window is the
+        # first times S^k
         self.shift = sol.y[:4, -1].reshape(2, 2)
         k, s = np.divmod(t - t0, period)
         first = DenseSolution(sol.sol)(t0 + s)[0:2]
@@ -482,13 +477,12 @@ class ModeSolveContext:
             self.u[:, sel] = power.T @ first[:, sel]
             power = power @ self.shift
         self.wronskian = 1.0
-        self.outer = np.array([self.u[1], -self.u[0]])
-        self.inner = self.u
 
     def tail_map(self, nu: float):
-        """What the inverse fixes at decay rate nu: the 2x2 map T from the
-        last-period integrals J of (a f, b f) to their missing tails T J, the
-        sign of B, and whether b f is summed from the left.
+        """What the inverse fixes at decay rate nu: the 2x2 map
+        T = (I - m)^{-1} m, m = e^{-nu P} S^T, from the last-period integrals J
+        of (a f, b f) to their missing tails T J, and whether b f is summed
+        from the left (hyperbolic, sigma > nu; that row of T is 0).
 
         Raises DecayRateError for nu <= 0, where the from-the-right
         integrals diverge, and ResonanceError within RESONANCE_GAP of the
@@ -498,26 +492,18 @@ class ModeSolveContext:
                  f"lambda = {self.lam!r}, nu = {nu!r}")
         if not nu > 0.0:
             raise DecayRateError(f"decay rate must be positive ({where})")
-        period = self.orbit.period
-        if self.datum.type != floquet.TYPE_III:
-            # the integrands of period k beyond the window are those of the
-            # last period times (r M^T)^k, r = e^{-nu P}: a geometric series
-            m = math.exp(-nu * period) * self.shift.T
-            return np.linalg.solve(np.eye(2) - m, m), 1.0, False
-        sigma = self.sigma
-        if abs(sigma - nu) < RESONANCE_GAP:
+        sigma = self.sigma if self.datum.type == floquet.TYPE_III else None
+        if sigma is not None and abs(sigma - nu) < RESONANCE_GAP:
             raise ResonanceError(
                 f"decay rate {nu!r} within {RESONANCE_GAP:g} of the mode "
                 f"exponent {sigma!r} ({where}); use the t-power (resonant) "
                 f"path")
-        # a f scales by e^{(-sigma - nu) P} per period and b f by
-        # e^{(sigma - nu) P}: ratios below 1 give tails r / (1 - r) times the
-        # last period; for sigma > nu, b f is summed from the left instead
-        ra = math.exp((-sigma - nu) * period)
-        if sigma > nu:
-            return np.diag([ra / (1.0 - ra), 0.0]), 1.0, True
-        rb = math.exp((sigma - nu) * period)
-        return np.diag([ra / (1.0 - ra), rb / (1.0 - rb)]), -1.0, False
+        m = math.exp(-nu * self.orbit.period) * self.shift.T
+        tails = np.linalg.solve(np.eye(2) - m, m)
+        from_left = sigma is not None and sigma > nu
+        if from_left:
+            tails[1] = 0.0  # set, not scaled by 0, which would keep a NaN
+        return tails, from_left
 
     def solve(self, rhs, nu: float):
         """phi with L phi = rhs, decaying at rate nu, on the window grid: the
@@ -532,25 +518,25 @@ class _StackedInverse:
     """The bounded inverses of several modes of one window at one decay
     rate nu, applied to all of them in one set of array operations.
 
-    Every branch of the per-mode inverse has the form
+    From each mode's pair u and Wronskian W,
 
-        phi = A (R[a f] + tau_a) + B (S[b f] + tau_b),
+        phi = A (R[a f] + tau_a) + B (R[b f] + tau_b),
 
-    R the cumulative integral from the right and S the one from the left
-    (Type III with sigma > nu, where tau_b = 0) or again R.  The tails
-    tau = T J come from the last-period integrals J of (a f, b f) through
-    each mode's `tail_map`.  The contexts' rows (A, B) and (a, b) are
-    stacked to (modes, 2, nt); the rate checks, the branch choices and the
-    maps T are settled here, once per rate.
+    (A, B) = (u2, -u1), (a, b) = (u1, u2) / W, R the cumulative integral
+    from the right and tau = T J the tails of each mode's `tail_map`.  A row
+    summed from the left takes -int_{t0}^t instead, which differs from
+    int_t^inf by a kernel multiple.  The rows are stacked to (modes, 2, nt);
+    the rate checks, row directions and maps T are settled here, once per
+    rate.
     """
 
     def __init__(self, contexts, nu: float):
         (self.window,) = {ctx.window for ctx in contexts}  # the one they share
-        tails, signs, from_left = zip(*(ctx.tail_map(nu) for ctx in contexts))
+        tails, from_left = zip(*(ctx.tail_map(nu) for ctx in contexts))
         self.tails = np.array(tails)
-        self.outer = (np.array([ctx.outer for ctx in contexts])
-                      * np.array([[1.0, s] for s in signs])[:, :, None])
-        self.inner = np.array([ctx.inner for ctx in contexts])
+        u = np.array([ctx.u for ctx in contexts])
+        self.outer = np.stack([u[:, 1], -u[:, 0]], axis=1)
+        self.inner = u / np.array([[[ctx.wronskian]] for ctx in contexts])
         left = np.array([[False, f] for f in from_left]).ravel()
         self.left, self.right = np.flatnonzero(left), np.flatnonzero(~left)
 
@@ -559,7 +545,7 @@ class _StackedInverse:
         g = (self.inner * rhs[:, None, :]).reshape(-1, rhs.shape[-1])
         cum = np.empty_like(g)
         cum[self.right] = _cum_from_right(g[self.right], self.window.h)
-        cum[self.left] = _cum_from_left(g[self.left], self.window.h)
+        cum[self.left] = -_cum_from_left(g[self.left], self.window.h)
         # a row summed from the left meets a zero column of its T
         j = self.window.last_period(g, cum).reshape(-1, 2, 1)
         cum = cum.reshape(self.outer.shape) + self.tails @ j
@@ -917,6 +903,9 @@ def contraction_construct(orbit: FowlerOrbit, profile: ForcingProfile,
     if profile.k0 != params.c:
         raise ValueError(f"profile K(0) = {profile.k0!r} differs from the "
                          f"orbit's K(0) = {params.c!r}")
+    if max_degree < 0:
+        raise ValueError(f"the retained degrees need max_degree >= 0, got "
+                         f"max_degree = {max_degree!r}")
     n, e, k0 = params.n, params.e, params.c
     # phi is seeded only by forcing of a retained degree: without one,
     # phi = 0 is the exact fixed point and the decay fit has nothing to fit

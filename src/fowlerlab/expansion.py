@@ -109,7 +109,12 @@ def translate_expansion(orbit: FowlerOrbit, a, order: int):
     if order not in (1, 2):
         raise ValueError("only expansion orders 1 and 2 are defined")
     a = np.asarray(a, dtype=float)
-    amag = float(np.linalg.norm(a))
+    with np.errstate(over="ignore"):  # an overflowing |a|^2 is refused
+        square = float(a @ a)
+    if not (np.isfinite(a).all() and np.isfinite(square)):
+        raise ValueError(f"expansion amplitudes need finite entries and a "
+                         f"finite |a|^2, got a = {a.tolist()!r}")
+    amag = float(np.sqrt(square))
     if amag == 0.0:
         return []
     n = orbit.params.n

@@ -143,6 +143,9 @@ def eigenvalue_sequence(n: int, count: int):
 
 def index_of_last_degree(n: int, max_degree: int) -> int:
     """Largest index m (counting from 0) with deg(X_m) <= max_degree."""
+    if int(max_degree) != max_degree or max_degree < 0:
+        raise ValueError(f"degree bound must be a nonnegative integer, got "
+                         f"max_degree = {max_degree!r}")
     return sum(multiplicity(k, n) for k in range(max_degree + 1)) - 1
 
 

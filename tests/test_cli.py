@@ -422,6 +422,7 @@ def test_write_csv_bytes_are_those_of_the_csv_module(tmp_path):
 CONFORMAL_CONSTRUCT = ["construct", "--n", "5", "--epsilon-frac", "0.5"]
 CKN_BASE = CKN_CONSTRUCT[:-2]  # without --nu
 INDEX_SET = ["index-set", "--n", "5", "--constant"]
+EXPAND = ["expand", "--n", "5", "--epsilon-frac", "0.8"]
 
 
 REFUSED = [
@@ -441,7 +442,16 @@ REFUSED = [
     (CONFORMAL_CONSTRUCT + ["--tol", "-1"], "tol = -1.0"),
     (CONFORMAL_CONSTRUCT + ["--k0", "nan"], "k0 = nan"),
     (["fowler", "--n", "5", "--k0", "nan"], "k0 = nan"),
-    (["fowler", "--n", "5", "--k0", "inf"], "k0 = inf")]
+    (["fowler", "--n", "5", "--k0", "inf"], "k0 = inf"),
+    (EXPAND + ["--amplitude", "nan"], "a = [nan, 0.0, 0.0, 0.0, 0.0]"),
+    (EXPAND + ["--amplitude", "inf"], "a = [inf, 0.0, 0.0, 0.0, 0.0]"),
+    (EXPAND + ["--amplitude=-inf"], "a = [-inf, 0.0, 0.0, 0.0, 0.0]"),
+    (EXPAND + ["--amplitude", "1e300"], "a = [1e+300, 0.0, 0.0, 0.0, 0.0]"),
+    (EXPAND + ["--order", "1", "--amplitude", "1e160"],
+     "a = [1e+160, 0.0, 0.0, 0.0, 0.0]"),
+    (CONFORMAL_CONSTRUCT + ["--max-degree", "-1", "--kappa", "0"],
+     "max_degree = -1"),
+    (INDEX_SET + ["--max-degree", "-1"], "max_degree = -1")]
 
 
 @pytest.mark.parametrize("argv, named", REFUSED, ids=[

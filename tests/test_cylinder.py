@@ -892,6 +892,49 @@ def test_fundamental_pair_integrates_one_period(case, conf5_orbit,
     assert abs(np.linalg.det(ctx.shift) - 1.0) <= 1e-10
 
 
+@pytest.mark.parametrize("orbit_name", ["conf5_orbit", "ckn_orbit",
+                                        "const5_orbit"])
+def test_every_shift_is_unimodular_with_the_monodromy_trace(orbit_name,
+                                                           request):
+    # every context carries its pair's period map S; a hyperbolic S is
+    # diag(e^{-sigma P}, e^{sigma P}), mode 0's the pair after one period
+    orbit = request.getfixturevalue(orbit_name)
+    t = cylinder.make_grid()
+    for k in range(4):
+        ctx = cylinder.ModeSolveContext(orbit, float(spheres.eigenvalue(k, 5)),
+                                        t)
+        bar = 1e-14 if ctx.datum.type == floquet.TYPE_III else 1e-11
+        trace = np.trace(ctx.datum.monodromy)
+        assert abs(np.linalg.det(ctx.shift) - 1.0) <= bar
+        assert abs(np.trace(ctx.shift) - trace) <= bar * abs(trace)
+
+
+def test_tail_map_is_the_closed_form_geometric_sum(conf5_orbit):
+    # T = (I - m)^{-1} m, m = e^{-nu P} S^T, against the per-type forms it
+    # replaces: diag(r/(1 - r)) with r = e^{(-+sigma - nu) P}, and a zero
+    # row for a growing element summed from the left.  The two round the
+    # exponent differently, and r/(1 - r) amplifies that by 1/|1 - r|.
+    t, period = cylinder.make_grid(), conf5_orbit.period
+    eps = np.finfo(float).eps
+    for k in (1, 2):
+        ctx = cylinder.ModeSolveContext(conf5_orbit,
+                                        float(spheres.eigenvalue(k, 5)), t)
+        sigma = ctx.sigma
+        for nu in (0.3 * sigma, 0.9 * sigma, sigma - 0.01, sigma + 0.01,
+                   1.5 * sigma, 2.0 * sigma):
+            tails, from_left = ctx.tail_map(nu)
+            assert from_left == (sigma > nu)
+            ref, bar = np.zeros((2, 2)), np.zeros((2, 2))
+            for i, x in enumerate(((-sigma - nu) * period,
+                                   (sigma - nu) * period)):
+                if i == 1 and from_left:
+                    continue
+                r = math.exp(x)
+                ref[i, i] = r / (1.0 - r)
+                bar[i, i] = 4.0 * eps * (1.0 + abs(x)) / abs(1.0 - r)
+            assert np.all(np.abs(tails - ref) <= bar * np.abs(ref))
+
+
 @pytest.mark.parametrize("kind", ["conformal", "ckn"])
 def test_construction_escalates_four_times_then_raises(kind, conf5_orbit,
                                                        ckn_orbit, monkeypatch):
@@ -991,7 +1034,7 @@ def test_memoized_arrays_are_read_only(conf5_orbit):
                 for m in v.modes]
     arrays = [proj.basis, proj.norms, cylinder._cosine_basis(v.modes, 201),
               cylinder._cosine_basis(v.modes, 101)]
-    arrays += [a for ctx in contexts for a in (ctx.outer, ctx.inner)]
+    arrays += [a for ctx in contexts for a in (ctx.u, ctx.shift)]
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
@@ -1007,7 +1050,7 @@ def _reference_solve(ctx, rhs, nu):
         return r * ctx.window.last_period(integrand, cum) / (1.0 - r)
 
     if ctx.datum.type == floquet.TYPE_III:
-        sigma, (psi_p, psi_m) = ctx.sigma, ctx.outer
+        sigma, (psi_m, psi_p) = ctx.sigma, ctx.u
         g_minus = psi_m * rhs / ctx.wronskian
         g_plus = psi_p * rhs / ctx.wronskian
         cum_m = cylinder._cum_from_right(g_minus, h)

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,16 @@ def test_translate_reduces_to_orbit_at_zero(conf5_orbit):
 def test_translate_domain_error(conf5_orbit):
     with pytest.raises(ValueError, match="ln|a|".replace("|", r"\|")):
         expansion.translate_zonal(conf5_orbit, 20.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("a", [[math.nan, 0.0], [0.5, -math.inf],
+                               [1e154, 1e154]])
+def test_translate_expansion_refuses_amplitudes_with_no_finite_terms(
+        conf5_orbit, a):
+    # the last has finite entries and |a|^2 = 2e308, which overflows
+    a = np.array(a + [0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match=re.escape(f"a = {a.tolist()!r}")):
+        expansion.translate_expansion(conf5_orbit, a, 1)
 
 
 def test_translate_orthogonal_direction_decays_quadratically(conf5_orbit):

@@ -172,6 +172,13 @@ def test_eigenvalue_sequence_with_multiplicity():
     assert degs.tolist() == [0, 1, 1, 1, 1, 1, 2]
 
 
+def test_index_of_last_degree_refuses_a_negative_degree():
+    assert spheres.index_of_last_degree(5, 1) == 5
+    for bad in (-1, 1.5):
+        with pytest.raises(ValueError, match=f"max_degree = {bad!r}"):
+            spheres.index_of_last_degree(5, bad)
+
+
 def test_l2_norm_constant_mode_is_sphere_area():
     for n in (3, 5, 8):
         m0 = spheres.HarmonicMode(0, n)
