@@ -294,7 +294,7 @@ def check_first_order_expansion(share):
     c1 = cylinder.fit_kernel_amplitude(diff, orb)
     term = expansion.first_order_term(orb, amplitude=c1)
     svals = np.linspace(-1.0, 1.0, 201)
-    resid = np.abs(diff.evaluate(svals) - term.evaluate(diff.t, svals))
+    resid = np.abs(diff.on_cosines(201) - term.evaluate(diff.t, svals))
     sup = np.max(resid, axis=1)
     fit = cylinder.decay_rate_fit(
         (diff.t, sup), t_window=cylinder.period_aligned_window(diff, orb))

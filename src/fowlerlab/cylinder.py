@@ -34,10 +34,11 @@ every retained mode at once: the pairs are stacked, and the rate checks,
 row directions and tail maps settled, once per construction, and each sweep
 makes one set of array operations over (modes x 2 x nt).  All
 cumulative integrals are sums of per-interval 6-point local quintic (O(h^6)
-per interval) quadratures taken in the direction that keeps every partial sum
-dominated by its leading term, so no exponential cancellation occurs; the
-one-period tail integral is read off the same cumulative sum plus the same
-rule on the partial interval at T - P.  The grid must be uniform.
+per interval) quadratures, formed for every row in one pass and summed in the
+direction that keeps every partial sum dominated by its leading term, so no
+exponential cancellation occurs; the one-period tail integral is read off the
+same cumulative sum plus the same rule on the partial interval at T - P.  The
+grid must be uniform.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from scipy.integrate import solve_ivp
 
 from . import floquet, index_set, spheres
 from .fowler import BareDOP853, DenseSolution, FowlerOrbit, IntegrationError
-from .periodic import evaluate_pair
 
 DEFAULT_H = 1.0 / 64.0
 DEFAULT_WINDOW = 12.0
@@ -338,7 +338,7 @@ def orbit_field(orbit: FowlerOrbit, tgrid, max_degree: int = 2) -> CylinderField
 
 
 # ---------------------------------------------------------------------------
-# per-interval quadrature and directional cumulatives
+# per-interval quadrature
 # ---------------------------------------------------------------------------
 
 _POWERS = np.arange(6) + 1.0  # int_a^b s^k ds = (b^{k+1} - a^{k+1}) / (k + 1)
@@ -366,21 +366,6 @@ def _interval_increments(y: np.ndarray, h: float) -> np.ndarray:
     inc[..., :2] = _weighted_sum(y[..., None, :6], _INT_LEFT)
     inc[..., -2:] = _weighted_sum(y[..., None, -6:], _INT_RIGHT)
     return inc * h
-
-
-# the cumulative integrals from the left and from the right, along the
-# last axis of y (one row or a stack of rows)
-def _cum_from_left(y: np.ndarray, h: float) -> np.ndarray:
-    inc = _interval_increments(y, h)
-    zero = np.zeros(inc.shape[:-1] + (1,))
-    return np.concatenate([zero, np.cumsum(inc, axis=-1)], axis=-1)
-
-
-def _cum_from_right(y: np.ndarray, h: float) -> np.ndarray:
-    inc = _interval_increments(y, h)
-    zero = np.zeros(inc.shape[:-1] + (1,))
-    return np.concatenate([np.cumsum(inc[..., ::-1], axis=-1)[..., ::-1], zero],
-                          axis=-1)
 
 
 def _partial_interval_rule(num: int, start: float):
@@ -435,7 +420,7 @@ class ModeSolveContext:
         d = self.datum
         t, t0 = self.t, self.t[0]
         self.sigma = d.sigma
-        qp, qm = evaluate_pair(d.q_plus, d.q_minus, t)
+        qp, qm = d.q_plus(t), d.q_minus(t)
         # the kernel pair psi- = q+ e^{-sigma(t-t0)}, psi+ = q- e^{+sigma(t-t0)}
         # and its Wronskian at t0, the one place derivatives are needed
         self.u = np.array([qp * np.exp(-self.sigma * (t - t0)),
@@ -527,7 +512,8 @@ class _StackedInverse:
     summed from the left takes -int_{t0}^t instead, which differs from
     int_t^inf by a kernel multiple.  The rows are stacked to (modes, 2, nt);
     the rate checks, row directions and maps T are settled here, once per
-    rate.
+    rate.  A call forms the interval increments of all rows at once and
+    takes each row's cumulative sum in its direction from them.
     """
 
     def __init__(self, contexts, nu: float):
@@ -543,9 +529,11 @@ class _StackedInverse:
     def __call__(self, rhs: np.ndarray) -> np.ndarray:
         """(modes, nt) right-hand sides -> (modes, nt) solutions."""
         g = (self.inner * rhs[:, None, :]).reshape(-1, rhs.shape[-1])
-        cum = np.empty_like(g)
-        cum[self.right] = _cum_from_right(g[self.right], self.window.h)
-        cum[self.left] = -_cum_from_left(g[self.left], self.window.h)
+        inc = _interval_increments(g, self.window.h)
+        cum = np.zeros_like(g)
+        cum[self.right, :-1] = np.cumsum(inc[self.right, ::-1], axis=-1)[:, ::-1]
+        cum[self.left, 1:] = np.cumsum(inc[self.left], axis=-1)
+        cum[self.left] = -cum[self.left]  # -int_{t0}^t, -0.0 at t0 included
         # a row summed from the left meets a zero column of its T
         j = self.window.last_period(g, cum).reshape(-1, 2, 1)
         cum = cum.reshape(self.outer.shape) + self.tails @ j

@@ -104,6 +104,7 @@ def translate_expansion(orbit: FowlerOrbit, a, order: int):
     Order 1 returns the degree-1 kernel term; order 2 appends the degree-2
     and degree-0 parts of the quadratic terms.  All angular factors are
     zonal about a/|a| with the magnitude |a| folded into the coefficients.
+    An `a` with no finite terms of the order raises ValueError naming it.
     """
     _require_conformal(orbit)
     if order not in (1, 2):
@@ -124,8 +125,14 @@ def translate_expansion(orbit: FowlerOrbit, a, order: int):
         e = params.e
         a_coeff = -0.5 * params.c * orbit.xi**e          # multiplies Y^2
         b_coeff = -(n - 2) / 8.0 * orbit.xi + 0.25 * orbit.xi_prime
-        c22 = amag**2 * (n - 1) * (a_coeff / n - 2.0 * b_coeff)
-        c20 = amag**2 * a_coeff / n
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            c22 = amag**2 * (n - 1) * (a_coeff / n - 2.0 * b_coeff)
+            c20 = amag**2 * a_coeff / n
+            # a function's sum of sample magnitudes bounds its Fourier sums
+            bounds = [np.abs(c[:-1]).sum() for c in (c22, c20)]
+        if not np.isfinite(bounds).all():
+            raise ValueError(f"order-2 expansion coefficients overflow for "
+                             f"a = {a.tolist()!r}")
         for degree, values in ((2, c22), (0, c20)):
             terms.append(ExpansionTerm(
                 mu=2.0, t_power=0,

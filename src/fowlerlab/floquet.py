@@ -25,7 +25,7 @@ structure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -447,17 +447,14 @@ def spectrum(orbit: FowlerOrbit, lams, with_factors: bool = False) -> dict:
 
 def mode_datum(orbit: FowlerOrbit, index: int, lam: float, degree: int,
                with_factors: bool = True) -> FloquetDatum:
-    """Full Floquet datum for one mode (a labelled copy of the orbit's datum).
+    """Full Floquet datum for one mode: `spectrum`'s datum for lam, copied
+    with the mode's index and degree.
 
     A datum computed earlier with kernel factors keeps them, so the result
     may carry factors even when `with_factors` is false.
     """
-    lam = float(lam)
-    datum = orbit._floquet.get(lam)
-    if datum is None or (with_factors and datum.type == TYPE_III
-                         and datum.q_plus is None):
-        datum = spectrum(orbit, [lam], with_factors)[lam]
-    return FloquetDatum(**{**datum.__dict__, "index": index, "degree": degree})
+    datum = spectrum(orbit, [lam], with_factors)[float(lam)]
+    return replace(datum, index=index, degree=degree)
 
 
 def mode0_coupling(orbit: FowlerOrbit, m: np.ndarray) -> float:

@@ -57,19 +57,13 @@ class PeriodicFunction:
         scale = max(abs(t[0]), abs(t[-1]), self.period)
         return m if np.max(np.abs(t - grid)) <= 1e-14 * scale else 0
 
-    def _phase(self, t):
-        """The phase matrix exp(i omega t k) of the kept coefficients."""
-        return np.exp(1j * (2.0 * np.pi / self.period) * np.outer(t, self._k))
-
-    def _eval(self, t, order: int, phase=None):
-        """Values (order 0) or derivatives at t; `phase`, if given, is
-        `_phase(t)` of a function with this period and length, on points
-        off the FFT path."""
+    def _eval(self, t, order: int):
+        """Values (order 0) or derivatives at t."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         omega = 2.0 * np.pi / self.period
         mult = (1j * omega * self._k) ** order if order else np.ones_like(self._k, dtype=complex)
         c = self._coeffs * mult
-        m = 0 if phase is not None else self._period_steps(t)
+        m = self._period_steps(t)
         if m:
             # t = t0 + jT/m: bin k mod m collects w_k c_k e^{ik omega t0}, and
             # one inverse FFT sums the series at every point of the period
@@ -79,8 +73,7 @@ class PeriodicFunction:
             c = w * c * np.exp(1j * omega * t[0] * self._k)
             bins = np.pad(c, (0, -c.size % m)).reshape(-1, m).sum(axis=0)
             return (np.fft.ifft(bins) * m).real[np.arange(t.size) % m]
-        if phase is None:
-            phase = self._phase(t)
+        phase = np.exp(1j * omega * np.outer(t, self._k))
         vals = np.real(phase @ c) * 2.0
         vals -= np.real(c[0])  # k = 0 was doubled
         if self._nyquist:
@@ -95,14 +88,3 @@ class PeriodicFunction:
         out = self._eval(t, order)
         return float(out[0]) if np.isscalar(t) else out
 
-
-def evaluate_pair(f: PeriodicFunction, g: PeriodicFunction, t):
-    """(f(t), g(t)) for a 1-D array t.  Off the FFT path, two functions of
-    one period and one kept length share one phase matrix, and each takes
-    its own product with it, so both values equal those of f(t) and g(t)."""
-    t = np.asarray(t, dtype=float)
-    if (f.period == g.period and f._k.size == g._k.size
-            and not f._period_steps(t)):
-        phase = f._phase(t)
-        return f._eval(t, 0, phase), g._eval(t, 0, phase)
-    return f(t), g(t)

@@ -111,6 +111,25 @@ def test_expand_subcommand(tmp_path):
     assert (tmp_path / "expansion_eval.csv").exists()
 
 
+@pytest.mark.parametrize("order, amplitude", [("2", "1e152"),
+                                               ("1", "1.3e154")])
+def test_expand_just_inside_the_finite_range_writes_finite_files(
+        order, amplitude, tmp_path):
+    # the largest amplitudes whose terms of this order are finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_cli(["expand", "--n", "5", "--epsilon-frac", "0.8",
+                      "--order", order, "--amplitude", amplitude,
+                      "--outdir", str(tmp_path)])
+    assert rc == 0
+    payload = json.loads((tmp_path / "expansion.json").read_text(),
+                         parse_constant=lambda name: pytest.fail(name))
+    assert len(payload["terms"]) == 2 * int(order) - 1
+    with open(tmp_path / "expansion_eval.csv") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert np.isfinite(np.array(rows, dtype=float)).all()
+
+
 @pytest.mark.parametrize("flag, t0, window", [
     ("--window=nan", 5.0, math.nan), ("--window=0", 5.0, 0.0),
     ("--t0=nan", math.nan, 12.0), ("--t0=inf", math.inf, 12.0)])
@@ -449,6 +468,13 @@ REFUSED = [
     (EXPAND + ["--amplitude", "1e300"], "a = [1e+300, 0.0, 0.0, 0.0, 0.0]"),
     (EXPAND + ["--order", "1", "--amplitude", "1e160"],
      "a = [1e+160, 0.0, 0.0, 0.0, 0.0]"),
+    # finite |a|^2, but order-2 coefficients past the largest double
+    (EXPAND + ["--order", "2", "--amplitude", "5e152"],
+     "a = [5e+152, 0.0, 0.0, 0.0, 0.0]"),
+    (EXPAND + ["--order", "2", "--amplitude", "1e153"],
+     "a = [1e+153, 0.0, 0.0, 0.0, 0.0]"),
+    (EXPAND + ["--order", "2", "--amplitude", "1.3e154"],
+     "a = [1.3e+154, 0.0, 0.0, 0.0, 0.0]"),
     (CONFORMAL_CONSTRUCT + ["--max-degree", "-1", "--kappa", "0"],
      "max_degree = -1"),
     (INDEX_SET + ["--max-degree", "-1"], "max_degree = -1")]

@@ -396,6 +396,22 @@ def test_inverse_rejects_nonuniform_grid(grid, conf5_orbit):
         cylinder.ModeSolveContext(conf5_orbit, 4.0, stretched)
 
 
+# the cumulative integrals from the left and from the right, along the last
+# axis of y, each from its own interval increments: the two-pass form the
+# stacked inverse's one pass over all rows replaces
+def _cum_from_left(y, h):
+    inc = cylinder._interval_increments(y, h)
+    zero = np.zeros(inc.shape[:-1] + (1,))
+    return np.concatenate([zero, np.cumsum(inc, axis=-1)], axis=-1)
+
+
+def _cum_from_right(y, h):
+    inc = cylinder._interval_increments(y, h)
+    zero = np.zeros(inc.shape[:-1] + (1,))
+    return np.concatenate([np.cumsum(inc[..., ::-1], axis=-1)[..., ::-1], zero],
+                          axis=-1)
+
+
 @pytest.mark.parametrize("fills_window", [False, True])
 def test_last_period_integral_against_quad(conf5_orbit, fills_window):
     # int_{T-P}^{T} read off the from-the-right sums beats a cubic spline
@@ -416,7 +432,7 @@ def test_last_period_integral_against_quad(conf5_orbit, fills_window):
         y = f(g)
         ref = quad(lambda t: float(f(np.array(t))), a, b, epsabs=0.0,
                    epsrel=1e-13, limit=200)[0]
-        new = ctx.window.last_period(y, cylinder._cum_from_right(y, h))
+        new = ctx.window.last_period(y, _cum_from_right(y, h))
         spline = CubicSpline(g, y).integrate(a, b)
         assert abs(new - ref) <= 0.1 * abs(spline - ref)
         assert abs(new - ref) < 2e-8 * abs(ref)
@@ -429,7 +445,7 @@ def test_partial_interval_rule_exact_for_quintics():
     coef = np.array([0.3, -1.2, 0.7, 0.25, -0.4, 0.05])
     y = np.polyval(coef[::-1], t)
     antider = np.polyval(np.polyint(coef[::-1]), t)
-    cum = cylinder._cum_from_right(y, h)
+    cum = _cum_from_right(y, h)
     assert_allclose(cum, antider[-1] - antider, rtol=0, atol=1e-11)
     for start in np.linspace(0.0, 10.75, 44):
         k, first, w = cylinder._partial_interval_rule(t.size, start)
@@ -447,7 +463,7 @@ def test_cumulative_sums_exact_for_quintics_on_short_grids(num):
     t = 0.3 + h * np.arange(num)
     coef = np.array([0.3, -1.2, 0.7, 0.25, -0.4, 0.05])[::-1]
     antider = np.polyval(np.polyint(coef), t)
-    assert_allclose(cylinder._cum_from_left(np.polyval(coef, t), h),
+    assert_allclose(_cum_from_left(np.polyval(coef, t), h),
                     antider - antider[0], rtol=0, atol=1e-15)
 
 
@@ -1053,17 +1069,17 @@ def _reference_solve(ctx, rhs, nu):
         sigma, (psi_m, psi_p) = ctx.sigma, ctx.u
         g_minus = psi_m * rhs / ctx.wronskian
         g_plus = psi_p * rhs / ctx.wronskian
-        cum_m = cylinder._cum_from_right(g_minus, h)
+        cum_m = _cum_from_right(g_minus, h)
         tail_m = geometric_tail(g_minus, cum_m, -sigma)
         if sigma > nu:
-            return (psi_m * cylinder._cum_from_left(g_plus, h)
+            return (psi_m * _cum_from_left(g_plus, h)
                     + psi_p * (cum_m + tail_m))
-        cum_p = cylinder._cum_from_right(g_plus, h)
+        cum_p = _cum_from_right(g_plus, h)
         tail_p = geometric_tail(g_plus, cum_p, sigma)
         return psi_p * (cum_m + tail_m) - psi_m * (cum_p + tail_p)
     g1, g2 = ctx.u[0] * rhs, ctx.u[1] * rhs
-    cum1 = cylinder._cum_from_right(g1, h)
-    cum2 = cylinder._cum_from_right(g2, h)
+    cum1 = _cum_from_right(g1, h)
+    cum2 = _cum_from_right(g2, h)
     j = np.array([ctx.window.last_period(g1, cum1),
                   ctx.window.last_period(g2, cum2)])
     r = math.exp(-nu * period)
@@ -1097,6 +1113,44 @@ def test_stacked_inverse_matches_the_per_mode_branches(case, conf5_orbit,
         ref = _reference_solve(ctx, f, nu)
         assert np.max(np.abs(phi - ref)) <= 1e-14 * np.max(np.abs(ref))
         assert np.array_equal(ctx.solve(f, nu), phi)
+
+
+def _two_pass_call(inverse, rhs):
+    """`_StackedInverse.__call__` with each direction's rows summed from
+    their own interval increments: the form the one pass replaces."""
+    g = (inverse.inner * rhs[:, None, :]).reshape(-1, rhs.shape[-1])
+    cum = np.empty_like(g)
+    cum[inverse.right] = _cum_from_right(g[inverse.right], inverse.window.h)
+    cum[inverse.left] = -_cum_from_left(g[inverse.left], inverse.window.h)
+    j = inverse.window.last_period(g, cum).reshape(-1, 2, 1)
+    cum = cum.reshape(inverse.outer.shape) + inverse.tails @ j
+    return inverse.outer[:, 0] * cum[:, 0] + inverse.outer[:, 1] * cum[:, 1]
+
+
+@pytest.mark.parametrize("kind", ["conformal", "ckn"])
+def test_one_pass_inverse_is_bitwise_the_two_pass_form(kind, conf5_orbit,
+                                                       ckn_orbit, monkeypatch):
+    # every sweep of the README constructions; the conformal one runs at
+    # nu = 1.5 < sigma_2, and both stacks have a row summed from the left
+    calls = []
+    one_pass = cylinder._StackedInverse.__call__
+
+    def recorded(self, rhs):
+        out = one_pass(self, rhs)
+        calls.append((self, rhs.copy(), out.copy()))
+        return out
+    monkeypatch.setattr(cylinder._StackedInverse, "__call__", recorded)
+    if kind == "conformal":
+        cylinder.contraction_construct(conf5_orbit, cylinder.ForcingProfile(
+            k0=1.0, components=((1, 0.05, 1.5),)))
+    else:
+        cylinder.ckn_construct(ckn_orbit, 2.4)
+    assert len(calls) >= 3
+    assert calls[0][0].left.size > 0
+    for inverse, rhs, got in calls:
+        ref = _two_pass_call(inverse, rhs)
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
 
 
 def test_stacked_inverse_checks_its_rate_once(conf5_orbit):

@@ -4,7 +4,8 @@ A stdlib-`ast` stand-in for a linter's unused-import rule: a name bound by a
 top-level `import` or `from ... import` must appear as a name somewhere in
 the module.  `__init__.py` is skipped (its imports are re-exports) and so are
 `__future__` imports.  The same walk checks that the library reads no
-environment variables.
+environment variables and that only `fowler.py` imports a private module
+path.
 """
 
 import ast
@@ -56,6 +57,35 @@ def test_only_the_command_line_reads_and_writes_files():
             if names & formats:
                 importers.append(path.name)
     assert set(importers) == {"cli.py"}
+
+
+def private_module_imports(source: str) -> list:
+    """Module paths the source imports that have a private (underscore)
+    component, such as scipy.integrate._ivp."""
+    paths = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            paths += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            paths.append(node.module)
+    return sorted({p for p in paths if p != "__future__"
+                   and any(part.startswith("_") for part in p.split("."))})
+
+
+def test_checker_flags_a_private_module_path():
+    source = ("from __future__ import annotations\nimport numpy._core\n"
+              "from scipy.integrate._ivp.rk import SAFETY\n"
+              "from scipy.integrate import solve_ivp\nfrom ._y import z\n")
+    assert private_module_imports(source) == [
+        "_y", "numpy._core", "scipy.integrate._ivp.rk"]
+
+
+def test_only_the_orbit_module_imports_private_module_paths():
+    # the private scipy surface (the DOP853 tableau and step-size constants
+    # of the lean stepper) stays in one file
+    importers = [path.name for path in sorted(PACKAGE.glob("*.py"))
+                 if private_module_imports(path.read_text())]
+    assert importers == ["fowler.py"]
 
 
 def environment_reads(source: str) -> list:

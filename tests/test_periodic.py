@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fowlerlab import floquet, fowler
-from fowlerlab.periodic import PeriodicFunction, evaluate_pair
+from fowlerlab.periodic import PeriodicFunction
 
 FILTER = 1e-13
 
@@ -146,47 +146,3 @@ def test_orbit_grid_evaluation_builds_no_phase_matrix(slow_factor):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
-
-
-def _counting_phases(monkeypatch):
-    built = []
-    phase = PeriodicFunction._phase
-
-    def counted(self, t):
-        built.append(self)
-        return phase(self, t)
-    monkeypatch.setattr(PeriodicFunction, "_phase", counted)
-    return built
-
-
-@pytest.mark.parametrize("make, n", [(_analytic, 256), (_with_nyquist, 16)])
-def test_pair_evaluation_shares_one_phase_matrix(make, n, monkeypatch):
-    period = 4.057568073848222
-    values = make(n, period)
-    f = PeriodicFunction(values, period)
-    g = PeriodicFunction(values[::-1], period)  # q- from q+, as in floquet
-    assert f._k.size == g._k.size
-    t = 5.0 + np.arange(769) / 64.0  # a construction window
-    single = f(t), g(t)
-    built = _counting_phases(monkeypatch)
-    pair = evaluate_pair(f, g, t)
-    assert len(built) == 1
-    assert all(np.array_equal(a, b) for a, b in zip(pair, single))
-
-
-def test_pair_evaluation_falls_back_to_single_calls(monkeypatch):
-    period = 4.057568073848222
-    f = PeriodicFunction(_analytic(256, period), period)
-    short = PeriodicFunction(_with_nyquist(16, period), period)
-    other = PeriodicFunction(_analytic(256, period), 1.5 * period)
-    window = 5.0 + np.arange(769) / 64.0
-    on_period = np.arange(257) * (period / 256)  # the FFT path
-    assert f._period_steps(on_period) == 256
-    built = _counting_phases(monkeypatch)
-    for g, t in ((short, window), (other, window), (f, on_period)):
-        single = f(t), g(t)
-        del built[:]
-        pair = evaluate_pair(f, g, t)
-        # unequal lengths or periods: one matrix each; FFT grids: none
-        assert len(built) == (0 if t is on_period else 2)
-        assert all(np.array_equal(a, b) for a, b in zip(pair, single))
