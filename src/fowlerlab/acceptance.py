@@ -29,8 +29,9 @@ def _conformal_orbits(dims, frac):
                "nonconstant")
 
 
-def _wrap(name, shares=False):
-    """A criterion body as a report-returning criterion.  With `shares`, the
+def _wrap(name, alias=None, shares=False):
+    """A criterion body as a report-returning criterion, reached in `SUITES`
+    by its name and by its short alias, if it has one.  With `shares`, the
     body takes the dict `run_suite` passes to every criterion of one run
     (an empty one when called on its own) and reuses what it holds."""
     def deco(fn):
@@ -43,12 +44,12 @@ def _wrap(name, shares=False):
             return {"name": name, "passed": bool(passed),
                     "runtime_s": time.perf_counter() - start,
                     "details": details}
-        run.criterion_name = name
+        run.criterion_name, run.criterion_alias = name, alias
         return run
     return deco
 
 
-@_wrap("constant_floquet_closed_form")
+@_wrap("constant_floquet_closed_form", "floquet-const")
 def check_constant_floquet():
     """sigma_i = sqrt(lambda_i - n + 2) on constant conformal orbits, 1e-9."""
     tol = 1e-9
@@ -62,7 +63,7 @@ def check_constant_floquet():
                          "dimensions": list(range(3, 9)), "modes": 12}
 
 
-@_wrap("nonconstant_kernel_factors")
+@_wrap("nonconstant_kernel_factors", "floquet-nonconst")
 def check_nonconstant_kernel():
     """sigma_1..n = 1 within 1e-6 and q+ = (n-2)/2 xi - xi' pointwise 1e-6."""
     tol = 1e-6
@@ -87,7 +88,7 @@ def check_nonconstant_kernel():
                 "tolerance": tol, "cases": cases}
 
 
-@_wrap("exponent_lower_bound")
+@_wrap("exponent_lower_bound", "bounds")
 def check_lower_bound():
     """rho_i^2 > lambda_i - (3n-2)/2 with positive margin; mu_2 = 2 for n >= 6."""
     count = 12
@@ -110,7 +111,7 @@ def check_lower_bound():
     return all_ok, {"records": records, "modes": count}
 
 
-@_wrap("hamiltonian_and_period")
+@_wrap("hamiltonian_and_period", "hamiltonian")
 def check_hamiltonian_period():
     """Energy drift < 1e-9, quadrature/shooting < 1e-6, -ln eps period growth."""
     drift_tol, agree_tol = 1e-9, 1e-6
@@ -146,7 +147,7 @@ def check_hamiltonian_period():
                 "log_slope": float(slope), "log_slope_expected": slope_expected}
 
 
-@_wrap("second_order_operator_identity")
+@_wrap("second_order_operator_identity", "xi2")
 def check_xi2_identity():
     """|| L xi_2 - explicit quadratic source ||_inf < 1e-6, n in {6,7,8}."""
     tol = 1e-6
@@ -160,7 +161,7 @@ def check_xi2_identity():
                          "records": records}
 
 
-@_wrap("translate_expansion_orders")
+@_wrap("translate_expansion_orders", "translate")
 def check_translate_orders():
     """Remainder slopes of xi_a minus order-1/order-2 sums: 2 and 3 within 10%."""
     params = FowlerParams.conformal(5, 1.0)
@@ -199,7 +200,7 @@ def _brute_force_sums(rho, cutoff, tol):
     return np.unique(np.rint(sums / tol).astype(np.int64)).tolist()
 
 
-@_wrap("index_set_oracle")
+@_wrap("index_set_oracle", "index")
 def check_index_oracle():
     """generate == nested-loop enumeration; mu_2 = min(2, rho_{n+1})."""
     rng = np.random.default_rng(SEED)
@@ -253,7 +254,7 @@ def _constructed(share: dict, beta: float):
     return share[key]
 
 
-@_wrap("contraction_construction", shares=True)
+@_wrap("contraction_construction", "construct", shares=True)
 def check_contraction(share):
     """Constructed v has |v - xi| decaying at the forcing rate; at beta =
     sigma_1 the t e^{-beta t} model wins."""
@@ -286,7 +287,7 @@ def check_contraction(share):
     return ok, {"records": records, "epsilon": orb.epsilon}
 
 
-@_wrap("first_order_expansion_of_constructed", shares=True)
+@_wrap("first_order_expansion_of_constructed", "first-order", shares=True)
 def check_first_order_expansion(share):
     """decay fit of v - xi - xi_1 lies in the predicted window (1, 2)."""
     beta = 1.5
@@ -383,7 +384,7 @@ def remark_example_check() -> dict:
     }
 
 
-@_wrap("dimension4_example")
+@_wrap("dimension4_example", "remark")
 def check_remark_example():
     """4th-order residual convergence and grad K(0) = (1/8, ..., 1/8)."""
     report = remark_example_check()
@@ -392,7 +393,7 @@ def check_remark_example():
     return ratio_ok and grad_ok, report
 
 
-@_wrap("ckn_branch")
+@_wrap("ckn_branch", "ckn")
 def check_ckn():
     """CKN: constant-orbit closed form, exponent ordering and q+ positivity,
     and the N-operator contraction with slope within 5% of nu = 2.4."""
@@ -445,18 +446,9 @@ ALL_CRITERIA = [
     check_ckn,
 ]
 
-SUITES = {fn.criterion_name: fn for fn in ALL_CRITERIA}
-SUITES["xi2"] = check_xi2_identity
-SUITES["floquet-const"] = check_constant_floquet
-SUITES["floquet-nonconst"] = check_nonconstant_kernel
-SUITES["bounds"] = check_lower_bound
-SUITES["hamiltonian"] = check_hamiltonian_period
-SUITES["translate"] = check_translate_orders
-SUITES["index"] = check_index_oracle
-SUITES["construct"] = check_contraction
-SUITES["first-order"] = check_first_order_expansion
-SUITES["remark"] = check_remark_example
-SUITES["ckn"] = check_ckn
+# every criterion by its name and by its alias
+SUITES = {key: fn for fn in ALL_CRITERIA
+          for key in (fn.criterion_name, fn.criterion_alias) if key}
 
 
 def run_suite(names=None) -> list:
@@ -467,7 +459,7 @@ def run_suite(names=None) -> list:
         unknown = [x for x in names if x not in SUITES]
         if unknown:
             raise KeyError(f"unknown suite name(s): {unknown}; "
-                           f"choose from {sorted(set(SUITES))}")
+                           f"choose from {sorted(SUITES)}")
         fns = [SUITES[x] for x in names]
     # one run shares the construction orbit; the next run shoots its own
     share = {}

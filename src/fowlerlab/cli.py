@@ -37,9 +37,10 @@ def _json_default(obj):
 def write_json(payload, path):
     # allow_nan=False: a non-finite float is an error, never a bare NaN
     # token; the text is formed before the file is opened, so an error
-    # leaves any file at `path` as it was
+    # leaves any file at `path` as it was and makes no directory
     text = json.dumps(payload, indent=1, sort_keys=True, allow_nan=False,
                       default=_json_default)
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(text + "\n")
 
@@ -50,7 +51,8 @@ def write_csv(header, columns, path):
     The bytes are those of `csv.writer`'s excel dialect: comma-separated,
     CRLF-terminated, and no field (a float repr or a header name) needs
     quoting.  Rows stream through the file's buffer, never held as one
-    string."""
+    string.  The file's directory is made if it is missing."""
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         fh.writelines(",".join(map(repr, row)) + "\r\n"
@@ -121,11 +123,6 @@ def _orbit_from(args):
     return periodic_orbit(eps, params, tol=args.orbit_tol)
 
 
-def _ensure_outdir(args):
-    os.makedirs(args.outdir, exist_ok=True)
-    return args.outdir
-
-
 def _parent_parsers():
     """The I/O flags of every subcommand, and those plus the orbit flags of
     every subcommand but `verify`, as parents: each subcommand copies their
@@ -156,11 +153,10 @@ def _parent_parsers():
 
 
 def _cmd_fowler(args):
-    outdir = _ensure_outdir(args)
     orbit = _orbit_from(args)
     write_csv(["t", "xi", "xi_prime"], [orbit.t, orbit.xi, orbit.xi_prime],
-              os.path.join(outdir, "orbit.csv"))
-    write_json(orbit_to_dict(orbit), os.path.join(outdir, "orbit.json"))
+              os.path.join(args.outdir, "orbit.csv"))
+    write_json(orbit_to_dict(orbit), os.path.join(args.outdir, "orbit.json"))
     summary = {"period": orbit.period, "energy": orbit.energy,
                "max_xi": float(np.max(orbit.xi)), "epsilon": orbit.epsilon,
                "is_constant": orbit.is_constant,
@@ -176,12 +172,11 @@ def _cmd_fowler(args):
                                                          orbit.params)
         print(f"T = {orbit.period!r}  H = {orbit.energy!r}  "
               f"max xi = {summary['max_xi']!r}")
-    write_json(summary, os.path.join(outdir, "orbit_summary.json"))
+    write_json(summary, os.path.join(args.outdir, "orbit_summary.json"))
     return 0
 
 
 def _cmd_floquet(args):
-    outdir = _ensure_outdir(args)
     orbit = _orbit_from(args)
     data = floquet.exponent_sequence(orbit, args.modes, with_factors=True)
     rows = []
@@ -198,12 +193,11 @@ def _cmd_floquet(args):
         rows.append(dict(d.to_dict(), bound_margin=margin))
     write_json({"params": orbit.params.describe(), "epsilon": orbit.epsilon,
                 "period": orbit.period, "modes": rows},
-               os.path.join(outdir, "floquet.json"))
+               os.path.join(args.outdir, "floquet.json"))
     return 0
 
 
 def _cmd_index_set(args):
-    outdir = _ensure_outdir(args)
     orbit = _orbit_from(args)
     count = spheres.index_of_last_degree(orbit.params.n, args.max_degree) + 1
     data = floquet.exponent_sequence(orbit, count)
@@ -214,7 +208,7 @@ def _cmd_index_set(args):
     payload = dict(iset.to_dict(), singles=singles.tolist(),
                    multi_sums=multis.tolist(), resonances=resonances.tolist(),
                    angular_normalization="pole (zonal value 1 at <axis,theta>=1)")
-    write_json(payload, os.path.join(outdir, "index_set.json"))
+    write_json(payload, os.path.join(args.outdir, "index_set.json"))
     print("mu:", " ".join(repr(float(v)) for v in iset.values))
     if len(resonances):
         print("resonant:", " ".join(repr(float(v)) for v in resonances))
@@ -227,22 +221,29 @@ def _cmd_expand(args):
     if not cylinder.valid_window(args.t0, args.window):
         raise ValueError(f"expand needs a finite t0 and a finite positive "
                          f"window (t0 = {args.t0!r}, window = {args.window!r})")
-    outdir = _ensure_outdir(args)
     orbit = _orbit_from(args)
     if orbit.params.kind != "conformal":
         raise SystemExit("expand applies to the conformal problem")
     a = np.zeros(orbit.params.n)
     a[0] = args.amplitude
     terms = expansion.translate_expansion(orbit, a, args.order)
+    ts = np.linspace(args.t0, args.t0 + args.window, 257)
+    svals = np.linspace(-1.0, 1.0, 33)
+    # overflow of e^{-mu t} times a coefficient is refused before any file
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = (orbit.value(ts)[:, None]
+                 + expansion.evaluate_terms(terms, ts, svals))
+    if not np.isfinite(total).all():
+        raise ValueError(
+            f"the expansion terms overflow on the window; raise t0 or lower "
+            f"the amplitude, got t0 = {args.t0!r}, window = {args.window!r}, "
+            f"order = {args.order!r}, amplitude = {args.amplitude!r}")
     payload = {"order": args.order, "amplitude": args.amplitude,
                "angular_normalization": "pole (zonal value 1 at <axis,theta>=1)",
                "terms": [t.to_dict() for t in terms]}
-    write_json(payload, os.path.join(outdir, "expansion.json"))
-    ts = np.linspace(args.t0, args.t0 + args.window, 257)
-    svals = np.linspace(-1.0, 1.0, 33)
-    total = orbit.value(ts)[:, None] + expansion.evaluate_terms(terms, ts, svals)
+    write_json(payload, os.path.join(args.outdir, "expansion.json"))
     write_csv(["t"] + [f"s_{s:.4f}" for s in svals], [ts, *total.T],
-              os.path.join(outdir, "expansion_eval.csv"))
+              os.path.join(args.outdir, "expansion_eval.csv"))
     print(f"wrote {len(terms)} terms (order {args.order})")
     return 0
 
@@ -257,7 +258,6 @@ def _parse_components(args):
 
 
 def _cmd_construct(args):
-    outdir = _ensure_outdir(args)
     orbit = _orbit_from(args)
     if orbit.params.kind == "conformal":
         components = _parse_components(args)
@@ -284,12 +284,12 @@ def _cmd_construct(args):
     # itself: there is no decay to fit and no rate to compare with
     fit = None if flat else cylinder.perturbation_fit(v, ref, orbit)[1]
     write_csv(["t"] + [f"degree_{m.degree}" for m in v.modes],
-              [v.t, *v.coeffs], os.path.join(outdir, "field.csv"))
+              [v.t, *v.coeffs], os.path.join(args.outdir, "field.csv"))
     report = {"trace": trace.to_dict(), "fit": fit.to_dict() if fit else None,
               "target_rate": base_rate,
               "angular_normalization": "pole (zonal value 1 at <axis,theta>=1)",
               "params": orbit.params.describe(), "epsilon": orbit.epsilon}
-    write_json(report, os.path.join(outdir, "construct.json"))
+    write_json(report, os.path.join(args.outdir, "construct.json"))
     print(f"converged = {trace.converged} after {trace.iterations} iterations"
           f" (t0 = {trace.t0})")
     if flat:
@@ -301,13 +301,12 @@ def _cmd_construct(args):
 
 
 def _cmd_verify(args):
-    outdir = _ensure_outdir(args)
     names = args.suite or ["all"]
     reports = acceptance.run_suite(names)
     # timings stay on stdout: the JSON report is byte-identical across runs
     stable = [{k: v for k, v in r.items() if k != "runtime_s"}
               for r in reports]
-    write_json(stable, os.path.join(outdir, "verify.json"))
+    write_json(stable, os.path.join(args.outdir, "verify.json"))
     failed = 0
     for r in reports:
         status = "PASS" if r["passed"] else "FAIL"

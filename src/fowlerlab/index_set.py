@@ -5,7 +5,9 @@ The set splits into the singles (one n_i = 1, rest zero) and the multi-sums
 t-power in the matching expansion coefficient.  Exponents carrying numerical
 error make the exact-arithmetic dichotomy "resonant or not" a tolerance
 decision, so the tolerance is explicit everywhere and near-coincidences just
-outside it are reported as warnings.
+outside it are reported as warnings.  The count vectors number about
+cutoff^k / (k! prod rho_i) for k distinct exponents, so an enumeration is
+refused before it builds more than MAX_COUNT_VECTORS of them.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from . import spheres
 
 DEFAULT_TOL = 1e-8
 NEAR_RESONANCE_FACTOR = 100.0
+MAX_COUNT_VECTORS = 1_000_000  # the most one enumeration builds
 
 
 @dataclass(frozen=True)
@@ -78,8 +81,10 @@ def generate(rho, cutoff: float, tol: float = DEFAULT_TOL, degrees=None) -> Inde
 
     `rho` may repeat values (multiplicities); equal values are collapsed for
     value generation and retained (with their largest degree) for the degree
-    bookkeeping.  Enumeration is exhaustive: rho_i > 0 bounds every n_i by
-    cutoff / rho_i.
+    bookkeeping.  The count vectors are built one level per distinct
+    exponent, in lexicographic order, each n_i capped by what the cutoff
+    leaves; a total within tol of one found earlier joins it.  A level
+    longer than MAX_COUNT_VECTORS is refused before it is built.
     """
     rho = np.asarray(rho, dtype=float)
     if rho.size == 0:
@@ -99,27 +104,28 @@ def generate(rho, cutoff: float, tol: float = DEFAULT_TOL, degrees=None) -> Inde
         raise ValueError("degrees must align with the exponent list")
 
     base = _collapse(rho, degrees, tol)
-    vals = [b.value for b in base]
+    level = [(0.0, ())]  # (total, counts) over the exponents placed so far
+    for i, b in enumerate(base, 1):
+        caps = [math.floor((cutoff - total) / b.value + tol)
+                for total, _ in level]
+        size = sum(caps) + len(level)
+        if size > MAX_COUNT_VECTORS:
+            raise ValueError(
+                f"the index set needs more than {MAX_COUNT_VECTORS} count "
+                f"vectors ({size} over the first {i} of {len(base)} distinct "
+                f"exponents); lower the cutoff, got cutoff = {cutoff!r}")
+        level = [(total + c * b.value, counts + (c,))
+                 for (total, counts), cap in zip(level, caps)
+                 for c in range(cap + 1)]
     found = {}  # rounded value -> [value, [combos]]
-
-    def visit(i, total, counts):
-        if i == len(base):
-            if counts_sum := sum(counts):
-                key = round(total / tol)
-                # merge with an existing value within tol
-                for k in (key - 1, key, key + 1):
-                    if k in found and abs(found[k][0] - total) <= tol:
-                        found[k][1].append(tuple(counts))
-                        return
-                found[key] = [total, [tuple(counts)]]
-            return
-        max_count = int(np.floor((cutoff - total) / vals[i] + tol))
-        for c in range(max_count + 1):
-            counts.append(c)
-            visit(i + 1, total + c * vals[i], counts)
-            counts.pop()
-
-    visit(0, 0.0, [])
+    for total, counts in level[1:]:  # level[0] is all zeros, not a sum
+        key = round(total / tol)
+        for k in (key - 1, key, key + 1):  # a value already within tol
+            if k in found and abs(found[k][0] - total) <= tol:
+                found[k][1].append(counts)
+                break
+        else:
+            found[key] = [total, [counts]]
     entries = sorted(found.values(), key=lambda ent: ent[0])
     values = np.array([ent[0] for ent in entries])
     combos = [ent[1] for ent in entries]

@@ -23,6 +23,7 @@ class PeriodicFunction:
     sub-roundoff tail is pure sampling noise and would be amplified by k per
     derivative, so coefficients below FILTER_REL times the peak are zeroed,
     and evaluation sums only up to the last coefficient that survives.
+    A call is `derivative` of order 0, a float at a scalar t.
     """
 
     def __init__(self, values, period: float):
@@ -58,11 +59,10 @@ class PeriodicFunction:
         return m if np.max(np.abs(t - grid)) <= 1e-14 * scale else 0
 
     def _eval(self, t, order: int):
-        """Values (order 0) or derivatives at t."""
+        """The order-th derivative at t; (i omega k)^0 is exactly 1."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         omega = 2.0 * np.pi / self.period
-        mult = (1j * omega * self._k) ** order if order else np.ones_like(self._k, dtype=complex)
-        c = self._coeffs * mult
+        c = self._coeffs * (1j * omega * self._k) ** order
         m = self._period_steps(t)
         if m:
             # t = t0 + jT/m: bin k mod m collects w_k c_k e^{ik omega t0}, and
@@ -81,8 +81,7 @@ class PeriodicFunction:
         return vals
 
     def __call__(self, t):
-        out = self._eval(t, 0)
-        return float(out[0]) if np.isscalar(t) else out
+        return self.derivative(t, 0)
 
     def derivative(self, t, order: int = 1):
         out = self._eval(t, order)

@@ -264,3 +264,22 @@ def test_construction_criteria_report_the_same_in_any_order(monkeypatch):
     assert stable(acceptance.run_suite(names)) == alone
     assert stable(acceptance.run_suite(names[::-1])) == alone[::-1]
     assert len(shots) == 4
+
+
+def test_every_criterion_is_reached_by_its_name_and_its_alias():
+    names = [fn.criterion_name for fn in acceptance.ALL_CRITERIA]
+    aliases = [fn.criterion_alias for fn in acceptance.ALL_CRITERIA]
+    assert len(acceptance.SUITES) == 22
+    assert len(set(names + aliases)) == 22 and None not in aliases
+    for fn in acceptance.ALL_CRITERIA:
+        assert acceptance.SUITES[fn.criterion_name] is fn
+        assert acceptance.SUITES[fn.criterion_alias] is fn
+    assert acceptance.SUITES["xi2"] is acceptance.check_xi2_identity
+
+
+def test_a_criterion_without_an_alias_has_none():
+    @acceptance._wrap("probe", shares=True)
+    def probe(share):
+        return True, {}
+    assert (probe.criterion_name, probe.criterion_alias) == ("probe", None)
+    assert probe()["name"] == "probe"

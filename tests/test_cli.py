@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -51,6 +52,20 @@ def test_fowler_ckn_and_bad_epsilon(tmp_path, capsys):
     record = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert record["error"] == "ValueError"
     assert "no periodic orbit" in record["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["fowler", "--n", "5", "--epsilon", "5.0"],
+    ["verify", "--suite", "no-such-criterion"],
+    ["expand", "--n", "5", "--epsilon-frac", "0.8", "--t0=-360"]],
+    ids=["fowler", "verify", "expand"])
+def test_a_command_failing_after_parsing_leaves_no_directory(argv, tmp_path,
+                                                             capsys):
+    # the writers make the output directory, so none appears without a file
+    outdir = tmp_path / "fresh" / "out"
+    assert run_cli(argv + ["--outdir", str(outdir)]) == 1
+    assert len(capsys.readouterr().out.strip().splitlines()) == 1
+    assert not (tmp_path / "fresh").exists()
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf"])
@@ -146,6 +161,22 @@ def test_expand_refuses_a_non_finite_window(flag, t0, window, tmp_path,
                                  f"positive window (t0 = {t0!r}, "
                                  f"window = {window!r})"}
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("order, t0", [("2", "-349"), ("1", "-400")])
+def test_expand_just_after_the_overflowing_windows_writes_finite_files(
+        order, t0, tmp_path):
+    # e^{-2t} passes the largest double below t = -354.9; the refused
+    # windows (-360 at order 2, -750 at order 1) are REFUSED rows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_cli(["expand", "--n", "5", "--epsilon-frac", "0.8",
+                      "--order", order, f"--t0={t0}", "--outdir",
+                      str(tmp_path)])
+    assert rc == 0
+    with open(tmp_path / "expansion_eval.csv") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert np.isfinite(np.array(rows, dtype=float)).all()
 
 
 def test_config_file_merging(tmp_path, capsys):
@@ -477,7 +508,15 @@ REFUSED = [
      "a = [1.3e+154, 0.0, 0.0, 0.0, 0.0]"),
     (CONFORMAL_CONSTRUCT + ["--max-degree", "-1", "--kappa", "0"],
      "max_degree = -1"),
-    (INDEX_SET + ["--max-degree", "-1"], "max_degree = -1")]
+    (INDEX_SET + ["--max-degree", "-1"], "max_degree = -1"),
+    # count vectors past index_set.MAX_COUNT_VECTORS
+    (INDEX_SET + ["--cutoff", "1e6"], "cutoff = 1000000.0"),
+    (CKN_BASE + ["--nu", "400"], "cutoff = 401.0"),
+    # e^{-mu t} times a coefficient past the largest double
+    (EXPAND + ["--order", "2", "--t0=-360"],
+     "t0 = -360.0, window = 12.0, order = 2, amplitude = 0.5"),
+    (EXPAND + ["--order", "1", "--t0=-750"],
+     "t0 = -750.0, window = 12.0, order = 1, amplitude = 0.5")]
 
 
 @pytest.mark.parametrize("argv, named", REFUSED, ids=[
@@ -502,3 +541,16 @@ def test_refused_inputs_end_in_one_record_before_any_sweep(argv, named,
     record = json.loads(lines[0])
     assert record["error"] == "ValueError"
     assert record["message"].endswith(named)
+
+
+@pytest.mark.parametrize("argv", [INDEX_SET + ["--cutoff", "1e6"],
+                                  CKN_BASE + ["--nu", "400"]],
+                         ids=["index-set", "construct-ckn"])
+def test_an_index_set_past_the_bound_is_refused_within_a_second(
+        argv, tmp_path, capsys):
+    # these ran for minutes: the count vectors grow like a power of the
+    # cutoff, and a CKN construction enumerates up to nu + 1
+    start = time.perf_counter()
+    rc = run_cli(argv + ["--outdir", str(tmp_path)])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 1 and len(capsys.readouterr().out.strip().splitlines()) == 1

@@ -4,8 +4,8 @@ A stdlib-`ast` stand-in for a linter's unused-import rule: a name bound by a
 top-level `import` or `from ... import` must appear as a name somewhere in
 the module.  `__init__.py` is skipped (its imports are re-exports) and so are
 `__future__` imports.  The same walk checks that the library reads no
-environment variables and that only `fowler.py` imports a private module
-path.
+environment variables, that only `fowler.py` imports a private module
+path and that only the command line's two writers make directories.
 """
 
 import ast
@@ -57,6 +57,45 @@ def test_only_the_command_line_reads_and_writes_files():
             if names & formats:
                 importers.append(path.name)
     assert set(importers) == {"cli.py"}
+
+
+def directory_makers(source: str) -> list:
+    """Names of the functions that call os.makedirs or os.mkdir (as
+    attributes of `os` or imported from it); '<module>' for a call outside
+    any function."""
+    names, found = {"makedirs", "mkdir"}, set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Name) and node.func.id in names
+                or isinstance(node.func, ast.Attribute)
+                and node.func.attr in names
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "os"):
+            found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_checker_flags_a_directory_maker():
+    source = ("import os\nfrom os import makedirs\nos.mkdir('a')\n"
+              "def f(p):\n    def g():\n        makedirs(p)\n    return g\n"
+              "def h(p):\n    return os.path.join(p, 'x')\n"
+              "def k(p):\n    os.makedirs(p, exist_ok=True)\n")
+    assert directory_makers(source) == ["<module>", "g", "k"]
+
+
+def test_only_the_writers_make_directories():
+    # an output directory appears with the first file written into it:
+    # no subcommand handler, and no other module, makes one
+    makers = {(path.name, name) for path in MODULES
+              for name in directory_makers(path.read_text())}
+    assert makers == {("cli.py", "write_csv"), ("cli.py", "write_json")}
 
 
 def private_module_imports(source: str) -> list:

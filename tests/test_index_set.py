@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fowlerlab import index_set
+from fowlerlab import floquet, index_set, spheres
+from fowlerlab.fowler import FowlerParams, constant_orbit
 
 
 def brute_force_sums(rho, cutoff, tol):
@@ -148,3 +149,101 @@ def test_to_dict_serializable():
     iset = index_set.generate([1.0, 2.0], 4.0, degrees=[1, 2])
     payload = json.dumps(iset.to_dict())
     assert "resonant" in payload
+
+
+def _recursive_enumeration(rho, cutoff, tol, degrees):
+    """The depth-first enumeration `generate` replaced, kept as its oracle:
+    (values, combos, single, multi, warnings) built the earlier way."""
+    base = index_set._collapse(np.asarray(rho, dtype=float),
+                               np.asarray(degrees, dtype=int), tol)
+    vals = [b.value for b in base]
+    found = {}
+
+    def visit(i, total, counts):
+        if i == len(base):
+            if sum(counts):
+                key = round(total / tol)
+                for k in (key - 1, key, key + 1):
+                    if k in found and abs(found[k][0] - total) <= tol:
+                        found[k][1].append(tuple(counts))
+                        return
+                found[key] = [total, [tuple(counts)]]
+            return
+        max_count = int(np.floor((cutoff - total) / vals[i] + tol))
+        for c in range(max_count + 1):
+            counts.append(c)
+            visit(i + 1, total + c * vals[i], counts)
+            counts.pop()
+
+    visit(0, 0.0, [])
+    entries = sorted(found.values(), key=lambda ent: ent[0])
+    values = np.array([ent[0] for ent in entries])
+    combos = [ent[1] for ent in entries]
+    single = np.array([any(sum(c) == 1 for c in cs) for cs in combos])
+    multi = np.array([any(sum(c) >= 2 for c in cs) for cs in combos])
+    warnings = [
+        f"values {values[i]:.12g} and {values[i + 1]:.12g} differ by "
+        f"{g:.3e}, within 100x the resonance tolerance {tol:g}"
+        for i, g in enumerate(np.diff(values))
+        if tol < g <= index_set.NEAR_RESONANCE_FACTOR * tol]
+    return values, combos, single, multi, warnings
+
+
+def _oracle_draws():
+    # the draws of the index-set acceptance criterion
+    rng = np.random.default_rng(20240801)
+    for _ in range(10):
+        k = int(rng.integers(1, 5))
+        rho = np.sort(rng.uniform(0.5, 2.5, size=k))
+        yield rho, float(rng.uniform(3.0, 6.0)), 1e-9, np.zeros(k, dtype=int)
+
+
+def _readme_constant_spectrum():
+    # the exponents of `index-set --n 5 --constant --cutoff 4`
+    orbit = constant_orbit(FowlerParams.conformal(5, 1.0))
+    data = floquet.exponent_sequence(
+        orbit, spheres.index_of_last_degree(5, 3) + 1)
+    return ([d.sigma for d in data], 4.0, index_set.DEFAULT_TOL,
+            [d.degree for d in data])
+
+
+LEVEL_CASES = [*_oracle_draws(), _readme_constant_spectrum(),
+               # 2 + 5e-9 and 1 + 1 are one value at tol 1e-8: the first
+               # found, 0 + 1 * (2 + 5e-9), represents it
+               ([1.0, 2.0 + 5e-9, 3.0 + 2e-7], 6.0, 1e-8, [1, 2, 3]),
+               ([1.0, 1.0 + 3e-9, 2.0 - 4e-9], 5.0, 1e-8, [1, 1, 2]),
+               # 0.7 + 1.3 + 7.5e-9 is within tol of 2 and of 2 + 1.5e-8,
+               # which lie in the keys on either side of its own
+               ([0.7, 1.3 + 7.5e-9, 2.0, 2.0 + 1.5e-8], 2.5, 1e-8,
+                [1, 1, 2, 2])]
+
+
+@pytest.mark.parametrize(
+    "rho, cutoff, tol, degrees", LEVEL_CASES,
+    ids=[f"draw{i}" for i in range(10)]
+    + ["readme", "coincidence", "collapse", "two-neighbours"])
+def test_level_enumeration_is_bitwise_the_recursive_one(rho, cutoff, tol,
+                                                        degrees):
+    iset = index_set.generate(rho, cutoff, tol, degrees=degrees)
+    values, combos, single, multi, warnings = _recursive_enumeration(
+        rho, cutoff, tol, degrees)
+    assert iset.values.tobytes() == values.tobytes()
+    assert iset.combos == combos
+    assert iset.single.tolist() == single.tolist()
+    assert iset.multi.tolist() == multi.tolist()
+    assert iset.warnings == warnings
+
+
+def test_the_bound_admits_a_level_of_exactly_its_length(monkeypatch):
+    rho, cutoff, tol, degrees = _readme_constant_spectrum()
+    # 8 count vectors, the zero vector among them: 0..4 times 1, 0|1 times
+    # 1 plus sqrt 7, and sqrt 15 (5 passes the cutoff)
+    monkeypatch.setattr(index_set, "MAX_COUNT_VECTORS", 8)
+    iset = index_set.generate(rho, cutoff, tol, degrees=degrees)
+    assert iset.values.size == 7
+    monkeypatch.setattr(index_set, "MAX_COUNT_VECTORS", 7)
+    with pytest.raises(ValueError, match=r"more than 7 count vectors \(8 over "
+                       r"the first 3 of 4 distinct exponents\); lower the "
+                       r"cutoff, got cutoff = 4\.0$"):
+        index_set.generate(rho, cutoff, tol, degrees=degrees)
+
