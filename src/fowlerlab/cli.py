@@ -198,8 +198,12 @@ def _cmd_floquet(args):
 
 
 def _cmd_index_set(args):
+    if args.max_degree == 0:
+        raise ValueError("the index set sums exponents of degrees "
+                         "1..max_degree, got max_degree = 0")
     orbit = _orbit_from(args)
-    count = spheres.index_of_last_degree(orbit.params.n, args.max_degree) + 1
+    # modes 1..count are those of degrees 1..max_degree
+    count = spheres.index_of_last_degree(orbit.params.n, args.max_degree)
     data = floquet.exponent_sequence(orbit, count)
     iset = index_set.generate([d.sigma for d in data], args.cutoff,
                               tol=args.resonance_tol,

@@ -59,6 +59,8 @@ DEFAULT_T0 = 5.0
 RESONANCE_GAP = 1e-6
 UNDERFLOW_FLOOR = 1e-14
 MAX_SWEEPS = 60  # fixed-point sweeps per window before the start shifts
+MAX_GRID_POINTS = 2 ** 17  # the README construction there: 578 MB peak RSS
+_MAX_EXPONENT = math.log(np.finfo(float).max)  # e^x is finite up to it
 
 
 class PositivityError(ValueError):
@@ -77,6 +79,10 @@ class ConstructionError(RuntimeError):
     """The fixed-point iteration failed to contract."""
 
 
+class WindowError(ValueError):
+    """A construction window needs an exponential beyond the float range."""
+
+
 # ---------------------------------------------------------------------------
 # grids, fields, forcing profiles
 # ---------------------------------------------------------------------------
@@ -88,11 +94,17 @@ def valid_window(t0: float, window: float) -> bool:
 
 def make_grid(t0: float = DEFAULT_T0, window: float = DEFAULT_WINDOW,
               h: float = DEFAULT_H) -> np.ndarray:
-    """Uniform grid on [t0, t0 + window] with spacing (window rounded to h)."""
+    """Uniform grid on [t0, t0 + window] with spacing (window rounded to h),
+    of at most MAX_GRID_POINTS points."""
     if not (valid_window(t0, window) and 0.0 < h < math.inf):
         raise ValueError(f"grid needs a finite t0 and a finite positive window "
                          f"and h (t0 = {t0!r}, window = {window!r}, h = {h!r})")
-    num = int(round(window / h))
+    num = window / h  # inf where it overflows
+    if num > MAX_GRID_POINTS or round(num) >= MAX_GRID_POINTS:
+        raise ValueError(f"grid of {num + 1.0:.6g} points, more than "
+                         f"MAX_GRID_POINTS = {MAX_GRID_POINTS} (t0 = {t0!r}, "
+                         f"window = {window!r}, h = {h!r})")
+    num = round(num)
     if num < 8:
         raise ValueError("window too short for the stencil width")
     return t0 + h * np.arange(num + 1)
@@ -211,6 +223,19 @@ def _weighted_sum(points: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.cumsum(points * w, axis=-1)[..., -1]
 
 
+def _local_rule(y: np.ndarray, interior, left, right) -> np.ndarray:
+    """A local rule along the last axis of y, one row or a stack: `interior`
+    slid over each row by np.correlate gives all but the outer two entries
+    at each end, the 6-point rows of `left` and `right` those two."""
+    n = y.shape[-1]
+    out = np.empty(y.shape[:-1] + (n - interior.size + 5,))
+    for row, res in zip(y.reshape(-1, n), out.reshape(-1, out.shape[-1])):
+        res[2:-2] = np.correlate(row, interior, "valid")
+    out[..., :2] = _weighted_sum(y[..., None, :6], left)
+    out[..., -2:] = _weighted_sum(y[..., None, -6:], right)
+    return out
+
+
 _D2_INTERIOR = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 _D2_EDGE0 = _stencil_weights(range(6), [0.0, 0.0, 2.0, 0.0, 0.0, 0.0])
 _D2_EDGE1 = _stencil_weights(range(-1, 5), [0.0, 0.0, 2.0, 0.0, 0.0, 0.0])
@@ -219,18 +244,13 @@ _D2_RIGHT = _D2_LEFT[::-1, ::-1]             # rows -2, -1 from the last 6
 
 
 def second_derivative(values: np.ndarray, h: float) -> np.ndarray:
-    """4th-order second derivative along the last axis; biased stencils on
-    the outer two rows.  A row gets the same bits alone and in any stack."""
+    """4th-order second derivative along the last axis by `_local_rule`;
+    biased stencils on the outer two rows.  A row gets the same bits alone
+    and in any stack."""
     values = np.asarray(values, dtype=float)
-    n = values.shape[-1]
-    if n < 6:
+    if values.shape[-1] < 6:
         raise ValueError("need at least 6 grid points")
-    out = np.empty_like(values)
-    out[..., 2:-2] = sum(w * values[..., i:n - 4 + i]
-                         for i, w in enumerate(_D2_INTERIOR))
-    out[..., :2] = _weighted_sum(values[..., None, :6], _D2_LEFT)
-    out[..., -2:] = _weighted_sum(values[..., None, -6:], _D2_RIGHT)
-    return out / (h * h)
+    return _local_rule(values, _D2_INTERIOR, _D2_LEFT, _D2_RIGHT) / (h * h)
 
 
 # ---------------------------------------------------------------------------
@@ -357,15 +377,9 @@ _INT_RIGHT = np.array([_INT_RIGHT1, _INT_RIGHT0])  # rules on the last 6 points
 
 def _interval_increments(y: np.ndarray, h: float) -> np.ndarray:
     """Integral over each grid interval via local quintic interpolation,
-    along the last axis of y (one row or a stack of rows)."""
-    n = y.shape[-1]
-    inc = np.empty(y.shape[:-1] + (n - 1,))
-    # the window starting at j - 2 integrates interval j, j = 2 .. n - 4
-    for row, out in zip(y.reshape(-1, n), inc.reshape(-1, n - 1)):
-        out[2:n - 3] = np.correlate(row, _INT_CENTER, "valid")
-    inc[..., :2] = _weighted_sum(y[..., None, :6], _INT_LEFT)
-    inc[..., -2:] = _weighted_sum(y[..., None, -6:], _INT_RIGHT)
-    return inc * h
+    along the last axis of y by `_local_rule`: the window starting at j - 2
+    integrates interval j, j = 2 .. n - 4."""
+    return _local_rule(y, _INT_CENTER, _INT_LEFT, _INT_RIGHT) * h
 
 
 def _partial_interval_rule(num: int, start: float):
@@ -813,7 +827,7 @@ def _iterate(orbit, tgrid, modes, rhs0, rhs_fn, nu, tol):
 
 
 def _construct(orbit: FowlerOrbit, modes, nu: float, build, t0: float,
-               window: float, h: float, tol: float):
+               window: float, h: float, tol: float, rates):
     """The fixed-point construction near an orbit shared by both problems.
 
     `build(tgrid, xi_t, proj)` is the problem: on the window it returns the
@@ -828,19 +842,37 @@ def _construct(orbit: FowlerOrbit, modes, nu: float, build, t0: float,
     orbit is, and `build` checks any perturbed base.)  Whenever
     the iteration fails to converge within MAX_SWEEPS sweeps (a measured
     factor >= 1 or the sweep cap) the window start t0 doubles, at most four
-    times.  Returns the base field, the field base + phi and the iteration
-    trace.
+    times.  Each window, the first included, is refused with WindowError
+    before it is set up when an exponential it needs overflows: the weight
+    e^{nu t}, a hyperbolic mode's kernel pair e^{sigma (t - t0)} or the
+    forcing e^{-r t} of each (name, r) of `rates`.  Returns the base field,
+    the field base + phi and the iteration trace.
     """
     params = orbit.params
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and nonnegative, got tol = {tol!r}")
     # Floquet data with kernel factors for every mode in one batch; each
     # window's contexts then read them from `floquet.spectrum`
-    floquet.spectrum(orbit, [m.eigenvalue for m in modes], with_factors=True)
+    data = floquet.spectrum(orbit, [m.eigenvalue for m in modes],
+                            with_factors=True).values()
+    # (exponential, rate r, whether its e^{r s} runs over s = t - t0)
+    growth = ([("the weight e^{nu t}", nu, False)]
+              + [("the kernel pair e^{sigma (t - t0)}", d.sigma, True)
+                 for d in data if d.type == floquet.TYPE_III]
+              + [(f"the forcing e^{{-{name} t}}", -r, False)
+                 for name, r in rates])
     proj = _projector(params.n, modes)
     escalations = 0
     while True:
         tgrid = make_grid(t0, window, h)
+        first, last = float(tgrid[0]), float(tgrid[-1])
+        for name, r, shifted in growth:
+            lo, hi = (0.0, last - first) if shifted else (first, last)
+            if max(r * lo, r * hi) > _MAX_EXPONENT:
+                raise WindowError(
+                    f"{name} overflows on the window (n = {params.n}, eps = "
+                    f"{orbit.epsilon!r}, t0 = {t0!r}, window = {window!r}, "
+                    f"rate = {abs(r)!r})")
         win = _window(orbit, tgrid)
         base, base_vals, pointwise, forcing = build(tgrid, win.xi, proj)
         vals = np.empty(forcing.shape)
@@ -935,7 +967,9 @@ def contraction_construct(orbit: FowlerOrbit, profile: ForcingProfile,
         base[0] = xi_t
         return base, xi, pointwise, forcing
 
-    _, v, trace = _construct(orbit, modes, nu, build, t0, window, h, tol)
+    rates = [("beta", b) for _, k, b in profile.components if k != 0.0]
+    _, v, trace = _construct(orbit, modes, nu, build, t0, window, h, tol,
+                             rates)
     if np.min(v.on_cosines(101)) <= 0:
         raise PositivityError("constructed field is not positive")
     return v, trace
@@ -1006,7 +1040,8 @@ def ckn_construct(orbit: FowlerOrbit, nu: float, amplitude: float = 0.05,
         what_coeffs[degree] += amplitude * np.exp(-nu * tgrid)
         return what_coeffs, what_vals, pointwise, forcing
 
-    w_hat, w, trace = _construct(orbit, modes, nu, build, t0, window, h, tol)
+    w_hat, w, trace = _construct(orbit, modes, nu, build, t0, window, h, tol,
+                                 [("nu", nu)])
     return w, w_hat, trace
 
 

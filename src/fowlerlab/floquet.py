@@ -134,19 +134,33 @@ def variational_system(lams, params):
     return rhs
 
 
-def _constant_monodromy(orbit: FowlerOrbit, lam: float) -> np.ndarray:
-    """Closed-form matrix exponential of the autonomous system."""
+def _constant_monodromy(orbit: FowlerOrbit, lam: float):
+    """Closed-form matrix exponential of the autonomous system, and its
+    classification from the sign of the constant potential v (a constant
+    orbit has no intrinsic period, and the stored linearization period
+    makes the mode-0 trace exactly degenerate).  A matrix that overflows,
+    cosh(sqrt(v) T) past sqrt(v) T = 710.5, raises IntegrationError."""
     T = orbit.period
     v = float(ModeOperator(orbit, lam).potential(0.0))
+    r = math.sqrt(abs(v))
     if v > 0:
-        r = math.sqrt(v)
-        ch, sh = math.cosh(r * T), math.sinh(r * T)
-        return np.array([[ch, sh / r], [r * sh, ch]])
-    if v < 0:
-        w = math.sqrt(-v)
-        cw, sw = math.cos(w * T), math.sin(w * T)
-        return np.array([[cw, sw / w], [-w * sw, cw]])
-    return np.array([[1.0, T], [0.0, 1.0]])
+        try:
+            ch, sh = math.cosh(r * T), math.sinh(r * T)
+        except OverflowError:
+            ch = sh = math.inf
+        m, cls = [[ch, sh / r], [r * sh, ch]], (TYPE_III, r, None)
+    elif v < 0:
+        cw, sw = math.cos(r * T), math.sin(r * T)
+        m, cls = [[cw, sw / r], [-r * sw, cw]], (TYPE_IV, None, r)
+    else:
+        m, cls = [[1.0, T], [0.0, 1.0]], (TYPE_II, None, None)
+    m = np.array(m)
+    if not np.isfinite(m).all():
+        p = orbit.params
+        raise IntegrationError(
+            f"constant-orbit monodromy overflows ({p.kind} problem, n = {p.n}, "
+            f"xi* = {orbit.epsilon!r}, lambda = {float(lam)!r}, T = {T!r})")
+    return m, Classification(*cls, None)
 
 
 def _commutator(x, y):
@@ -213,7 +227,7 @@ def monodromy(orbit: FowlerOrbit, lams):
     ms, dets = np.empty((k, 2, 2)), np.ones(k)
     steps, errors = np.zeros(k, dtype=int), np.zeros(k)
     if orbit.is_constant:
-        ms[:] = [_constant_monodromy(orbit, lam) for lam in lams]
+        ms[:] = [_constant_monodromy(orbit, lam)[0] for lam in lams]
         return ms, dets, steps, errors
     live, fell = np.ones(k, dtype=bool), np.zeros(k, dtype=bool)
     last, last_det = np.full((k, 2, 2), np.nan), np.full(k, np.nan)
@@ -382,16 +396,7 @@ def _classified(orbit: FowlerOrbit, lam: float, m: np.ndarray, det: float,
     A monodromy kept at the orbit's accuracy floor, its estimate above
     MAGNUS_TOL, gets a warning naming the orbit, lambda, N and the estimate."""
     if orbit.is_constant:
-        # constant coefficients: classify from the potential sign directly
-        # (a constant orbit has no intrinsic period, and the stored
-        # linearization period makes the mode-0 trace exactly degenerate)
-        v = float(ModeOperator(orbit, lam).potential(0.0))
-        if v > 0:
-            cls = Classification(TYPE_III, math.sqrt(v), None, None)
-        elif v < 0:
-            cls = Classification(TYPE_IV, None, math.sqrt(-v), None)
-        else:
-            cls = Classification(TYPE_II, None, None, None)
+        cls = _constant_monodromy(orbit, lam)[1]
     else:
         try:
             cls = classify(m, orbit.period, det=det)

@@ -157,36 +157,30 @@ def _expm1_log1p_ratio(y: float, scale: float) -> float:
 def period_quadrature(epsilon: float, params: FowlerParams) -> float:
     """Orbit period via the energy integral T = 2 int_eps^max ds / sqrt(2(H - G(s))).
 
-    Both endpoints are simple turning points; substituting s = eps + u^2 and
-    s = smax - u^2 removes the inverse-square-root singularities, and the
-    level differences G(turning point) - G(s) are expanded through
-    expm1/log1p so the integrand stays smooth down to u = 0 even for orbits
-    close to the constant solution.
+    Both endpoints are simple turning points; substituting s = turn + sign u^2
+    (eps, +1 at the minimum and smax, -1 at the maximum) removes the
+    inverse-square-root singularities, and the level difference
+    G(turn) - G(s) is expanded through expm1/log1p so the integrand stays
+    smooth down to u = 0 even for orbits close to the constant solution.
     """
     xistar = _check_epsilon(epsilon, params)
     smax = max_value(epsilon, params)
     q, c, e = params.q, params.c, params.e
 
-    def left(u):
-        # 2 (G(eps) - G(eps + u^2)) / u^2, exact at u = 0
-        u2 = u * u
-        s = epsilon + u2
-        ratio = _expm1_log1p_ratio(u2 / epsilon, e + 1.0)
-        val = q * (s + epsilon) - (2.0 * c / (e + 1.0)) * epsilon**e * ratio
-        return 2.0 / np.sqrt(val)
+    def integrand(turn, sign):
+        def f(u):
+            # 2 sign (G(turn) - G(turn + sign u^2)) / u^2, exact at u = 0
+            u2 = u * u
+            s = turn + sign * u2
+            ratio = _expm1_log1p_ratio(sign * u2 / turn, e + 1.0)
+            val = q * (s + turn) - (2.0 * c / (e + 1.0)) * turn**e * ratio
+            return 2.0 / np.sqrt(sign * val)
+        return f
 
-    def right(u):
-        # 2 (G(smax) - G(smax - u^2)) / u^2, exact at u = 0
-        u2 = u * u
-        s = smax - u2
-        ratio = _expm1_log1p_ratio(-u2 / smax, e + 1.0)
-        val = -q * (s + smax) + (2.0 * c / (e + 1.0)) * smax**e * ratio
-        return 2.0 / np.sqrt(val)
-
-    u_left = math.sqrt(xistar - epsilon)
-    u_right = math.sqrt(smax - xistar)
-    i_left, _ = quad(left, 0.0, u_left, epsabs=1e-13, epsrel=1e-12, limit=200)
-    i_right, _ = quad(right, 0.0, u_right, epsabs=1e-13, epsrel=1e-12, limit=200)
+    i_left, _ = quad(integrand(epsilon, 1.0), 0.0, math.sqrt(xistar - epsilon),
+                     epsabs=1e-13, epsrel=1e-12, limit=200)
+    i_right, _ = quad(integrand(smax, -1.0), 0.0, math.sqrt(smax - xistar),
+                      epsabs=1e-13, epsrel=1e-12, limit=200)
     return 2.0 * (i_left + i_right)
 
 

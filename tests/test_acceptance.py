@@ -283,3 +283,33 @@ def test_a_criterion_without_an_alias_has_none():
         return True, {}
     assert (probe.criterion_name, probe.criterion_alias) == ("probe", None)
     assert probe()["name"] == "probe"
+
+
+def test_all_criteria_are_the_eleven_in_definition_order():
+    # the list the module kept by hand before it was formed from the
+    # decorated criteria
+    assert acceptance.ALL_CRITERIA == [
+        acceptance.check_constant_floquet, acceptance.check_nonconstant_kernel,
+        acceptance.check_lower_bound, acceptance.check_hamiltonian_period,
+        acceptance.check_xi2_identity, acceptance.check_translate_orders,
+        acceptance.check_index_oracle, acceptance.check_contraction,
+        acceptance.check_first_order_expansion,
+        acceptance.check_remark_example, acceptance.check_ckn]
+    assert [fn.criterion_name for fn in acceptance.ALL_CRITERIA] == [
+        "constant_floquet_closed_form", "nonconstant_kernel_factors",
+        "exponent_lower_bound", "hamiltonian_and_period",
+        "second_order_operator_identity", "translate_expansion_orders",
+        "index_set_oracle", "contraction_construction",
+        "first_order_expansion_of_constructed", "dimension4_example",
+        "ckn_branch"]
+
+
+def test_a_wrapped_probe_joins_no_criteria_list():
+    before, suites = list(acceptance.ALL_CRITERIA), dict(acceptance.SUITES)
+
+    @acceptance._wrap("probe", "p")
+    def probe():
+        return True, {}
+    assert probe()["passed"]
+    assert acceptance.ALL_CRITERIA == before
+    assert acceptance.SUITES == suites

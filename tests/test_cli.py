@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import math
@@ -554,3 +555,93 @@ def test_an_index_set_past_the_bound_is_refused_within_a_second(
     rc = run_cli(argv + ["--outdir", str(tmp_path)])
     assert time.perf_counter() - start < 1.0
     assert rc == 1 and len(capsys.readouterr().out.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("top", [1, 2, 3])
+def test_index_set_base_holds_exactly_the_degrees_up_to_the_bound(
+        n, top, tmp_path):
+    # the mode count used to reach the first mode of degree top + 1
+    assert run_cli(["index-set", "--n", str(n), "--constant", "--max-degree",
+                    str(top), "--outdir", str(tmp_path)]) == 0
+    base = json.loads((tmp_path / "index_set.json").read_text())["base"]
+    assert [(b["degree"], b["multiplicity"]) for b in base] == [
+        (k, fowlerlab.spheres.multiplicity(k, n)) for k in range(1, top + 1)]
+
+
+CKN_FLAT_NECK = ["--problem", "ckn", "--n", "5", "--a", "1.48", "--b", "1.48",
+                 "--constant"]
+TYPED_REFUSALS = [
+    (["floquet"] + CKN_FLAT_NECK, "IntegrationError",
+     r"constant-orbit monodromy overflows \(ckn problem, n = 5, "
+     r"xi\* = 0\.0028\d*, lambda = 10\.0, T = 272\.06\d*\)"),
+    (["index-set"] + CKN_FLAT_NECK, "IntegrationError",
+     r"constant-orbit monodromy overflows \(ckn problem, n = 5, "
+     r"xi\* = 0\.0028\d*, lambda = 10\.0, T = 272\.06\d*\)"),
+    (CONFORMAL_CONSTRUCT + ["--t0", "800"], "WindowError",
+     r"the weight e\^\{nu t\} overflows on the window \(n = 5, eps = 0\.918\d*, "
+     r"t0 = 800\.0, window = 12\.0, rate = 1\.5\)"),
+    (CKN_CONSTRUCT + ["--t0", "800"], "WindowError",
+     r"the weight e\^\{nu t\} overflows on the window \(n = 5, eps = 0\.4, "
+     r"t0 = 800\.0, window = 12\.0, rate = 2\.4\)"),
+    (CONFORMAL_CONSTRUCT + ["--window", "260"], "WindowError",
+     r"the kernel pair e\^\{sigma \(t - t0\)\} overflows on the window \(n = 5, "
+     r"eps = 0\.918\d*, t0 = 5\.0, window = 260\.0, rate = 2\.7488\d*\)"),
+    (CONFORMAL_CONSTRUCT + ["--t0=-1000"], "WindowError",
+     r"the forcing e\^\{-beta t\} overflows on the window \(n = 5, "
+     r"eps = 0\.918\d*, t0 = -1000\.0, window = 12\.0, rate = 1\.5\)"),
+    (CKN_CONSTRUCT + ["--t0=-1000"], "WindowError",
+     r"the forcing e\^\{-nu t\} overflows on the window \(n = 5, eps = 0\.4, "
+     r"t0 = -1000\.0, window = 12\.0, rate = 2\.4\)"),
+    (CONFORMAL_CONSTRUCT + ["--window", "1e12"], "ValueError",
+     r"grid of 6\.4e\+13 points, more than MAX_GRID_POINTS = 131072 "
+     r"\(t0 = 5\.0, window = 1000000000000\.0, h = 0\.015625\)"),
+    (CONFORMAL_CONSTRUCT + ["--h", "1e-9", "--window", "1"], "ValueError",
+     r"grid of 1e\+09 points, more than MAX_GRID_POINTS = 131072 "
+     r"\(t0 = 5\.0, window = 1\.0, h = 1e-09\)"),
+    (INDEX_SET + ["--max-degree", "0"], "ValueError",
+     r"the index set sums exponents of degrees 1\.\.max_degree, got "
+     r"max_degree = 0")]
+
+
+@pytest.mark.parametrize("argv, error, message", TYPED_REFUSALS, ids=[
+    "floquet-ckn-flat-neck", "index-set-ckn-flat-neck", "weight", "weight-ckn",
+    "kernel-pair", "forcing", "forcing-ckn", "grid-window", "grid-h",
+    "index-set-degree-0"])
+def test_overflowing_closed_forms_and_windows_end_in_one_typed_record(
+        argv, error, message, tmp_path, capsys, monkeypatch):
+    # these used to end in an OverflowError traceback, RuntimeWarnings and a
+    # ConstructionError after 4 window shifts, a PositivityError, or an
+    # _ArrayMemoryError traceback
+    def no_sweep(*args):
+        raise AssertionError("a construction sweep ran")
+
+    monkeypatch.setattr(cli.cylinder, "_iterate", no_sweep)
+    outdir = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_cli(argv + ["--outdir", str(outdir)])
+    assert rc == 1 and not outdir.exists()
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == error
+    assert re.fullmatch(message, record["message"]), record["message"]
+
+
+def test_the_readme_command_block_is_the_benchmark_command_list():
+    # the README's "Command line" block, comments and `--outdir out`
+    # stripped, against README_COMMANDS as perfbench/workloads.py states it
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        readme = fh.read()
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", readme,
+                      re.S).group(1)
+    lines = [" ".join(line.split("#")[0].replace("--outdir out", "").split())
+             for line in block.splitlines() if line.strip()]
+    with open(os.path.join(root, "perfbench", "workloads.py")) as fh:
+        tree = ast.parse(fh.read())
+    (pairs,) = [ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == ["README_COMMANDS"]]
+    assert lines == [f"fowlerlab {command}" for _, command in pairs]

@@ -1173,3 +1173,131 @@ def test_stacked_inverse_checks_its_rate_once(conf5_orbit):
         cylinder._StackedInverse(contexts, nu)
     with pytest.raises(cylinder.ResonanceError, match=r"lambda = 4\.0"):
         contexts[1].solve(np.exp(-t), nu)
+
+
+def _slice_sum_second_derivative(values, h):
+    # the interior rule summed over slices, before one applier ran both
+    # local rules
+    values = np.asarray(values, dtype=float)
+    n = values.shape[-1]
+    out = np.empty_like(values)
+    out[..., 2:-2] = sum(w * values[..., i:n - 4 + i]
+                         for i, w in enumerate(cylinder._D2_INTERIOR))
+    out[..., :2] = cylinder._weighted_sum(values[..., None, :6],
+                                          cylinder._D2_LEFT)
+    out[..., -2:] = cylinder._weighted_sum(values[..., None, -6:],
+                                           cylinder._D2_RIGHT)
+    return out / (h * h)
+
+
+def _per_row_interval_increments(y, h):
+    n = y.shape[-1]
+    inc = np.empty(y.shape[:-1] + (n - 1,))
+    for row, out in zip(y.reshape(-1, n), inc.reshape(-1, n - 1)):
+        out[2:n - 3] = np.correlate(row, cylinder._INT_CENTER, "valid")
+    inc[..., :2] = cylinder._weighted_sum(y[..., None, :6], cylinder._INT_LEFT)
+    inc[..., -2:] = cylinder._weighted_sum(y[..., None, -6:],
+                                           cylinder._INT_RIGHT)
+    return inc * h
+
+
+def _assert_local_rules_are_the_earlier_ones(y, h):
+    for got, ref in ((cylinder.second_derivative(y, h),
+                      _slice_sum_second_derivative(y, h)),
+                     (cylinder._interval_increments(y, h),
+                      _per_row_interval_increments(y, h))):
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+def test_local_rules_are_bitwise_the_earlier_code_on_random_stacks():
+    rng = np.random.default_rng(20240801)
+    for _ in range(300):
+        lead = tuple(int(k) for k in rng.integers(1, 4, rng.integers(0, 3)))
+        y = (rng.standard_normal(lead + (int(rng.integers(6, 120)),))
+             * 10.0 ** rng.uniform(-30.0, 30.0))
+        _assert_local_rules_are_the_earlier_ones(y, float(rng.uniform(1e-3, 1)))
+
+
+@pytest.mark.parametrize("kind", ["conformal", "ckn"])
+def test_local_rules_are_bitwise_the_earlier_code_on_the_readme_rows(
+        kind, conf5_orbit, ckn_orbit, monkeypatch):
+    # every stack of integrands the README construction's sweeps integrate,
+    # and the field's rows its residual differentiates
+    stacks = []
+    increments = cylinder._interval_increments
+
+    def recorded(y, h):
+        stacks.append((y.copy(), h))
+        return increments(y, h)
+    monkeypatch.setattr(cylinder, "_interval_increments", recorded)
+    if kind == "conformal":
+        field, _ = cylinder.contraction_construct(
+            conf5_orbit, cylinder.ForcingProfile(
+                k0=1.0, components=((1, 0.05, 1.5),)))
+    else:
+        field, _, _ = cylinder.ckn_construct(ckn_orbit, 2.4)
+    assert len(stacks) >= 3
+    h = float(field.t[1] - field.t[0])
+    for y, step in stacks + [(field.coeffs, h), (field.coeffs[1], h)]:
+        _assert_local_rules_are_the_earlier_ones(y, step)
+
+
+def test_make_grid_refuses_more_than_max_grid_points(monkeypatch):
+    # a window of 1e12 used to end in a raw _ArrayMemoryError, and h = 1e-9
+    # on a window of 1 ran for minutes
+    for window, h, count in ((1e12, 1 / 64, "6.4e+13"), (1.0, 1e-9, "1e+09"),
+                             (1.0, 1e-310, "inf")):
+        with pytest.raises(ValueError) as err:
+            cylinder.make_grid(5.0, window, h)
+        assert str(err.value) == (
+            f"grid of {count} points, more than MAX_GRID_POINTS = 131072 "
+            f"(t0 = 5.0, window = {window!r}, h = {h!r})")
+    monkeypatch.setattr(cylinder, "MAX_GRID_POINTS", 100)
+    assert cylinder.make_grid(5.0, 99 * 0.25, 0.25).size == 100
+    assert cylinder.make_grid(5.0, 99.4 * 0.25, 0.25).size == 100
+    with pytest.raises(ValueError, match=r"^grid of 101 points, more than "
+                                         r"MAX_GRID_POINTS = 100 \("):
+        cylinder.make_grid(5.0, 100 * 0.25, 0.25)
+
+
+def _unconverged_sweeps(starts):
+    def fake(orbit, tgrid, modes, *args):
+        starts.append(float(tgrid[0]))
+        return np.zeros((len(modes), tgrid.size)), [1.0], [], False, 1
+    return fake
+
+
+def test_an_escalated_window_is_refused_before_it_is_set_up(monkeypatch):
+    # t0 = 200 doubles to 400 and then to 800, where e^{1.5 t} overflows
+    orbit = _fresh_orbit("conformal")
+    starts = []
+    monkeypatch.setattr(cylinder, "_iterate", _unconverged_sweeps(starts))
+    profile = cylinder.ForcingProfile(k0=1.0, components=((1, 0.05, 1.5),))
+    with pytest.raises(cylinder.WindowError) as err:
+        cylinder.contraction_construct(orbit, profile, t0=200.0)
+    assert starts == [200.0, 400.0]
+    assert sorted(key[0] for key in orbit._windows) == [200.0, 400.0]
+    assert str(err.value) == (
+        f"the weight e^{{nu t}} overflows on the window (n = 5, eps = "
+        f"{orbit.epsilon!r}, t0 = 800.0, window = 12.0, rate = 1.5)")
+
+
+def test_the_kernel_pair_bound_falls_where_its_exponential_overflows(
+        monkeypatch):
+    # sigma_2 = 2.7489 on the README orbit: e^{sigma_2 window} overflows
+    # past window 258.21
+    conf5_orbit = _fresh_orbit("conformal")
+    starts = []
+    monkeypatch.setattr(cylinder, "_iterate", _unconverged_sweeps(starts))
+    sigma2 = floquet.spectrum(conf5_orbit, [10.0])[10.0].sigma
+    profile = cylinder.ForcingProfile(k0=1.0, components=((1, 0.05, 1.5),))
+    with pytest.raises(cylinder.ConstructionError):
+        cylinder.contraction_construct(conf5_orbit, profile, window=258.0)
+    assert starts == [5.0, 10.0, 20.0, 40.0, 80.0]
+    with pytest.raises(cylinder.WindowError) as err:
+        cylinder.contraction_construct(conf5_orbit, profile, window=258.5)
+    assert str(err.value) == (
+        f"the kernel pair e^{{sigma (t - t0)}} overflows on the window (n = 5, "
+        f"eps = {conf5_orbit.epsilon!r}, t0 = 5.0, window = 258.5, "
+        f"rate = {sigma2!r})")
+    assert len(starts) == 5

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -666,3 +667,65 @@ def test_readme_orbits_carry_no_warning(params, eps, frac):
     data = floquet.spectrum(orb, lams, with_factors=True)
     assert all(d.warning is None for d in data.values())
     assert all(d.magnus_error <= floquet.MAGNUS_TOL for d in data.values())
+
+
+def _parent_constant_monodromy(orbit, lam):
+    # the closed form and the potential-sign classification as two
+    # functions, before they were stated once
+    T = orbit.period
+    v = float(floquet.ModeOperator(orbit, lam).potential(0.0))
+    if v > 0:
+        r = math.sqrt(v)
+        ch, sh = math.cosh(r * T), math.sinh(r * T)
+        m = np.array([[ch, sh / r], [r * sh, ch]])
+        cls = floquet.Classification(floquet.TYPE_III, math.sqrt(v), None, None)
+    elif v < 0:
+        w = math.sqrt(-v)
+        cw, sw = math.cos(w * T), math.sin(w * T)
+        m = np.array([[cw, sw / w], [-w * sw, cw]])
+        cls = floquet.Classification(floquet.TYPE_IV, None, math.sqrt(-v), None)
+    else:
+        m = np.array([[1.0, T], [0.0, 1.0]])
+        cls = floquet.Classification(floquet.TYPE_II, None, None, None)
+    return m, cls
+
+
+CONSTANT_PARAMS = ([fowler.FowlerParams.conformal(n, 1.0) for n in range(3, 9)]
+                   + [fowler.FowlerParams.ckn(*nab) for nab in
+                      [(5, 0.5, 0.7), (3, 0.0, 0.5), (4, 0.2, 0.2),
+                       (6, 1.0, 1.5)]])
+
+
+@pytest.mark.parametrize("params", CONSTANT_PARAMS, ids=[
+    f"{p.kind}-{p.n}" + (f"-{p.a}-{p.b}" if p.kind == "ckn" else "")
+    for p in CONSTANT_PARAMS])
+def test_constant_closed_form_is_bitwise_the_two_function_form(params):
+    orbit = fowler.constant_orbit(params)
+    lams = [float(spheres.eigenvalue(k, params.n)) for k in range(13)]
+    data = floquet.spectrum(orbit, lams)
+    for lam in lams:
+        m_ref, cls_ref = _parent_constant_monodromy(orbit, lam)
+        m, cls = floquet._constant_monodromy(orbit, lam)
+        assert m.tobytes() == m_ref.tobytes() and cls == cls_ref
+        d = data[lam]
+        assert d.monodromy.tobytes() == m_ref.tobytes()
+        assert (d.type, d.sigma, d.omega) == (cls_ref.type, cls_ref.sigma,
+                                             cls_ref.omega)
+
+
+@pytest.mark.parametrize("degree", [112, 113])
+def test_an_overflowing_closed_form_is_refused_by_name(degree):
+    # degree 112 used to give a datum holding inf, degree 113 a raw
+    # OverflowError; degree 111 is the last finite one
+    orbit = fowler.constant_orbit(fowler.FowlerParams.conformal(3))
+    lam = float(spheres.eigenvalue(degree, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(floquet.spectrum(orbit, [
+            spheres.eigenvalue(111, 3)])[12432.0].monodromy).all()
+        with pytest.raises(fowler.IntegrationError) as err:
+            floquet.spectrum(orbit, [lam])
+    assert str(err.value) == (
+        f"constant-orbit monodromy overflows (conformal problem, n = 3, "
+        f"xi* = {orbit.epsilon!r}, lambda = {lam!r}, T = {orbit.period!r})")
+    assert lam not in orbit._floquet

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.integrate import OdeSolution, solve_ivp
+from scipy.integrate import OdeSolution, quad, solve_ivp
 
 from fowlerlab import cli, cylinder, expansion, floquet, fowler, spheres
 
@@ -503,3 +503,44 @@ def test_period_quadrature_is_bitwise_that_of_the_vectorized_ratio(
     monkeypatch.setattr(fowler, "_expm1_log1p_ratio",
                         _expm1_log1p_ratio_vectorized)
     assert got == [fowler.period_quadrature(e, p) for e, p in cases]
+
+
+def _two_closure_period_quadrature(epsilon, params):
+    # the integrand at each turning point as its own closure, before one
+    # factory took the turning point and a sign
+    xistar = fowler._check_epsilon(epsilon, params)
+    smax = fowler.max_value(epsilon, params)
+    q, c, e = params.q, params.c, params.e
+    ratio_of = fowler._expm1_log1p_ratio
+
+    def left(u):
+        u2 = u * u
+        s = epsilon + u2
+        ratio = ratio_of(u2 / epsilon, e + 1.0)
+        val = q * (s + epsilon) - (2.0 * c / (e + 1.0)) * epsilon**e * ratio
+        return 2.0 / np.sqrt(val)
+
+    def right(u):
+        u2 = u * u
+        s = smax - u2
+        ratio = ratio_of(-u2 / smax, e + 1.0)
+        val = -q * (s + smax) + (2.0 * c / (e + 1.0)) * smax**e * ratio
+        return 2.0 / np.sqrt(val)
+
+    i_left, _ = quad(left, 0.0, math.sqrt(xistar - epsilon), epsabs=1e-13,
+                     epsrel=1e-12, limit=200)
+    i_right, _ = quad(right, 0.0, math.sqrt(smax - xistar), epsabs=1e-13,
+                      epsrel=1e-12, limit=200)
+    return 2.0 * (i_left + i_right)
+
+
+@pytest.mark.parametrize("params", [
+    fowler.FowlerParams.conformal(3, 1.0),
+    fowler.FowlerParams.conformal(5, 1.0),
+    fowler.FowlerParams.ckn(5, 0.5, 0.7)], ids=["conf3", "conf5", "ckn"])
+def test_period_quadrature_is_bitwise_the_two_closure_form(params):
+    xistar = fowler.constant_solution(params)
+    for frac in (1e-5, 1e-3, 0.1, 0.5, 0.9, 0.9999):
+        eps = frac * xistar
+        assert (fowler.period_quadrature(eps, params)
+                == _two_closure_period_quadrature(eps, params)), frac

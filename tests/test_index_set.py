@@ -199,7 +199,9 @@ def _oracle_draws():
 
 
 def _readme_constant_spectrum():
-    # the exponents of `index-set --n 5 --constant --cutoff 4`
+    # the README constant spectrum through the first mode of degree 4: four
+    # distinct exponents, those `index-set --n 5 --constant --cutoff 4`
+    # summed before its degree range stopped at --max-degree
     orbit = constant_orbit(FowlerParams.conformal(5, 1.0))
     data = floquet.exponent_sequence(
         orbit, spheres.index_of_last_degree(5, 3) + 1)
