@@ -12,7 +12,12 @@ pointwise on a Gauss-Jacobi cosine grid of 8 (D + 1) nodes, D the highest
 retained degree, then projected back onto the retained modes.  The projector
 of each (n, modes) and the basis on each fixed cosine grid (the 201 samples
 of `sup_theta`, the 101 of the final positivity check) are formed once per
-process, with read-only arrays.
+process, with read-only arrays.  A construction near an orbit iterates
+phi <- L^{-1} rhs(phi), each group free of cancellation, with the one map
+
+    rhs(phi) = B R_e(b; phi) + C (A phi + D),  R_e = (b + phi)^e - b^e - e b^{e-1} phi,
+
+whose base b, e, b^e, A, B, C and D a problem's `build` gives on the (t, node) grid.
 
 The per-mode linear inverse realizes the bounded right inverse of
 L_i = -d^2/dt^2 + V_i(t) on functions decaying at a rate nu in one form for
@@ -106,7 +111,8 @@ def make_grid(t0: float = DEFAULT_T0, window: float = DEFAULT_WINDOW,
                          f"window = {window!r}, h = {h!r})")
     num = round(num)
     if num < 8:
-        raise ValueError("window too short for the stencil width")
+        raise ValueError(f"window too short for the stencil width: {num + 1} points, "
+                         f"fewer than 9 (t0 = {t0!r}, window = {window!r}, h = {h!r})")
     return t0 + h * np.arange(num + 1)
 
 
@@ -174,34 +180,38 @@ class ForcingProfile:
                 raise ValueError("harmonic degree must be nonnegative")
 
     @property
-    def degrees(self) -> list:  # those with a nonzero kappa, ascending
-        return sorted(deg for deg, kappa, _ in self.components if kappa != 0.0)
+    def active(self) -> tuple:  # those with a nonzero kappa, in order
+        return tuple(c for c in self.components if c[1] != 0.0)
+
+    @property
+    def degrees(self) -> list:  # of the active components, ascending
+        return sorted(deg for deg, _, _ in self.active)
 
     @property
     def is_flat(self) -> bool:
-        return not self.degrees
+        return not self.active
 
     @property
     def min_rate(self) -> float:
-        active = [b for _, k, b in self.components if k != 0.0]
-        return min(active) if active else math.inf
+        return min((b for _, _, b in self.active), default=math.inf)
 
     def deviation(self, t, s, rows) -> np.ndarray:
         """K - K(0) on the (t, s) tensor grid, formed without cancellation.
 
-        `rows[k]` is the degree-k harmonic on s, for every degree with a
-        nonzero kappa.  Raises PositivityError where K itself is not
-        positive.
+        `rows[k]` is the degree-k harmonic on s, for every active degree.
+        Raises PositivityError, naming k0 and the least K and its t, where
+        K itself is not positive.
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.zeros((t.size, np.size(s)))
-        for deg, kappa, beta_ in self.components:
-            if kappa == 0.0:
-                continue
+        for deg, kappa, beta_ in self.active:
             out += kappa * np.outer(np.exp(-beta_ * t), rows[deg])
         out = self.k0 * out
-        if np.min(self.k0 + out) <= 0:
-            raise PositivityError("forcing profile K is not positive on the grid")
+        k = np.min(self.k0 + out, axis=1)  # the least K at each t
+        low = np.argmin(k)
+        if k[low] <= 0:
+            raise PositivityError(f"forcing profile K is not positive on the grid: min K = "
+                                  f"{float(k[low])!r} at t = {float(t[low])!r} (k0 = {self.k0!r})")
         return out
 
 
@@ -640,15 +650,21 @@ def decay_rate_fit(arg, t_window=None, floor: float = UNDERFLOW_FLOOR) -> FitRes
         t, vals = arg.t, arg.sup_theta()
     else:
         t, vals = np.asarray(arg[0], dtype=float), np.asarray(arg[1], dtype=float)
-    mask = np.isfinite(vals) & (vals > 0) & (t > 0)  # t-prefactor model needs t > 0
-    if t_window is not None:
-        mask &= (t >= t_window[0]) & (t <= t_window[1])
+    lo, hi = (-math.inf, math.inf) if t_window is None else t_window
+    inside = (t >= lo) & (t <= hi)
+    # the t-prefactor model needs t > 0
+    mask = inside & np.isfinite(vals) & (vals > 0) & (t > 0)
     warning = None
     if np.any(mask & (vals <= floor)):
         warning = f"window shrunk: values at/below the {floor:g} floor dropped"
         mask &= vals > floor
     if mask.sum() < 4:
-        raise ValueError("not enough usable points for a decay fit")
+        top = np.max(vals[inside & np.isfinite(vals)], initial=-math.inf)
+        raise ValueError(
+            f"not enough usable points for a decay fit: {mask.sum()} of "
+            f"{inside.sum()} in the window [{float(lo)!r}, {float(hi)!r}] are "
+            f"finite, above the floor {floor!r} and at t > 0, fewer than 4 "
+            f"(largest value {float(top)!r})")
     tt, yy = t[mask], np.log(vals[mask])
 
     def lsq(target):
@@ -830,23 +846,26 @@ def _construct(orbit: FowlerOrbit, modes, nu: float, build, t0: float,
                window: float, h: float, tol: float, rates):
     """The fixed-point construction near an orbit shared by both problems.
 
-    `build(tgrid, xi_t, proj)` is the problem: on the window it returns the
-    base coefficients, the base values on the (t, Gauss node) grid, the
-    pointwise map phi_vals -> values of the rhs, which may write into
-    phi_vals, and the forcing, the map's read-only values at phi = 0; xi_t
-    are the orbit's read-only samples on the window.  Everything that does
-    not depend on phi is formed there, once per window.  The first sweep
-    projects the forcing; each later one synthesizes phi on the nodes,
-    refuses an iterate that is not positive there and projects the map's
-    values: phi <- L^{-1} rhs(phi).  (The base itself is positive: the
-    orbit is, and `build` checks any perturbed base.)  Whenever
-    the iteration fails to converge within MAX_SWEEPS sweeps (a measured
-    factor >= 1 or the sweep cap) the window start t0 doubles, at most four
-    times.  Each window, the first included, is refused with WindowError
-    before it is set up when an exponential it needs overflows: the weight
-    e^{nu t}, a hyperbolic mode's kernel pair e^{sigma (t - t0)} or the
-    forcing e^{-r t} of each (name, r) of `rates`.  Returns the base field,
-    the field base + phi and the iteration trace.
+    `build(tgrid, xi_t, proj)` states the problem on the window, xi_t the
+    orbit's read-only samples there: the base coefficients and, on the
+    (t, Gauss node) grid, the base b, the exponent e, b^e and the factors
+    A, B, C, D (arrays, or 1.0) of the map
+
+        rhs(phi) = B R_e(b; phi) + C (A phi + D),
+
+    R_e the remainder `_power_remainder`.  The forcing C D, the map at
+    phi = 0, is formed once per window and projected by the first sweep;
+    each later one synthesizes phi on the nodes, refuses an iterate b + phi
+    that is not positive there, forms the map in place and projects it:
+    phi <- L^{-1} rhs(phi).  A base b, or a result base + phi on 101
+    cosines, that is not positive is refused too.  Whenever the iteration
+    fails to converge within MAX_SWEEPS sweeps (a measured factor >= 1 or
+    the sweep cap) the window start t0 doubles, at most four times.  Each
+    window, the first included, is refused with WindowError before it is
+    set up when an exponential it needs overflows: the weight e^{nu t}, a
+    hyperbolic mode's kernel pair e^{sigma (t - t0)} or the forcing
+    e^{-r t} of each (name, r) of `rates`.  Returns the base field, the
+    field base + phi and the iteration trace.
     """
     params = orbit.params
     if not 0.0 <= tol < math.inf:
@@ -866,22 +885,32 @@ def _construct(orbit: FowlerOrbit, modes, nu: float, build, t0: float,
     while True:
         tgrid = make_grid(t0, window, h)
         first, last = float(tgrid[0]), float(tgrid[-1])
+        where = (f"n = {params.n}, eps = {orbit.epsilon!r}, t0 = {t0!r}, "
+                 f"window = {window!r}")
         for name, r, shifted in growth:
             lo, hi = (0.0, last - first) if shifted else (first, last)
             if max(r * lo, r * hi) > _MAX_EXPONENT:
-                raise WindowError(
-                    f"{name} overflows on the window (n = {params.n}, eps = "
-                    f"{orbit.epsilon!r}, t0 = {t0!r}, window = {window!r}, "
-                    f"rate = {abs(r)!r})")
+                raise WindowError(f"{name} overflows on the window ({where}, "
+                                  f"rate = {abs(r)!r})")
         win = _window(orbit, tgrid)
-        base, base_vals, pointwise, forcing = build(tgrid, win.xi, proj)
+        base, b, e, b_e, A, B, C, D = build(tgrid, win.xi, proj)
+        if np.min(b) <= 0:
+            raise PositivityError(f"base field not positive on the grid ({where})")
+        forcing = C * D
+        forcing.flags.writeable = False
         vals = np.empty(forcing.shape)
 
         def rhs_fn(phi_coeffs):
             phi_vals = phi_coeffs.T @ proj.basis
-            if np.min(np.add(base_vals, phi_vals, out=vals)) <= 0:
-                raise PositivityError("iterate lost positivity")
-            return proj.project(pointwise(phi_vals))
+            if np.min(np.add(b, phi_vals, out=vals)) <= 0:
+                raise PositivityError(f"iterate lost positivity ({where})")
+            out = _power_remainder(e, b, b_e, phi_vals)
+            out *= B
+            phi_vals *= A
+            phi_vals += D
+            phi_vals *= C
+            out += phi_vals
+            return proj.project(out)
 
         # on the window's own grid, the context lookups skip the grid check
         phi, norms, factors, converged, iters = _iterate(
@@ -899,10 +928,10 @@ def _construct(orbit: FowlerOrbit, modes, nu: float, build, t0: float,
     trace = IterationTrace(norms=norms, factors=factors, t0=t0, nu=nu,
                            converged=converged, iterations=iters,
                            escalations=escalations)
-    return (CylinderField(t=tgrid, modes=modes, coeffs=base, params=params),
-            CylinderField(t=tgrid, modes=modes, coeffs=base + phi,
-                          params=params),
-            trace)
+    v = CylinderField(t=tgrid, modes=modes, coeffs=base + phi, params=params)
+    if np.min(v.on_cosines(101)) <= 0:
+        raise PositivityError(f"constructed field is not positive ({where})")
+    return CylinderField(t=tgrid, modes=modes, coeffs=base, params=params), v, trace
 
 
 def contraction_construct(orbit: FowlerOrbit, profile: ForcingProfile,
@@ -929,9 +958,9 @@ def contraction_construct(orbit: FowlerOrbit, profile: ForcingProfile,
     n, e, k0 = params.n, params.e, params.c
     # phi is seeded only by forcing of a retained degree: without one,
     # phi = 0 is the exact fixed point and the decay fit has nothing to fit
-    active = profile.degrees
-    if active and active[0] > max_degree:
-        raise ValueError(f"forcing degree {active[0]} above the retained "
+    degrees = profile.degrees
+    if degrees and degrees[0] > max_degree:
+        raise ValueError(f"forcing degree {degrees[0]} above the retained "
                          f"degrees 0..{max_degree}: no forcing component of "
                          f"a retained degree seeds the construction")
     modes = tuple(spheres.HarmonicMode(k, n) for k in range(max_degree + 1))
@@ -942,36 +971,15 @@ def contraction_construct(orbit: FowlerOrbit, profile: ForcingProfile,
         nu = _pick_off_resonant_rate(profile.min_rate, sigmas)
 
     def build(tgrid, xi_t, proj):
-        k_dev = profile.deviation(tgrid, proj.s, proj.rows(active))
-        k = k0 + k_dev
+        k_dev = profile.deviation(tgrid, proj.s, proj.rows(degrees))
         xi = xi_t[:, None]
-        xi_e, dxi_e = xi**e, e * xi ** (e - 1.0)
-        forcing = k_dev * xi_e
-        forcing.flags.writeable = False
-
-        def pointwise(phi_vals):
-            # (K - K0)(xi + phi)^e + K0 R = (K - K0)(xi^e + e xi^{e-1} phi)
-            # + K R, R = (xi + phi)^e - xi^e - e xi^{e-1} phi: each group is
-            # formed without cancellation, so the projected rhs is accurate
-            # relative to its own exponentially small size; both groups are
-            # formed in place, the sum with its operands swapped
-            out = _power_remainder(e, xi, xi_e, phi_vals)
-            out *= k
-            phi_vals *= dxi_e
-            phi_vals += xi_e
-            phi_vals *= k_dev
-            out += phi_vals
-            return out
-
+        xi_e = xi**e
         base = np.zeros((len(modes), tgrid.size))
         base[0] = xi_t
-        return base, xi, pointwise, forcing
+        return base, xi, e, xi_e, e * xi ** (e - 1.0), k0 + k_dev, k_dev, xi_e
 
-    rates = [("beta", b) for _, k, b in profile.components if k != 0.0]
     _, v, trace = _construct(orbit, modes, nu, build, t0, window, h, tol,
-                             rates)
-    if np.min(v.on_cosines(101)) <= 0:
-        raise PositivityError("constructed field is not positive")
+                             [("beta", b) for _, _, b in profile.active])
     return v, trace
 
 
@@ -1010,35 +1018,25 @@ def ckn_construct(orbit: FowlerOrbit, nu: float, amplitude: float = 0.05,
     def build(tgrid, zeta_t, proj):
         pert = amplitude * np.outer(np.exp(-nu * tgrid), proj.basis[degree])
         what_vals = zeta_t[:, None] + pert
-        if np.min(what_vals) <= 0:
-            raise PositivityError("approximate solution w_hat not positive")
-        what_pow = what_vals ** (p - 1.0)
         # N(w_hat) analytically: the zeta part solves the ODE and the
         # perturbation is an explicit exponential times a harmonic, so
         #   N(w_hat) = (lam + q - nu^2) pert - [w_hat^{p-1} - zeta^{p-1}],
-        # with the power difference taken through expm1 for stability
-        log_rel = np.log1p(pert / zeta_t[:, None])
+        # with the power difference taken through expm1 for stability; a
+        # w_hat <= 0, which `_construct` refuses, gives NaN here
+        with np.errstate(invalid="ignore", divide="ignore"):
+            what_pow = what_vals ** (p - 1.0)
+            log_rel = np.log1p(pert / zeta_t[:, None])
         power_jump = (zeta_t ** (p - 1.0))[:, None] * np.expm1(
             (p - 1.0) * log_rel)
         forcing = -((lam_pert + params.q - nu * nu) * pert - power_jump)
-        forcing.flags.writeable = False
         # (p-1)(w_hat^{p-2} - zeta^{p-2}), the linearization-offset factor
         lin_offset = (p - 1.0) * (zeta_t ** (p - 2.0))[:, None] * np.expm1(
             (p - 2.0) * log_rel)
-
-        def pointwise(phi_vals):
-            # -N(w_hat) + (w_hat+phi)^{p-1} - w_hat^{p-1} - (p-1) zeta^{p-2} phi,
-            # formed in place, each sum with its operands swapped
-            out = _power_remainder(p - 1.0, what_vals, what_pow, phi_vals)
-            out += forcing
-            phi_vals *= lin_offset
-            out += phi_vals
-            return out
-
         what_coeffs = np.zeros((len(modes), tgrid.size))
         what_coeffs[0] = zeta_t
         what_coeffs[degree] += amplitude * np.exp(-nu * tgrid)
-        return what_coeffs, what_vals, pointwise, forcing
+        return (what_coeffs, what_vals, p - 1.0, what_pow, lin_offset, 1.0,
+                1.0, forcing)
 
     w_hat, w, trace = _construct(orbit, modes, nu, build, t0, window, h, tol,
                                  [("nu", nu)])

@@ -509,6 +509,8 @@ REFUSED = [
      "a = [1.3e+154, 0.0, 0.0, 0.0, 0.0]"),
     (CONFORMAL_CONSTRUCT + ["--max-degree", "-1", "--kappa", "0"],
      "max_degree = -1"),
+    (CONFORMAL_CONSTRUCT + ["--window", "0.1"],
+     "7 points, fewer than 9 (t0 = 5.0, window = 0.1, h = 0.015625)"),
     (INDEX_SET + ["--max-degree", "-1"], "max_degree = -1"),
     # count vectors past index_set.MAX_COUNT_VECTORS
     (INDEX_SET + ["--cutoff", "1e6"], "cutoff = 1000000.0"),
@@ -601,13 +603,19 @@ TYPED_REFUSALS = [
      r"\(t0 = 5\.0, window = 1\.0, h = 1e-09\)"),
     (INDEX_SET + ["--max-degree", "0"], "ValueError",
      r"the index set sums exponents of degrees 1\.\.max_degree, got "
-     r"max_degree = 0")]
+     r"max_degree = 0"),
+    (CONFORMAL_CONSTRUCT + ["--kappa", "5000"], "PositivityError",
+     r"forcing profile K is not positive on the grid: min K = -1\.734\d* at "
+     r"t = 5\.0 \(k0 = 1\.0\)"),
+    (CKN_CONSTRUCT + ["--kappa", "1e6"], "PositivityError",
+     r"base field not positive on the grid \(n = 5, eps = 0\.4, t0 = 5\.0, "
+     r"window = 12\.0\)")]
 
 
 @pytest.mark.parametrize("argv, error, message", TYPED_REFUSALS, ids=[
     "floquet-ckn-flat-neck", "index-set-ckn-flat-neck", "weight", "weight-ckn",
     "kernel-pair", "forcing", "forcing-ckn", "grid-window", "grid-h",
-    "index-set-degree-0"])
+    "index-set-degree-0", "profile-not-positive", "base-not-positive-ckn"])
 def test_overflowing_closed_forms_and_windows_end_in_one_typed_record(
         argv, error, message, tmp_path, capsys, monkeypatch):
     # these used to end in an OverflowError traceback, RuntimeWarnings and a
@@ -627,6 +635,36 @@ def test_overflowing_closed_forms_and_windows_end_in_one_typed_record(
     record = json.loads(lines[0])
     assert record["error"] == error
     assert re.fullmatch(message, record["message"]), record["message"]
+
+
+UNFITTED = [
+    (CONFORMAL_CONSTRUCT + ["--t0", "20"], r"520 in the window \[20\.5, "
+     r"28\.615\d*\]", r"7\.78\d*e-15"),
+    (CONFORMAL_CONSTRUCT + ["--t0", "30"], r"520 in the window \[30\.5, "
+     r"38\.615\d*\]", r"3\.78\d*e-21"),
+    (CKN_CONSTRUCT + ["--t0", "20"], r"475 in the window \[20\.5, "
+     r"27\.912\d*\]", r"2\.14\d*e-23")]
+
+
+@pytest.mark.parametrize("argv, window, top", UNFITTED,
+                         ids=["t0-20", "t0-30", "ckn-t0-20"])
+def test_a_perturbation_below_the_floor_ends_in_one_named_record(
+        argv, window, top, tmp_path, capsys):
+    # these converge, then the whole fit window lies below UNDERFLOW_FLOOR;
+    # the record used to name no parameter
+    outdir = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_cli(argv + ["--outdir", str(outdir)])
+    assert rc == 1 and not outdir.exists()
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "ValueError"
+    assert re.fullmatch(
+        rf"not enough usable points for a decay fit: 0 of {window} are "
+        rf"finite, above the floor 1e-14 and at t > 0, fewer than 4 "
+        rf"\(largest value {top}\)", record["message"]), record["message"]
 
 
 def test_the_readme_command_block_is_the_benchmark_command_list():

@@ -555,39 +555,128 @@ def test_power_remainder_matches_the_where_form(grid, base_cols, exponent):
 
 
 def _captured_build(monkeypatch, construct):
-    """The `build` a construction hands to `_construct`, and its window."""
-    seen = []
-    real = cylinder._construct
-    monkeypatch.setattr(cylinder, "_construct",
-                        lambda orbit, modes, nu, build, t0, window, *rest:
-                        seen.append((orbit, modes, build, t0, window))
-                        or real(orbit, modes, nu, build, t0, window, *rest))
+    """A construction's first window as `_construct` sees it: the data its
+    `build` returns, the rhs the sweeps call and every (iterate on the
+    nodes, pointwise values) that `_construct` projects, the forcing first
+    with iterate None."""
+    builds, rhs_fns, projected, phi = [], [], [], [None]
+    real_construct, real_iterate = cylinder._construct, cylinder._iterate
+    real_project = cylinder.ZonalProjector.project
+
+    def construct_(orbit, modes, nu, build, *rest):
+        return real_construct(orbit, modes, nu, lambda *args: builds.append(
+            build(*args)) or builds[-1], *rest)
+
+    def iterate_(orbit, tgrid, modes, rhs0, rhs_fn, *rest):
+        def rhs(coeffs):
+            # the synthesis rhs_fn makes, in its own buffer
+            phi[0] = coeffs.T @ cylinder._projector(orbit.params.n, modes).basis
+            return rhs_fn(coeffs)
+        rhs_fns.append(rhs)
+        return real_iterate(orbit, tgrid, modes, rhs0, rhs, *rest)
+
+    def project(self, values):
+        projected.append((phi[0], values))
+        return real_project(self, values)
+
+    monkeypatch.setattr(cylinder, "_construct", construct_)
+    monkeypatch.setattr(cylinder, "_iterate", iterate_)
+    monkeypatch.setattr(cylinder.ZonalProjector, "project", project)
     construct()
-    orbit, modes, build, t0, window = seen[0]
-    tgrid = cylinder.make_grid(t0, window)
-    proj = cylinder._projector(orbit.params.n, modes)
-    return build(tgrid, cylinder._window(orbit, tgrid).xi, proj)
+    return builds[0], rhs_fns[0], projected
+
+
+def _readme_construction(kind, conf5_orbit, ckn_orbit, comps=((1, 0.05, 1.5),),
+                         top=2):
+    if kind == "ckn":
+        return lambda: cylinder.ckn_construct(ckn_orbit, 2.4)
+    prof = cylinder.ForcingProfile(k0=1.0, components=comps)
+    return lambda: cylinder.contraction_construct(conf5_orbit, prof,
+                                                  max_degree=top)
 
 
 @pytest.mark.parametrize("case", ["one", "degrees_1_4", "flat", "ckn"])
 def test_forcing_is_the_pointwise_map_at_zero(case, conf5_orbit, ckn_orbit,
                                               monkeypatch):
-    # the first sweep projects the forcing instead of the map at phi = 0
-    if case == "ckn":
-        call = lambda: cylinder.ckn_construct(ckn_orbit, 2.4)
-    else:
-        comps, top = {"one": (((1, 0.05, 1.5),), 2),
-                      "degrees_1_4": (((1, 0.05, 1.5), (4, 0.02, 2.5)), 4),
-                      "flat": ((), 2)}[case]
-        prof = cylinder.ForcingProfile(k0=1.0, components=comps)
-        call = lambda: cylinder.contraction_construct(conf5_orbit, prof,
-                                                      max_degree=top)
-    _, _, pointwise, forcing = _captured_build(monkeypatch, call)
-    at_zero = pointwise(np.zeros(forcing.shape))
+    # the first sweep projects the forcing C D instead of the map at phi = 0
+    comps, top = {"one": (((1, 0.05, 1.5),), 2),
+                  "degrees_1_4": (((1, 0.05, 1.5), (4, 0.02, 2.5)), 4),
+                  "flat": ((), 2), "ckn": ((), 2)}[case]
+    data, rhs, projected = _captured_build(monkeypatch, _readme_construction(
+        "ckn" if case == "ckn" else "conformal", conf5_orbit, ckn_orbit,
+        comps, top))
+    rhs(np.zeros(data[0].shape))  # the map at phi = 0
+    forcing, at_zero = projected[0][1], projected[-1][1]
     assert not forcing.flags.writeable
     assert np.array_equal(at_zero, forcing)
     assert np.array_equal(np.signbit(at_zero), np.signbit(forcing))
     assert (case == "flat") == (not np.any(forcing))
+
+
+def _conformal_pointwise(e, xi, xi_e, dxi_e, k, k_dev):
+    """The conformal construction's map as it was written on its own."""
+    def pointwise(phi_vals):
+        out = cylinder._power_remainder(e, xi, xi_e, phi_vals)
+        out *= k
+        phi_vals *= dxi_e
+        phi_vals += xi_e
+        phi_vals *= k_dev
+        out += phi_vals
+        return out
+    return pointwise, k_dev * xi_e
+
+
+def _ckn_pointwise(exponent, what_vals, what_pow, forcing, lin_offset):
+    """The CKN construction's map as it was written on its own."""
+    def pointwise(phi_vals):
+        out = cylinder._power_remainder(exponent, what_vals, what_pow, phi_vals)
+        out += forcing
+        phi_vals *= lin_offset
+        out += phi_vals
+        return out
+    return pointwise, forcing
+
+
+@pytest.mark.parametrize("kind", ["conformal", "ckn"])
+def test_construction_map_is_bitwise_the_two_closures(kind, conf5_orbit,
+                                                      ckn_orbit, monkeypatch):
+    # B R_e(b; phi) + C (A phi + D) with each problem's data gives the bits
+    # of the map that problem formed itself, on every sweep
+    (_, b, e, b_e, A, B, C, D), _, projected = _captured_build(
+        monkeypatch, _readme_construction(kind, conf5_orbit, ckn_orbit))
+    if kind == "conformal":
+        assert np.array_equal(A, e * b ** (e - 1.0))
+        assert np.array_equal(B, 1.0 + C) and np.array_equal(D, b_e)
+        pointwise, forcing = _conformal_pointwise(e, b, b_e, A, B, C)
+    else:
+        assert B == C == 1.0
+        pointwise, forcing = _ckn_pointwise(e, b, b_e, D, A)
+    (none, first), *sweeps = projected
+    assert none is None and np.array_equal(first, forcing)
+    assert np.array_equal(np.signbit(first), np.signbit(forcing))
+    assert len(sweeps) >= 1
+    for phi_vals, values in sweeps:
+        old = pointwise(phi_vals.copy())
+        assert np.array_equal(values, old)
+        assert np.array_equal(np.signbit(values), np.signbit(old))
+
+
+@pytest.mark.parametrize("kind", ["conformal", "ckn"])
+def test_a_result_that_is_not_positive_is_refused(kind, conf5_orbit,
+                                                  ckn_orbit, monkeypatch):
+    # `_construct` checks base + phi on 101 cosines after the last sweep for
+    # both problems; here the converged phi is pushed below the orbit
+    real = cylinder._iterate
+
+    def sunk(*args):
+        phi, *rest = real(*args)
+        return (phi - 10.0, *rest)
+
+    monkeypatch.setattr(cylinder, "_iterate", sunk)
+    with pytest.raises(cylinder.PositivityError,
+                       match=r"constructed field is not positive \(n = 5, eps "
+                             r"= \S+, t0 = 5\.0, window = 12\.0\)"):
+        _readme_construction(kind, conf5_orbit, ckn_orbit)()
 
 
 @pytest.mark.parametrize("kind", ["conformal", "ckn"])
