@@ -154,9 +154,8 @@ def _parent_parsers():
 
 def _cmd_fowler(args):
     orbit = _orbit_from(args)
-    write_csv(["t", "xi", "xi_prime"], [orbit.t, orbit.xi, orbit.xi_prime],
-              os.path.join(args.outdir, "orbit.csv"))
-    write_json(orbit_to_dict(orbit), os.path.join(args.outdir, "orbit.json"))
+    # the summary, its period quadrature included, is formed before any
+    # file is written: a refused quadrature leaves no file behind
     summary = {"period": orbit.period, "energy": orbit.energy,
                "max_xi": float(np.max(orbit.xi)), "epsilon": orbit.epsilon,
                "is_constant": orbit.is_constant,
@@ -165,14 +164,18 @@ def _cmd_fowler(args):
         params = orbit.params
         omega = math.sqrt(params.q * (params.e - 1.0))
         summary["mode0_rotation"] = omega
-        print(f"constant solution xi* = {orbit.epsilon!r}, mode-0 rotation "
-              f"omega = {omega!r}")
+        line = (f"constant solution xi* = {orbit.epsilon!r}, mode-0 rotation "
+                f"omega = {omega!r}")
     else:
         summary["period_quadrature"] = period_quadrature(orbit.epsilon,
                                                          orbit.params)
-        print(f"T = {orbit.period!r}  H = {orbit.energy!r}  "
-              f"max xi = {summary['max_xi']!r}")
+        line = (f"T = {orbit.period!r}  H = {orbit.energy!r}  "
+                f"max xi = {summary['max_xi']!r}")
+    write_csv(["t", "xi", "xi_prime"], [orbit.t, orbit.xi, orbit.xi_prime],
+              os.path.join(args.outdir, "orbit.csv"))
+    write_json(orbit_to_dict(orbit), os.path.join(args.outdir, "orbit.json"))
     write_json(summary, os.path.join(args.outdir, "orbit_summary.json"))
+    print(line)
     return 0
 
 

@@ -25,13 +25,14 @@ structure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import spheres
-from .fowler import BareDOP853, DenseSolution, FowlerOrbit, IntegrationError
+from .fowler import (BareDOP853, DenseSolution, FowlerOrbit, IntegrationError,
+                     output_fields)
 from .periodic import PeriodicFunction
 
 TYPE_I, TYPE_II, TYPE_III, TYPE_IV = "I", "II", "III", "IV"
@@ -74,8 +75,8 @@ class FloquetDatum:
     type: str
     sigma: float | None = None       # Type III exponent
     omega: float | None = None       # Type IV rotation number
-    q_plus: PeriodicFunction | None = None
-    q_minus: PeriodicFunction | None = None
+    q_plus: PeriodicFunction | None = field(default=None, compare=False)
+    q_minus: PeriodicFunction | None = field(default=None, compare=False)
     periodicity_defect: float = 0.0
     warning: str | None = None
     coupling: float | None = None    # Type II t-term coefficient estimate
@@ -85,27 +86,12 @@ class FloquetDatum:
     trace_defect: float | None = None  # |tr M - 2| of the mode-0 monodromy
     # right-hand-side evaluations and accepted steps of the kernel-branch
     # solve that made q_plus and q_minus, shared by its whole batch
-    kernel_rhs_evals: int = 0
-    kernel_steps: int = 0
+    kernel_rhs_evals: int = field(default=0, compare=False)
+    kernel_steps: int = field(default=0, compare=False)
 
     def to_dict(self) -> dict:
-        d = {
-            "index": self.index,
-            "degree": self.degree,
-            "lambda": self.lam,
-            "period": self.period,
-            "monodromy": [list(map(float, row)) for row in self.monodromy],
-            "type": self.type,
-            "sigma": self.sigma,
-            "omega": self.omega,
-            "periodicity_defect": self.periodicity_defect,
-            "det_defect": self.det_defect,
-            "magnus_steps": self.magnus_steps,
-            "magnus_error": self.magnus_error,
-            "trace_defect": self.trace_defect,
-            "coupling": self.coupling,
-            "warning": self.warning,
-        }
+        d = output_fields(self)
+        d["lambda"] = d.pop("lam")
         if self.q_plus is not None:
             ts = np.linspace(0.0, self.period, 257)[:-1]
             d["q_plus"] = self.q_plus(ts).tolist()

@@ -14,7 +14,8 @@ the Hamiltonian H = xi'^2/2 - (q/2) xi^2 + (c/(e+1)) xi^{e+1}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.integrate import DOP853, quad, solve_ivp
@@ -24,6 +25,8 @@ from scipy.integrate._ivp.rk import (MAX_FACTOR, MIN_FACTOR, SAFETY,
 from scipy.optimize import brentq
 
 DEGENERACY_GAP = 1e-6  # reject eps closer to xi* than this (relative)
+QUADRATURE_TOL = 1e-9  # largest accepted relative error estimate of a period
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # where exp overflows
 ORBIT_SAMPLES = 2048  # uniform samples over [0, T], both ends included
 
 
@@ -114,22 +117,32 @@ def upper_turning_bound(params: FowlerParams) -> float:
 
 def _check_epsilon(epsilon: float, params: FowlerParams) -> float:
     """xi*, once eps is checked to lie in (0, xi*), where the periodic orbits
-    with minimum eps are."""
+    with minimum eps are, and at least DEGENERACY_GAP * xi* below xi*."""
     xistar = constant_solution(params)
+    named = (f"({params.kind} problem, n = {params.n}, eps = {epsilon!r}, "
+             f"xi* = {xistar!r})")
     if not 0 < epsilon < xistar:
         bound = "be positive" if not epsilon > 0 else "lie below xi*"
         raise ValueError(
-            f"no periodic orbit with minimum eps: eps must {bound} "
-            f"({params.kind} problem, n = {params.n}, eps = {epsilon!r}, "
-            f"xi* = {xistar!r})")
+            f"no periodic orbit with minimum eps: eps must {bound} {named}")
+    if xistar - epsilon < DEGENERACY_GAP * xistar:
+        raise ValueError(
+            f"eps within {DEGENERACY_GAP:g}*xi* of the constant solution: "
+            f"orbit is numerically degenerate {named}")
     return xistar
 
 
 def max_value(epsilon: float, params: FowlerParams) -> float:
-    """The orbit maximum: unique root s > xi* of G(s) = G(eps)."""
+    """The orbit maximum: unique root s > xi* of G(s) = G(eps).
+
+    Where G(eps) lies within rounding of G's value at the upper turning
+    bound (0 in exact arithmetic), the maximum is that bound to rounding
+    and is returned as it is."""
     xistar = _check_epsilon(epsilon, params)
     h0 = _potential(epsilon, params)
     hi = upper_turning_bound(params)
+    if _potential(hi, params) <= h0:
+        return hi
     return brentq(lambda s: _potential(s, params) - h0, xistar, hi,
                   xtol=1e-13, rtol=8.9e-16)
 
@@ -162,6 +175,9 @@ def period_quadrature(epsilon: float, params: FowlerParams) -> float:
     inverse-square-root singularities, and the level difference
     G(turn) - G(s) is expanded through expm1/log1p so the integrand stays
     smooth down to u = 0 even for orbits close to the constant solution.
+    Where (1 + u^2/eps)^(e+1) overflows, on slow orbits, the difference is
+    formed directly.  A period whose QUADPACK error estimate exceeds
+    QUADRATURE_TOL of it raises `IntegrationError` naming the orbit.
     """
     xistar = _check_epsilon(epsilon, params)
     smax = max_value(epsilon, params)
@@ -172,16 +188,31 @@ def period_quadrature(epsilon: float, params: FowlerParams) -> float:
             # 2 sign (G(turn) - G(turn + sign u^2)) / u^2, exact at u = 0
             u2 = u * u
             s = turn + sign * u2
-            ratio = _expm1_log1p_ratio(sign * u2 / turn, e + 1.0)
-            val = q * (s + turn) - (2.0 * c / (e + 1.0)) * turn**e * ratio
+            y = sign * u2 / turn
+            if (e + 1.0) * np.log1p(y) > _LOG_FLOAT_MAX:
+                # (1 + y)^(e+1) overflows; y is past 1e51 there (e + 1 <= 6),
+                # so the direct difference has no cancellation
+                val = q * (s + turn) - (2.0 * c / (e + 1.0)) * (
+                    (s ** (e + 1.0) - turn ** (e + 1.0)) / u2)
+            else:
+                ratio = _expm1_log1p_ratio(y, e + 1.0)
+                val = q * (s + turn) - (2.0 * c / (e + 1.0)) * turn**e * ratio
             return 2.0 / np.sqrt(sign * val)
         return f
 
-    i_left, _ = quad(integrand(epsilon, 1.0), 0.0, math.sqrt(xistar - epsilon),
-                     epsabs=1e-13, epsrel=1e-12, limit=200)
-    i_right, _ = quad(integrand(smax, -1.0), 0.0, math.sqrt(smax - xistar),
-                      epsabs=1e-13, epsrel=1e-12, limit=200)
-    return 2.0 * (i_left + i_right)
+    # full_output returns the error estimates without an IntegrationWarning
+    (i_left, err_left), (i_right, err_right) = (
+        quad(integrand(turn, sign), 0.0, math.sqrt(width), epsabs=1e-13,
+             epsrel=1e-12, limit=200, full_output=1)[:2]
+        for turn, sign, width in ((epsilon, 1.0, xistar - epsilon),
+                                  (smax, -1.0, smax - xistar)))
+    period, error = 2.0 * (i_left + i_right), 2.0 * (err_left + err_right)
+    if not error <= QUADRATURE_TOL * period:  # a NaN fails too
+        raise IntegrationError(
+            f"period quadrature unresolved: error estimate {error:.3g} above "
+            f"{QUADRATURE_TOL:g} of the period {period!r} ({params.kind} "
+            f"problem, n = {params.n}, eps = {epsilon!r})")
+    return period
 
 
 class DenseSolution:
@@ -422,11 +453,7 @@ def periodic_orbit(epsilon: float, params: FowlerParams,
     """
     if not 0 < tol < math.inf:  # a NaN or infinite tol never ends the solve
         raise ValueError(f"tol must be positive and finite, got tol = {tol!r}")
-    xistar = _check_epsilon(epsilon, params)
-    if xistar - epsilon < DEGENERACY_GAP * xistar:
-        raise ValueError(
-            f"eps within {DEGENERACY_GAP:g}*xi* of the constant solution: "
-            "orbit is numerically degenerate")
+    _check_epsilon(epsilon, params)
 
     def at_max(t, y):
         return y[1]
@@ -479,15 +506,14 @@ def periodic_orbit(epsilon: float, params: FowlerParams,
                        _dense=dense)
 
 
+def output_fields(result) -> dict:
+    """A result's compared dataclass fields by name, arrays as lists: what
+    its result file holds.  A `compare=False` field, a work count or a
+    cache, stays out of every result file."""
+    out = {f.name: getattr(result, f.name) for f in fields(result) if f.compare}
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v
+            for k, v in out.items()}
+
+
 def orbit_to_dict(orbit: FowlerOrbit) -> dict:
-    return {
-        "params": orbit.params.describe(),
-        "epsilon": orbit.epsilon,
-        "period": orbit.period,
-        "energy": orbit.energy,
-        "energy_drift": orbit.energy_drift,
-        "is_constant": orbit.is_constant,
-        "t": orbit.t.tolist(),
-        "xi": orbit.xi.tolist(),
-        "xi_prime": orbit.xi_prime.tolist(),
-    }
+    return dict(output_fields(orbit), params=orbit.params.describe())

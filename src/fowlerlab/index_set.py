@@ -90,18 +90,23 @@ def generate(rho, cutoff: float, tol: float = DEFAULT_TOL, degrees=None) -> Inde
     if rho.size == 0:
         raise ValueError("exponent list must be nonempty")
     if np.any(rho <= 0):
-        raise ValueError("all exponents must be positive")
+        i = int(np.flatnonzero(rho <= 0)[0])
+        raise ValueError(f"all exponents must be positive, got rho[{i}] = "
+                         f"{float(rho.flat[i])!r}")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got tol = {tol!r}")
     if not math.isfinite(cutoff):
         raise ValueError(f"cutoff must be finite, got cutoff = {cutoff!r}")
     if cutoff < np.min(rho):
-        raise ValueError("cutoff must be at least the smallest exponent")
+        raise ValueError(f"cutoff must be at least the smallest exponent, got "
+                         f"smallest exponent = {float(np.min(rho))!r}, "
+                         f"cutoff = {cutoff!r}")
     if degrees is None:
         degrees = np.zeros(rho.size, dtype=int)
     degrees = np.asarray(degrees, dtype=int)
     if degrees.shape != rho.shape:
-        raise ValueError("degrees must align with the exponent list")
+        raise ValueError(f"degrees must align with the exponent list, got "
+                         f"{degrees.size} degrees for {rho.size} exponents")
 
     base = _collapse(rho, degrees, tol)
     level = [(0.0, ())]  # (total, counts) over the exponents placed so far

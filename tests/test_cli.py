@@ -58,8 +58,11 @@ def test_fowler_ckn_and_bad_epsilon(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["fowler", "--n", "5", "--epsilon", "5.0"],
     ["verify", "--suite", "no-such-criterion"],
-    ["expand", "--n", "5", "--epsilon-frac", "0.8", "--t0=-360"]],
-    ids=["fowler", "verify", "expand"])
+    ["expand", "--n", "5", "--epsilon-frac", "0.8", "--t0=-360"],
+    # the shot orbit is fine, its period quadrature is refused: orbit.csv
+    # and orbit.json used to be written first
+    ["fowler", "--n", "5", "--epsilon-frac", "1e-150"]],
+    ids=["fowler", "verify", "expand", "fowler-slow"])
 def test_a_command_failing_after_parsing_leaves_no_directory(argv, tmp_path,
                                                              capsys):
     # the writers make the output directory, so none appears without a file
@@ -67,6 +70,21 @@ def test_a_command_failing_after_parsing_leaves_no_directory(argv, tmp_path,
     assert run_cli(argv + ["--outdir", str(outdir)]) == 1
     assert len(capsys.readouterr().out.strip().splitlines()) == 1
     assert not (tmp_path / "fresh").exists()
+
+
+def test_a_slow_orbit_writes_every_file(tmp_path, capsys):
+    # max_value's bracket failed for n = 3 from 1e-8 xi* down, and the
+    # period quadrature was NaN at 1e-120 xi*
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_cli(["fowler", "--n", "3", "--epsilon-frac", "1e-120",
+                      "--outdir", str(tmp_path)])
+    assert rc == 0 and capsys.readouterr().out.startswith("T = ")
+    assert sorted(os.listdir(tmp_path)) == ["orbit.csv", "orbit.json",
+                                            "orbit_summary.json"]
+    summary = json.loads((tmp_path / "orbit_summary.json").read_text())
+    rel = abs(summary["period_quadrature"] - summary["period"])
+    assert rel <= 1e-9 * summary["period"]
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf"])
@@ -512,6 +530,9 @@ REFUSED = [
     (CONFORMAL_CONSTRUCT + ["--window", "0.1"],
      "7 points, fewer than 9 (t0 = 5.0, window = 0.1, h = 0.015625)"),
     (INDEX_SET + ["--max-degree", "-1"], "max_degree = -1"),
+    (INDEX_SET + ["--cutoff", "0.99"], "smallest exponent = 1.0, cutoff = 0.99"),
+    (["index-set", "--n", "5", "--epsilon-frac", "0.5", "--cutoff", "0.99"],
+     "cutoff = 0.99"),
     # count vectors past index_set.MAX_COUNT_VECTORS
     (INDEX_SET + ["--cutoff", "1e6"], "cutoff = 1000000.0"),
     (CKN_BASE + ["--nu", "400"], "cutoff = 401.0"),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -8,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
-from fowlerlab import cylinder, floquet, fowler, spheres
+from fowlerlab import cli, cylinder, floquet, fowler, spheres
 
 
 def test_constant_orbit_monodromy_closed_form(const5_orbit):
@@ -341,6 +342,62 @@ def test_datum_json_roundtrip(conf5_orbit):
     assert payload0["type"] == floquet.TYPE_II
     assert payload0["coupling"] == d0.coupling != 0.0
     assert payload0["det_defect"] == d0.det_defect
+
+
+def _datum_dict_by_keys(d):
+    # FloquetDatum.to_dict as a hand-kept key list, before the file was read
+    # off the datum's compared fields
+    out = {
+        "index": d.index,
+        "degree": d.degree,
+        "lambda": d.lam,
+        "period": d.period,
+        "monodromy": [list(map(float, row)) for row in d.monodromy],
+        "type": d.type,
+        "sigma": d.sigma,
+        "omega": d.omega,
+        "periodicity_defect": d.periodicity_defect,
+        "det_defect": d.det_defect,
+        "magnus_steps": d.magnus_steps,
+        "magnus_error": d.magnus_error,
+        "trace_defect": d.trace_defect,
+        "coupling": d.coupling,
+        "warning": d.warning,
+    }
+    if d.q_plus is not None:
+        ts = np.linspace(0.0, d.period, 257)[:-1]
+        out["q_plus"] = d.q_plus(ts).tolist()
+        out["q_minus"] = d.q_minus(ts).tolist()
+    return out
+
+
+@pytest.mark.parametrize("params, frac", [
+    (fowler.FowlerParams.conformal(5, 1.0), None),
+    (fowler.FowlerParams.conformal(5, 1.0), 0.5),
+    (fowler.FowlerParams.ckn(5, 0.5, 0.7), 0.4)],
+    ids=["floquet-constant", "floquet", "construct-ckn"])
+def test_datum_file_holds_exactly_the_compared_fields(params, frac, tmp_path):
+    # README orbits, modes 0..3, first without kernel factors, then with
+    orb = (fowler.constant_orbit(params) if frac is None else
+           fowler.periodic_orbit(frac * fowler.constant_solution(params),
+                                 params))
+    fields = dataclasses.fields(floquet.FloquetDatum)
+    assert {f.name for f in fields if not f.compare} == {
+        "q_plus", "q_minus", "kernel_rhs_evals", "kernel_steps"}
+    compared = {f.name for f in fields if f.compare} - {"lam"} | {"lambda"}
+    lams, _ = spheres.eigenvalue_sequence(params.n, 4)
+    for with_factors in (False, True):
+        for d in floquet.spectrum(orb, lams, with_factors).values():
+            payload = d.to_dict()
+            factors = with_factors and d.type == floquet.TYPE_III
+            assert (d.q_plus is not None) == factors
+            samples = {"q_plus", "q_minus"} if factors else set()
+            assert set(payload) == compared | samples
+            assert all(len(payload[k]) == 256 for k in samples)
+            cli.write_json(payload, tmp_path / "fields.json")
+            cli.write_json(_datum_dict_by_keys(d), tmp_path / "keys.json")
+            assert ((tmp_path / "fields.json").read_bytes()
+                    == (tmp_path / "keys.json").read_bytes())
 
 
 def test_exponent_sequence_rejects_elliptic_mode(conf5_orbit, monkeypatch):

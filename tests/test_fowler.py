@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -55,6 +56,62 @@ def test_hamiltonian_examples():
     expected = -(5 - 0 - 2) ** 2 / 8.0 * eps**2 + eps**pc.p / pc.p
     assert_allclose(fowler.hamiltonian(eps, 0.0, pc), expected, rtol=1e-14)
     assert abs(fowler.hamiltonian(1e-12, 0.0, p)) < 1e-23
+
+
+@pytest.mark.parametrize("n", [5, 8])
+def test_every_orbit_function_refuses_the_degenerate_gap_alike(n):
+    # max_value used to raise scipy's bracket error here for n = 8, and
+    # only periodic_orbit refused by name
+    p = fowler.FowlerParams.conformal(n, 1.0)
+    xistar = fowler.constant_solution(p)
+    eps = (1 - 1e-8) * xistar
+    messages = set()
+    for func in (fowler.max_value, fowler.period_quadrature,
+                 fowler.periodic_orbit):
+        with pytest.raises(ValueError) as info:
+            func(eps, p)
+        messages.add(str(info.value))
+    assert messages == {
+        f"eps within 1e-06*xi* of the constant solution: orbit is "
+        f"numerically degenerate (conformal problem, n = {n}, eps = {eps!r}, "
+        f"xi* = {xistar!r})"}
+
+
+@pytest.mark.parametrize("frac", [1e-8, 1e-120])
+def test_max_value_at_the_turning_bound_to_rounding(frac):
+    # G there rounds to -2.8e-17, below G(eps): scipy's brentq found no
+    # sign change and raised its own error
+    p = fowler.FowlerParams.conformal(3, 1.0)
+    eps = frac * fowler.constant_solution(p)
+    assert fowler.max_value(eps, p) == fowler.upper_turning_bound(p)
+
+
+_SLOW_PARAMS = {
+    "conf3": fowler.FowlerParams.conformal(3, 1.0),
+    "conf5": fowler.FowlerParams.conformal(5, 1.0),
+    "ckn": fowler.FowlerParams.ckn(5, 0.5, 0.7),
+}
+
+
+@pytest.mark.parametrize("frac", [1e-8, 1e-60, 1e-120, 1e-150])
+@pytest.mark.parametrize("name", list(_SLOW_PARAMS))
+def test_slow_orbit_quadrature_agrees_with_the_shot_period_or_is_refused(
+        name, frac):
+    # at 1e-120 xi* the integrand's power overflowed to NaN; at 1e-150 xi*
+    # the quadrature read 15.8 % short with no error
+    params = _SLOW_PARAMS[name]
+    eps = frac * fowler.constant_solution(params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        shot = fowler.periodic_orbit(eps, params).period
+        try:
+            period = fowler.period_quadrature(eps, params)
+        except fowler.IntegrationError as exc:
+            assert frac < 1e-120, exc
+            assert str(exc).endswith(
+                f"({params.kind} problem, n = {params.n}, eps = {eps!r})")
+            return
+    assert abs(period - shot) <= 1e-9 * shot
 
 
 def test_orbit_domain_errors():
@@ -194,6 +251,49 @@ def test_orbit_export(tmp_path, conf3_orbit):
     assert len(payload["xi"]) == len(conf3_orbit.t)
     # floats round-trip exactly
     assert payload["period"] == conf3_orbit.period
+
+
+def _orbit_dict_by_keys(orbit):
+    # orbit_to_dict as a hand-kept key list, before the file was read off
+    # the orbit's compared fields
+    return {
+        "params": orbit.params.describe(),
+        "epsilon": orbit.epsilon,
+        "period": orbit.period,
+        "energy": orbit.energy,
+        "energy_drift": orbit.energy_drift,
+        "is_constant": orbit.is_constant,
+        "t": orbit.t.tolist(),
+        "xi": orbit.xi.tolist(),
+        "xi_prime": orbit.xi_prime.tolist(),
+    }
+
+
+_README_ORBITS = {  # (params, eps, fraction of xi*); None, None: constant
+    "fowler": (fowler.FowlerParams.conformal(5, 1.0), 0.4, None),
+    "fowler-constant": (fowler.FowlerParams.conformal(6, 1.0), None, None),
+    "fowler-ckn": (fowler.FowlerParams.ckn(5, 0.5, 0.7), 0.3, None),
+    "expand": (fowler.FowlerParams.conformal(5, 1.0), None, 0.8),
+    "construct": (fowler.FowlerParams.conformal(5, 1.0), None, 0.5),
+    "construct-ckn": (fowler.FowlerParams.ckn(5, 0.5, 0.7), None, 0.4),
+}
+
+
+@pytest.mark.parametrize("name", list(_README_ORBITS))
+def test_orbit_file_holds_exactly_the_compared_fields(name, tmp_path):
+    params, eps, frac = _README_ORBITS[name]
+    if frac is not None:
+        eps = frac * fowler.constant_solution(params)
+    orb = (fowler.constant_orbit(params) if eps is None
+           else fowler.periodic_orbit(eps, params))
+    payload = fowler.orbit_to_dict(orb)
+    assert set(payload) == {f.name for f in dataclasses.fields(orb)
+                            if f.compare}
+    assert payload["params"] == params.describe()
+    cli.write_json(payload, tmp_path / "fields.json")
+    cli.write_json(_orbit_dict_by_keys(orb), tmp_path / "keys.json")
+    assert ((tmp_path / "fields.json").read_bytes()
+            == (tmp_path / "keys.json").read_bytes())
 
 
 def test_constant_orbit_packaging():

@@ -129,12 +129,20 @@ def test_degree_caps_mixed_degree_target():
 def test_generate_errors():
     with pytest.raises(ValueError):
         index_set.generate([], 3.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^all exponents must be positive, "
+                                         r"got rho\[0\] = -1\.0$"):
         index_set.generate([-1.0, 2.0], 3.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"got rho\[1\] = -0\.5$"):
+        index_set.generate([2.0, -0.5, 0.0], 3.0)  # the first one is named
+    with pytest.raises(ValueError, match=r"^cutoff must be at least the "
+                       r"smallest exponent, got smallest exponent = 1\.0, "
+                       r"cutoff = 0\.5$"):
         index_set.generate([1.0], 0.5)
     with pytest.raises(ValueError):
         index_set.generate([1.0], 3.0, tol=0.0)
+    with pytest.raises(ValueError, match=r"^degrees must align with the "
+                       r"exponent list, got 3 degrees for 2 exponents$"):
+        index_set.generate([1.0, 2.0], 3.0, degrees=[1, 2, 3])
 
 
 def test_multiplicity_collapse_keeps_largest_degree():
