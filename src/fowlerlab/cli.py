@@ -19,7 +19,8 @@ import numpy as np
 
 from . import acceptance, cylinder, expansion, floquet, index_set, spheres
 from .fowler import (FowlerParams, constant_orbit, constant_solution,
-                     orbit_to_dict, periodic_orbit, period_quadrature)
+                     max_value, orbit_to_dict, periodic_orbit,
+                     period_quadrature)
 
 
 def _json_default(obj):
@@ -154,10 +155,14 @@ def _parent_parsers():
 
 def _cmd_fowler(args):
     orbit = _orbit_from(args)
+    # the orbit maximum itself: T/2 falls between two of the even count of
+    # samples, so their largest reads low
+    max_xi = (orbit.epsilon if orbit.is_constant
+              else max_value(orbit.epsilon, orbit.params))
     # the summary, its period quadrature included, is formed before any
     # file is written: a refused quadrature leaves no file behind
     summary = {"period": orbit.period, "energy": orbit.energy,
-               "max_xi": float(np.max(orbit.xi)), "epsilon": orbit.epsilon,
+               "max_xi": max_xi, "epsilon": orbit.epsilon,
                "is_constant": orbit.is_constant,
                "energy_drift": orbit.energy_drift}
     if orbit.is_constant:

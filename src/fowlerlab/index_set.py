@@ -89,10 +89,11 @@ def generate(rho, cutoff: float, tol: float = DEFAULT_TOL, degrees=None) -> Inde
     rho = np.asarray(rho, dtype=float)
     if rho.size == 0:
         raise ValueError("exponent list must be nonempty")
-    if np.any(rho <= 0):
-        i = int(np.flatnonzero(rho <= 0)[0])
-        raise ValueError(f"all exponents must be positive, got rho[{i}] = "
-                         f"{float(rho.flat[i])!r}")
+    for bad, what in ((~np.isfinite(rho), "finite"), (rho <= 0, "positive")):
+        if np.any(bad):
+            i = int(np.flatnonzero(bad)[0])
+            raise ValueError(f"all exponents must be {what}, got rho[{i}] = "
+                             f"{float(rho.flat[i])!r}")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got tol = {tol!r}")
     if not math.isfinite(cutoff):

@@ -5,11 +5,17 @@ coefficients: samples on a uniform grid over one period are stored as Fourier
 coefficients, giving spectrally accurate evaluation and differentiation at
 arbitrary points.  A grid of step T/M covering at least one period (the orbit
 samples, the collocation nodes and the output grids) is evaluated by one
-length-M inverse FFT and read off by periodicity; any other point set is
-summed through its phase matrix.
+length-M inverse FFT and read off by periodicity.  Any other uniform grid of
+L points (the construction windows, of step h unrelated to T) is split as
+j = aC + b with C = ceil(sqrt(L)): the series is one product of a head table
+of phases at t[aC] and a tail table of phases at bh, so it takes about
+2 sqrt(L) K complex exponentials for K coefficients where a phase matrix
+takes L K.  Scattered points are the same product with C = 1.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -45,6 +51,12 @@ class PeriodicFunction:
         """Build from samples on a closed grid [0, T] (duplicate endpoint)."""
         return PeriodicFunction(np.asarray(values)[:-1], period)
 
+    def _on_grid(self, t, step: float) -> bool:
+        """Whether t is t[0] + j step (j = 0 .. t.size - 1) up to roundoff."""
+        grid = t[0] + np.arange(t.size) * step
+        scale = max(abs(t[0]), abs(t[-1]), self.period)
+        return bool(np.max(np.abs(t - grid)) <= 1e-14 * scale)
+
     def _period_steps(self, t) -> int:
         """M if t is t[0] + j T/M (j = 0 .. t.size - 1, M <= t.size) up to
         roundoff, else 0."""
@@ -54,31 +66,36 @@ class PeriodicFunction:
         if not 0.5 * step <= self.period < (t.size + 0.5) * step:
             return 0
         m = int(round(self.period / step))
-        grid = t[0] + np.arange(t.size) * (self.period / m)
-        scale = max(abs(t[0]), abs(t[-1]), self.period)
-        return m if np.max(np.abs(t - grid)) <= 1e-14 * scale else 0
+        return m if self._on_grid(t, self.period / m) else 0
 
     def _eval(self, t, order: int):
         """The order-th derivative at t; (i omega k)^0 is exactly 1."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         omega = 2.0 * np.pi / self.period
-        c = self._coeffs * (1j * omega * self._k) ** order
+        # the real series is c_0 + sum_k 2 Re(c_k e^{ik omega t}), with a
+        # kept Nyquist term counted once
+        w = np.where(self._k == 0, 1.0, 2.0)
+        if self._nyquist:
+            w[-1] = 1.0
+        c = w * (self._coeffs * (1j * omega * self._k) ** order)
         m = self._period_steps(t)
         if m:
             # t = t0 + jT/m: bin k mod m collects w_k c_k e^{ik omega t0}, and
             # one inverse FFT sums the series at every point of the period
-            w = np.where(self._k == 0, 1.0, 2.0)
-            if self._nyquist:
-                w[-1] = 1.0
-            c = w * c * np.exp(1j * omega * t[0] * self._k)
+            c = c * np.exp(1j * omega * t[0] * self._k)
             bins = np.pad(c, (0, -c.size % m)).reshape(-1, m).sum(axis=0)
             return (np.fft.ifft(bins) * m).real[np.arange(t.size) % m]
-        phase = np.exp(1j * omega * np.outer(t, self._k))
-        vals = np.real(phase @ c) * 2.0
-        vals -= np.real(c[0])  # k = 0 was doubled
-        if self._nyquist:
-            vals -= np.real(phase[:, -1] * c[-1])  # doubled above
-        return vals
+        # t_j = t_{aC} + b h for j = aC + b, so e^{ik omega t_j} is a head
+        # phase at t_{aC} times a tail phase at b h; scattered points are
+        # the case C = 1, h = 0
+        t, cols, h = t.ravel(), 1, 0.0
+        if t.size > 1:
+            step = (t[-1] - t[0]) / (t.size - 1)
+            if self._on_grid(t, step):
+                cols, h = math.ceil(math.sqrt(t.size)), step
+        head = np.exp(1j * omega * np.outer(t[::cols], self._k))
+        tail = np.exp(1j * omega * h * np.outer(np.arange(cols), self._k))
+        return (head @ (tail * c).T).real.ravel()[:t.size]
 
     def __call__(self, t):
         return self.derivative(t, 0)

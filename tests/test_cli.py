@@ -14,6 +14,7 @@ import pytest
 
 import fowlerlab
 from fowlerlab import cli
+from fowlerlab.fowler import FowlerParams, max_value
 
 
 def run_cli(args):
@@ -85,6 +86,19 @@ def test_a_slow_orbit_writes_every_file(tmp_path, capsys):
     summary = json.loads((tmp_path / "orbit_summary.json").read_text())
     rel = abs(summary["period_quadrature"] - summary["period"])
     assert rel <= 1e-9 * summary["period"]
+
+
+def test_fowler_reports_the_orbit_maximum(tmp_path, capsys):
+    # the largest of the 2048 samples read 1.8 % low here: T/2 falls between
+    # two samples, and the slow orbit is sharply peaked there
+    rc = run_cli(["fowler", "--n", "3", "--epsilon-frac", "1e-120",
+                  "--outdir", str(tmp_path)])
+    assert rc == 0
+    summary = json.loads((tmp_path / "orbit_summary.json").read_text())
+    params = FowlerParams.conformal(3, 1.0)
+    assert summary["max_xi"] == max_value(summary["epsilon"], params)
+    assert capsys.readouterr().out.rstrip().endswith(
+        f"max xi = {summary['max_xi']!r}")
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf"])

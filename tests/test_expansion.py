@@ -103,6 +103,51 @@ def test_xi2_identity_defect_small(conf6_orbit):
     assert expansion.xi2_identity_defect(const) < 1e-6
 
 
+def _xi2_defect_on_101_cosines(orbit):
+    """xi2_identity_defect with the field formed on all 101 cosines."""
+    params, n = orbit.params, orbit.params.n
+    t = orbit.t[:-1]
+    xi, xip = orbit.xi[:-1], orbit.xi_prime[:-1]
+    e, c, q = params.e, params.c, params.q
+    xi_em1 = xi ** (e - 1.0)
+    v0 = q - e * c * xi_em1
+    xipp = q * xi - c * xi**e
+    xippp = v0 * xip
+    a0 = -0.5 * c * xi**e
+    a1 = -0.5 * c * e * xi_em1 * xip
+    a2 = -0.5 * c * e * ((e - 1.0) * xi ** (e - 2.0) * xip**2
+                         + xi_em1 * xipp)
+    b0 = -(n - 2) / 8.0 * xi + 0.25 * xip
+    b1 = -(n - 2) / 8.0 * xip + 0.25 * xipp
+    b2 = -(n - 2) / 8.0 * xipp + 0.25 * xippp
+
+    def conjugated(f0, f1, f2, lam):
+        return -f2 + 4.0 * f1 - 4.0 * f0 + (v0 + lam) * f0
+
+    lam2 = spheres.eigenvalue(2, n)
+    c2_part, c0_part = spheres.degree1_square_split(n)
+    w = n - 1.0
+    lc22 = w * (conjugated(a0, a1, a2, lam2) / n
+                - 2.0 * conjugated(b0, b1, b2, lam2))
+    lc20 = conjugated(a0, a1, a2, 0.0) / n
+    p_plus = (n - 2) / 2.0 * xi - xip
+    rhs = 2.0 * (n + 2) / (n - 2) ** 2 * c * xi ** ((6.0 - n) / (n - 2)) * p_plus**2
+    defect2 = lc22 - c2_part * rhs
+    defect0 = lc20 - c0_part * rhs
+    s = np.linspace(-1.0, 1.0, 101)
+    z2 = spheres.eval_zonal(spheres.HarmonicMode(2, n), s)
+    field = (np.outer(defect2, z2) + defect0[:, None]) * np.exp(-2.0 * t)[:, None]
+    return float(np.max(np.abs(field)))
+
+
+@pytest.mark.parametrize("orbit", ["conf3_orbit", "conf5_orbit",
+                                   "conf6_orbit", "const5_orbit"])
+def test_xi2_identity_defect_is_bitwise_the_101_cosine_form(orbit, request):
+    # the maximum is taken at z2's two extreme samples only
+    orb = request.getfixturevalue(orbit)
+    assert expansion.xi2_identity_defect(orb) == _xi2_defect_on_101_cosines(orb)
+
+
 def test_coefficient_of_degree_zero_part(conf6_orbit):
     # the degree-0 coefficient is -K0 xi^e / n times |a|^2
     orb = conf6_orbit

@@ -134,6 +134,9 @@ def test_generate_errors():
         index_set.generate([-1.0, 2.0], 3.0)
     with pytest.raises(ValueError, match=r"got rho\[1\] = -0\.5$"):
         index_set.generate([2.0, -0.5, 0.0], 3.0)  # the first one is named
+    with pytest.raises(ValueError, match=r"^all exponents must be finite, "
+                                         r"got rho\[0\] = nan$"):
+        index_set.generate([math.nan, 1.0], 3.0)
     with pytest.raises(ValueError, match=r"^cutoff must be at least the "
                        r"smallest exponent, got smallest exponent = 1\.0, "
                        r"cutoff = 0\.5$"):

@@ -111,13 +111,49 @@ def test_period_grid_evaluation_matches_direct_sum(make, n, m):
     5.0 + np.arange(769) / 64.0,  # a construction window: h = 1/64
     np.arange(257) * (4.057568073848222 / 256) * (1.0 + 1e-10),
 ], ids=["window", "step off by 1e-10"])
-def test_off_period_grids_take_the_phase_path(t):
+def test_off_period_grids_take_the_split_path(t):
     period = 4.057568073848222
     values = _analytic(256, period)
     f = PeriodicFunction(values, period)
     assert f._period_steps(t) == 0
     _assert_orders_match(
         f, t, lambda t, order: direct_sum(values, period, t, order))
+
+
+@pytest.mark.parametrize("size", [2, 3, 769, 770])
+@pytest.mark.parametrize("make, n", [(_analytic, 256), (_with_nyquist, 16)])
+@pytest.mark.parametrize("direction", ["ascending", "descending"])
+def test_uniform_off_period_grids_match_direct_sum(make, n, size, direction):
+    # 769 and 770 points leave a short last row of the head x tail split
+    period = 2.7
+    values = make(n, period)
+    f = PeriodicFunction(values, period)
+    t = 5.0 + np.arange(size) / 64.0
+    if direction == "descending":
+        t = t[::-1]
+    assert f._period_steps(t) == 0
+    _assert_orders_match(
+        f, t, lambda t, order: direct_sum(values, period, t, order))
+
+
+def test_window_evaluation_builds_no_phase_matrix():
+    # K = 239, as kept by the README CKN degree-2 q+; its 769 x 239 phase
+    # matrix alone would be 2.9 MB
+    period, n = 4.057568073848222, 512
+    s = np.arange(n) * (period / n)
+    values = sum(0.97**k * np.cos(2.0 * np.pi * k * s / period)
+                 for k in range(239))
+    f = PeriodicFunction(values, period)
+    assert f._coeffs.size == 239
+    t = 5.0 + np.arange(769) / 64.0
+    assert f._period_steps(t) == 0
+    tracemalloc.start()
+    try:
+        f(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 @pytest.fixture(scope="module")
