@@ -175,7 +175,7 @@ def _cmd_fowler(args):
         summary["period_quadrature"] = period_quadrature(orbit.epsilon,
                                                          orbit.params)
         line = (f"T = {orbit.period!r}  H = {orbit.energy!r}  "
-                f"max xi = {summary['max_xi']!r}")
+                f"max xi = {max_xi!r}")
     write_csv(["t", "xi", "xi_prime"], [orbit.t, orbit.xi, orbit.xi_prime],
               os.path.join(args.outdir, "orbit.csv"))
     write_json(orbit_to_dict(orbit), os.path.join(args.outdir, "orbit.json"))
