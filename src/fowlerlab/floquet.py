@@ -19,7 +19,10 @@ that type never occurs.
 
 On a nonconstant orbit M is a product of sixth-order Magnus steps (Iserles
 & Norsett 1999; Blanes, Casas, Oteo & Ros 2009), and mode 0 is Type II by
-structure.
+structure.  The periodic factors of Type III kernels come from the growing
+branch by multiple shooting (Keller 1968): the period is cut into
+KERNEL_PIECES equal pieces, each seeded from the Magnus steps' prefix
+products, and one DOP853 solve runs every piece over one piece length.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ _MONODROMY_RTOL = 1e-12  # the kernel-branch and fundamental-pair solves
 _MONODROMY_ATOL = 1e-14
 MAGNUS_TOL = 6.3e-12  # accepted two-level difference of the monodromy
 MAGNUS_START, MAGNUS_CAP = 256, 2 ** 15  # step counts: first and last level
+KERNEL_PIECES = 16  # shooting pieces of the kernel-branch solve
 _GAUSS_NODES = 0.5 + math.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])
 
 
@@ -77,7 +81,7 @@ class FloquetDatum:
     omega: float | None = None       # Type IV rotation number
     q_plus: PeriodicFunction | None = field(default=None, compare=False)
     q_minus: PeriodicFunction | None = field(default=None, compare=False)
-    periodicity_defect: float = 0.0
+    periodicity_defect: float = 0.0  # largest junction mismatch of q_minus
     warning: str | None = None
     coupling: float | None = None    # Type II t-term coefficient estimate
     det_defect: float = 0.0          # |product of step determinants - 1|
@@ -99,14 +103,20 @@ class FloquetDatum:
         return d
 
 
-def variational_system(lams, params):
+def variational_system(lams, params, pieces: int = 1):
     """rhs(t, y) of Z' = [[0, 1], [V, 0]] Z with the orbit carried in the
-    state (Z values, Z derivatives, xi, xi'), Z one column per eigenvalue of
-    `lams`.  Column j sees V_j = lambda_j + q - e c xi^{e-1} from the state's
-    own xi, which follows xi'' = q xi - c xi^e; callers start (xi, xi') on
-    the orbit.  lambda_j + q and the constants are bound once per solve, and
-    the state is read as Python floats, cheaper than numpy at a few columns.
+    state, for `pieces` independent copies integrated side by side: the
+    state is (Z values, Z derivatives, xi values, xi' values), Z one column
+    per eigenvalue of `lams` in each piece, piece by piece.  Column j of a
+    piece sees V_j = lambda_j + q - e c xi^{e-1} from that piece's own xi,
+    which follows xi'' = q xi - c xi^e; callers start each (xi, xi') on the
+    orbit.  lambda_j + q and the constants are bound once per solve.  One
+    piece reads the state as Python floats, cheaper than numpy at a few
+    columns; several use whole-array arithmetic.  Both take the powers
+    xi^{e-1} on Python floats, so one piece gives the same bits either way.
     """
+    if pieces > 1:
+        return _array_system(lams, params, pieces)
     q, c, e, e_minus_1 = params.q, params.c, params.e, params.e - 1.0
     lam_q = [float(lam) + q for lam in lams]
     k = len(lam_q)
@@ -117,6 +127,22 @@ def variational_system(lams, params):
         e_c_pow = e * c_pow
         return (z[k:] + [(lq - e_c_pow) * u for lq, u in zip(lam_q, z)]
                 + [xi_prime, (q - c_pow) * xi])
+    return rhs
+
+
+def _array_system(lams, params, pieces: int):
+    """`variational_system` in whole-array arithmetic, any piece count."""
+    q, c, e, e_minus_1 = params.q, params.c, params.e, params.e - 1.0
+    lam_q = np.array([float(lam) + q for lam in lams])
+    cols = pieces * lam_q.size
+
+    def rhs(t, y):
+        z, xi, xi_prime = y[:cols], y[2 * cols:-pieces], y[-pieces:]
+        c_pow = c * np.array([x ** e_minus_1 for x in xi.tolist()])
+        v = lam_q - (e * c_pow)[:, None]
+        return np.concatenate((y[cols:2 * cols],
+                               (v * z.reshape(pieces, -1)).ravel(),
+                               xi_prime, (q - c_pow) * xi))
     return rhs
 
 
@@ -156,16 +182,20 @@ def _commutator(x, y):
             2.0 * (c1 * a2 - a1 * c2))
 
 
-def _magnus_product(orbit: FowlerOrbit, lams, n: int):
+def _magnus_product(orbit: FowlerOrbit, lams, n: int, nodes=None):
     """Monodromies, and products of step determinants, of n uniform 6th-order
     Magnus steps for each eigenvalue of `lams`.  A step is exp(Omega), Omega
     the three-Gauss-point exponent of Blanes, Casas & Ros; Omega^2 = s^2 I
     gives exp(Omega) = cosh(s) I + (sinh(s)/s) Omega.  V is even about T/2,
     so it is sampled on the first half period.  Arithmetic is elementwise.
+    The steps are multiplied pairwise; with `nodes`, a power of two dividing
+    n, the tree stops at that level and the matrices come per eigenvalue and
+    node, shape (len(lams), nodes, 2, 2): node i propagates over
+    [iT/nodes, (i + 1)T/nodes].
     """
     p, h = orbit.params, orbit.period / n
-    nodes = (np.arange(n // 2)[:, None] + _GAUSS_NODES) * h
-    w = p.e * p.c * orbit.value(nodes.ravel()).reshape(nodes.shape) ** (p.e - 1.0)
+    gauss = (np.arange(n // 2)[:, None] + _GAUSS_NODES) * h
+    w = p.e * p.c * orbit.value(gauss.ravel()).reshape(gauss.shape) ** (p.e - 1.0)
     w = np.concatenate([w, w[::-1, ::-1]])
     lq = np.asarray(lams, dtype=float)[:, None] + p.q
     v1, v2, v3 = (lq - w[:, i] for i in range(3))
@@ -185,12 +215,13 @@ def _magnus_product(orbit: FowlerOrbit, lams, n: int):
                   / np.where(tiny, 1.0, r))
     e = (ch + sh * a, sh * b, sh * c, ch - sh * a)
     det = np.prod(e[0] * e[3] - e[1] * e[2], axis=1)
-    while e[0].shape[1] > 1:  # pairwise: later steps multiply from the left
+    while e[0].shape[1] > (nodes or 1):  # later steps multiply from the left
         (a11, a12, a21, a22), (b11, b12, b21, b22) = (
             [x[:, 1::2] for x in e], [x[:, ::2] for x in e])
         e = (a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
              a21 * b11 + a22 * b21, a21 * b12 + a22 * b22)
-    return np.stack([x[:, 0] for x in e], axis=1).reshape(-1, 2, 2), det
+    m = np.stack(e, axis=-1).reshape(len(lq), -1, 2, 2)
+    return (m if nodes else m[:, 0]), det
 
 
 def monodromy(orbit: FowlerOrbit, lams):
@@ -311,14 +342,23 @@ def kernel_basis(orbit: FowlerOrbit, data):
     every answer carries its right-hand-side evaluations and accepted steps
     (0 on a constant orbit).
     q_plus multiplies the decaying branch e^{-sigma t} and q_minus the growing
-    branch e^{+sigma t}.  Only the growing branch is integrated, forward from
-    the orbit minimum where it grows, so it is not contaminated by the other.
+    branch e^{+sigma t}.  Only the growing branch u = Phi(t) w is integrated,
+    w the monodromy's eigenvector of the multiplier mu, |mu| = e^{sigma T}.
+    The period is cut into KERNEL_PIECES equal pieces by multiple shooting:
+    piece i starts at t_i = i T / KERNEL_PIECES from Phi(t_i) w, the prefix
+    product of the Magnus tree's nodes at that level (at the batch's largest
+    kept step count, or MAGNUS_START for data without one) applied to w, with
+    its own copy of the orbit started at (xi, xi')(t_i), and every piece runs
+    forward over one piece length in the same DOP853 solve.  q_minus =
+    e^{-sigma t} u is read on the orbit grid, each point from its own piece.
     The potential is even about t = 0 and t = T/2, so u(T - t) solves the mode
     equation whenever u(t) does, and the mirror image of the growing branch is
     the decaying one: q_plus(t) = q_minus(T - t), read off the symmetric orbit
     grid with no interpolation.  Factors are normalized to 1 at t = 0 when the
-    value there is nonzero; the periodicity defect of the one integrated branch
-    is also that of its mirror.
+    value there is nonzero.  The periodicity defect is the largest junction
+    mismatch in q = e^{-sigma t} u and q', relative to max |q_minus|: each
+    piece's end against the next piece's start, and the last piece's end
+    against mu w; it is also that of the mirror.
     """
     data = tuple(data)
     if not data:
@@ -326,11 +366,12 @@ def kernel_basis(orbit: FowlerOrbit, data):
     if any(d.type != TYPE_III for d in data):
         raise ValueError("kernel_basis requires a Type III mode")
     T = orbit.period
-    starts = []
+    starts, mus = [], []
     for d in data:
         m = d.monodromy
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            w_big = _eigvec(m, _multiplier(float(np.trace(m))))
+            mu = _multiplier(float(np.trace(m)))
+            w_big = _eigvec(m, mu)
         # an overflowing norm in _eigvec leaves a vanished eigenvector
         if not (np.all(np.isfinite([*m.ravel(), *w_big])) and np.any(w_big)):
             raise IntegrationError(
@@ -339,39 +380,49 @@ def kernel_basis(orbit: FowlerOrbit, data):
                 f"{d.lam!r}): the growth "
                 "over one period overflows")
         starts.append(w_big)
+        mus.append(mu)
     t_eval = orbit.t
 
     if orbit.is_constant:
         qp = PeriodicFunction.from_closed_grid(np.ones_like(t_eval), T)
         return [(qp, qp, 0.0, 0, 0)] * len(data)
 
-    # growing branches, integrated forward; the orbit starts at its minimum
-    k = len(data)
-    w = np.array(starts)
+    k, pieces = len(data), KERNEL_PIECES
+    h = T / pieces
     lams = [d.lam for d in data]
-    sol = solve_ivp(variational_system(lams, orbit.params), (0.0, T),
-                    [*w[:, 0], *w[:, 1], orbit.epsilon, 0.0],
+    steps = max(d.magnus_steps for d in data) or MAGNUS_START
+    nodes = _magnus_product(orbit, lams, steps, pieces)[0]
+    seeds = [np.array(starts)]  # (k, 2) per piece: Phi(t_i) w
+    for i in range(pieces - 1):
+        seeds.append(np.einsum("jab,jb->ja", nodes[:, i], seeds[-1]))
+    seeds = np.array(seeds)
+    breaks = h * np.arange(pieces)
+    sol = solve_ivp(variational_system(lams, orbit.params, pieces), (0.0, h),
+                    [*seeds[..., 0].ravel(), *seeds[..., 1].ravel(),
+                     *orbit.value(breaks), *orbit.derivative(breaks)],
                     method=BareDOP853, rtol=_MONODROMY_RTOL,
                     atol=_MONODROMY_ATOL, dense_output=True)
     if not sol.success:
         raise IntegrationError(
             f"kernel branch integration failed (n = {orbit.params.n}, eps = "
             f"{orbit.epsilon!r}, lambda = {', '.join(map(repr, lams))})")
-    vals = DenseSolution(sol.sol)(t_eval)
-    out = []
-    for j, d in enumerate(data):
-        h, hp = vals[j], vals[k + j]
-        sigma = d.sigma
-        decay = np.exp(-sigma * t_eval)
-        q_minus_vals, qm_prime = decay * h, decay * (hp - sigma * h)
-        scale = max(np.max(np.abs(q_minus_vals)), 1e-300)
-        defect = max(abs(q_minus_vals[-1] - q_minus_vals[0]),
-                     abs(qm_prime[-1] - qm_prime[0])) / scale
-        q_plus = PeriodicFunction.from_closed_grid(q_minus_vals[::-1], T)
-        q_minus = PeriodicFunction.from_closed_grid(q_minus_vals, T)
-        out.append((q_plus, q_minus, float(defect), int(sol.nfev),
-                    len(sol.t) - 1))
-    return out
+    piece = np.minimum((t_eval // h).astype(int), pieces - 1)
+    u = DenseSolution(sol.sol)(t_eval - piece * h,
+                               piece * k + np.arange(k)[:, None])
+    sigma = np.array([d.sigma for d in data])[:, None]
+    q_minus = np.exp(-sigma * t_eval) * u
+    scale = np.maximum(np.max(np.abs(q_minus), axis=1), 1e-300)
+    # junction t_{i+1}: piece i's end against piece i + 1's start, mu w last
+    end = sol.y[:2 * pieces * k, -1].reshape(2, pieces, k)
+    target = np.concatenate((seeds[1:], np.array(mus)[:, None] * seeds[:1]))
+    du, du_prime = end[0] - target[..., 0], end[1] - target[..., 1]
+    decay = np.exp(-sigma.T * h * np.arange(1, pieces + 1)[:, None])
+    mismatch = decay * np.maximum(np.abs(du), np.abs(du_prime - sigma.T * du))
+    defects = np.max(mismatch, axis=0) / scale
+    return [(PeriodicFunction.from_closed_grid(qm[::-1], T),
+             PeriodicFunction.from_closed_grid(qm, T), float(defect),
+             int(sol.nfev), len(sol.t) - 1)
+            for qm, defect in zip(q_minus, defects)]
 
 
 def _classified(orbit: FowlerOrbit, lam: float, m: np.ndarray, det: float,

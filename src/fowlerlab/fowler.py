@@ -224,7 +224,9 @@ class DenseSolution:
     and any array of t is evaluated with whole-array operations: the segment
     by scipy's rule (the lower one at a knot, the end segments beyond the
     ends), then scipy's own alternating product x(1 - x)x... from zero.  The
-    values are bitwise equal to `sol.sol(t)`, scalars included.
+    values are bitwise equal to `sol.sol(t)`, scalars included.  With `rows`,
+    integer state indices broadcast against the points, only those states
+    are formed: row r of the answer holds state rows[r, p] at point p.
     """
 
     def __init__(self, sol):
@@ -237,18 +239,19 @@ class DenseSolution:
         self.y_old = np.stack([s.y_old for s in segments], axis=1)
         self.coeffs = np.stack([s.F[::-1] for s in segments], axis=2)
 
-    def __call__(self, t):
+    def __call__(self, t, rows=None):
         """States at t: shape (states,) for a scalar, (states, points) else."""
         t = np.asarray(t)
         seg = np.clip(np.searchsorted(self.knots, t, side="left") - 1,
                       0, self.h.size - 1)
         x = (t - self.t_old[seg]) / self.h[seg]
-        coeffs = self.coeffs[:, :, seg]
+        rows = slice(None) if rows is None else rows
+        coeffs = self.coeffs[:, rows, seg]
         y = np.zeros(coeffs.shape[1:])
         for i, f in enumerate(coeffs):
             y += f
             y *= x if i % 2 == 0 else 1 - x
-        y += self.y_old[:, seg]
+        y += self.y_old[rows, seg]
         return y
 
 

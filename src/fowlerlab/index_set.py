@@ -12,6 +12,7 @@ refused before it builds more than MAX_COUNT_VECTORS of them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -110,33 +111,39 @@ def generate(rho, cutoff: float, tol: float = DEFAULT_TOL, degrees=None) -> Inde
                          f"{degrees.size} degrees for {rho.size} exponents")
 
     base = _collapse(rho, degrees, tol)
-    level = [(0.0, ())]  # (total, counts) over the exponents placed so far
+    # (total, counts, terms: the count sum) over the exponents placed so far
+    level = [(0.0, (), 0)]
     for i, b in enumerate(base, 1):
         caps = [math.floor((cutoff - total) / b.value + tol)
-                for total, _ in level]
+                for total, _, _ in level]
         size = sum(caps) + len(level)
         if size > MAX_COUNT_VECTORS:
             raise ValueError(
                 f"the index set needs more than {MAX_COUNT_VECTORS} count "
                 f"vectors ({size} over the first {i} of {len(base)} distinct "
                 f"exponents); lower the cutoff, got cutoff = {cutoff!r}")
-        level = [(total + c * b.value, counts + (c,))
-                 for (total, counts), cap in zip(level, caps)
+        level = [(total + c * b.value, counts + (c,), terms + c)
+                 for (total, counts, terms), cap in zip(level, caps)
                  for c in range(cap + 1)]
-    found = {}  # rounded value -> [value, [combos]]
-    for total, counts in level[1:]:  # level[0] is all zeros, not a sum
+    found = {}  # rounded value -> [value, [combos], single, multi]
+    # level[0] is all zeros, not a sum; islice copies no list
+    for total, counts, terms in itertools.islice(level, 1, None):
         key = round(total / tol)
         for k in (key - 1, key, key + 1):  # a value already within tol
             if k in found and abs(found[k][0] - total) <= tol:
-                found[k][1].append(counts)
+                entry = found[k]
                 break
         else:
-            found[key] = [total, [counts]]
+            entry = found[key] = [total, [], False, False]
+        entry[1].append(counts)
+        entry[2] |= terms == 1
+        entry[3] |= terms >= 2
+    del level  # its tuples go; the combos keep their counts
     entries = sorted(found.values(), key=lambda ent: ent[0])
     values = np.array([ent[0] for ent in entries])
     combos = [ent[1] for ent in entries]
-    single = np.array([any(sum(c) == 1 for c in cs) for cs in combos])
-    multi = np.array([any(sum(c) >= 2 for c in cs) for cs in combos])
+    single = np.array([ent[2] for ent in entries])
+    multi = np.array([ent[3] for ent in entries])
 
     warnings = []
     gaps = np.diff(values)

@@ -466,25 +466,27 @@ def _parent_variational_rhs(t, y, lams, params):
             + [xi_prime, (params.q - c_pow) * xi])
 
 
-def _array_variational_system(lams, params):
-    """`floquet.variational_system` in numpy arithmetic: the reference for its
-    Python-float form, which must give the same bits."""
+def _array_variational_system(lams, params, pieces=1):
+    """`floquet.variational_system` in numpy arithmetic: the reference for
+    both its forms, which must give the same bits."""
     lams = np.asarray(lams, dtype=float)
 
     def rhs(t, y):
-        k = (len(y) - 2) // 2
-        xi, xi_prime = y[-2], y[-1]
-        c_pow = params.c * xi ** (params.e - 1.0)
-        v = lams + params.q - params.e * c_pow
-        return np.concatenate((y[k:2 * k], v * y[:k],
-                               (xi_prime, (params.q - c_pow) * xi)))
+        cols = pieces * lams.size
+        xi, xi_prime = y[2 * cols:2 * cols + pieces], y[2 * cols + pieces:]
+        c_pow = params.c * np.array([x ** (params.e - 1.0) for x in xi])
+        v = lams + params.q - params.e * c_pow[:, None]
+        return np.concatenate((y[cols:2 * cols],
+                               (v * y[:cols].reshape(pieces, -1)).ravel(),
+                               xi_prime, (params.q - c_pow) * xi))
     return rhs
 
 
 @pytest.mark.parametrize("orbit_name", ["conf5_orbit", "ckn_orbit"])
 def test_variational_system_is_bitwise_the_parent_rhs(orbit_name, request):
     # k = 1, 2 and 3 columns, and the fundamental pair's [lam, lam], whose
-    # parent form took the scalar eigenvalue
+    # parent form took the scalar eigenvalue; the Python-float form and the
+    # whole-array form at one piece
     orb = request.getfixturevalue(orbit_name)
     lams = [float(spheres.eigenvalue(k, orb.params.n)) for k in (1, 2, 3)]
     rng = np.random.default_rng(11)
@@ -493,13 +495,14 @@ def test_variational_system_is_bitwise_the_parent_rhs(orbit_name, request):
                               (lams, np.array(lams)),
                               ([lams[0], lams[0]], lams[0]),
                               ([0.0, 0.0], 0.0)):
-        rhs = floquet.variational_system(cols, orb.params)
-        for t in (0.0, 1.7):
-            y = np.concatenate((rng.normal(size=2 * len(cols)),
-                                [orb.value(t), orb.derivative(t)]))
-            assert np.array_equal(
-                rhs(t, y), _parent_variational_rhs(t, y, parent_lams,
-                                                   orb.params))
+        for rhs in (floquet.variational_system(cols, orb.params),
+                    floquet._array_system(cols, orb.params, 1)):
+            for t in (0.0, 1.7):
+                y = np.concatenate((rng.normal(size=2 * len(cols)),
+                                    [orb.value(t), orb.derivative(t)]))
+                assert np.array_equal(
+                    rhs(t, y), _parent_variational_rhs(t, y, parent_lams,
+                                                       orb.params))
 
 
 @pytest.mark.parametrize("orbit_name", ["conf5_orbit", "ckn_orbit"])
@@ -530,6 +533,73 @@ def test_variational_rhs_solves_are_bitwise_the_array_form(orbit_name, request,
         assert np.array_equal(
             floquet.variational_system(cols, orb.params)(0.0, y),
             _array_variational_system(cols, orb.params)(0.0, y))
+    pieces = floquet.KERNEL_PIECES
+    breaks = orb.period * np.arange(pieces) / pieces
+    y = np.concatenate((np.random.default_rng(5).normal(size=4 * pieces),
+                        orb.value(breaks), orb.derivative(breaks)))
+    assert np.array_equal(
+        floquet.variational_system(lams, orb.params, pieces)(0.0, y),
+        _array_variational_system(lams, orb.params, pieces)(0.0, y))
+
+
+def _conformal(n, frac):
+    params = fowler.FowlerParams.conformal(n, 1.0)
+    return params, frac * fowler.constant_solution(params)
+
+
+_CKN = fowler.FowlerParams.ckn(5, 0.5, 0.7)
+_SHOOTING_ORBITS = {  # (params, eps): the README orbits, criterion 2's, a slow one
+    "readme fowler": (fowler.FowlerParams.conformal(5, 1.0), 0.4),
+    "readme fowler ckn": (_CKN, 0.3),
+    "readme expand": _conformal(5, 0.8),
+    "readme construct": _conformal(5, 0.5),
+    "readme construct ckn": (_CKN, 0.4 * fowler.constant_solution(_CKN)),
+    **{f"criterion 2, n = {n}, {frac} xi*": _conformal(n, frac)
+       for n in (4, 5, 6) for frac in (0.3, 0.55, 0.8)},
+    "n = 3, 1e-3 xi*": _conformal(3, 1e-3),
+}
+
+
+@pytest.mark.parametrize("name", list(_SHOOTING_ORBITS))
+def test_kernel_pieces_match_one_forward_solve(name, monkeypatch):
+    # degrees 1..3 by KERNEL_PIECES shooting pieces against one solve over
+    # the whole period: 1e-10 relative, or, where the one solve is worse than
+    # that (degree 1 on n = 3 at 1e-3 xi*, 5.6e-10), within the two solves'
+    # own periodicity defects
+    params, eps = _SHOOTING_ORBITS[name]
+    orb = fowler.periodic_orbit(eps, params)
+    lams = [float(spheres.eigenvalue(k, params.n)) for k in (1, 2, 3)]
+    data = list(floquet.spectrum(orb, lams).values())
+    got = floquet.kernel_basis(orb, data)
+    monkeypatch.setattr(floquet, "KERNEL_PIECES", 1)
+    ref = floquet.kernel_basis(orb, data)
+    assert got[0][4] < ref[0][4]  # fewer accepted steps
+    for (qp, qm, defect, *_), (qp1, qm1, defect1, *_) in zip(got, ref):
+        for q, q1 in ((qp, qp1), (qm, qm1)):
+            ref_vals = q1(orb.t)
+            err = np.max(np.abs(q(orb.t) - ref_vals)) / np.max(np.abs(ref_vals))
+            assert err <= max(1e-10, defect1 + defect)
+
+
+def test_planted_seed_error_shows_in_the_periodicity_defect(conf5_orbit,
+                                                             monkeypatch):
+    # one node of the Magnus tree's level KERNEL_PIECES scaled by 1 + 1e-6:
+    # the piece it seeds starts off the branch, and its junction says so
+    lams = [float(spheres.eigenvalue(k, 5)) for k in (1, 2, 3)]
+    data = list(floquet.spectrum(conf5_orbit, lams).values())
+    clean = floquet.kernel_basis(conf5_orbit, data)
+    real = floquet._magnus_product
+
+    def planted(orbit, lams, n, nodes=None):
+        m, det = real(orbit, lams, n, nodes)
+        if nodes == floquet.KERNEL_PIECES:
+            m = m.copy()
+            m[:, 5] *= 1.0 + 1e-6
+        return m, det
+    monkeypatch.setattr(floquet, "_magnus_product", planted)
+    bad = floquet.kernel_basis(conf5_orbit, data)
+    assert all(defect < 1e-10 for _, _, defect, *_ in clean)
+    assert all(defect > 1e-7 for _, _, defect, *_ in bad)
 
 
 def test_kernel_factors_reuse_the_cached_monodromy(monkeypatch):

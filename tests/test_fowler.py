@@ -356,6 +356,11 @@ def test_dense_solution_is_bitwise_scipy(which, conf5_orbit, monkeypatch):
     for name, t in points.items():
         # array_equal also compares shapes: (states,) for a scalar
         assert np.array_equal(dense(t), sol(t)), name
+    # chosen states per point: the same bits as those of every state
+    t = points["unsorted"]
+    rows = rng.integers(0, sol(t).shape[0], size=(3, t.size))
+    assert np.array_equal(dense(t, rows),
+                          np.take_along_axis(sol(t), rows, axis=0))
 
 
 def test_orbit_rhs_solve_is_bitwise_the_array_form(conf5_orbit, monkeypatch):
@@ -421,8 +426,9 @@ def test_shooting_solve_is_bitwise_scipy_dop853(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["conformal", "ckn"])
 def test_kernel_and_pair_solves_are_bitwise_scipy_dop853(name, monkeypatch):
-    # the kernel branches of degrees 1..3 in one 3-column solve, and the
-    # mode-0 fundamental pair started at the window's t0 = 5
+    # the kernel branches of degrees 1..3 in one solve of 3 columns and one
+    # orbit per piece, and the mode-0 fundamental pair started at the
+    # window's t0 = 5
     params, frac = _SHOT_ORBITS[name]
     orb = fowler.periodic_orbit(frac * fowler.constant_solution(params), params)
     calls = _record_solves(monkeypatch)
@@ -430,7 +436,8 @@ def test_kernel_and_pair_solves_are_bitwise_scipy_dop853(name, monkeypatch):
     floquet.spectrum(orb, lams, with_factors=True)
     cylinder.ModeSolveContext(orb, 0.0, cylinder.make_grid())
     kernel, pair = calls
-    assert kernel[0] is floquet and kernel[-1].y.shape[0] == 2 * 3 + 2
+    assert kernel[0] is floquet and kernel[-1].y.shape[0] == (
+        2 * 3 * floquet.KERNEL_PIECES + 2 * floquet.KERNEL_PIECES)
     assert pair[0] is cylinder and pair[1][1][0] == 5.0
     for call in calls:
         _assert_bitwise_scipy_dop853(call)

@@ -158,10 +158,10 @@ def test_window_evaluation_builds_no_phase_matrix():
 
 @pytest.fixture(scope="module")
 def slow_factor():
-    """q+ of degree 1 on conformal n = 3 at eps = 1e-3 xi*, which keeps 578
+    """q+ of degree 1 on conformal n = 3 at eps = 1e-5 xi*, which keeps 878
     Fourier coefficients."""
     params = fowler.FowlerParams.conformal(3, 1.0)
-    orb = fowler.periodic_orbit(1e-3 * fowler.constant_solution(params),
+    orb = fowler.periodic_orbit(1e-5 * fowler.constant_solution(params),
                                 params)
     return orb, floquet.spectrum(orb, [2.0], with_factors=True)[2.0].q_plus
 
@@ -173,7 +173,7 @@ def test_slow_factor_on_orbit_grid_matches_phase_sum(slow_factor):
 
 
 def test_orbit_grid_evaluation_builds_no_phase_matrix(slow_factor):
-    # the 2048 x 578 phase matrix alone would be 19 MB
+    # the 2048 x 878 phase matrix alone would be 29 MB
     orb, q = slow_factor
     tracemalloc.start()
     try:
