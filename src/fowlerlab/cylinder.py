@@ -31,10 +31,11 @@ q- e^{sigma t}), S = diag(e^{-sigma P}, e^{sigma P}); for sigma > nu its
 growing row is summed from the left, which gives the exponential-dichotomy
 Green kernel, bounded by e^{-sigma|t-s|}.  A mode without dichotomy (mode 0,
 Type II on a nonconstant orbit and Type IV on a constant one) takes its
-fundamental pair, integrated over one period and carried across the window
-by S, and W = 1.  The integrands of period k beyond the window are those of
-the last period times (e^{-nu P} S^T)^k, so the truncated tails are a
-geometric sum of the last computed period.  A construction sweep inverts
+fundamental pair, Phi's first row, Phi(0) = I, from the kernel branches'
+shooting solve over one period, carried across the window by S = Phi(P),
+and W = 1.  The integrands of period k beyond the window are those of the
+last period times (e^{-nu P} S^T)^k, so the truncated tails are a geometric
+sum of the last computed period.  A construction sweep inverts
 every retained mode at once: the pairs are stacked, and the rate checks,
 row directions and tail maps settled, once per construction, and each sweep
 makes one set of array operations over (modes x 2 x nt).  All
@@ -56,7 +57,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import floquet, index_set, spheres
-from .fowler import BareDOP853, DenseSolution, FowlerOrbit, IntegrationError
+from .fowler import FowlerOrbit, IntegrationError
 
 DEFAULT_H = 1.0 / 64.0
 DEFAULT_WINDOW = 12.0
@@ -423,8 +424,10 @@ class ModeSolveContext:
     """Kernel data of one mode operator on a window, reused across solves:
     the pair `u`, its `wronskian` u1 u2' - u1' u2 and its period map `shift`
     (see the module docstring).  `pair_rhs_evals` and `pair_steps` count the
-    fundamental-pair solve's right-hand-side evaluations and accepted steps;
-    they are 0 for a hyperbolic mode, whose datum counts its kernel solve.
+    fundamental-pair solve's right-hand-side evaluations and accepted steps,
+    and `pair_defect` its largest junction mismatch (`floquet.shooting_read`
+    at sigma = 0) relative to max |u1|, |u2| over one period; all three are
+    0 for a hyperbolic mode, whose datum counts its kernel solve.
     """
 
     def __init__(self, orbit: FowlerOrbit, lam: float, tgrid):
@@ -433,7 +436,7 @@ class ModeSolveContext:
         self.window = _window(orbit, tgrid)  # grid, checks, last-period rule
         self.t = self.window.t
         self.datum = floquet.spectrum(orbit, [self.lam], with_factors=True)[self.lam]
-        self.pair_rhs_evals = self.pair_steps = 0
+        self.pair_rhs_evals = self.pair_steps = self.pair_defect = 0
         if self.datum.type == floquet.TYPE_III:
             self._setup_hyperbolic()
         else:
@@ -461,27 +464,23 @@ class ModeSolveContext:
                 f"wronskian = {self.wronskian!r})")
 
     def _setup_fundamental_pair(self):
-        t, t0 = self.t, self.t[0]
         orbit, period = self.orbit, self.orbit.period
-        y0 = [1.0, 0.0, 0.0, 1.0,
-              float(orbit.value(t0)), float(orbit.derivative(t0))]
-        rhs = floquet.variational_system([self.lam, self.lam], orbit.params)
-        sol = solve_ivp(rhs, (t0, t0 + period), y0, method=BareDOP853,
-                        rtol=floquet._MONODROMY_RTOL,
-                        atol=floquet._MONODROMY_ATOL, dense_output=True)
+        rhs, span, y0, seeds = floquet.shooting_problem(
+            orbit, [self.datum] * 2, np.eye(2))
+        sol = solve_ivp(rhs, span, y0, **floquet.SHOOTING_OPTIONS)
         if not sol.success:
             raise IntegrationError(
                 f"fundamental pair integration failed (n = {orbit.params.n}, "
                 f"eps = {orbit.epsilon!r}, lambda = {self.lam!r})")
         self.pair_rhs_evals, self.pair_steps = int(sol.nfev), len(sol.t) - 1
-        # S is the pair's state at t0 + P, so period k of the window is the
-        # first times S^k
-        self.shift = sol.y[:4, -1].reshape(2, 2)
-        k, s = np.divmod(t - t0, period)
-        first = DenseSolution(sol.sol)(t0 + s)[0:2]
+        # Phi(0) = I, so M^T closes the last piece; Phi(s + kP) = Phi(s) S^k
+        k, s = np.divmod(self.t, period)
+        first, self.shift, mismatch = floquet.shooting_read(
+            sol, seeds, s, self.datum.monodromy.T, 0.0)
+        self.pair_defect = float(np.max(mismatch) / np.max(np.abs(first)))
         self.u = np.empty_like(first)
-        power = np.eye(2)
-        for j in range(int(k[-1]) + 1):
+        power = np.linalg.matrix_power(self.shift, int(k[0]))
+        for j in range(int(k[0]), int(k[-1]) + 1):
             sel = k == j
             self.u[:, sel] = power.T @ first[:, sel]
             power = power @ self.shift

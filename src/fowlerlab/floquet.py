@@ -19,10 +19,11 @@ that type never occurs.
 
 On a nonconstant orbit M is a product of sixth-order Magnus steps (Iserles
 & Norsett 1999; Blanes, Casas, Oteo & Ros 2009), and mode 0 is Type II by
-structure.  The periodic factors of Type III kernels come from the growing
-branch by multiple shooting (Keller 1968): the period is cut into
-KERNEL_PIECES equal pieces, each seeded from the Magnus steps' prefix
-products, and one DOP853 solve runs every piece over one piece length.
+structure.  Solutions of the mode systems come from one multiple-shooting
+set-up (Keller 1968): the period is cut into KERNEL_PIECES equal pieces, each
+seeded from the Magnus steps' prefix products, and one DOP853 solve runs every
+piece over one piece length.  It gives the Type III kernels' growing branches
+and the mode-0 fundamental pair of the cylinder's inverse.
 """
 
 from __future__ import annotations
@@ -42,11 +43,11 @@ TYPE_I, TYPE_II, TYPE_III, TYPE_IV = "I", "II", "III", "IV"
 
 TRACE_TOL = 1e-7  # |tr M| - 2 boundary tolerance
 CLOSED_FORM_TOL = 1e-9  # constant-orbit sigma^2 against lambda - n + 2
-_MONODROMY_RTOL = 1e-12  # the kernel-branch and fundamental-pair solves
-_MONODROMY_ATOL = 1e-14
 MAGNUS_TOL = 6.3e-12  # accepted two-level difference of the monodromy
 MAGNUS_START, MAGNUS_CAP = 256, 2 ** 15  # step counts: first and last level
-KERNEL_PIECES = 16  # shooting pieces of the kernel-branch solve
+KERNEL_PIECES = 16  # pieces of every shooting solve
+SHOOTING_OPTIONS = {"method": BareDOP853, "rtol": 1e-12, "atol": 1e-14,
+                    "dense_output": True}
 _GAUSS_NODES = 0.5 + math.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])
 
 
@@ -110,28 +111,10 @@ def variational_system(lams, params, pieces: int = 1):
     per eigenvalue of `lams` in each piece, piece by piece.  Column j of a
     piece sees V_j = lambda_j + q - e c xi^{e-1} from that piece's own xi,
     which follows xi'' = q xi - c xi^e; callers start each (xi, xi') on the
-    orbit.  lambda_j + q and the constants are bound once per solve.  One
-    piece reads the state as Python floats, cheaper than numpy at a few
-    columns; several use whole-array arithmetic.  Both take the powers
-    xi^{e-1} on Python floats, so one piece gives the same bits either way.
+    orbit.  lambda_j + q and the constants are bound once per solve; the
+    arithmetic is whole-array, but the powers xi^{e-1} are taken on Python
+    floats.
     """
-    if pieces > 1:
-        return _array_system(lams, params, pieces)
-    q, c, e, e_minus_1 = params.q, params.c, params.e, params.e - 1.0
-    lam_q = [float(lam) + q for lam in lams]
-    k = len(lam_q)
-
-    def rhs(t, y):
-        *z, xi, xi_prime = y.tolist()
-        c_pow = c * xi ** e_minus_1
-        e_c_pow = e * c_pow
-        return (z[k:] + [(lq - e_c_pow) * u for lq, u in zip(lam_q, z)]
-                + [xi_prime, (q - c_pow) * xi])
-    return rhs
-
-
-def _array_system(lams, params, pieces: int):
-    """`variational_system` in whole-array arithmetic, any piece count."""
     q, c, e, e_minus_1 = params.q, params.c, params.e, params.e - 1.0
     lam_q = np.array([float(lam) + q for lam in lams])
     cols = pieces * lam_q.size
@@ -333,6 +316,50 @@ def _eigvec(m, mu):
     return v
 
 
+def shooting_problem(orbit: FowlerOrbit, data, starts):
+    """(rhs, span, y0, seeds) of the shooting solve of one column per datum,
+    column j from (u, u')(0) = starts[j]; run `solve_ivp(rhs, span, y0,
+    **SHOOTING_OPTIONS)`, read it by `shooting_read`.  Piece i starts at
+    t_i = i T / KERNEL_PIECES from seeds[i, j] = Phi(t_i) starts[j], by the
+    Magnus tree's nodes at that level (at the data's largest kept N, or
+    MAGNUS_START; one tree per distinct eigenvalue), with its own orbit copy
+    from (xi, xi')(t_i); span = (0, T / KERNEL_PIECES)."""
+    pieces = KERNEL_PIECES
+    lams = [d.lam for d in data]
+    steps = max(d.magnus_steps for d in data) or MAGNUS_START
+    distinct, column = np.unique(lams, return_inverse=True)
+    nodes = _magnus_product(orbit, distinct, steps, pieces)[0][column]
+    seeds = [np.asarray(starts, dtype=float)]  # (columns, 2) per piece
+    for i in range(pieces - 1):
+        seeds.append(np.einsum("jab,jb->ja", nodes[:, i], seeds[-1]))
+    seeds = np.array(seeds)
+    h = orbit.period / pieces
+    breaks = h * np.arange(pieces)
+    y0 = [*seeds[..., 0].ravel(), *seeds[..., 1].ravel(),
+          *orbit.value(breaks), *orbit.derivative(breaks)]
+    return variational_system(lams, orbit.params, pieces), (0.0, h), y0, seeds
+
+
+def shooting_read(sol, seeds, t, closing, sigma):
+    """A `shooting_problem` solve's column values at t in [0, T], shape
+    (columns, points), each point read from its own piece's rows of the dense
+    output only; its (u, u') at T, shape (2, columns); and its largest
+    junction mismatch per column in q = e^{-sigma t} u and q': each piece's
+    end against the next piece's seed, the last piece's end against
+    `closing`, (columns, 2), the state at T that the monodromy predicts."""
+    pieces, cols = seeds.shape[:2]
+    h = sol.t[-1]
+    piece = np.minimum((t // h).astype(int), pieces - 1)
+    values = DenseSolution(sol.sol)(t - piece * h,
+                                    piece * cols + np.arange(cols)[:, None])
+    end = sol.y[:2 * pieces * cols, -1].reshape(2, pieces, cols)
+    target = np.concatenate((seeds[1:], closing[None]))
+    du, du_prime = end[0] - target[..., 0], end[1] - target[..., 1]
+    decay = np.exp(-sigma * h * np.arange(1, pieces + 1)[:, None])
+    mismatch = decay * np.maximum(np.abs(du), np.abs(du_prime - sigma * du))
+    return values, end[:, -1], np.max(mismatch, axis=0)
+
+
 def kernel_basis(orbit: FowlerOrbit, data):
     """Periodic factors of Type III kernels: (q_plus, q_minus, periodicity
     defect, rhs evaluations, steps) per datum.
@@ -343,22 +370,15 @@ def kernel_basis(orbit: FowlerOrbit, data):
     (0 on a constant orbit).
     q_plus multiplies the decaying branch e^{-sigma t} and q_minus the growing
     branch e^{+sigma t}.  Only the growing branch u = Phi(t) w is integrated,
-    w the monodromy's eigenvector of the multiplier mu, |mu| = e^{sigma T}.
-    The period is cut into KERNEL_PIECES equal pieces by multiple shooting:
-    piece i starts at t_i = i T / KERNEL_PIECES from Phi(t_i) w, the prefix
-    product of the Magnus tree's nodes at that level (at the batch's largest
-    kept step count, or MAGNUS_START for data without one) applied to w, with
-    its own copy of the orbit started at (xi, xi')(t_i), and every piece runs
-    forward over one piece length in the same DOP853 solve.  q_minus =
-    e^{-sigma t} u is read on the orbit grid, each point from its own piece.
-    The potential is even about t = 0 and t = T/2, so u(T - t) solves the mode
-    equation whenever u(t) does, and the mirror image of the growing branch is
-    the decaying one: q_plus(t) = q_minus(T - t), read off the symmetric orbit
-    grid with no interpolation.  Factors are normalized to 1 at t = 0 when the
-    value there is nonzero.  The periodicity defect is the largest junction
-    mismatch in q = e^{-sigma t} u and q', relative to max |q_minus|: each
-    piece's end against the next piece's start, and the last piece's end
-    against mu w; it is also that of the mirror.
+    w the monodromy's eigenvector of the multiplier mu, |mu| = e^{sigma T},
+    as one column of `shooting_problem`; q_minus = e^{-sigma t} u is read on
+    the orbit grid.  The potential is even about t = 0 and t = T/2, so
+    u(T - t) solves the mode equation whenever u(t) does, and the mirror
+    image of the growing branch is the decaying one: q_plus(t) =
+    q_minus(T - t), read off the symmetric orbit grid with no interpolation.
+    Factors are normalized to 1 at t = 0 when the value there is nonzero.
+    The periodicity defect is the largest junction mismatch, the last
+    against mu w, relative to max |q_minus|; it is also that of the mirror.
     """
     data = tuple(data)
     if not data:
@@ -387,42 +407,22 @@ def kernel_basis(orbit: FowlerOrbit, data):
         qp = PeriodicFunction.from_closed_grid(np.ones_like(t_eval), T)
         return [(qp, qp, 0.0, 0, 0)] * len(data)
 
-    k, pieces = len(data), KERNEL_PIECES
-    h = T / pieces
-    lams = [d.lam for d in data]
-    steps = max(d.magnus_steps for d in data) or MAGNUS_START
-    nodes = _magnus_product(orbit, lams, steps, pieces)[0]
-    seeds = [np.array(starts)]  # (k, 2) per piece: Phi(t_i) w
-    for i in range(pieces - 1):
-        seeds.append(np.einsum("jab,jb->ja", nodes[:, i], seeds[-1]))
-    seeds = np.array(seeds)
-    breaks = h * np.arange(pieces)
-    sol = solve_ivp(variational_system(lams, orbit.params, pieces), (0.0, h),
-                    [*seeds[..., 0].ravel(), *seeds[..., 1].ravel(),
-                     *orbit.value(breaks), *orbit.derivative(breaks)],
-                    method=BareDOP853, rtol=_MONODROMY_RTOL,
-                    atol=_MONODROMY_ATOL, dense_output=True)
+    rhs, span, y0, seeds = shooting_problem(orbit, data, starts)
+    sol = solve_ivp(rhs, span, y0, **SHOOTING_OPTIONS)
     if not sol.success:
         raise IntegrationError(
             f"kernel branch integration failed (n = {orbit.params.n}, eps = "
-            f"{orbit.epsilon!r}, lambda = {', '.join(map(repr, lams))})")
-    piece = np.minimum((t_eval // h).astype(int), pieces - 1)
-    u = DenseSolution(sol.sol)(t_eval - piece * h,
-                               piece * k + np.arange(k)[:, None])
-    sigma = np.array([d.sigma for d in data])[:, None]
-    q_minus = np.exp(-sigma * t_eval) * u
+            f"{orbit.epsilon!r}, lambda = "
+            f"{', '.join(repr(d.lam) for d in data)})")
+    sigma = np.array([d.sigma for d in data])
+    u, _, mismatch = shooting_read(sol, seeds, t_eval,
+                                   np.array(mus)[:, None] * seeds[0], sigma)
+    q_minus = np.exp(-sigma[:, None] * t_eval) * u
     scale = np.maximum(np.max(np.abs(q_minus), axis=1), 1e-300)
-    # junction t_{i+1}: piece i's end against piece i + 1's start, mu w last
-    end = sol.y[:2 * pieces * k, -1].reshape(2, pieces, k)
-    target = np.concatenate((seeds[1:], np.array(mus)[:, None] * seeds[:1]))
-    du, du_prime = end[0] - target[..., 0], end[1] - target[..., 1]
-    decay = np.exp(-sigma.T * h * np.arange(1, pieces + 1)[:, None])
-    mismatch = decay * np.maximum(np.abs(du), np.abs(du_prime - sigma.T * du))
-    defects = np.max(mismatch, axis=0) / scale
     return [(PeriodicFunction.from_closed_grid(qm[::-1], T),
              PeriodicFunction.from_closed_grid(qm, T), float(defect),
              int(sol.nfev), len(sol.t) - 1)
-            for qm, defect in zip(q_minus, defects)]
+            for qm, defect in zip(q_minus, mismatch / scale)]
 
 
 def _classified(orbit: FowlerOrbit, lam: float, m: np.ndarray, det: float,

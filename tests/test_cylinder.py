@@ -1,3 +1,4 @@
+import copy
 import functools
 import math
 import re
@@ -969,12 +970,13 @@ def test_inverse_rejects_non_positive_rates(grid, conf5_orbit):
 
 
 def _whole_window_pair(orbit, lam, t):
-    """The fundamental pair integrated across the whole window, the solve
-    that one period and quasi-periodicity replace."""
+    """The fundamental pair, identity data at t = 0, integrated across the
+    whole window: the solve that the shooting pieces and quasi-periodicity
+    replace."""
     y0 = [1.0, 0.0, 0.0, 1.0,
-          float(orbit.value(t[0])), float(orbit.derivative(t[0]))]
+          float(orbit.value(0.0)), float(orbit.derivative(0.0))]
     sol = solve_ivp(floquet.variational_system([lam, lam], orbit.params),
-                    (t[0], t[-1]), y0, method="DOP853",
+                    (0.0, t[-1]), y0, method="DOP853",
                     rtol=1e-12, atol=1e-14, dense_output=True)
     return sol.sol(t)[0:2]
 
@@ -982,6 +984,8 @@ def _whole_window_pair(orbit, lam, t):
 @pytest.mark.parametrize("case", ["nonconstant", "constant", "escalated"])
 def test_fundamental_pair_integrates_one_period(case, conf5_orbit,
                                                 const5_orbit, monkeypatch):
+    # one shooting solve over P / KERNEL_PIECES, based at t = 0 whatever
+    # the window's start
     orbit = const5_orbit if case == "constant" else conf5_orbit
     t = cylinder.make_grid(10.0 if case == "escalated" else 5.0)
     spans = []
@@ -991,10 +995,99 @@ def test_fundamental_pair_integrates_one_period(case, conf5_orbit,
                         or real(fun, span, *a, **k))
     ctx = cylinder.ModeSolveContext(orbit, 0.0, t)
     assert ctx.datum.type != floquet.TYPE_III
-    assert spans == [(t[0], t[0] + orbit.period)]
+    assert spans == [(0.0, orbit.period / floquet.KERNEL_PIECES)]
     ref = _whole_window_pair(orbit, 0.0, t)
     assert np.max(np.abs(ctx.u - ref)) <= 1e-9 * np.max(np.abs(ref))
     assert abs(np.linalg.det(ctx.shift) - 1.0) <= 1e-10
+
+
+def _conformal_orbit(n, frac):
+    params = fowler.FowlerParams.conformal(n, 1.0)
+    return fowler.periodic_orbit(frac * fowler.constant_solution(params),
+                                 params)
+
+
+@pytest.fixture(scope="module")
+def slow3_orbit():
+    """n = 3 at 1e-3 xi*, a small neck with a long period (T = 33)."""
+    return _conformal_orbit(3, 1e-3)
+
+
+@pytest.fixture(scope="module")
+def conf8_orbit():
+    return _conformal_orbit(8, 0.3)
+
+
+@pytest.mark.parametrize("orbit_name, bar", [
+    ("conf5_orbit", 1e-12), ("ckn_orbit", 1e-12), ("slow3_orbit", 1e-9)])
+def test_fundamental_pair_period_map_has_the_monodromy_trace(orbit_name, bar,
+                                                             request):
+    # S = Phi(P) of the pair against the Magnus monodromy that classified
+    # mode 0
+    orbit = request.getfixturevalue(orbit_name)
+    t = cylinder.make_grid(5.0, max(12.0, 1.1 * orbit.period))
+    ctx = cylinder.ModeSolveContext(orbit, 0.0, t)
+    assert abs(np.trace(ctx.shift) - np.trace(ctx.datum.monodromy)) <= bar
+
+
+def _t0_based_pair(orbit, t):
+    """The fundamental pair with identity data at the window's start t0,
+    integrated over [t0, t0 + P] and carried across the window by its
+    period map S: (u, S), W = 1."""
+    period = orbit.period
+    y0 = [1.0, 0.0, 0.0, 1.0,
+          float(orbit.value(t[0])), float(orbit.derivative(t[0]))]
+    sol = solve_ivp(floquet.variational_system([0.0, 0.0], orbit.params),
+                    (t[0], t[0] + period), y0, method="DOP853",
+                    rtol=1e-12, atol=1e-14, dense_output=True)
+    shift = sol.y[:4, -1].reshape(2, 2)
+    k, s = np.divmod(t - t[0], period)
+    first = sol.sol(t[0] + s)[0:2]
+    u = np.empty_like(first)
+    for j in range(int(k[-1]) + 1):
+        u[:, k == j] = np.linalg.matrix_power(shift, j).T @ first[:, k == j]
+    return u, shift
+
+
+@pytest.mark.parametrize("t0", [5.0, 10.0])
+@pytest.mark.parametrize("orbit_name", ["conf5_orbit", "ckn_orbit",
+                                        "conf8_orbit", "slow3_orbit"])
+def test_mode0_inverse_does_not_depend_on_the_pair_basis(orbit_name, t0,
+                                                         request):
+    # the pair based at t = 0 against the pair based at the window's t0:
+    # phi = [u2 int u1 f - u1 int u2 f] / W and its tails are the same for
+    # any pair of Wronskian 1
+    orbit = request.getfixturevalue(orbit_name)
+    t = cylinder.make_grid(t0, max(12.0, 1.1 * orbit.period))
+    ctx = cylinder.ModeSolveContext(orbit, 0.0, t)
+    ref_ctx = copy.copy(ctx)
+    ref_ctx.u, ref_ctx.shift = _t0_based_pair(orbit, t)
+    rhs = np.exp(-1.5 * t) * orbit.value(t)
+    got, ref = ctx.solve(rhs, 1.5), ref_ctx.solve(rhs, 1.5)
+    assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("orbit_name", ["conf5_orbit", "ckn_orbit",
+                                        "const5_orbit", "slow3_orbit"])
+def test_planted_seed_error_shows_in_the_pair_defect(orbit_name, request,
+                                                     monkeypatch):
+    # one node of the Magnus tree's level KERNEL_PIECES scaled by 1 + 1e-6:
+    # the pair's piece it seeds starts off the solution, and its junction
+    # says so
+    orbit = request.getfixturevalue(orbit_name)
+    t = cylinder.make_grid(5.0, max(12.0, 1.1 * orbit.period))
+    clean = cylinder.ModeSolveContext(orbit, 0.0, t)
+    real = floquet._magnus_product
+
+    def planted(orbit, lams, n, nodes=None):
+        m, det = real(orbit, lams, n, nodes)
+        if nodes == floquet.KERNEL_PIECES:
+            m = m.copy()
+            m[:, 5] *= 1.0 + 1e-6
+        return m, det
+    monkeypatch.setattr(floquet, "_magnus_product", planted)
+    bad = cylinder.ModeSolveContext(orbit, 0.0, t)
+    assert clean.pair_defect < 1e-10 < 1e-7 < bad.pair_defect
 
 
 @pytest.mark.parametrize("orbit_name", ["conf5_orbit", "ckn_orbit",

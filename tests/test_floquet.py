@@ -467,8 +467,8 @@ def _parent_variational_rhs(t, y, lams, params):
 
 
 def _array_variational_system(lams, params, pieces=1):
-    """`floquet.variational_system` in numpy arithmetic: the reference for
-    both its forms, which must give the same bits."""
+    """`floquet.variational_system` in numpy arithmetic, powers on numpy
+    scalars: the reference it must match bit for bit."""
     lams = np.asarray(lams, dtype=float)
 
     def rhs(t, y):
@@ -485,8 +485,7 @@ def _array_variational_system(lams, params, pieces=1):
 @pytest.mark.parametrize("orbit_name", ["conf5_orbit", "ckn_orbit"])
 def test_variational_system_is_bitwise_the_parent_rhs(orbit_name, request):
     # k = 1, 2 and 3 columns, and the fundamental pair's [lam, lam], whose
-    # parent form took the scalar eigenvalue; the Python-float form and the
-    # whole-array form at one piece
+    # parent form took the scalar eigenvalue, at one piece
     orb = request.getfixturevalue(orbit_name)
     lams = [float(spheres.eigenvalue(k, orb.params.n)) for k in (1, 2, 3)]
     rng = np.random.default_rng(11)
@@ -495,14 +494,13 @@ def test_variational_system_is_bitwise_the_parent_rhs(orbit_name, request):
                               (lams, np.array(lams)),
                               ([lams[0], lams[0]], lams[0]),
                               ([0.0, 0.0], 0.0)):
-        for rhs in (floquet.variational_system(cols, orb.params),
-                    floquet._array_system(cols, orb.params, 1)):
-            for t in (0.0, 1.7):
-                y = np.concatenate((rng.normal(size=2 * len(cols)),
-                                    [orb.value(t), orb.derivative(t)]))
-                assert np.array_equal(
-                    rhs(t, y), _parent_variational_rhs(t, y, parent_lams,
-                                                       orb.params))
+        rhs = floquet.variational_system(cols, orb.params)
+        for t in (0.0, 1.7):
+            y = np.concatenate((rng.normal(size=2 * len(cols)),
+                                [orb.value(t), orb.derivative(t)]))
+            assert np.array_equal(
+                rhs(t, y), _parent_variational_rhs(t, y, parent_lams,
+                                                   orb.params))
 
 
 @pytest.mark.parametrize("orbit_name", ["conf5_orbit", "ckn_orbit"])

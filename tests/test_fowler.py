@@ -427,8 +427,8 @@ def test_shooting_solve_is_bitwise_scipy_dop853(name, monkeypatch):
 @pytest.mark.parametrize("name", ["conformal", "ckn"])
 def test_kernel_and_pair_solves_are_bitwise_scipy_dop853(name, monkeypatch):
     # the kernel branches of degrees 1..3 in one solve of 3 columns and one
-    # orbit per piece, and the mode-0 fundamental pair started at the
-    # window's t0 = 5
+    # orbit per piece, and the mode-0 fundamental pair, 2 columns and one
+    # orbit per piece, started at t = 0 for the window at t0 = 5
     params, frac = _SHOT_ORBITS[name]
     orb = fowler.periodic_orbit(frac * fowler.constant_solution(params), params)
     calls = _record_solves(monkeypatch)
@@ -438,7 +438,9 @@ def test_kernel_and_pair_solves_are_bitwise_scipy_dop853(name, monkeypatch):
     kernel, pair = calls
     assert kernel[0] is floquet and kernel[-1].y.shape[0] == (
         2 * 3 * floquet.KERNEL_PIECES + 2 * floquet.KERNEL_PIECES)
-    assert pair[0] is cylinder and pair[1][1][0] == 5.0
+    assert pair[0] is cylinder and pair[1][1][0] == 0.0
+    assert pair[-1].y.shape[0] == (2 * 2 * floquet.KERNEL_PIECES
+                                   + 2 * floquet.KERNEL_PIECES)
     for call in calls:
         _assert_bitwise_scipy_dop853(call)
 

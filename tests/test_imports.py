@@ -5,7 +5,9 @@ top-level `import` or `from ... import` must appear as a name somewhere in
 the module.  `__init__.py` is skipped (its imports are re-exports) and so are
 `__future__` imports.  The same walk checks that the library reads no
 environment variables, that only `fowler.py` imports a private module
-path and that only the command line's two writers make directories.
+path, that only the command line's two writers make directories and that
+only `fowler.py` and `floquet.py` name the DOP853 stepper, its dense-output
+reader and the linear solves' tolerances.
 """
 
 import ast
@@ -152,3 +154,39 @@ def test_checker_flags_an_environment_read():
 def test_library_reads_no_environment_variables(path):
     # the library has no environment knobs: every setting is an argument
     assert environment_reads(path.read_text()) == []
+
+
+INTEGRATOR_NAMES = {"BareDOP853", "DenseSolution", "_MONODROMY_RTOL",
+                    "_MONODROMY_ATOL"}
+
+
+def integrator_names(source: str) -> list:
+    """The INTEGRATOR_NAMES the source names: as a name, an attribute or an
+    imported name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(a.name for a in node.names)
+    return sorted(found & INTEGRATOR_NAMES)
+
+
+def test_checker_flags_an_integrator_name():
+    source = ("from .fowler import BareDOP853 as Stepper\n"
+              "from . import floquet\n"
+              "tol = floquet._MONODROMY_RTOL\n"
+              "def f(sol):\n    return DenseSolution(sol)\n"
+              "atol = '_MONODROMY_ATOL'\n")
+    assert integrator_names(source) == ["BareDOP853", "DenseSolution",
+                                        "_MONODROMY_RTOL"]
+
+
+def test_only_the_orbit_and_floquet_modules_name_the_integrator():
+    # every linear mode system is solved by floquet's one shooting set-up,
+    # so no other module picks a stepper, a reader or a tolerance
+    namers = [path.name for path in MODULES
+              if integrator_names(path.read_text())]
+    assert namers == ["floquet.py", "fowler.py"]
