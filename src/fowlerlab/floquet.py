@@ -93,6 +93,8 @@ class FloquetDatum:
     # solve that made q_plus and q_minus, shared by its whole batch
     kernel_rhs_evals: int = field(default=0, compare=False)
     kernel_steps: int = field(default=0, compare=False)
+    # read-only `_magnus_product` nodes of magnus_steps: the shooting seeds
+    nodes: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         d = output_fields(self)
@@ -165,16 +167,16 @@ def _commutator(x, y):
             2.0 * (c1 * a2 - a1 * c2))
 
 
-def _magnus_product(orbit: FowlerOrbit, lams, n: int, nodes=None):
-    """Monodromies, and products of step determinants, of n uniform 6th-order
-    Magnus steps for each eigenvalue of `lams`.  A step is exp(Omega), Omega
-    the three-Gauss-point exponent of Blanes, Casas & Ros; Omega^2 = s^2 I
-    gives exp(Omega) = cosh(s) I + (sinh(s)/s) Omega.  V is even about T/2,
-    so it is sampled on the first half period.  Arithmetic is elementwise.
-    The steps are multiplied pairwise; with `nodes`, a power of two dividing
-    n, the tree stops at that level and the matrices come per eigenvalue and
-    node, shape (len(lams), nodes, 2, 2): node i propagates over
-    [iT/nodes, (i + 1)T/nodes].
+def _magnus_product(orbit: FowlerOrbit, lams, n: int):
+    """Monodromies, step determinant products and tree nodes of n uniform
+    6th-order Magnus steps for each eigenvalue of `lams`.  A step is
+    exp(Omega), Omega the three-Gauss-point exponent of Blanes, Casas & Ros;
+    Omega^2 = s^2 I gives exp(Omega) = cosh(s) I + (sinh(s)/s) Omega.  V is
+    even about T/2, so it is sampled on the first half period.  Arithmetic is
+    elementwise.  The steps are multiplied pairwise; the nodes, shape
+    (len(lams), KERNEL_PIECES, 2, 2), are the tree's level of KERNEL_PIECES
+    matrices, kept on the way to the root (n a power-of-two multiple of it):
+    node i propagates over [iT/KERNEL_PIECES, (i + 1)T/KERNEL_PIECES].
     """
     p, h = orbit.params, orbit.period / n
     gauss = (np.arange(n // 2)[:, None] + _GAUSS_NODES) * h
@@ -198,22 +200,24 @@ def _magnus_product(orbit: FowlerOrbit, lams, n: int, nodes=None):
                   / np.where(tiny, 1.0, r))
     e = (ch + sh * a, sh * b, sh * c, ch - sh * a)
     det = np.prod(e[0] * e[3] - e[1] * e[2], axis=1)
-    while e[0].shape[1] > (nodes or 1):  # later steps multiply from the left
+    while e[0].shape[1] > 1:  # later steps multiply from the left
+        if e[0].shape[1] == KERNEL_PIECES:
+            nodes = np.stack(e, axis=-1).reshape(len(lq), -1, 2, 2)
         (a11, a12, a21, a22), (b11, b12, b21, b22) = (
             [x[:, 1::2] for x in e], [x[:, ::2] for x in e])
         e = (a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
              a21 * b11 + a22 * b21, a21 * b12 + a22 * b22)
-    m = np.stack(e, axis=-1).reshape(len(lq), -1, 2, 2)
-    return (m if nodes else m[:, 0]), det
+    return np.stack(e, axis=-1).reshape(len(lq), 2, 2), det, nodes
 
 
 def monodromy(orbit: FowlerOrbit, lams):
     """Fundamental solutions over one period with identity initial data.
 
     `lams` is a nonempty sequence of eigenvalues of modes on `orbit`; the
-    answer is (matrices, determinant products, step counts N, estimates),
-    each in the order of `lams`.  Constant orbits get the closed-form
-    exponential (N = 0).  Otherwise N doubles from MAGNUS_START for every eigenvalue alike, and
+    answer is (matrices, determinant products, step counts N, estimates,
+    `_magnus_product` nodes), each in the order of `lams`.  Constant orbits
+    get the closed-form exponential (N = 0) and MAGNUS_START steps' nodes.
+    Otherwise N doubles from MAGNUS_START for every eigenvalue alike, and
     each keeps the first level where ||M_2N - M_N|| / max(1, ||M_2N||) is at
     most MAGNUS_TOL, or shrank less than 4x after an earlier doubling shrank
     it 16x: the accuracy floor of the stored orbit.  A level at that floor
@@ -228,19 +232,23 @@ def monodromy(orbit: FowlerOrbit, lams):
     steps, errors = np.zeros(k, dtype=int), np.zeros(k)
     if orbit.is_constant:
         ms[:] = [_constant_monodromy(orbit, lam)[0] for lam in lams]
-        return ms, dets, steps, errors
+        with np.errstate(over="ignore", invalid="ignore"):  # M by the closed form
+            nodes = _magnus_product(orbit, lams, MAGNUS_START)[2]
+        return ms, dets, steps, errors, nodes
+    nodes, last_nodes = np.empty((2, k, KERNEL_PIECES, 2, 2))
     live, fell = np.ones(k, dtype=bool), np.zeros(k, dtype=bool)
     last, last_det = np.full((k, 2, 2), np.nan), np.full(k, np.nan)
     d1, n = np.full(k, np.nan), MAGNUS_START
     while live.any():
         m, det = np.full((k, 2, 2), np.nan), np.full(k, np.nan)
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            m[live], det[live] = _magnus_product(orbit, lams[live], n)
+            m[live], det[live], nodes[live] = _magnus_product(orbit, lams[live], n)
             d = (np.max(np.abs(m - last), axis=(1, 2))
                  / np.maximum(1.0, np.max(np.abs(m), axis=(1, 2))))
         done = live & ((d <= MAGNUS_TOL) | (fell & (4.0 * d > d1)))
         back = done & (d > d1)  # the floor level's estimate grew: keep the one before
         m[back], det[back], d[back] = last[back], last_det[back], d1[back]
+        nodes[back] = last_nodes[back]
         ms[done], dets[done], errors[done] = m[done], det[done], d[done]
         steps[done], steps[back], live = n, n // 2, live & ~done
         finite = np.isfinite(m).all(axis=(1, 2))
@@ -252,8 +260,8 @@ def monodromy(orbit: FowlerOrbit, lams):
                 f"N = {n} steps (n = {orbit.params.n}, eps = {orbit.epsilon!r}, "
                 f"lambda = {float(lams[i])!r}, estimate = {d[i]:.3g})")
         fell |= 16.0 * d <= d1
-        last, last_det, d1, n = m, det, d, 2 * n
-    return ms, dets, steps, errors
+        last, last_det, last_nodes, d1, n = m, det, nodes.copy(), d, 2 * n
+    return ms, dets, steps, errors, nodes
 
 
 @dataclass(frozen=True)
@@ -320,15 +328,12 @@ def shooting_problem(orbit: FowlerOrbit, data, starts):
     """(rhs, span, y0, seeds) of the shooting solve of one column per datum,
     column j from (u, u')(0) = starts[j]; run `solve_ivp(rhs, span, y0,
     **SHOOTING_OPTIONS)`, read it by `shooting_read`.  Piece i starts at
-    t_i = i T / KERNEL_PIECES from seeds[i, j] = Phi(t_i) starts[j], by the
-    Magnus tree's nodes at that level (at the data's largest kept N, or
-    MAGNUS_START; one tree per distinct eigenvalue), with its own orbit copy
-    from (xi, xi')(t_i); span = (0, T / KERNEL_PIECES)."""
+    t_i = i T / KERNEL_PIECES from seeds[i, j] = Phi(t_i) starts[j], the
+    prefix product of datum j's nodes, with its own orbit copy from
+    (xi, xi')(t_i); span = (0, T / KERNEL_PIECES)."""
     pieces = KERNEL_PIECES
     lams = [d.lam for d in data]
-    steps = max(d.magnus_steps for d in data) or MAGNUS_START
-    distinct, column = np.unique(lams, return_inverse=True)
-    nodes = _magnus_product(orbit, distinct, steps, pieces)[0][column]
+    nodes = np.array([d.nodes for d in data])
     seeds = [np.asarray(starts, dtype=float)]  # (columns, 2) per piece
     for i in range(pieces - 1):
         seeds.append(np.einsum("jab,jb->ja", nodes[:, i], seeds[-1]))
@@ -364,10 +369,10 @@ def kernel_basis(orbit: FowlerOrbit, data):
     """Periodic factors of Type III kernels: (q_plus, q_minus, periodicity
     defect, rhs evaluations, steps) per datum.
 
-    `data` is a nonempty sequence of FloquetData of modes on `orbit`,
-    answered in the same order.  The growing branches share one solve, and
-    every answer carries its right-hand-side evaluations and accepted steps
-    (0 on a constant orbit).
+    `data` is a nonempty sequence of FloquetData of modes on `orbit`, nodes
+    included, answered in the same order; the growing branches share one
+    solve, and every answer carries its right-hand-side evaluations and
+    accepted steps (0 on a constant orbit).
     q_plus multiplies the decaying branch e^{-sigma t} and q_minus the growing
     branch e^{+sigma t}.  Only the growing branch u = Phi(t) w is integrated,
     w the monodromy's eigenvector of the multiplier mu, |mu| = e^{sigma T},
@@ -388,6 +393,8 @@ def kernel_basis(orbit: FowlerOrbit, data):
     T = orbit.period
     starts, mus = [], []
     for d in data:
+        if d.nodes is None:
+            raise ValueError(f"Floquet datum without nodes (lambda = {d.lam!r})")
         m = d.monodromy
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             mu = _multiplier(float(np.trace(m)))
@@ -426,7 +433,7 @@ def kernel_basis(orbit: FowlerOrbit, data):
 
 
 def _classified(orbit: FowlerOrbit, lam: float, m: np.ndarray, det: float,
-                steps: int, error: float) -> FloquetDatum:
+                steps: int, error: float, nodes: np.ndarray) -> FloquetDatum:
     """Datum of one eigenvalue from its monodromy, without kernel factors.
     On a nonconstant orbit mode 0 is Type II by structure (xi' is a periodic
     kernel element, dT/deps != 0); its trace defect is kept, not tested.
@@ -453,7 +460,8 @@ def _classified(orbit: FowlerOrbit, lam: float, m: np.ndarray, det: float,
                          monodromy=m, type=cls.type, sigma=cls.sigma,
                          omega=cls.omega, warning=warning,
                          det_defect=abs(det - 1.0), magnus_steps=steps,
-                         magnus_error=error)
+                         magnus_error=error, nodes=nodes)
+    nodes.flags.writeable = False
     if lam == 0.0 and not orbit.is_constant:
         datum.coupling = mode0_coupling(orbit, m)
         datum.trace_defect = abs(float(np.trace(m)) - 2.0)
@@ -473,8 +481,8 @@ def spectrum(orbit: FowlerOrbit, lams, with_factors: bool = False) -> dict:
     new = [lam for lam in lams if lam not in store]
     if new:
         health = monodromy(orbit, new)
-        data = [_classified(orbit, lam, m, float(det), int(n), float(err))
-                for lam, m, det, n, err in zip(new, *health)]
+        data = [_classified(orbit, lam, m, float(det), int(n), float(err), nd)
+                for lam, m, det, n, err, nd in zip(new, *health)]
         store.update((d.lam, d) for d in data)
     out = {lam: store[lam] for lam in lams}
     bare = [d for d in out.values() if with_factors and d.type == TYPE_III

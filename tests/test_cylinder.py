@@ -1069,24 +1069,17 @@ def test_mode0_inverse_does_not_depend_on_the_pair_basis(orbit_name, t0,
 
 @pytest.mark.parametrize("orbit_name", ["conf5_orbit", "ckn_orbit",
                                         "const5_orbit", "slow3_orbit"])
-def test_planted_seed_error_shows_in_the_pair_defect(orbit_name, request,
-                                                     monkeypatch):
-    # one node of the Magnus tree's level KERNEL_PIECES scaled by 1 + 1e-6:
-    # the pair's piece it seeds starts off the solution, and its junction
-    # says so
+def test_planted_seed_error_shows_in_the_pair_defect(orbit_name, request):
+    # one node of the datum's Magnus tree level scaled by 1 + 1e-6: the
+    # pair's piece it seeds starts off the solution, and its junction says so
     orbit = request.getfixturevalue(orbit_name)
     t = cylinder.make_grid(5.0, max(12.0, 1.1 * orbit.period))
     clean = cylinder.ModeSolveContext(orbit, 0.0, t)
-    real = floquet._magnus_product
-
-    def planted(orbit, lams, n, nodes=None):
-        m, det = real(orbit, lams, n, nodes)
-        if nodes == floquet.KERNEL_PIECES:
-            m = m.copy()
-            m[:, 5] *= 1.0 + 1e-6
-        return m, det
-    monkeypatch.setattr(floquet, "_magnus_product", planted)
-    bad = cylinder.ModeSolveContext(orbit, 0.0, t)
+    nodes = clean.datum.nodes.copy()
+    nodes[5] *= 1.0 + 1e-6
+    planted = replace(orbit, _floquet={}, _windows={})
+    planted._floquet[0.0] = replace(clean.datum, nodes=nodes)
+    bad = cylinder.ModeSolveContext(planted, 0.0, t)
     assert clean.pair_defect < 1e-10 < 1e-7 < bad.pair_defect
 
 

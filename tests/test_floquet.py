@@ -37,7 +37,7 @@ def test_determinant_is_one(conf3_orbit, ckn_orbit):
     pairs = [(conf3_orbit, lam) for lam in rng.uniform(0.5, 12.0, 10)]
     pairs += [(ckn_orbit, lam) for lam in rng.uniform(0.5, 12.0, 10)]
     for orbit, lam in pairs:
-        _, (det,), _, _ = floquet.monodromy(orbit, [float(lam)])
+        _, (det,), _, _, _ = floquet.monodromy(orbit, [float(lam)])
         assert abs(det - 1.0) < 1e-9
 
 
@@ -203,8 +203,9 @@ def test_mirrored_q_plus_matches_backward_integration(orbit_name, degree,
 
 
 def test_determinant_failure_is_typed_error(conf5_orbit, monkeypatch):
-    monkeypatch.setattr(floquet, "monodromy",
-                        lambda orbit, lams: ([np.eye(2)], [2.0], [256], [0.0]))
+    nodes = np.tile(np.eye(2), (floquet.KERNEL_PIECES, 1, 1))
+    monkeypatch.setattr(floquet, "monodromy", lambda orbit, lams: (
+        [np.eye(2)], [2.0], [256], [0.0], [nodes]))
     with pytest.raises(fowler.IntegrationError,
                        match=r"determinant.*n = 5.*lambda = 7\.25") as info:
         floquet.mode_datum(conf5_orbit, 0, 7.25, 1)
@@ -250,6 +251,13 @@ def test_kernel_basis_requires_type_three(conf5_orbit):
     d0 = floquet.mode_datum(conf5_orbit, 0, 0.0, 0)
     with pytest.raises(ValueError, match="Type III"):
         floquet.kernel_basis(conf5_orbit, [d0])
+
+
+def test_kernel_basis_refuses_data_without_nodes(conf5_orbit):
+    # a hand-built datum without its Magnus tree nodes has no shooting seeds
+    d = floquet.mode_datum(conf5_orbit, 1, 4.0, 1)
+    with pytest.raises(ValueError, match=r"without nodes \(lambda = 4\.0\)"):
+        floquet.kernel_basis(conf5_orbit, [dataclasses.replace(d, nodes=None)])
 
 
 def test_batches_refuse_to_be_empty(conf5_orbit):
@@ -383,7 +391,7 @@ def test_datum_file_holds_exactly_the_compared_fields(params, frac, tmp_path):
                                  params))
     fields = dataclasses.fields(floquet.FloquetDatum)
     assert {f.name for f in fields if not f.compare} == {
-        "q_plus", "q_minus", "kernel_rhs_evals", "kernel_steps"}
+        "q_plus", "q_minus", "kernel_rhs_evals", "kernel_steps", "nodes"}
     compared = {f.name for f in fields if f.compare} - {"lam"} | {"lambda"}
     lams, _ = spheres.eigenvalue_sequence(params.n, 4)
     for with_factors in (False, True):
@@ -425,22 +433,23 @@ def test_batched_solves_match_single_eigenvalue_solves(orbit_name, request):
     # per eigenvalue (a batch of one, the per-mode integration)
     orb = request.getfixturevalue(orbit_name)
     lams = [float(spheres.eigenvalue(k, orb.params.n)) for k in (1, 2, 3)]
-    ms, dets, _, _ = floquet.monodromy(orb, lams)
+    ms, dets, _, _, nodes = floquet.monodromy(orb, lams)
     batch = [floquet.FloquetDatum(0, 0, lam, orb.period, m, floquet.TYPE_III,
                                   sigma=floquet.classify(m, orb.period,
-                                                         det=det).sigma)
-             for lam, m, det in zip(lams, ms, dets)]
+                                                         det=det).sigma,
+                                  nodes=nd)
+             for lam, m, det, nd in zip(lams, ms, dets, nodes)]
     factors = floquet.kernel_basis(orb, batch)
     assert len({f[3:] for f in factors}) == 1  # one shared solve
     for lam, d, det, (qp, qm, defect, *_) in zip(lams, batch, dets, factors):
-        (m1,), (det1,), _, _ = floquet.monodromy(orb, [lam])
+        (m1,), (det1,), _, _, (nodes1,) = floquet.monodromy(orb, [lam])
         cls = floquet.classify(m1, orb.period, det=det1)
         assert cls.type == floquet.TYPE_III
         assert np.max(np.abs(d.monodromy - m1)) < 1e-10 * np.max(np.abs(m1))
         assert abs(det - det1) < 1e-10
         assert abs(d.sigma - cls.sigma) < 1e-10 * cls.sigma
         single = floquet.FloquetDatum(0, 0, lam, orb.period, m1, cls.type,
-                                      sigma=cls.sigma)
+                                      sigma=cls.sigma, nodes=nodes1)
         [(qp1, qm1, defect1, *_)] = floquet.kernel_basis(orb, [single])
         for got, ref in ((qp, qp1), (qm, qm1)):
             ref_vals = ref(orb.t)
@@ -579,23 +588,18 @@ def test_kernel_pieces_match_one_forward_solve(name, monkeypatch):
             assert err <= max(1e-10, defect1 + defect)
 
 
-def test_planted_seed_error_shows_in_the_periodicity_defect(conf5_orbit,
-                                                             monkeypatch):
-    # one node of the Magnus tree's level KERNEL_PIECES scaled by 1 + 1e-6:
-    # the piece it seeds starts off the branch, and its junction says so
+def test_planted_seed_error_shows_in_the_periodicity_defect(conf5_orbit):
+    # one node of each datum's Magnus tree level scaled by 1 + 1e-6: the
+    # piece it seeds starts off the branch, and its junction says so
     lams = [float(spheres.eigenvalue(k, 5)) for k in (1, 2, 3)]
     data = list(floquet.spectrum(conf5_orbit, lams).values())
     clean = floquet.kernel_basis(conf5_orbit, data)
-    real = floquet._magnus_product
-
-    def planted(orbit, lams, n, nodes=None):
-        m, det = real(orbit, lams, n, nodes)
-        if nodes == floquet.KERNEL_PIECES:
-            m = m.copy()
-            m[:, 5] *= 1.0 + 1e-6
-        return m, det
-    monkeypatch.setattr(floquet, "_magnus_product", planted)
-    bad = floquet.kernel_basis(conf5_orbit, data)
+    planted = []
+    for d in data:
+        nodes = d.nodes.copy()
+        nodes[5] *= 1.0 + 1e-6
+        planted.append(dataclasses.replace(d, nodes=nodes))
+    bad = floquet.kernel_basis(conf5_orbit, planted)
     assert all(defect < 1e-10 for _, _, defect, *_ in clean)
     assert all(defect > 1e-7 for _, _, defect, *_ in bad)
 
@@ -603,23 +607,34 @@ def test_planted_seed_error_shows_in_the_periodicity_defect(conf5_orbit,
 def test_kernel_factors_reuse_the_cached_monodromy(monkeypatch):
     # exponent data without factors, then factors for the same eigenvalue:
     # the first call runs the propagator only, the second the kernel branch
-    # solve only, the third nothing
+    # solve only, the third nothing; neither shooting solve, the kernel
+    # branches' nor the mode-0 pair's, builds a Magnus tree of its own
     n = 5
     params = fowler.FowlerParams.conformal(n, 1.0)
     orb = fowler.periodic_orbit(0.45 * fowler.constant_solution(params),
                                 params)
-    runs, solves = [], []
+    runs, solves, trees = [], [], []
     real_monodromy, real_solve = floquet.monodromy, floquet.solve_ivp
+    real_tree = floquet._magnus_product
     monkeypatch.setattr(floquet, "monodromy", lambda *a, **k: runs.append(1)
                         or real_monodromy(*a, **k))
     monkeypatch.setattr(floquet, "solve_ivp", lambda *a, **k: solves.append(1)
                         or real_solve(*a, **k))
+    monkeypatch.setattr(floquet, "_magnus_product",
+                        lambda *a, **k: trees.append(1) or real_tree(*a, **k))
     floquet.exponent_sequence(orb, n, with_factors=False)
-    assert (len(runs), len(solves)) == (1, 0)
+    levels = len(trees)  # one tree per level of the one monodromy run
+    assert (len(runs), len(solves)) == (1, 0) and levels > 0
     d = floquet.mode_datum(orb, 1, float(n - 1), 1, with_factors=True)
-    assert (len(runs), len(solves)) == (1, 1) and d.q_plus is not None
+    assert (len(runs), len(solves), len(trees)) == (1, 1, levels)
+    assert d.q_plus is not None
     floquet.exponent_sequence(orb, n, with_factors=True)
-    assert (len(runs), len(solves)) == (1, 1)
+    assert (len(runs), len(solves), len(trees)) == (1, 1, levels)
+    floquet.spectrum(orb, [0.0])
+    levels = len(trees)
+    assert len(runs) == 2
+    ctx = cylinder.ModeSolveContext(orb, 0.0, cylinder.make_grid())
+    assert (len(runs), len(trees)) == (2, levels) and ctx.pair_steps > 0
 
 
 def test_magnus_error_falls_at_sixth_order(conf5_orbit):
@@ -663,7 +678,7 @@ def test_magnus_matches_carried_orbit_integration(orbit_name, request):
     lams, _ = spheres.eigenvalue_sequence(orb.params.n, 13)
     lams = sorted({float(lam) for lam in lams[1:]})  # modes 1..12
     ref, ref_dets = _carried_orbit_monodromy(orb, lams)
-    ms, dets, steps, errors = floquet.monodromy(orb, lams)
+    ms, dets, steps, errors, _ = floquet.monodromy(orb, lams)
     for m, r, det, r_det, n, err in zip(ms, ref, dets, ref_dets, steps, errors):
         assert np.max(np.abs(m - r)) <= 1e-10 * np.max(np.abs(r))
         sigma, sigma_ref = (floquet.classify(x, orb.period, x_det).sigma
@@ -695,12 +710,49 @@ def test_floor_level_with_a_grown_estimate_gives_way_to_the_one_before():
     params = fowler.FowlerParams.conformal(3, 1.0)
     orb = fowler.periodic_orbit(1e-3 * fowler.constant_solution(params),
                                 params)
-    (m,), (det,), (steps,), (error,) = floquet.monodromy(orb, [2.0])
+    (m,), (det,), (steps,), (error,), _ = floquet.monodromy(orb, [2.0])
     assert steps == 16384 and error == pytest.approx(1.59e-10, rel=1e-2)
-    ref, ref_det = floquet._magnus_product(orb, [2.0], 16384)
+    ref, ref_det, _ = floquet._magnus_product(orb, [2.0], 16384)
     assert np.array_equal(m, ref[0]) and det == ref_det[0]
     sigma = floquet.classify(m, orb.period, det=det).sigma
     assert sigma - 1.0 == pytest.approx(-3.08e-8, rel=1e-2)
+
+
+def _tree_product(nodes):
+    """A tree level's nodes multiplied pairwise up to the root, later nodes
+    from the left, entry by entry as `floquet._magnus_product` does."""
+    while len(nodes) > 1:
+        a, b = nodes[1::2], nodes[::2]
+        nodes = np.stack([[a[:, i, 0] * b[:, 0, j] + a[:, i, 1] * b[:, 1, j]
+                           for j in (0, 1)] for i in (0, 1)]).transpose(2, 0, 1)
+    return nodes[0]
+
+
+@pytest.mark.parametrize("params, frac, lams, steps", [
+    (fowler.FowlerParams.conformal(5), 0.5, [0.0, 4.0, 10.0, 18.0], None),
+    (fowler.FowlerParams.ckn(5, 0.5, 0.7), 0.4, [0.0, 4.0, 10.0, 18.0], None),
+    (fowler.FowlerParams.conformal(3), 1e-3, [2.0], 16384)])
+def test_datum_nodes_multiply_to_its_monodromy(params, frac, lams, steps):
+    # each datum keeps the level its monodromy came from, bit for bit; for
+    # n = 3 at 1e-3 xi*, lambda = 2, that is the level before the floor
+    orb = fowler.periodic_orbit(frac * fowler.constant_solution(params), params)
+    for d in floquet.spectrum(orb, lams).values():
+        assert d.nodes.shape == (floquet.KERNEL_PIECES, 2, 2)
+        assert not d.nodes.flags.writeable
+        assert np.array_equal(_tree_product(d.nodes), d.monodromy)
+        assert steps in (None, d.magnus_steps)
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_constant_orbit_nodes_multiply_to_the_closed_form(n):
+    # a constant orbit's nodes come from MAGNUS_START steps; their product
+    # is the closed-form exponential up to rounding
+    orb = fowler.constant_orbit(fowler.FowlerParams.conformal(n))
+    lams, _ = spheres.eigenvalue_sequence(n, 8)
+    for d in floquet.spectrum(orb, lams).values():
+        m = d.monodromy
+        err = np.max(np.abs(_tree_product(d.nodes) - m)) / np.max(np.abs(m))
+        assert err <= 1e-13
 
 
 @pytest.mark.parametrize("params, frac", [
@@ -766,7 +818,7 @@ def test_floor_accepted_monodromies_carry_a_warning():
         assert d.to_dict()["warning"] == d.warning
     # appended to a classification warning: a negative trace
     m = -data[2.0].monodromy
-    d = floquet._classified(orb, 2.0, m, 1.0, 512, 1e-9)
+    d = floquet._classified(orb, 2.0, m, 1.0, 512, 1e-9, data[2.0].nodes)
     assert d.warning == ("negative trace: factors are antiperiodic; monodromy "
                          "kept at the orbit's accuracy floor (n = 3, eps = "
                          f"{orb.epsilon!r}, lambda = 2.0, N = 512, "

@@ -5,9 +5,10 @@ top-level `import` or `from ... import` must appear as a name somewhere in
 the module.  `__init__.py` is skipped (its imports are re-exports) and so are
 `__future__` imports.  The same walk checks that the library reads no
 environment variables, that only `fowler.py` imports a private module
-path, that only the command line's two writers make directories and that
+path, that only the command line's two writers make directories, that
 only `fowler.py` and `floquet.py` name the DOP853 stepper, its dense-output
-reader and the linear solves' tolerances.
+reader and the linear solves' tolerances, and that only `floquet.monodromy`
+builds a Magnus tree.
 """
 
 import ast
@@ -61,11 +62,11 @@ def test_only_the_command_line_reads_and_writes_files():
     assert set(importers) == {"cli.py"}
 
 
-def directory_makers(source: str) -> list:
-    """Names of the functions that call os.makedirs or os.mkdir (as
-    attributes of `os` or imported from it); '<module>' for a call outside
-    any function."""
-    names, found = {"makedirs", "mkdir"}, set()
+def callers(source: str, names, module: str) -> list:
+    """Names of the functions that call one of `names` (as attributes of
+    `module` or imported from it); '<module>' for a call outside any
+    function."""
+    found = set()
 
     def visit(node, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -75,13 +76,18 @@ def directory_makers(source: str) -> list:
                 or isinstance(node.func, ast.Attribute)
                 and node.func.attr in names
                 and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == "os"):
+                and node.func.value.id == module):
             found.add(owner)
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
 
     visit(ast.parse(source), "<module>")
     return sorted(found)
+
+
+def directory_makers(source: str) -> list:
+    """Names of the functions that call os.makedirs or os.mkdir."""
+    return callers(source, {"makedirs", "mkdir"}, "os")
 
 
 def test_checker_flags_a_directory_maker():
@@ -98,6 +104,24 @@ def test_only_the_writers_make_directories():
     makers = {(path.name, name) for path in MODULES
               for name in directory_makers(path.read_text())}
     assert makers == {("cli.py", "write_csv"), ("cli.py", "write_json")}
+
+
+def test_checker_flags_a_magnus_tree_builder():
+    source = ("from .floquet import _magnus_product\n"
+              "def monodromy(o, l):\n    return _magnus_product(o, l, 256)\n"
+              "def seeds(o, l):\n    return floquet._magnus_product(o, l, 16)\n"
+              "def named(o):\n    return other._magnus_product(o)\n")
+    assert callers(source, {"_magnus_product"}, "floquet") == [
+        "monodromy", "seeds"]
+
+
+def test_only_the_monodromy_builds_a_magnus_tree():
+    # every shooting solve seeds from the nodes its datum keeps: one tree
+    # per eigenvalue and orbit, built by floquet.monodromy
+    builders = {(path.name, name) for path in MODULES
+                for name in callers(path.read_text(), {"_magnus_product"},
+                                    "floquet")}
+    assert builders == {("floquet.py", "monodromy")}
 
 
 def private_module_imports(source: str) -> list:
