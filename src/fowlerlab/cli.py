@@ -3,7 +3,8 @@
 Subcommands: fowler, floquet, index-set, expand, verify, construct.
 Parameters come from flags or an INI-style flat config file (`--config`),
 with flags winning.  Reports are JSON (floats via repr: shortest exact
-round-trip), orbits and fields are CSV.
+round-trip), in the bytes of `json.dumps` with indent 1 and sorted keys;
+orbits and fields are CSV.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -35,29 +37,124 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
+class FloatTexts(list):
+    """The repr of each float of a 1-D array, spelled once for every writer:
+    `write_json` emits the texts as a list of numbers and `write_csv` as a
+    column.  `nonfinite` is the array's first NaN or infinity (None if it
+    has none), which `write_json` refuses as `json.dumps` would and
+    `write_csv` writes as its repr."""
+
+    def __init__(self, values):
+        values = np.asarray(values, dtype=float)
+        super().__init__(map(float.__repr__, values.tolist()))
+        finite = np.isfinite(values)
+        self.nonfinite = (None if finite.all()
+                          else float(values[np.argmin(finite)]))
+
+
+def _refuse(value):
+    """Raise the ValueError of json's indenting encoder under allow_nan=False
+    for the non-finite float `value`."""
+    raise ValueError("Out of range float values are not JSON compliant: "
+                     + repr(value))
+
+
+def _float_list(items):
+    """The items' reprs when every item is a float, each checked finite,
+    else None."""
+    try:
+        texts = list(map(float.__repr__, items))
+    except TypeError:  # an item that is not a float
+        return None
+    if not all(map(math.isfinite, items)):
+        _refuse(next(x for x in items if not math.isfinite(x)))
+    return texts
+
+
+def _encode(obj, pad, out):
+    """Append to `out` the chunks of `json.dumps(obj, indent=1,
+    sort_keys=True, allow_nan=False, default=_json_default)` nested at the
+    indentation `pad`, type by type in json's order.  Dictionary keys are
+    str.  A list of floats is spelled by one join over float.__repr__, where
+    json's indenting encoder, which is pure Python, takes a generator step
+    per item."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        if not math.isfinite(obj):
+            _refuse(obj)
+        out.append(float.__repr__(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = pad + " "
+        out.append("{")
+        for i, (key, value) in enumerate(sorted(obj.items())):
+            out.append(f"{',' if i else ''}\n{inner}"
+                       f"{encode_basestring_ascii(key)}: ")
+            _encode(value, inner, out)
+        out.append(f"\n{pad}}}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = pad + " "
+        if isinstance(obj, FloatTexts):
+            if obj.nonfinite is not None:
+                _refuse(obj.nonfinite)
+            texts = obj
+        else:
+            texts = _float_list(obj)
+        out.append("[\n" + inner)
+        if texts is not None:
+            out.append((",\n" + inner).join(texts))
+        else:
+            for i, item in enumerate(obj):
+                if i:
+                    out.append(",\n" + inner)
+                _encode(item, inner, out)
+        out.append(f"\n{pad}]")
+    else:
+        _encode(_json_default(obj), pad, out)
+
+
 def write_json(payload, path):
-    # allow_nan=False: a non-finite float is an error, never a bare NaN
-    # token; the text is formed before the file is opened, so an error
-    # leaves any file at `path` as it was and makes no directory
-    text = json.dumps(payload, indent=1, sort_keys=True, allow_nan=False,
-                      default=_json_default)
+    """`payload` as `json.dumps(payload, indent=1, sort_keys=True,
+    allow_nan=False, default=_json_default)` writes it, byte for byte (see
+    `_encode`), and a newline.  A non-finite float raises json's ValueError
+    before the file is opened: any file at `path` is left as it was and no
+    directory is made; otherwise the file's directory is made if missing."""
+    out = []
+    _encode(payload, "", out)
     os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
     with open(path, "w") as fh:
-        fh.write(text + "\n")
+        fh.write("".join(out) + "\n")
 
 
 def write_csv(header, columns, path):
-    """One row per index of the equal-length `columns`, floats via repr.
+    """One row per index of the equal-length `columns` (arrays or
+    `FloatTexts`), floats via repr.
 
     The bytes are those of `csv.writer`'s excel dialect: comma-separated,
     CRLF-terminated, and no field (a float repr or a header name) needs
     quoting.  Rows stream through the file's buffer, never held as one
-    string.  The file's directory is made if it is missing."""
+    string.  Columns of unequal length raise ValueError.  The file's
+    directory is made if it is missing."""
+    columns = [c if isinstance(c, FloatTexts) else FloatTexts(c)
+               for c in columns]
+    if len({len(c) for c in columns}) > 1:
+        raise ValueError(f"columns of unequal lengths "
+                         f"{[len(c) for c in columns]}")
     os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(",".join(map(repr, row)) + "\r\n"
-                      for row in np.column_stack(columns).tolist())
+        fh.writelines(",".join(row) + "\r\n"
+                      for row in zip(*columns))
 
 
 def _load_config(path):
@@ -176,9 +273,13 @@ def _cmd_fowler(args):
                                                          orbit.params)
         line = (f"T = {orbit.period!r}  H = {orbit.energy!r}  "
                 f"max xi = {max_xi!r}")
-    write_csv(["t", "xi", "xi_prime"], [orbit.t, orbit.xi, orbit.xi_prime],
+    # the samples are spelled once for orbit.csv and orbit.json
+    samples = {name: FloatTexts(getattr(orbit, name))
+               for name in ("t", "xi", "xi_prime")}
+    write_csv(list(samples), list(samples.values()),
               os.path.join(args.outdir, "orbit.csv"))
-    write_json(orbit_to_dict(orbit), os.path.join(args.outdir, "orbit.json"))
+    write_json(dict(orbit_to_dict(orbit), **samples),
+               os.path.join(args.outdir, "orbit.json"))
     write_json(summary, os.path.join(args.outdir, "orbit_summary.json"))
     print(line)
     return 0

@@ -284,7 +284,7 @@ def solve_resonant_mode(a_coeff, mu: float, op: floquet.ModeOperator,
             raise ValueError(f"forcing array of shape {a_nodes.shape}, not "
                              f"one value per {num} collocation nodes {where}")
 
-    datum = floquet.spectrum(orbit, [op.lam], with_factors=True)[op.lam]
+    datum = floquet.spectrum(orbit, [op.lam])[op.lam]
     resonant = datum.type == floquet.TYPE_III and abs(mu - datum.sigma) <= RESONANCE_TOL
     oscillatory = datum.type != floquet.TYPE_III
 
@@ -332,6 +332,8 @@ def solve_resonant_mode(a_coeff, mu: float, op: floquet.ModeOperator,
         # the collocation matrix's own: sampled q+ would carry its roundoff
         # through d^2 into the residual.  The border row q+^T qk = 1 > 0 also
         # aligns the sign of qk with q+.  q-(t) = q+(T - t) on the nodes.
+        # Only this branch reads the kernel factors.
+        datum = floquet.spectrum(orbit, [op.lam], with_factors=True)[op.lam]
         q_plus = datum.q_plus(nodes)
         q_minus = np.roll(q_plus[::-1], 1)
         bordered = np.zeros((num + 1, num + 1))

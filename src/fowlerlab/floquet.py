@@ -93,7 +93,8 @@ class FloquetDatum:
     # solve that made q_plus and q_minus, shared by its whole batch
     kernel_rhs_evals: int = field(default=0, compare=False)
     kernel_steps: int = field(default=0, compare=False)
-    # read-only `_magnus_product` nodes of magnus_steps: the shooting seeds
+    # read-only `_magnus_product` nodes of magnus_steps (on a constant
+    # orbit the closed form over T / KERNEL_PIECES): the shooting seeds
     nodes: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
@@ -131,6 +132,22 @@ def variational_system(lams, params, pieces: int = 1):
     return rhs
 
 
+def _closed_form(kind: str, r: float | None, span: float):
+    """exp(span [[0, 1], [v, 0]]) for a constant potential v = r^2
+    (TYPE_III), -r^2 (TYPE_IV) or 0 (TYPE_II), as nested lists; entries
+    past the float range are infinite."""
+    if kind == TYPE_III:
+        try:
+            ch, sh = math.cosh(r * span), math.sinh(r * span)
+        except OverflowError:
+            ch = sh = math.inf
+        return [[ch, sh / r], [r * sh, ch]]
+    if kind == TYPE_IV:
+        cw, sw = math.cos(r * span), math.sin(r * span)
+        return [[cw, sw / r], [-r * sw, cw]]
+    return [[1.0, span], [0.0, 1.0]]
+
+
 def _constant_monodromy(orbit: FowlerOrbit, lam: float):
     """Closed-form matrix exponential of the autonomous system, and its
     classification from the sign of the constant potential v (a constant
@@ -140,18 +157,9 @@ def _constant_monodromy(orbit: FowlerOrbit, lam: float):
     T = orbit.period
     v = float(ModeOperator(orbit, lam).potential(0.0))
     r = math.sqrt(abs(v))
-    if v > 0:
-        try:
-            ch, sh = math.cosh(r * T), math.sinh(r * T)
-        except OverflowError:
-            ch = sh = math.inf
-        m, cls = [[ch, sh / r], [r * sh, ch]], (TYPE_III, r, None)
-    elif v < 0:
-        cw, sw = math.cos(r * T), math.sin(r * T)
-        m, cls = [[cw, sw / r], [-r * sw, cw]], (TYPE_IV, None, r)
-    else:
-        m, cls = [[1.0, T], [0.0, 1.0]], (TYPE_II, None, None)
-    m = np.array(m)
+    cls = ((TYPE_III, r, None) if v > 0 else (TYPE_IV, None, r) if v < 0
+           else (TYPE_II, None, None))
+    m = np.array(_closed_form(cls[0], r, T))
     if not np.isfinite(m).all():
         p = orbit.params
         raise IntegrationError(
@@ -216,7 +224,8 @@ def monodromy(orbit: FowlerOrbit, lams):
     `lams` is a nonempty sequence of eigenvalues of modes on `orbit`; the
     answer is (matrices, determinant products, step counts N, estimates,
     `_magnus_product` nodes), each in the order of `lams`.  Constant orbits
-    get the closed-form exponential (N = 0) and MAGNUS_START steps' nodes.
+    get the closed-form exponential (N = 0), and as every node the closed
+    form over T / KERNEL_PIECES.
     Otherwise N doubles from MAGNUS_START for every eigenvalue alike, and
     each keeps the first level where ||M_2N - M_N|| / max(1, ||M_2N||) is at
     most MAGNUS_TOL, or shrank less than 4x after an earlier doubling shrank
@@ -231,9 +240,12 @@ def monodromy(orbit: FowlerOrbit, lams):
     ms, dets = np.empty((k, 2, 2)), np.ones(k)
     steps, errors = np.zeros(k, dtype=int), np.zeros(k)
     if orbit.is_constant:
-        ms[:] = [_constant_monodromy(orbit, lam)[0] for lam in lams]
-        with np.errstate(over="ignore", invalid="ignore"):  # M by the closed form
-            nodes = _magnus_product(orbit, lams, MAGNUS_START)[2]
+        h = orbit.period / KERNEL_PIECES
+        nodes = np.empty((k, KERNEL_PIECES, 2, 2))
+        for i, lam in enumerate(lams):
+            ms[i], cls = _constant_monodromy(orbit, lam)
+            r = cls.sigma or cls.omega  # sqrt|v|, None where v = 0
+            nodes[i] = _closed_form(cls.type, r, h)
         return ms, dets, steps, errors, nodes
     nodes, last_nodes = np.empty((2, k, KERNEL_PIECES, 2, 2))
     live, fell = np.ones(k, dtype=bool), np.zeros(k, dtype=bool)

@@ -368,7 +368,8 @@ class FowlerOrbit:
     """One period of a positive Fowler solution, from the minimum at t = 0.
 
     `value` and `derivative` fold t into [0, T/2] and evaluate the shooting
-    solve's dense output there through a `DenseSolution`.
+    solve's dense output there through a `DenseSolution`, forming only the
+    state row they return.
     """
 
     params: FowlerParams
@@ -398,14 +399,14 @@ class FowlerOrbit:
         if self.is_constant:
             return np.full_like(np.asarray(t, dtype=float), self.epsilon)
         half, _ = self._fold(t)
-        return self._dense(half)[0]
+        return self._dense(half, 0)[()]  # a numpy scalar for a scalar t
 
     def derivative(self, t):
         """xi' at arbitrary t (periodic extension)."""
         if self.is_constant:
             return np.zeros_like(np.asarray(t, dtype=float))
         half, mirrored = self._fold(t)
-        return np.where(mirrored, -1.0, 1.0) * self._dense(half)[1]
+        return np.where(mirrored, -1.0, 1.0) * self._dense(half, 1)
 
     def second_derivative(self, t):
         """xi'' from the ODE: q xi - c xi^e (exact given xi)."""
@@ -495,7 +496,7 @@ def periodic_orbit(epsilon: float, params: FowlerParams,
     if drift > 10.0 * max(tol, 1e-12) * energy_scale:
         raise IntegrationError(f"Hamiltonian drift {drift:.3e} exceeds "
                                f"10*tol*{energy_scale:.3g} ({orbit_name})")
-    peak = float(dense(period / 2.0)[0])  # the maximum sits at T/2 exactly
+    peak = float(dense(period / 2.0, 0))  # the maximum sits at T/2 exactly
     peak_expected = max_value(epsilon, params)
     if abs(peak - peak_expected) > 10.0 * max(tol, 1e-12) * peak_expected:
         raise IntegrationError(

@@ -1,5 +1,7 @@
 import ast
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -488,11 +490,16 @@ def test_every_subcommand_lists_its_options_in_order(capsys):
 
 
 def test_write_csv_bytes_are_those_of_the_csv_module(tmp_path):
+    # columns as arrays or as texts spelled once for both writers, NaN and
+    # infinities written as their repr
     rng = np.random.default_rng(3)
     columns = [np.linspace(0.0, 1.0, 65), rng.normal(size=65) * 1e-300,
-               rng.normal(size=65) * 1e12, np.full(65, -0.0)]
-    header = ["t", "s_-1.0000", "degree_2", "xi_prime"]
-    cli.write_csv(header, columns, tmp_path / "fast.csv")
+               rng.normal(size=65) * 1e12, np.full(65, -0.0),
+               np.r_[np.nan, np.inf, -np.inf, 5e-324, rng.normal(size=61)]]
+    header = ["t", "s_-1.0000", "degree_2", "xi_prime", "texts"]
+    cli.write_csv(header, columns[:3] + [cli.FloatTexts(c)
+                                         for c in columns[3:]],
+                  tmp_path / "fast.csv")
     with open(tmp_path / "ref.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -500,6 +507,106 @@ def test_write_csv_bytes_are_those_of_the_csv_module(tmp_path):
             writer.writerow([repr(v) for v in row])
     assert ((tmp_path / "fast.csv").read_bytes()
             == (tmp_path / "ref.csv").read_bytes())
+    with pytest.raises(ValueError, match=r"unequal lengths \[65, 64\]"):
+        cli.write_csv(header[:2], [columns[0], columns[1][1:]],
+                      tmp_path / "short" / "bad.csv")
+    assert not (tmp_path / "short").exists()
+
+
+def _json_dumps_bytes(payload):
+    """What `cli.write_json` promises: json.dumps's bytes and a newline,
+    shared float texts read back as the floats they spell."""
+    def floats(obj):
+        if isinstance(obj, cli.FloatTexts):
+            return [float(x) for x in obj]
+        if isinstance(obj, dict):
+            return {k: floats(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [floats(v) for v in obj]
+        return obj
+    return (json.dumps(floats(payload), indent=1, sort_keys=True,
+                       allow_nan=False, default=cli._json_default)
+            + "\n").encode()
+
+
+def _drawn_payloads():
+    """Nested payloads of every type `write_json` meets, numpy's included."""
+    st = pytest.importorskip("hypothesis").strategies
+    floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+        [-0.0, 5e-324, -5e-324, 1e300, -1e300, 1.7976931348623157e308])
+    numpy = (st.builds(np.float64, floats)
+             | st.builds(np.float32, st.floats(-1e38, 1e38))
+             | st.builds(np.int64, st.integers(-2 ** 63, 2 ** 63 - 1))
+             | st.builds(np.bool_, st.booleans())
+             | st.lists(floats, max_size=5).map(np.array)
+             | st.lists(st.integers(-9, 9), max_size=5).map(np.array))
+    leaves = (st.none() | st.booleans() | st.integers() | floats | st.text()
+              | numpy)
+    float_lists = (st.lists(floats, max_size=8)
+                   | st.lists(st.builds(np.float64, floats), max_size=8))
+    return st.recursive(leaves, lambda inner: (
+        st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
+        | float_lists | float_lists.map(tuple)
+        | st.dictionaries(st.text(), inner, max_size=5)), max_leaves=25)
+
+
+@pytest.mark.parametrize("source", ["readme", "drawn"])
+def test_write_json_bytes_are_those_of_json_dumps(source, tmp_path,
+                                                  monkeypatch):
+    path = tmp_path / "out.json"
+    if source == "drawn":
+        hypothesis = pytest.importorskip("hypothesis")
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(_drawn_payloads())
+        # numpy floats whose sum overflows: no warning, written as json does
+        @hypothesis.example({"a": [np.float64(1e308)] * 2})
+        def check(payload):
+            cli.write_json(payload, path)
+            assert path.read_bytes() == _json_dumps_bytes(payload)
+        check()
+        return
+    # every README command's report, the orbit's shared texts included
+    written, real = [], cli.write_json
+    monkeypatch.setattr(cli, "write_json", lambda payload, path: (
+        written.append((payload, path)), real(payload, path)))
+    for i, line in enumerate(_readme_command_lines()):
+        argv = line.split()[1:] + ["--outdir", str(tmp_path / str(i))]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_cli(argv) == 0, line
+    assert len(written) == 13
+    assert any(isinstance(p.get("t"), cli.FloatTexts) for p, _ in written
+               if isinstance(p, dict))
+    for payload, where in written:
+        with open(where, "rb") as fh:
+            assert fh.read() == _json_dumps_bytes(payload), where
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["float", "float list", "mixed list",
+                                   "texts"])
+def test_write_json_refuses_non_finite_as_json_dumps_does(tmp_path, bad,
+                                                          where):
+    # the first non-finite value in json's order names the error, whether
+    # it sits alone, in a list of floats or in texts shared with write_csv
+    values = [0.5, -0.0, bad, -bad, 1e300]
+    value = {"float": bad, "float list": values,
+             "mixed list": [1, "s", None, *values],
+             "texts": cli.FloatTexts(values)}[where]
+    payload = {"a": [1.0, 2.0], "b": value, "c": math.nan}
+    with pytest.raises(ValueError) as expected:
+        _json_dumps_bytes(payload)
+    path = tmp_path / "kept" / "report.json"
+    path.parent.mkdir()
+    path.write_text('{"x": 1.0}\n')
+    with pytest.raises(ValueError) as got:
+        cli.write_json(payload, path)
+    assert str(got.value) == str(expected.value)
+    assert str(got.value).endswith(f": {bad!r}")
+    assert path.read_text() == '{"x": 1.0}\n'
+    with pytest.raises(ValueError):
+        cli.write_json(payload, tmp_path / "none" / "report.json")
+    assert not (tmp_path / "none").exists()
 
 
 CONFORMAL_CONSTRUCT = ["construct", "--n", "5", "--epsilon-frac", "0.5"]
@@ -702,17 +809,25 @@ def test_a_perturbation_below_the_floor_ends_in_one_named_record(
         rf"\(largest value {top}\)", record["message"]), record["message"]
 
 
-def test_the_readme_command_block_is_the_benchmark_command_list():
-    # the README's "Command line" block, comments and `--outdir out`
-    # stripped, against README_COMMANDS as perfbench/workloads.py states it
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    with open(os.path.join(root, "README.md")) as fh:
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _readme_command_lines():
+    """The README's "Command line" block, comments and `--outdir out`
+    stripped."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
         readme = fh.read()
     block = re.search(r"## Command line\n.*?```sh\n(.*?)```", readme,
                       re.S).group(1)
-    lines = [" ".join(line.split("#")[0].replace("--outdir out", "").split())
-             for line in block.splitlines() if line.strip()]
-    with open(os.path.join(root, "perfbench", "workloads.py")) as fh:
+    return [" ".join(line.split("#")[0].replace("--outdir out", "").split())
+            for line in block.splitlines() if line.strip()]
+
+
+def test_the_readme_command_block_is_the_benchmark_command_list():
+    # the README's command lines against README_COMMANDS as
+    # perfbench/workloads.py states it
+    lines = _readme_command_lines()
+    with open(os.path.join(ROOT, "perfbench", "workloads.py")) as fh:
         tree = ast.parse(fh.read())
     (pairs,) = [ast.literal_eval(node.value) for node in tree.body
                 if isinstance(node, ast.Assign)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import re
@@ -425,6 +426,26 @@ def test_resonant_solve_factors_once_and_forms_no_svd(conf6_orbit, monkeypatch):
     sol = expansion.solve_resonant_mode(forcing, 1.4, op, t_power=1)
     assert not sol.resonant and sol.max_power == 1
     assert calls == [(256, 256)]  # one LU for both cascade levels
+
+
+@pytest.mark.parametrize("t_power", [0, 1])
+def test_off_resonant_solve_leaves_the_kernel_factors_unsolved(conf6_orbit,
+                                                              t_power):
+    # only the resonant branch reads q+: off resonance the datum is
+    # classified without factors, and the coefficients are bitwise those of
+    # the same solve once the factors exist
+    orbit = dataclasses.replace(conf6_orbit, _floquet={}, _windows={})
+    op = floquet.ModeOperator(orbit, 5.0)  # sigma = 1 mode, n = 6
+    forcing = lambda t: 1 + 0.2 * np.cos(2 * np.pi * t / orbit.period)
+    bare = expansion.solve_resonant_mode(forcing, 1.4, op, t_power=t_power)
+    assert not bare.resonant and orbit._floquet[5.0].q_plus is None
+    floquet.spectrum(orbit, [5.0], with_factors=True)
+    assert orbit._floquet[5.0].q_plus is not None
+    again = expansion.solve_resonant_mode(forcing, 1.4, op, t_power=t_power)
+    assert len(bare.coefficients) == len(again.coefficients) == t_power + 1
+    for r, r_again in zip(bare.coefficients, again.coefficients):
+        assert r._coeffs.tobytes() == r_again._coeffs.tobytes()
+    assert bare.residual == again.residual
 
 
 def test_resonant_solve_errors_are_typed_and_named(conf6_orbit, monkeypatch):

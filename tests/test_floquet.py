@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from fowlerlab import cli, cylinder, floquet, fowler, spheres
 
@@ -745,14 +746,37 @@ def test_datum_nodes_multiply_to_its_monodromy(params, frac, lams, steps):
 
 @pytest.mark.parametrize("n", [3, 5, 8])
 def test_constant_orbit_nodes_multiply_to_the_closed_form(n):
-    # a constant orbit's nodes come from MAGNUS_START steps; their product
-    # is the closed-form exponential up to rounding
+    # a constant orbit's nodes are the closed form over T / KERNEL_PIECES;
+    # their product is the closed form over T up to rounding
     orb = fowler.constant_orbit(fowler.FowlerParams.conformal(n))
     lams, _ = spheres.eigenvalue_sequence(n, 8)
     for d in floquet.spectrum(orb, lams).values():
         m = d.monodromy
         err = np.max(np.abs(_tree_product(d.nodes) - m)) / np.max(np.abs(m))
         assert err <= 1e-13
+
+
+@pytest.mark.parametrize("params", [fowler.FowlerParams.conformal(3),
+                                    fowler.FowlerParams.conformal(8),
+                                    fowler.FowlerParams.ckn(5, 0.5, 0.7)])
+def test_constant_orbit_nodes_are_the_closed_form_over_one_piece(
+        params, monkeypatch):
+    # every node is exp(h [[0, 1], [v, 0]]), h = T / KERNEL_PIECES, for the
+    # constant potential v, whatever its sign; no Magnus tree is built
+    def no_tree(*args):
+        raise AssertionError("a constant orbit built a Magnus tree")
+    monkeypatch.setattr(floquet, "_magnus_product", no_tree)
+    orb = fowler.constant_orbit(params)
+    h = orb.period / floquet.KERNEL_PIECES
+    lams, _ = spheres.eigenvalue_sequence(params.n, 8)
+    data = floquet.spectrum(orb, lams).values()
+    assert {d.type for d in data} == {floquet.TYPE_III, floquet.TYPE_IV}
+    for d in data:
+        v = float(floquet.ModeOperator(orb, d.lam).potential(0.0))
+        ref = expm(h * np.array([[0.0, 1.0], [v, 0.0]]))
+        assert d.nodes.shape == (floquet.KERNEL_PIECES, 2, 2)
+        assert (d.nodes == d.nodes[0]).all()
+        assert np.max(np.abs(d.nodes[0] - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("params, frac", [

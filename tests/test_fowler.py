@@ -363,6 +363,29 @@ def test_dense_solution_is_bitwise_scipy(which, conf5_orbit, monkeypatch):
                           np.take_along_axis(sol(t), rows, axis=0))
 
 
+@pytest.mark.parametrize("orbit_name", ["conf5_orbit", "ckn_orbit"])
+def test_orbit_reads_form_only_the_row_they_return(orbit_name, request):
+    # value and derivative ask the dense output for one state row; the
+    # values are bitwise those of the two-row evaluation, on the mirrored
+    # half too, and a scalar t still gives a numpy scalar
+    orbit = request.getfixturevalue(orbit_name)
+    dense, rows = orbit._dense, []
+    spy = dataclasses.replace(
+        orbit, _dense=lambda t, r=None: rows.append(r) or dense(t, r))
+    T = orbit.period
+    for t in (0.3 * T, 0.8 * T, -0.4 * T, 2.7 * T, np.float64(0.6 * T),
+              np.linspace(-T, 2.0 * T, 301)):
+        tm = np.mod(t, T)
+        both = dense(np.minimum(tm, T - tm))
+        sign = np.where(tm > T - tm, -1.0, 1.0)
+        value, slope = spy.value(t), spy.derivative(t)
+        assert np.array_equal(value, both[0])
+        assert np.array_equal(slope, sign * both[1])
+        if np.ndim(t) == 0:
+            assert type(value) is type(slope) is np.float64
+    assert rows == [0, 1] * 6
+
+
 def test_orbit_rhs_solve_is_bitwise_the_array_form(conf5_orbit, monkeypatch):
     # the Python-float right-hand side against its numpy form
     def array_system(params):
