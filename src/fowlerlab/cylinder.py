@@ -785,9 +785,9 @@ def _pick_off_resonant_rate(beta: float, sigmas) -> float:
 
 
 def _degree_exponents(orbit: FowlerOrbit, top: int) -> list:
-    """The Floquet exponent of each harmonic degree 1..top, in order."""
-    data = floquet.spectrum(orbit, [spheres.eigenvalue(k, orbit.params.n)
-                                    for k in range(1, top + 1)]).values()
+    """The Floquet exponents of degrees 1..top; mode 0 joins their batch."""
+    _, *data = floquet.spectrum(orbit, [spheres.eigenvalue(k, orbit.params.n)
+                                        for k in range(top + 1)]).values()
     if any(d.type != floquet.TYPE_III for d in data):
         raise floquet.FloquetStructureError(
             f"a mode of degree 1..{top} is not hyperbolic (n = "

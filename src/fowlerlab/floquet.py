@@ -539,17 +539,17 @@ def mode0_coupling(orbit: FowlerOrbit, m: np.ndarray) -> float:
 def exponent_sequence(orbit: FowlerOrbit, count: int,
                       with_factors: bool = False) -> list[FloquetDatum]:
     """Floquet data for modes i = 1..count, eigenvalues in increasing order
-    with multiplicity.  A Type IV classification for i >= 1 contradicts the
-    hyperbolic kernel structure and raises FloquetStructureError.
+    with multiplicity, copied from one `spectrum` batch.  A Type IV
+    classification for i >= 1 contradicts the hyperbolic kernel structure
+    and raises FloquetStructureError.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     lams, degs = spheres.eigenvalue_sequence(orbit.params.n, count + 1)
-    spectrum(orbit, lams[1:count + 1], with_factors)  # one batch per orbit
+    data = spectrum(orbit, lams[1:count + 1], with_factors)
     out = []
     for i in range(1, count + 1):
-        d = mode_datum(orbit, i, float(lams[i]), int(degs[i]),
-                       with_factors=with_factors)
+        d = replace(data[float(lams[i])], index=i, degree=int(degs[i]))
         if d.type == TYPE_IV:
             raise FloquetStructureError(
                 f"mode {i} (lambda = {lams[i]}) classified Type IV; modes "

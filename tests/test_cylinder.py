@@ -833,9 +833,8 @@ def test_ckn_construct_decay(ckn_orbit):
 
 @pytest.mark.parametrize("kind", ["conformal", "ckn"])
 def test_construction_batches_its_floquet_setup(kind, monkeypatch):
-    # on a fresh orbit: the exponent batch, then one monodromy batch for the
-    # eigenvalues it did not cover and one kernel batch for every Type III
-    # mode of the window
+    # on a fresh orbit: one monodromy batch, mode 0 with the exponents'
+    # degrees, then one kernel batch for every Type III mode of the window
     calls = []
 
     def recorded(name, real, lam_of):
@@ -855,15 +854,14 @@ def test_construction_batches_its_floquet_setup(kind, monkeypatch):
                                     params)
         prof = cylinder.ForcingProfile(k0=1.0, components=((1, 0.05, 1.5),))
         cylinder.contraction_construct(orb, prof)
-        exponents = [4.0, 10.0, 18.0]
+        lams = [0.0, 4.0, 10.0, 18.0]
     else:
         params = fowler.FowlerParams.ckn(5, 0.5, 0.7)
         orb = fowler.periodic_orbit(0.4 * fowler.constant_solution(params),
                                     params)
         cylinder.ckn_construct(orb, 2.4)
-        exponents = [4.0, 10.0, 18.0, 28.0, 40.0]
-    assert calls == [("monodromy", exponents), ("monodromy", [0.0]),
-                     ("kernel", [4.0, 10.0])]
+        lams = [0.0, 4.0, 10.0, 18.0, 28.0, 40.0]
+    assert calls == [("monodromy", lams), ("kernel", [4.0, 10.0])]
 
 
 def _fresh_orbit(kind):

@@ -412,19 +412,39 @@ def test_datum_file_holds_exactly_the_compared_fields(params, frac, tmp_path):
 def test_exponent_sequence_rejects_elliptic_mode(conf5_orbit, monkeypatch):
     # an elliptic classification for i >= 1 contradicts the hyperbolic kernel
     # structure and must be a hard error
-    real = floquet.mode_datum
+    real = floquet.spectrum
 
-    def fake(orbit, index, lam, degree, with_factors=False):
-        d = real(orbit, index, lam, degree, with_factors=with_factors)
-        if lam > 0:
-            d = floquet.FloquetDatum(
-                index=d.index, degree=d.degree, lam=d.lam, period=d.period,
-                monodromy=d.monodromy, type=floquet.TYPE_IV, omega=1.0)
-        return d
+    def fake(orbit, lams, with_factors=False):
+        return {lam: floquet.FloquetDatum(
+                    index=d.index, degree=d.degree, lam=d.lam, period=d.period,
+                    monodromy=d.monodromy, type=floquet.TYPE_IV, omega=1.0)
+                for lam, d in real(orbit, lams, with_factors).items()}
 
-    monkeypatch.setattr(floquet, "mode_datum", fake)
+    monkeypatch.setattr(floquet, "spectrum", fake)
     with pytest.raises(floquet.FloquetStructureError, match="Type IV"):
         floquet.exponent_sequence(conf5_orbit, 3)
+
+
+@pytest.mark.parametrize("with_factors", [False, True])
+def test_exponent_sequence_reads_one_spectrum_batch(with_factors, monkeypatch):
+    # every mode is copied from the one batch, not read again per mode
+    params = fowler.FowlerParams.conformal(5, 1.0)
+    orb = fowler.periodic_orbit(0.5 * fowler.constant_solution(params), params)
+    real, batches = floquet.spectrum, []
+
+    def recorded(orbit, lams, with_factors=False):
+        batches.append((list(lams), with_factors))
+        return real(orbit, lams, with_factors)
+
+    monkeypatch.setattr(floquet, "spectrum", recorded)
+    data = floquet.exponent_sequence(orb, 8, with_factors=with_factors)
+    assert batches == [([4] * 5 + [10] * 3, with_factors)]
+    assert [(d.index, d.degree) for d in data] == [
+        (i, 1 if i <= 5 else 2) for i in range(1, 9)]
+    for d in data:
+        kept = orb._floquet[d.lam]
+        assert d.monodromy is kept.monodromy and d.q_plus is kept.q_plus
+        assert (d.q_plus is not None) == with_factors
 
 
 @pytest.mark.parametrize("orbit_name", ["conf3_orbit", "conf5_orbit",

@@ -114,6 +114,17 @@ def test_slow_orbit_quadrature_agrees_with_the_shot_period_or_is_refused(
     assert abs(period - shot) <= 1e-9 * shot
 
 
+def test_slow_orbit_shoots_without_a_numpy_warning():
+    # from 1e-170 xi* on (n = 3) a rejected trial step's error norm is
+    # inf / inf, and numpy's invalid-value warning escaped the shooting
+    params = fowler.FowlerParams.conformal(3, 1.0)
+    eps = 1e-200 * fowler.constant_solution(params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        orb = fowler.periodic_orbit(eps, params)  # drift and peak checked
+    assert math.isfinite(orb.period) and np.isfinite(orb.xi).all()
+
+
 def test_orbit_domain_errors():
     p = fowler.FowlerParams.conformal(5, 1.0)
     xistar = fowler.constant_solution(p)
@@ -294,6 +305,21 @@ def test_orbit_file_holds_exactly_the_compared_fields(name, tmp_path):
     cli.write_json(_orbit_dict_by_keys(orb), tmp_path / "keys.json")
     assert ((tmp_path / "fields.json").read_bytes()
             == (tmp_path / "keys.json").read_bytes())
+
+
+@pytest.mark.parametrize("name", [k for k, v in _README_ORBITS.items()
+                                  if v[1:] != (None, None)])
+def test_peak_is_the_terminal_event_state(name, monkeypatch):
+    # the period is twice the event time exactly, so the event's state is
+    # the dense output's value at T/2 bit for bit
+    params, eps, frac = _README_ORBITS[name]
+    if frac is not None:
+        eps = frac * fowler.constant_solution(params)
+    calls = _record_solves(monkeypatch)
+    orb = fowler.periodic_orbit(eps, params)
+    [(_, _, _, sol)] = calls
+    assert orb.period == 2.0 * sol.t_events[0][0]
+    assert sol.y_events[0][0][0] == orb._dense(orb.period / 2.0, 0)
 
 
 def test_constant_orbit_packaging():

@@ -8,7 +8,8 @@ environment variables, that only `fowler.py` imports a private module
 path, that only the command line's two writers make directories, that
 only `fowler.py` and `floquet.py` name the DOP853 stepper, its dense-output
 reader and the linear solves' tolerances, and that only `floquet.monodromy`
-builds a Magnus tree.
+builds a Magnus tree, and only `floquet.spectrum` runs its monodromy and
+kernel solves.
 """
 
 import ast
@@ -122,6 +123,15 @@ def test_only_the_monodromy_builds_a_magnus_tree():
                 for name in callers(path.read_text(), {"_magnus_product"},
                                     "floquet")}
     assert builders == {("floquet.py", "monodromy")}
+
+
+def test_only_the_spectrum_runs_the_floquet_solves():
+    # every Floquet datum is made and kept by floquet.spectrum: its one
+    # monodromy batch and its one kernel batch serve every reader
+    solvers = {(path.name, name) for path in MODULES
+               for name in callers(path.read_text(),
+                                   {"monodromy", "kernel_basis"}, "floquet")}
+    assert solvers == {("floquet.py", "spectrum")}
 
 
 def private_module_imports(source: str) -> list:
