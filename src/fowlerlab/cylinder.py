@@ -458,10 +458,9 @@ class ModeSolveContext:
         self.wronskian = float(qp[0] * (qm_d + self.sigma * qm[0])
                                - (qp_d - self.sigma * qp[0]) * qm[0])
         if abs(self.wronskian) < 1e-10:
-            raise IntegrationError(
-                f"degenerate Floquet kernel pair (n = {self.orbit.params.n}, "
-                f"eps = {self.orbit.epsilon!r}, lambda = {self.lam!r}, "
-                f"wronskian = {self.wronskian!r})")
+            named = self.orbit.named(("lambda", self.lam),
+                                     ("wronskian", self.wronskian))
+            raise IntegrationError(f"degenerate Floquet kernel pair ({named})")
 
     def _setup_fundamental_pair(self):
         orbit, period = self.orbit, self.orbit.period
@@ -469,9 +468,8 @@ class ModeSolveContext:
             orbit, [self.datum] * 2, np.eye(2))
         sol = solve_ivp(rhs, span, y0, **floquet.SHOOTING_OPTIONS)
         if not sol.success:
-            raise IntegrationError(
-                f"fundamental pair integration failed (n = {orbit.params.n}, "
-                f"eps = {orbit.epsilon!r}, lambda = {self.lam!r})")
+            raise IntegrationError(f"fundamental pair integration failed "
+                                   f"({orbit.named(('lambda', self.lam))})")
         self.pair_rhs_evals, self.pair_steps = int(sol.nfev), len(sol.t) - 1
         # Phi(0) = I, so M^T closes the last piece; Phi(s + kP) = Phi(s) S^k
         k, s = np.divmod(self.t, period)
@@ -496,8 +494,7 @@ class ModeSolveContext:
         integrals diverge, and ResonanceError within RESONANCE_GAP of the
         mode exponent.
         """
-        where = (f"n = {self.orbit.params.n}, eps = {self.orbit.epsilon!r}, "
-                 f"lambda = {self.lam!r}, nu = {nu!r}")
+        where = self.orbit.named(("lambda", self.lam), ("nu", nu))
         if not nu > 0.0:
             raise DecayRateError(f"decay rate must be positive ({where})")
         sigma = self.sigma if self.datum.type == floquet.TYPE_III else None
@@ -572,8 +569,7 @@ class _Window:
         if orbit.period > self.t[-1] - self.t[0]:
             raise ValueError(
                 f"window [{float(self.t[0])!r}, {float(self.t[-1])!r}] must cover "
-                f"at least one orbit period (n = {orbit.params.n}, eps = "
-                f"{orbit.epsilon!r}, T = {orbit.period!r})")
+                f"at least one orbit period ({orbit.named(('T', orbit.period))})")
         self.h = float(self.t[1] - self.t[0])
         self.last_period_rule = _partial_interval_rule(
             self.t.size, (self.t[-1] - orbit.period - self.t[0]) / self.h)
@@ -790,8 +786,7 @@ def _degree_exponents(orbit: FowlerOrbit, top: int) -> list:
                                         for k in range(top + 1)]).values()
     if any(d.type != floquet.TYPE_III for d in data):
         raise floquet.FloquetStructureError(
-            f"a mode of degree 1..{top} is not hyperbolic (n = "
-            f"{orbit.params.n}, eps = {orbit.epsilon!r})")
+            f"a mode of degree 1..{top} is not hyperbolic ({orbit.named()})")
     return [d.sigma for d in data]
 
 
@@ -884,8 +879,7 @@ def _construct(orbit: FowlerOrbit, modes, nu: float, build, t0: float,
     while True:
         tgrid = make_grid(t0, window, h)
         first, last = float(tgrid[0]), float(tgrid[-1])
-        where = (f"n = {params.n}, eps = {orbit.epsilon!r}, t0 = {t0!r}, "
-                 f"window = {window!r}")
+        where = orbit.named(("t0", t0), ("window", window))
         for name, r, shifted in growth:
             lo, hi = (0.0, last - first) if shifted else (first, last)
             if max(r * lo, r * hi) > _MAX_EXPONENT:
@@ -918,10 +912,9 @@ def _construct(orbit: FowlerOrbit, modes, nu: float, build, t0: float,
             break
         if escalations >= 4:
             raise ConstructionError(
-                f"{params.kind} construction (n = {params.n}, eps = "
-                f"{orbit.epsilon!r}) did not converge in {MAX_SWEEPS} sweeps "
-                f"at t0 = {t0!r} after {escalations} window shifts; "
-                f"measured factors {factors[-3:]}")
+                f"construction did not converge in {MAX_SWEEPS} sweeps at "
+                f"t0 = {t0!r} after {escalations} window shifts; measured "
+                f"factors {factors[-3:]} ({orbit.named()})")
         t0 *= 2.0
         escalations += 1
     trace = IterationTrace(norms=norms, factors=factors, t0=t0, nu=nu,
@@ -1005,11 +998,13 @@ def ckn_construct(orbit: FowlerOrbit, nu: float, amplitude: float = 0.05,
     n, p = params.n, params.p
     sigmas = _degree_exponents(orbit, max_degree + 3)
     if nu <= sigmas[0]:
-        raise ValueError(f"nu must exceed sigma_1 = {sigmas[0]:.6g}")
+        raise ValueError(f"nu must exceed sigma_1 "
+                         f"({orbit.named(('nu', nu), ('sigma_1', sigmas[0]))})")
     iset = index_set.generate(sigmas, max(nu + 1.0, sigmas[0] * 2 + 0.5),
                               tol=RESONANCE_GAP, degrees=range(1, max_degree + 4))
     if np.any(np.abs(iset.values - nu) <= RESONANCE_GAP * 100):
-        raise ResonanceError(f"nu = {nu!r} lies in the exponent index set")
+        raise ResonanceError(f"nu lies in the exponent index set "
+                             f"({orbit.named(('nu', nu))})")
 
     modes = tuple(spheres.HarmonicMode(k, n) for k in range(max_degree + 1))
     lam_pert = float(spheres.eigenvalue(degree, n))

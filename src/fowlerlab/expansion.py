@@ -274,8 +274,7 @@ def solve_resonant_mode(a_coeff, mu: float, op: floquet.ModeOperator,
     T = orbit.period
     num = COLLOCATION_SIZE
     nodes = np.arange(num) * (T / num)
-    where = (f"(n = {orbit.params.n}, eps = {orbit.epsilon:.6g}, "
-             f"lambda = {op.lam:g}, mu = {mu:.12g})")
+    where = f"({orbit.named(('lambda', float(op.lam)), ('mu', float(mu)))})"
     if callable(a_coeff):
         a_nodes = np.asarray(a_coeff(nodes), dtype=float)
     else:

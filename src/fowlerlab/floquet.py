@@ -161,10 +161,8 @@ def _constant_monodromy(orbit: FowlerOrbit, lam: float):
            else (TYPE_II, None, None))
     m = np.array(_closed_form(cls[0], r, T))
     if not np.isfinite(m).all():
-        p = orbit.params
-        raise IntegrationError(
-            f"constant-orbit monodromy overflows ({p.kind} problem, n = {p.n}, "
-            f"xi* = {orbit.epsilon!r}, lambda = {float(lam)!r}, T = {T!r})")
+        raise IntegrationError(f"constant-orbit monodromy overflows "
+                               f"({orbit.named(('lambda', float(lam)), ('T', T))})")
     return m, Classification(*cls, None)
 
 
@@ -267,10 +265,10 @@ def monodromy(orbit: FowlerOrbit, lams):
         bad = live & ~(finite & (n < MAGNUS_CAP))
         if bad.any():
             i = int(np.argmax(bad))
-            raise IntegrationError(
-                f"monodromy {'unresolved' if finite[i] else 'overflows'} at "
-                f"N = {n} steps (n = {orbit.params.n}, eps = {orbit.epsilon!r}, "
-                f"lambda = {float(lams[i])!r}, estimate = {d[i]:.3g})")
+            named = orbit.named(("lambda", float(lams[i])),
+                                ("estimate", float(d[i])))
+            word = "unresolved" if finite[i] else "overflows"
+            raise IntegrationError(f"monodromy {word} at N = {n} steps ({named})")
         fell |= 16.0 * d <= d1
         last, last_det, last_nodes, d1, n = m, det, nodes.copy(), d, 2 * n
     return ms, dets, steps, errors, nodes
@@ -414,10 +412,8 @@ def kernel_basis(orbit: FowlerOrbit, data):
         # an overflowing norm in _eigvec leaves a vanished eigenvector
         if not (np.all(np.isfinite([*m.ravel(), *w_big])) and np.any(w_big)):
             raise IntegrationError(
-                f"non-finite monodromy or lost eigenvector (n = "
-                f"{orbit.params.n}, eps = {orbit.epsilon!r}, lambda = "
-                f"{d.lam!r}): the growth "
-                "over one period overflows")
+                f"non-finite monodromy or lost eigenvector: the growth over one "
+                f"period overflows ({orbit.named(('lambda', d.lam))})")
         starts.append(w_big)
         mus.append(mu)
     t_eval = orbit.t
@@ -429,10 +425,8 @@ def kernel_basis(orbit: FowlerOrbit, data):
     rhs, span, y0, seeds = shooting_problem(orbit, data, starts)
     sol = solve_ivp(rhs, span, y0, **SHOOTING_OPTIONS)
     if not sol.success:
-        raise IntegrationError(
-            f"kernel branch integration failed (n = {orbit.params.n}, eps = "
-            f"{orbit.epsilon!r}, lambda = "
-            f"{', '.join(repr(d.lam) for d in data)})")
+        raise IntegrationError(f"kernel branch integration failed ("
+                               f"{orbit.named(('lambda', [d.lam for d in data]))})")
     sigma = np.array([d.sigma for d in data])
     u, _, mismatch = shooting_read(sol, seeds, t_eval,
                                    np.array(mus)[:, None] * seeds[0], sigma)
@@ -458,15 +452,13 @@ def _classified(orbit: FowlerOrbit, lam: float, m: np.ndarray, det: float,
             cls = classify(m, orbit.period, det=det)
         except ValueError as exc:
             raise IntegrationError(
-                f"{exc} (n = {orbit.params.n}, eps = {orbit.epsilon!r}, "
-                f"lambda = {lam!r})") from exc
+                f"{exc} ({orbit.named(('lambda', lam))})") from exc
         if lam == 0.0:
             cls = Classification(TYPE_II, None, None, None)
     warning = cls.warning
     if error > MAGNUS_TOL:
-        floor = (f"monodromy kept at the orbit's accuracy floor (n = "
-                 f"{orbit.params.n}, eps = {orbit.epsilon!r}, lambda = {lam!r}, "
-                 f"N = {steps}, estimate = {error:.3g})")
+        named = orbit.named(("lambda", lam), ("N", steps), ("estimate", error))
+        floor = f"monodromy kept at the orbit's accuracy floor ({named})"
         warning = floor if warning is None else f"{warning}; {floor}"
     datum = FloquetDatum(index=0, degree=0, lam=lam, period=orbit.period,
                          monodromy=m, type=cls.type, sigma=cls.sigma,
@@ -552,12 +544,14 @@ def exponent_sequence(orbit: FowlerOrbit, count: int,
         d = replace(data[float(lams[i])], index=i, degree=int(degs[i]))
         if d.type == TYPE_IV:
             raise FloquetStructureError(
-                f"mode {i} (lambda = {lams[i]}) classified Type IV; modes "
-                "i >= 1 must be hyperbolic -- integration failure suspected")
+                f"mode {i} classified Type IV; modes i >= 1 must be hyperbolic "
+                f"-- integration failure suspected "
+                f"({orbit.named(('lambda', d.lam))})")
         out.append(d)
     sigmas = [d.sigma for d in out if d.sigma is not None]
     if any(s2 < s1 - 1e-9 for s1, s2 in zip(sigmas, sigmas[1:])):
-        raise FloquetStructureError("exponent sequence not nondecreasing")
+        raise FloquetStructureError(
+            f"exponent sequence not nondecreasing ({orbit.named()})")
     return out
 
 

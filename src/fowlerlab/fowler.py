@@ -78,17 +78,31 @@ class FowlerParams:
                             a=float(a), b=float(b), p=p)
 
     def describe(self) -> dict:
-        d = {"kind": self.kind, "n": self.n, "q": self.q, "c": self.c, "e": self.e}
-        if self.kind == "conformal":
-            d["k0"] = self.k0
-        else:
-            d.update(a=self.a, b=self.b, p=self.p)
-        return d
+        return {name: value for name, value in vars(self).items() if value is not None}
+
+    def named(self, *pairs) -> str:
+        """The problem, "<kind> problem, n = ..., k0 = ..." (CKN: a and b),
+        then "name = repr(value)" per pair: how every refusal names it."""
+        problem = [(name, getattr(self, name)) for name in ("n", "k0", "a", "b")
+                   if getattr(self, name) is not None]
+        return ", ".join([f"{self.kind} problem"] + [
+            f"{name} = {value!r}" for name, value in problem + list(pairs)])
 
 
 def constant_solution(params: FowlerParams) -> float:
-    """The unique positive constant solving q xi = c xi^e."""
-    return (params.q / params.c) ** (1.0 / (params.e - 1.0))
+    """The unique positive constant solving q xi = c xi^e.  A problem whose
+    xi* or level c xi*^(e+1) overflows or falls below the smallest normal
+    float has no orbit to shoot or time, and raises ValueError naming it."""
+    xistar = level = math.inf
+    try:  # a float power that overflows raises
+        xistar = (params.q / params.c) ** (1.0 / (params.e - 1.0))
+        level = params.c * xistar ** (params.e + 1.0)
+    except OverflowError:
+        pass
+    if not all(sys.float_info.min <= x < math.inf for x in (xistar, level)):
+        named = params.named(("xi*", xistar), ("c xi*^(e+1)", level))
+        raise ValueError(f"the problem's scale leaves the normal float range ({named})")
+    return xistar
 
 
 def hamiltonian(xi, xi_prime, params: FowlerParams):
@@ -119,8 +133,7 @@ def _check_epsilon(epsilon: float, params: FowlerParams) -> float:
     """xi*, once eps is checked to lie in (0, xi*), where the periodic orbits
     with minimum eps are, and at least DEGENERACY_GAP * xi* below xi*."""
     xistar = constant_solution(params)
-    named = (f"({params.kind} problem, n = {params.n}, eps = {epsilon!r}, "
-             f"xi* = {xistar!r})")
+    named = f"({params.named(('eps', epsilon), ('xi*', xistar))})"
     if not 0 < epsilon < xistar:
         bound = "be positive" if not epsilon > 0 else "lie below xi*"
         raise ValueError(
@@ -210,8 +223,8 @@ def period_quadrature(epsilon: float, params: FowlerParams) -> float:
     if not error <= QUADRATURE_TOL * period:  # a NaN fails too
         raise IntegrationError(
             f"period quadrature unresolved: error estimate {error:.3g} above "
-            f"{QUADRATURE_TOL:g} of the period {period!r} ({params.kind} "
-            f"problem, n = {params.n}, eps = {epsilon!r})")
+            f"{QUADRATURE_TOL:g} of the period {period!r} "
+            f"({params.named(('eps', epsilon))})")
     return period
 
 
@@ -389,6 +402,11 @@ class FowlerOrbit:
     _floquet: dict = field(default_factory=dict, repr=False, compare=False)
     _windows: dict = field(default_factory=dict, repr=False, compare=False)
 
+    def named(self, *pairs) -> str:
+        """`FowlerParams.named` with the orbit's eps (xi* if constant) first."""
+        return self.params.named(("xi*" if self.is_constant else "eps",
+                                  self.epsilon), *pairs)
+
     def _fold(self, t):
         # the interpolant covers [0, T/2]; xi is even about 0 and T/2
         tm = np.mod(t, self.period)
@@ -453,7 +471,7 @@ def periodic_orbit(epsilon: float, params: FowlerParams,
     The samples and every later orbit value are read off the interpolant
     through one `DenseSolution`, the peak off the terminal event; the orbit
     keeps the solve's evaluations and accepted steps.  A failed solve or
-    check raises `IntegrationError` naming the problem kind, n and eps.
+    check raises `IntegrationError` naming the problem and eps.
     """
     if not 0 < tol < math.inf:  # a NaN or infinite tol never ends the solve
         raise ValueError(f"tol must be positive and finite, got tol = {tol!r}")
@@ -478,7 +496,7 @@ def periodic_orbit(epsilon: float, params: FowlerParams,
         sol = solve_ivp(_orbit_system(params), (0.0, t_cap), [epsilon, 0.0],
                         method=BareDOP853, rtol=rtol, atol=atol, events=at_max,
                         dense_output=True, max_step=step_cap)
-    orbit_name = f"{params.kind} n = {params.n}, eps = {epsilon!r}"
+    orbit_name = params.named(("eps", epsilon))
     if not sol.success or len(sol.t_events[0]) == 0:
         raise IntegrationError(
             f"no return to xi' = 0 before t = {t_cap:g} ({orbit_name}); last "

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import spheres
+from .fowler import output_fields
 
 DEFAULT_TOL = 1e-8
 NEAR_RESONANCE_FACTOR = 100.0
@@ -50,18 +51,9 @@ class IndexSet:
         return self.single & self.multi
 
     def to_dict(self) -> dict:
-        return {
-            "base": [{"value": b.value, "multiplicity": b.multiplicity,
-                      "degree": b.degree} for b in self.base],
-            "cutoff": self.cutoff,
-            "tol": self.tol,
-            "values": self.values.tolist(),
-            "combos": [[list(map(int, c)) for c in cs] for cs in self.combos],
-            "single": self.single.tolist(),
-            "multi": self.multi.tolist(),
-            "resonant": self.resonant.tolist(),
-            "warnings": list(self.warnings),
-        }
+        return dict(output_fields(self),
+                    base=[asdict(b) for b in self.base],
+                    resonant=self.resonant.tolist())
 
 
 def _collapse(rho, degrees, tol):

@@ -16,7 +16,7 @@ import pytest
 
 import fowlerlab
 from fowlerlab import cli
-from fowlerlab.fowler import FowlerParams, max_value
+from fowlerlab.fowler import FowlerParams, constant_solution, max_value
 
 
 def run_cli(args):
@@ -124,13 +124,13 @@ def test_epsilon_outside_the_orbit_range_names_the_bound(tmp_path, capsys):
             capsys.readouterr().out.strip().splitlines()[-1]))
     assert {r["error"] for r in records} == {"ValueError"}
     messages = [r["message"] for r in records]
-    assert len(set(messages)) == 3
-    for msg, bound in zip(messages, ("be positive", "be positive",
-                                     "lie below xi*")):
-        assert re.fullmatch(rf"no periodic orbit with minimum eps: eps must "
-                            rf"{re.escape(bound)} \(conformal problem, n = 5, "
-                            rf"eps = \S+, xi\* = 1\.837\d*\)", msg), msg
-    assert "eps = -0.918" in messages[0] and "eps = 0.0," in messages[1]
+    params = FowlerParams.conformal(5)
+    xistar = constant_solution(params)
+    for msg, bound, frac in zip(messages, ("be positive", "be positive",
+                                           "lie below xi*"), (-0.5, 0.0, 1.5)):
+        named = params.named(("eps", frac * xistar), ("xi*", xistar))
+        assert msg == (f"no periodic orbit with minimum eps: eps must {bound} "
+                       f"({named})")
 
 
 def test_floquet_subcommand_constant_formula(tmp_path, capsys):
@@ -318,8 +318,10 @@ def test_construct_short_window_error_names_the_orbit(tmp_path, capsys):
     assert rc == 1
     record = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert record["error"] == "ValueError"
+    params = FowlerParams.conformal(3)
+    named = params.named(("eps", 0.1 * constant_solution(params)))
     assert re.fullmatch(r"window \[5\.0, 17\.0\] must cover at least one orbit "
-                        r"period \(n = 3, eps = 0\.0707\d*, T = 14\.468\d*\)",
+                        rf"period \({re.escape(named)}, T = 14\.468\d*\)",
                         record["message"])
 
 
@@ -715,28 +717,47 @@ def test_index_set_base_holds_exactly_the_degrees_up_to_the_bound(
 
 CKN_FLAT_NECK = ["--problem", "ckn", "--n", "5", "--a", "1.48", "--b", "1.48",
                  "--constant"]
+FLAT_NECK = FowlerParams.ckn(5, 1.48, 1.48)
+CONFORMAL5, CKN5 = FowlerParams.conformal(5), FowlerParams.ckn(5, 0.5, 0.7)
+
+
+def _named(params, frac, *pairs):
+    """The escaped name of the orbit at frac xi* (xi* itself at frac None)."""
+    xistar = constant_solution(params)
+    orbit = ("xi*", xistar) if frac is None else ("eps", frac * xistar)
+    return re.escape(params.named(orbit, *pairs))
+
+
+FLAT_NECK_OVERFLOW = (r"constant-orbit monodromy overflows \("
+                      + _named(FLAT_NECK, None, ("lambda", 10.0))
+                      + r", T = 272\.06\d*\)")
 TYPED_REFUSALS = [
-    (["floquet"] + CKN_FLAT_NECK, "IntegrationError",
-     r"constant-orbit monodromy overflows \(ckn problem, n = 5, "
-     r"xi\* = 0\.0028\d*, lambda = 10\.0, T = 272\.06\d*\)"),
-    (["index-set"] + CKN_FLAT_NECK, "IntegrationError",
-     r"constant-orbit monodromy overflows \(ckn problem, n = 5, "
-     r"xi\* = 0\.0028\d*, lambda = 10\.0, T = 272\.06\d*\)"),
+    (["floquet"] + CKN_FLAT_NECK, "IntegrationError", FLAT_NECK_OVERFLOW),
+    (["index-set"] + CKN_FLAT_NECK, "IntegrationError", FLAT_NECK_OVERFLOW),
     (CONFORMAL_CONSTRUCT + ["--t0", "800"], "WindowError",
-     r"the weight e\^\{nu t\} overflows on the window \(n = 5, eps = 0\.918\d*, "
-     r"t0 = 800\.0, window = 12\.0, rate = 1\.5\)"),
+     r"the weight e\^\{nu t\} overflows on the window \("
+     + _named(CONFORMAL5, 0.5, ("t0", 800.0), ("window", 12.0), ("rate", 1.5))
+     + r"\)"),
     (CKN_CONSTRUCT + ["--t0", "800"], "WindowError",
-     r"the weight e\^\{nu t\} overflows on the window \(n = 5, eps = 0\.4, "
-     r"t0 = 800\.0, window = 12\.0, rate = 2\.4\)"),
+     r"the weight e\^\{nu t\} overflows on the window \("
+     + _named(CKN5, 0.4, ("t0", 800.0), ("window", 12.0), ("rate", 2.4))
+     + r"\)"),
+    (CONFORMAL_CONSTRUCT + ["--k0", "2.25", "--t0", "800"], "WindowError",
+     r"the weight e\^\{nu t\} overflows on the window \("
+     + _named(FowlerParams.conformal(5, 2.25), 0.5, ("t0", 800.0),
+              ("window", 12.0), ("rate", 1.5)) + r"\)"),
     (CONFORMAL_CONSTRUCT + ["--window", "260"], "WindowError",
-     r"the kernel pair e\^\{sigma \(t - t0\)\} overflows on the window \(n = 5, "
-     r"eps = 0\.918\d*, t0 = 5\.0, window = 260\.0, rate = 2\.7488\d*\)"),
+     r"the kernel pair e\^\{sigma \(t - t0\)\} overflows on the window \("
+     + _named(CONFORMAL5, 0.5, ("t0", 5.0), ("window", 260.0))
+     + r", rate = 2\.7488\d*\)"),
     (CONFORMAL_CONSTRUCT + ["--t0=-1000"], "WindowError",
-     r"the forcing e\^\{-beta t\} overflows on the window \(n = 5, "
-     r"eps = 0\.918\d*, t0 = -1000\.0, window = 12\.0, rate = 1\.5\)"),
+     r"the forcing e\^\{-beta t\} overflows on the window \("
+     + _named(CONFORMAL5, 0.5, ("t0", -1000.0), ("window", 12.0),
+              ("rate", 1.5)) + r"\)"),
     (CKN_CONSTRUCT + ["--t0=-1000"], "WindowError",
-     r"the forcing e\^\{-nu t\} overflows on the window \(n = 5, eps = 0\.4, "
-     r"t0 = -1000\.0, window = 12\.0, rate = 2\.4\)"),
+     r"the forcing e\^\{-nu t\} overflows on the window \("
+     + _named(CKN5, 0.4, ("t0", -1000.0), ("window", 12.0), ("rate", 2.4))
+     + r"\)"),
     (CONFORMAL_CONSTRUCT + ["--window", "1e12"], "ValueError",
      r"grid of 6\.4e\+13 points, more than MAX_GRID_POINTS = 131072 "
      r"\(t0 = 5\.0, window = 1000000000000\.0, h = 0\.015625\)"),
@@ -750,13 +771,13 @@ TYPED_REFUSALS = [
      r"forcing profile K is not positive on the grid: min K = -1\.734\d* at "
      r"t = 5\.0 \(k0 = 1\.0\)"),
     (CKN_CONSTRUCT + ["--kappa", "1e6"], "PositivityError",
-     r"base field not positive on the grid \(n = 5, eps = 0\.4, t0 = 5\.0, "
-     r"window = 12\.0\)")]
+     r"base field not positive on the grid \("
+     + _named(CKN5, 0.4, ("t0", 5.0), ("window", 12.0)) + r"\)")]
 
 
 @pytest.mark.parametrize("argv, error, message", TYPED_REFUSALS, ids=[
     "floquet-ckn-flat-neck", "index-set-ckn-flat-neck", "weight", "weight-ckn",
-    "kernel-pair", "forcing", "forcing-ckn", "grid-window", "grid-h",
+    "weight-k0", "kernel-pair", "forcing", "forcing-ckn", "grid-window", "grid-h",
     "index-set-degree-0", "profile-not-positive", "base-not-positive-ckn"])
 def test_overflowing_closed_forms_and_windows_end_in_one_typed_record(
         argv, error, message, tmp_path, capsys, monkeypatch):

@@ -674,10 +674,11 @@ def test_a_result_that_is_not_positive_is_refused(kind, conf5_orbit,
         return (phi - 10.0, *rest)
 
     monkeypatch.setattr(cylinder, "_iterate", sunk)
-    with pytest.raises(cylinder.PositivityError,
-                       match=r"constructed field is not positive \(n = 5, eps "
-                             r"= \S+, t0 = 5\.0, window = 12\.0\)"):
+    orbit = conf5_orbit if kind == "conformal" else ckn_orbit
+    named = orbit.named(("t0", 5.0), ("window", 12.0))
+    with pytest.raises(cylinder.PositivityError) as err:
         _readme_construction(kind, conf5_orbit, ckn_orbit)()
+    assert str(err.value) == f"constructed field is not positive ({named})"
 
 
 @pytest.mark.parametrize("kind", ["conformal", "ckn"])
@@ -813,13 +814,18 @@ def test_contraction_mode_truncation_consistency(conf5_orbit):
 
 
 def test_ckn_construct_gates(ckn_orbit):
-    with pytest.raises(ValueError, match="exceed sigma_1"):
+    data = floquet.exponent_sequence(ckn_orbit, 6)
+    named = ckn_orbit.named(("nu", 0.5), ("sigma_1", data[0].sigma))
+    with pytest.raises(ValueError) as err:
         cylinder.ckn_construct(ckn_orbit, 0.5)
+    assert str(err.value) == f"nu must exceed sigma_1 ({named})"
     with pytest.raises(ValueError, match="degree 3 outside"):
         cylinder.ckn_construct(ckn_orbit, 2.4, degree=3, max_degree=2)
-    data = floquet.exponent_sequence(ckn_orbit, 6)
-    with pytest.raises(cylinder.ResonanceError):
-        cylinder.ckn_construct(ckn_orbit, 2.0 * data[0].sigma)
+    nu = 2.0 * data[0].sigma
+    with pytest.raises(cylinder.ResonanceError) as err:
+        cylinder.ckn_construct(ckn_orbit, nu)
+    assert str(err.value) == (f"nu lies in the exponent index set "
+                              f"({ckn_orbit.named(('nu', nu))})")
 
 
 def test_ckn_construct_decay(ckn_orbit):
@@ -929,10 +935,10 @@ def test_fundamental_pair_failure_names_the_parameters(grid, conf5_orbit,
                                                        monkeypatch):
     monkeypatch.setattr(cylinder, "solve_ivp",
                         lambda *a, **k: SimpleNamespace(success=False))
-    with pytest.raises(fowler.IntegrationError,
-                       match=r"fundamental pair.*\(n = 5, eps = .*, "
-                             r"lambda = 0\.0\)"):
+    with pytest.raises(fowler.IntegrationError) as err:
         cylinder.ModeSolveContext(conf5_orbit, 0.0, grid)
+    assert str(err.value) == (f"fundamental pair integration failed "
+                              f"({conf5_orbit.named(('lambda', 0.0))})")
 
 
 def test_degenerate_kernel_pair_names_the_parameters(grid, conf5_orbit,
@@ -944,10 +950,10 @@ def test_degenerate_kernel_pair_names_the_parameters(grid, conf5_orbit,
         lambda orbit, lams, with_factors=False: {
             lam: replace(d, sigma=0.0, q_minus=d.q_plus)
             for lam, d in real(orbit, lams, with_factors).items()})
-    with pytest.raises(fowler.IntegrationError,
-                       match=r"degenerate Floquet kernel pair \(n = 5, "
-                             r"eps = .*, lambda = 4\.0, wronskian = 0\.0\)"):
+    named = conf5_orbit.named(("lambda", 4.0), ("wronskian", 0.0))
+    with pytest.raises(fowler.IntegrationError) as err:
         cylinder.ModeSolveContext(conf5_orbit, 4.0, grid)
+    assert str(err.value) == f"degenerate Floquet kernel pair ({named})"
 
 
 def test_inverse_rejects_non_positive_rates(grid, conf5_orbit):
@@ -957,9 +963,9 @@ def test_inverse_rejects_non_positive_rates(grid, conf5_orbit):
     rhs = np.exp(-grid)
     for lam, nu in ((4.0, -3.0), (0.0, -0.5), (4.0, 0.0), (0.0, 0.0)):
         op = floquet.ModeOperator(conf5_orbit, lam)
+        named = conf5_orbit.named(("lambda", lam), ("nu", nu))
         with pytest.raises(cylinder.DecayRateError,
-                           match=rf"\(n = 5, eps = .*, lambda = {lam!r}, "
-                                 rf"nu = {nu!r}\)"):
+                           match=re.escape(f"positive ({named})")):
             _inverse(op, rhs, nu, grid)
     # a rate below -sigma, where the decaying integrand grows per period
     ctx = cylinder.ModeSolveContext(conf5_orbit, 4.0, grid)
@@ -1137,15 +1143,16 @@ def test_construction_escalates_four_times_then_raises(kind, conf5_orbit,
     if kind == "conformal":
         prof = cylinder.ForcingProfile(k0=1.0, components=((1, 0.05, 1.5),))
         call = lambda: cylinder.contraction_construct(conf5_orbit, prof)
-        eps = conf5_orbit.epsilon
+        orbit = conf5_orbit
     else:
         call = lambda: cylinder.ckn_construct(ckn_orbit, 2.4)
-        eps = ckn_orbit.epsilon
+        orbit = ckn_orbit
     with pytest.raises(cylinder.ConstructionError) as err:
         call()
     assert starts == [5.0, 10.0, 20.0, 40.0, 80.0]
     msg = str(err.value)
-    assert msg.startswith(f"{kind} construction (n = 5, eps = {eps!r})")
+    assert msg.endswith(f" ({orbit.named()})")
+    assert orbit.named().startswith(f"{kind} problem, n = 5, ")
     assert "t0 = 80.0 after 4 window shifts" in msg
 
 
@@ -1333,16 +1340,15 @@ def test_stacked_inverse_checks_its_rate_once(conf5_orbit):
     contexts = [cylinder._context_cache(conf5_orbit,
                                         float(spheres.eigenvalue(k, 5)), t)
                 for k in range(3)]
+    named = conf5_orbit.named(("lambda", 0.0), ("nu", -1.0))
     with pytest.raises(cylinder.DecayRateError,
-                       match=r"must be positive \(n = 5, eps = .*, "
-                             r"lambda = 0\.0, nu = -1\.0\)"):
+                       match=re.escape(f"must be positive ({named})")):
         cylinder._StackedInverse(contexts, -1.0)
     sigma = contexts[1].sigma
     nu = sigma + 5e-7
+    named = conf5_orbit.named(("lambda", 4.0), ("nu", nu))
     with pytest.raises(cylinder.ResonanceError,
-                       match=rf"exponent {re.escape(repr(sigma))} \(n = 5, "
-                             rf"eps = .*, lambda = 4\.0, "
-                             rf"nu = {re.escape(repr(nu))}\)"):
+                       match=re.escape(f"exponent {sigma!r} ({named})")):
         cylinder._StackedInverse(contexts, nu)
     with pytest.raises(cylinder.ResonanceError, match=r"lambda = 4\.0"):
         contexts[1].solve(np.exp(-t), nu)
@@ -1450,9 +1456,9 @@ def test_an_escalated_window_is_refused_before_it_is_set_up(monkeypatch):
         cylinder.contraction_construct(orbit, profile, t0=200.0)
     assert starts == [200.0, 400.0]
     assert sorted(key[0] for key in orbit._windows) == [200.0, 400.0]
+    named = orbit.named(("t0", 800.0), ("window", 12.0), ("rate", 1.5))
     assert str(err.value) == (
-        f"the weight e^{{nu t}} overflows on the window (n = 5, eps = "
-        f"{orbit.epsilon!r}, t0 = 800.0, window = 12.0, rate = 1.5)")
+        f"the weight e^{{nu t}} overflows on the window ({named})")
 
 
 def test_the_kernel_pair_bound_falls_where_its_exponential_overflows(
@@ -1469,8 +1475,7 @@ def test_the_kernel_pair_bound_falls_where_its_exponential_overflows(
     assert starts == [5.0, 10.0, 20.0, 40.0, 80.0]
     with pytest.raises(cylinder.WindowError) as err:
         cylinder.contraction_construct(conf5_orbit, profile, window=258.5)
+    named = conf5_orbit.named(("t0", 5.0), ("window", 258.5), ("rate", sigma2))
     assert str(err.value) == (
-        f"the kernel pair e^{{sigma (t - t0)}} overflows on the window (n = 5, "
-        f"eps = {conf5_orbit.epsilon!r}, t0 = 5.0, window = 258.5, "
-        f"rate = {sigma2!r})")
+        f"the kernel pair e^{{sigma (t - t0)}} overflows on the window ({named})")
     assert len(starts) == 5

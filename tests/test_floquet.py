@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import warnings
 from types import SimpleNamespace
 
@@ -218,10 +219,28 @@ def test_kernel_branch_failure_names_the_parameters(conf5_orbit, monkeypatch):
     d = floquet.spectrum(conf5_orbit, [4.0, 10.0])
     monkeypatch.setattr(floquet, "solve_ivp",
                         lambda *a, **k: SimpleNamespace(success=False))
-    with pytest.raises(fowler.IntegrationError,
-                       match=r"kernel branch.*\(n = 5, eps = .*, "
-                             r"lambda = 4\.0, 10\.0\)"):
+    with pytest.raises(fowler.IntegrationError) as err:
         floquet.kernel_basis(conf5_orbit, list(d.values()))
+    assert str(err.value) == (
+        f"kernel branch integration failed "
+        f"({conf5_orbit.named(('lambda', [4.0, 10.0]))})")
+
+
+def test_exponent_sequence_refusals_name_the_orbit(conf5_orbit, monkeypatch):
+    # a Type IV mode i >= 1 and a decreasing exponent used to name nothing
+    real = floquet.spectrum
+    for at, change, message in [
+            (4.0, {"type": floquet.TYPE_IV}, "mode 1 classified Type IV; "
+             "modes i >= 1 must be hyperbolic -- integration failure "
+             f"suspected ({conf5_orbit.named(('lambda', 4.0))})"),
+            (10.0, {"sigma": 0.1}, "exponent sequence not nondecreasing "
+             f"({conf5_orbit.named()})")]:
+        monkeypatch.setattr(floquet, "spectrum", lambda orbit, lams, wf: {
+            lam: dataclasses.replace(d, **change) if lam == at else d
+            for lam, d in real(orbit, lams, wf).items()})
+        with pytest.raises(floquet.FloquetStructureError) as err:
+            floquet.exponent_sequence(conf5_orbit, 6)
+        assert str(err.value) == message
 
 
 def test_spectrum_returns_the_kept_data_by_eigenvalue(monkeypatch):
@@ -719,8 +738,9 @@ def test_unresolved_monodromy_names_the_parameters(conf5_orbit, monkeypatch):
     # lambda = 4 needs 512 steps here; a cap of 256 leaves it unresolved
     monkeypatch.setattr(floquet, "MAGNUS_CAP", 256)
     with pytest.raises(fowler.IntegrationError,
-                       match=r"unresolved at N = 256 .*\(n = 5, eps = .*, "
-                             r"lambda = 4\.0, estimate = "):
+                       match=r"unresolved at N = 256 steps \("
+                             + re.escape(conf5_orbit.named(("lambda", 4.0)))
+                             + r", estimate = "):
         floquet.monodromy(conf5_orbit, [4.0])
 
 
@@ -855,18 +875,17 @@ def test_floor_accepted_monodromies_carry_a_warning():
     assert abs(data[2.0].sigma - 1.0) > 1e-2
     for lam, d in data.items():
         assert d.magnus_error > floquet.MAGNUS_TOL
+        named = orb.named(("lambda", lam), ("N", d.magnus_steps),
+                          ("estimate", d.magnus_error))
         assert d.warning == (
-            f"monodromy kept at the orbit's accuracy floor (n = 3, eps = "
-            f"{orb.epsilon!r}, lambda = {lam!r}, N = {d.magnus_steps}, "
-            f"estimate = {d.magnus_error:.3g})")
+            f"monodromy kept at the orbit's accuracy floor ({named})")
         assert d.to_dict()["warning"] == d.warning
     # appended to a classification warning: a negative trace
     m = -data[2.0].monodromy
     d = floquet._classified(orb, 2.0, m, 1.0, 512, 1e-9, data[2.0].nodes)
+    named = orb.named(("lambda", 2.0), ("N", 512), ("estimate", 1e-09))
     assert d.warning == ("negative trace: factors are antiperiodic; monodromy "
-                         "kept at the orbit's accuracy floor (n = 3, eps = "
-                         f"{orb.epsilon!r}, lambda = 2.0, N = 512, "
-                         "estimate = 1e-09)")
+                         f"kept at the orbit's accuracy floor ({named})")
 
 
 @pytest.mark.parametrize("params, eps, frac", [
@@ -946,7 +965,7 @@ def test_an_overflowing_closed_form_is_refused_by_name(degree):
             spheres.eigenvalue(111, 3)])[12432.0].monodromy).all()
         with pytest.raises(fowler.IntegrationError) as err:
             floquet.spectrum(orbit, [lam])
-    assert str(err.value) == (
-        f"constant-orbit monodromy overflows (conformal problem, n = 3, "
-        f"xi* = {orbit.epsilon!r}, lambda = {lam!r}, T = {orbit.period!r})")
+    named = orbit.named(("lambda", lam), ("T", orbit.period))
+    assert str(err.value) == f"constant-orbit monodromy overflows ({named})"
+    assert named.startswith("conformal problem, n = 3, k0 = 1.0, xi* = ")
     assert lam not in orbit._floquet

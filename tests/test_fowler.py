@@ -73,8 +73,7 @@ def test_every_orbit_function_refuses_the_degenerate_gap_alike(n):
         messages.add(str(info.value))
     assert messages == {
         f"eps within 1e-06*xi* of the constant solution: orbit is "
-        f"numerically degenerate (conformal problem, n = {n}, eps = {eps!r}, "
-        f"xi* = {xistar!r})"}
+        f"numerically degenerate ({p.named(('eps', eps), ('xi*', xistar))})"}
 
 
 @pytest.mark.parametrize("frac", [1e-8, 1e-120])
@@ -108,8 +107,7 @@ def test_slow_orbit_quadrature_agrees_with_the_shot_period_or_is_refused(
             period = fowler.period_quadrature(eps, params)
         except fowler.IntegrationError as exc:
             assert frac < 1e-120, exc
-            assert str(exc).endswith(
-                f"({params.kind} problem, n = {params.n}, eps = {eps!r})")
+            assert str(exc).endswith(f"({params.named(('eps', eps))})")
             return
     assert abs(period - shot) <= 1e-9 * shot
 
@@ -134,6 +132,64 @@ def test_orbit_domain_errors():
         fowler.periodic_orbit(xistar * (1 - 1e-8), p)
     with pytest.raises(ValueError):
         fowler.max_value(xistar * 2.0, p)
+
+
+def test_problems_and_orbits_are_named_from_their_own_fields():
+    conformal = fowler.FowlerParams.conformal(5, 2.25)
+    ckn = fowler.FowlerParams.ckn(5, 0.5, 0.7)
+    assert conformal.named() == "conformal problem, n = 5, k0 = 2.25"
+    assert ckn.named(("t0", 800.0), ("lambda", [4.0, 10.0])) == (
+        "ckn problem, n = 5, a = 0.5, b = 0.7, t0 = 800.0, lambda = [4.0, 10.0]")
+    eps = 0.4 * fowler.constant_solution(ckn)
+    assert fowler.periodic_orbit(eps, ckn).named(("nu", 2.4)) == (
+        f"ckn problem, n = 5, a = 0.5, b = 0.7, eps = {eps!r}, nu = 2.4")
+    assert fowler.constant_orbit(conformal).named() == (
+        f"conformal problem, n = 5, k0 = 2.25, "
+        f"xi* = {fowler.constant_solution(conformal)!r}")
+    assert conformal.describe() == {
+        "kind": "conformal", "n": 5, "q": 2.25, "c": 2.25, "e": 7 / 3,
+        "k0": 2.25}
+    assert set(ckn.describe()) == {"kind", "n", "q", "c", "e", "a", "b", "p"}
+
+
+@pytest.mark.parametrize("params", [
+    fowler.FowlerParams.conformal(3, 1e-225),
+    fowler.FowlerParams.conformal(3, 1e300),
+    fowler.FowlerParams.conformal(5, 1e-125),
+    fowler.FowlerParams.conformal(5, 1e200),
+    fowler.FowlerParams.conformal(8, 1e-100),
+    fowler.FowlerParams.conformal(8, 1e175),
+    fowler.FowlerParams.conformal(8, 1e200),
+    fowler.FowlerParams.ckn(5, 0.0, 0.999999),
+    fowler.FowlerParams.ckn(5, 1.49, 2.48999),
+    fowler.FowlerParams.ckn(5, 1.4, 2.3999999)],
+    ids=fowler.FowlerParams.named)
+def test_a_problem_whose_scale_leaves_the_float_range_is_refused_by_name(
+        params):
+    # these ended in a raw OverflowError, RuntimeWarning or TypeError (xi
+    # negative, xi ** e complex), or, where xi* underflowed to 0, in "eps
+    # must be positive"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            fowler.periodic_orbit(0.5 * fowler.constant_solution(params),
+                                  params)
+    assert str(err.value).startswith(
+        "the problem's scale leaves the normal float range")
+    assert f"({params.named()}, xi* = " in str(err.value)
+
+
+@pytest.mark.parametrize("params", [
+    fowler.FowlerParams.conformal(5, 1e-100),
+    fowler.FowlerParams.conformal(8, 1e-75),
+    fowler.FowlerParams.ckn(5, 0.0, 0.99)],
+    ids=fowler.FowlerParams.named)
+def test_problems_near_the_float_range_still_shoot(params):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        orb = fowler.periodic_orbit(0.5 * fowler.constant_solution(params),
+                                    params)
+    assert math.isfinite(orb.period) and np.isfinite(orb.xi).all()
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
@@ -588,8 +644,8 @@ def test_small_neck_drift_names_the_orbit():
     params = fowler.FowlerParams.conformal(8, 1.0)
     eps = 1e-3 * fowler.constant_solution(params)
     with pytest.raises(fowler.IntegrationError,
-                       match=r"Hamiltonian drift .* \(conformal n = 8, "
-                             rf"eps = {re.escape(repr(eps))}\)"):
+                       match=r"Hamiltonian drift .* "
+                             + re.escape(f"({params.named(('eps', eps))})")):
         fowler.periodic_orbit(eps, params)
 
 
@@ -597,7 +653,7 @@ def test_shooting_errors_name_the_orbit(monkeypatch):
     # a solve that never turns back, and a maximum off the energy level
     params = fowler.FowlerParams.ckn(5, 0.5, 0.7)
     eps = 0.4 * fowler.constant_solution(params)
-    where = rf"\(ckn n = 5, eps = {re.escape(repr(eps))}\)"
+    where = re.escape(f"({params.named(('eps', eps))})")
     real = fowler.solve_ivp
 
     def no_event(*args, **kwargs):

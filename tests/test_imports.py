@@ -8,8 +8,9 @@ environment variables, that only `fowler.py` imports a private module
 path, that only the command line's two writers make directories, that
 only `fowler.py` and `floquet.py` name the DOP853 stepper, its dense-output
 reader and the linear solves' tolerances, and that only `floquet.monodromy`
-builds a Magnus tree, and only `floquet.spectrum` runs its monodromy and
-kernel solves.
+builds a Magnus tree, only `floquet.spectrum` runs its monodromy and
+kernel solves, and that the Floquet, cylinder and expansion modules leave
+the naming of an orbit to `FowlerOrbit.named`.
 """
 
 import ast
@@ -224,3 +225,31 @@ def test_only_the_orbit_and_floquet_modules_name_the_integrator():
     namers = [path.name for path in MODULES
               if integrator_names(path.read_text())]
     assert namers == ["floquet.py", "fowler.py"]
+
+
+ORBIT_NAMES = ("eps = ", "xi* = ")
+
+
+def orbit_name_literals(source: str) -> list:
+    """Line numbers of the string literals and f-string parts of the source
+    that spell an orbit's name themselves."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Constant)
+                   and isinstance(node.value, str)
+                   and any(name in node.value for name in ORBIT_NAMES)})
+
+
+def test_checker_flags_an_orbit_name_literal():
+    source = ("def f(orbit, lam):\n"
+              "    raise ValueError(f'bad (n = 5, eps = {orbit.epsilon!r})')\n"
+              "def g(orbit):\n    return 'xi* = ' + repr(orbit.epsilon)\n"
+              "def h(orbit):\n    return f'bad ({orbit.named()})'\n"
+              "steps = eps = 1\n")
+    assert orbit_name_literals(source) == [2, 4]
+
+
+@pytest.mark.parametrize("name", ["floquet.py", "cylinder.py", "expansion.py"])
+def test_orbits_are_named_only_by_the_orbit_module(name):
+    # every refusal and warning names its orbit by FowlerOrbit.named, so the
+    # identity a message gives is written once, in fowler.py
+    assert orbit_name_literals((PACKAGE / name).read_text()) == []
