@@ -19,28 +19,35 @@ from .fowler import (FowlerParams, constant_orbit, constant_solution,
 SEED = 20240801  # the random draws of the index-set oracle and the example
 
 
-def _conformal_orbits(dims, frac):
+def _orbit(share: dict, params, frac=None, tol=1e-10):
+    """The run's orbit of `params` with minimum frac xi* (the constant orbit
+    when frac is None), made once per `share`: its Floquet data and window
+    contexts then serve every criterion of the run."""
+    key = (params, frac, tol)
+    if key not in share:
+        share[key] = (constant_orbit(params) if frac is None else periodic_orbit(
+            frac * constant_solution(params), params, tol=tol))
+    return share[key]
+
+
+def _conformal_orbits(share, dims, frac):
     """The constant and the periodic conformal orbit (K(0) = 1, minimum
     frac xi*) of each dimension n in dims, as (n, orbit, tag)."""
     for n in dims:
         params = FowlerParams.conformal(n, 1.0)
-        yield n, constant_orbit(params), "constant"
-        yield (n, periodic_orbit(frac * constant_solution(params), params),
-               "nonconstant")
+        yield n, _orbit(share, params), "constant"
+        yield n, _orbit(share, params, frac), "nonconstant"
 
 
-def _wrap(name, alias=None, shares=False):
+def _wrap(name, alias=None):
     """A criterion body as a report-returning criterion, reached in `SUITES`
-    by its name and by its short alias, if it has one.  With `shares`, the
-    body takes the dict `run_suite` passes to every criterion of one run
-    (an empty one when called on its own) and reuses what it holds."""
+    by its name and by its short alias, if it has one.  The body takes the
+    dict `run_suite` passes to every criterion of one run (an empty one
+    when called on its own) and reuses the orbits it holds."""
     def deco(fn):
         def run(share=None):
             start = time.perf_counter()
-            if shares:
-                passed, details = fn({} if share is None else share)
-            else:
-                passed, details = fn()
+            passed, details = fn({} if share is None else share)
             return {"name": name, "passed": bool(passed),
                     "runtime_s": time.perf_counter() - start,
                     "details": details}
@@ -50,12 +57,12 @@ def _wrap(name, alias=None, shares=False):
 
 
 @_wrap("constant_floquet_closed_form", "floquet-const")
-def check_constant_floquet():
+def check_constant_floquet(share):
     """sigma_i = sqrt(lambda_i - n + 2) on constant conformal orbits, 1e-9."""
     tol = 1e-9
     worst = 0.0
     for n in range(3, 9):
-        orb = constant_orbit(FowlerParams.conformal(n, 1.0))
+        orb = _orbit(share, FowlerParams.conformal(n, 1.0))
         data = floquet.exponent_sequence(orb, 12)
         for d in data:
             worst = max(worst, abs(d.sigma - math.sqrt(d.lam - n + 2)))
@@ -64,16 +71,14 @@ def check_constant_floquet():
 
 
 @_wrap("nonconstant_kernel_factors", "floquet-nonconst")
-def check_nonconstant_kernel():
+def check_nonconstant_kernel(share):
     """sigma_1..n = 1 within 1e-6 and q+ = (n-2)/2 xi - xi' pointwise 1e-6."""
     tol = 1e-6
     worst_sigma, worst_factor = 0.0, 0.0
     cases = []
     for n in (4, 5, 6):
-        params = FowlerParams.conformal(n, 1.0)
-        xistar = constant_solution(params)
         for frac in (0.3, 0.55, 0.8):
-            orb = periodic_orbit(frac * xistar, params)
+            orb = _orbit(share, FowlerParams.conformal(n, 1.0), frac)
             data = floquet.exponent_sequence(orb, n, with_factors=True)
             sig_err = max(abs(d.sigma - 1.0) for d in data)
             p_plus = (n - 2) / 2.0 * orb.xi - orb.xi_prime
@@ -88,12 +93,12 @@ def check_nonconstant_kernel():
 
 
 @_wrap("exponent_lower_bound", "bounds")
-def check_lower_bound():
+def check_lower_bound(share):
     """rho_i^2 > lambda_i - (3n-2)/2 with positive margin; mu_2 = 2 for n >= 6."""
     count = 12
     all_ok = True
     records = []
-    for n, orb, tag in _conformal_orbits(range(3, 9), 0.5):
+    for n, orb, tag in _conformal_orbits(share, range(3, 9), 0.5):
         data = floquet.exponent_sequence(orb, count)
         report = floquet.lower_bound_check(data, orb)
         entry = {"n": n, "orbit": tag, "ok": report.ok,
@@ -111,7 +116,7 @@ def check_lower_bound():
 
 
 @_wrap("hamiltonian_and_period", "hamiltonian")
-def check_hamiltonian_period():
+def check_hamiltonian_period(share):
     """Energy drift < 1e-9, quadrature/shooting < 1e-6, -ln eps period growth."""
     drift_tol, agree_tol = 1e-9, 1e-6
     sweeps = [FowlerParams.conformal(3, 1.0),
@@ -119,9 +124,8 @@ def check_hamiltonian_period():
               FowlerParams.ckn(5, 0.5, 0.7)]
     worst_drift, worst_agree = 0.0, 0.0
     for params in sweeps:
-        xistar = constant_solution(params)
         for frac in (0.2, 0.5, 0.8):
-            orb = periodic_orbit(frac * xistar, params, tol=1e-11)
+            orb = _orbit(share, params, frac, tol=1e-11)
             worst_drift = max(worst_drift, orb.energy_drift)
             tq = period_quadrature(orb.epsilon, params)
             worst_agree = max(worst_agree, abs(tq - orb.period) / orb.period)
@@ -147,12 +151,12 @@ def check_hamiltonian_period():
 
 
 @_wrap("second_order_operator_identity", "xi2")
-def check_xi2_identity():
+def check_xi2_identity(share):
     """|| L xi_2 - explicit quadratic source ||_inf < 1e-6, n in {6,7,8}."""
     tol = 1e-6
     worst = 0.0
     records = []
-    for n, orb, tag in _conformal_orbits((6, 7, 8), 0.6):
+    for n, orb, tag in _conformal_orbits(share, (6, 7, 8), 0.6):
         defect = expansion.xi2_identity_defect(orb)
         worst = max(worst, defect)
         records.append({"n": n, "orbit": tag, "defect": defect})
@@ -161,10 +165,9 @@ def check_xi2_identity():
 
 
 @_wrap("translate_expansion_orders", "translate")
-def check_translate_orders():
+def check_translate_orders(share):
     """Remainder slopes of xi_a minus order-1/order-2 sums: 2 and 3 within 10%."""
-    params = FowlerParams.conformal(5, 1.0)
-    orb = periodic_orbit(0.8 * constant_solution(params), params)
+    orb = _orbit(share, FowlerParams.conformal(5, 1.0), 0.8)
     amag = 0.9
     a = np.zeros(5)
     a[0] = amag
@@ -200,7 +203,7 @@ def _brute_force_sums(rho, cutoff, tol):
 
 
 @_wrap("index_set_oracle", "index")
-def check_index_oracle():
+def check_index_oracle(share):
     """generate == nested-loop enumeration; mu_2 = min(2, rho_{n+1})."""
     rng = np.random.default_rng(SEED)
     tol = 1e-9
@@ -215,7 +218,7 @@ def check_index_oracle():
             mismatches += 1
     mu2_records = []
     mu2_ok = True
-    for n, orb, tag in _conformal_orbits(range(3, 9), 0.45):
+    for n, orb, tag in _conformal_orbits(share, range(3, 9), 0.45):
         data = floquet.exponent_sequence(orb, n + 1)
         sig = [d.sigma for d in data]
         iset = index_set.generate(sig, 3.0, degrees=[d.degree for d in data])
@@ -229,22 +232,12 @@ def check_index_oracle():
         "mu2_records": mu2_records}
 
 
-def _construction_orbit(share: dict):
-    """The orbit of both construction criteria, shot once per `share`: its
-    Floquet data and window contexts then serve the second criterion too."""
-    if "construction_orbit" not in share:
-        params = FowlerParams.conformal(5, 1.0)
-        share["construction_orbit"] = periodic_orbit(
-            0.5 * constant_solution(params), params)
-    return share["construction_orbit"]
-
-
 def _constructed(share: dict, beta: float):
-    """The construction forced at rate beta near the construction orbit, made
-    once per `share`: the orbit, its trace, and v - xi with its decay fit."""
+    """The construction forced at rate beta near the n = 5 orbit at 0.5 xi*,
+    made once per `share`: the orbit, its trace, and v - xi with its fit."""
     key = ("constructed", beta)
     if key not in share:
-        orb = _construction_orbit(share)
+        orb = _orbit(share, FowlerParams.conformal(5, 1.0), 0.5)
         profile = cylinder.ForcingProfile(k0=1.0, components=((1, 0.05, beta),))
         v, trace = cylinder.contraction_construct(orb, profile)
         diff, fit = cylinder.perturbation_fit(
@@ -253,7 +246,7 @@ def _constructed(share: dict, beta: float):
     return share[key]
 
 
-@_wrap("contraction_construction", "construct", shares=True)
+@_wrap("contraction_construction", "construct")
 def check_contraction(share):
     """Constructed v has |v - xi| decaying at the forcing rate; at beta =
     sigma_1 the t e^{-beta t} model wins."""
@@ -286,7 +279,7 @@ def check_contraction(share):
     return ok, {"records": records, "epsilon": orb.epsilon}
 
 
-@_wrap("first_order_expansion_of_constructed", "first-order", shares=True)
+@_wrap("first_order_expansion_of_constructed", "first-order")
 def check_first_order_expansion(share):
     """decay fit of v - xi - xi_1 lies in the predicted window (1, 2)."""
     beta = 1.5
@@ -384,7 +377,7 @@ def remark_example_check() -> dict:
 
 
 @_wrap("dimension4_example", "remark")
-def check_remark_example():
+def check_remark_example(share):
     """4th-order residual convergence and grad K(0) = (1/8, ..., 1/8)."""
     report = remark_example_check()
     ratio_ok = 14.0 <= report["refinement_ratio"] <= 18.0
@@ -393,19 +386,19 @@ def check_remark_example():
 
 
 @_wrap("ckn_branch", "ckn")
-def check_ckn():
+def check_ckn(share):
     """CKN: constant-orbit closed form, exponent ordering and q+ positivity,
     and the N-operator contraction with slope within 5% of nu = 2.4."""
     nu, tol_const = 2.4, 1e-9
     params = FowlerParams.ckn(5, 0.5, 0.7)
     n = params.n
-    const = constant_orbit(params)
+    const = _orbit(share, params)
     data_c = floquet.exponent_sequence(const, 12)
     worst_const = max(
         abs(d.sigma - math.sqrt(d.lam - (params.p - 2.0) * params.q))
         for d in data_c)
 
-    orb = periodic_orbit(0.4 * constant_solution(params), params)
+    orb = _orbit(share, params, 0.4)
     count = spheres.index_of_last_degree(n, 2)
     data = floquet.exponent_sequence(orb, count, with_factors=True)
     sig = [d.sigma for d in data]
@@ -450,6 +443,6 @@ def run_suite(names=None) -> list:
             raise KeyError(f"unknown suite name(s): {unknown}; "
                            f"choose from {sorted(SUITES)}")
         fns = [SUITES[x] for x in names]
-    # one run shares the construction orbit; the next run shoots its own
+    # one run shares every orbit; the next run makes its own
     share = {}
     return [fn(share) for fn in fns]

@@ -325,7 +325,9 @@ def _cmd_index_set(args):
     print("mu:", " ".join(repr(float(v)) for v in iset.values))
     if len(resonances):
         print("resonant:", " ".join(repr(float(v)) for v in resonances))
-    for w in iset.warnings:
+    # each datum's warning once, not once per mode of its eigenvalue
+    for w in iset.warnings + list(dict.fromkeys(d.warning for d in data
+                                                if d.warning)):
         print("warning:", w)
     return 0
 

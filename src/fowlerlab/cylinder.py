@@ -858,7 +858,8 @@ def _construct(orbit: FowlerOrbit, modes, nu: float, build, t0: float,
     window, the first included, is refused with WindowError before it is
     set up when an exponential it needs overflows: the weight e^{nu t}, a
     hyperbolic mode's kernel pair e^{sigma (t - t0)} or the forcing
-    e^{-r t} of each (name, r) of `rates`.  Returns the base field, the
+    e^{-r t} of each (name, r) of `rates`; after the base's positivity, a
+    b^e, A, B, C or D that is not finite is refused the same way.  Returns the base field, the
     field base + phi and the iteration trace.
     """
     params = orbit.params
@@ -889,6 +890,9 @@ def _construct(orbit: FowlerOrbit, modes, nu: float, build, t0: float,
         base, b, e, b_e, A, B, C, D = build(tgrid, win.xi, proj)
         if np.min(b) <= 0:
             raise PositivityError(f"base field not positive on the grid ({where})")
+        if not all(np.isfinite(x).all() for x in (b_e, A, B, C, D)):
+            raise WindowError(f"the power b^e or a factor A, B, C, D of the "
+                              f"map is not finite on the window ({where})")
         forcing = C * D
         forcing.flags.writeable = False
         vals = np.empty(forcing.shape)
@@ -1016,16 +1020,17 @@ def ckn_construct(orbit: FowlerOrbit, nu: float, amplitude: float = 0.05,
         # perturbation is an explicit exponential times a harmonic, so
         #   N(w_hat) = (lam + q - nu^2) pert - [w_hat^{p-1} - zeta^{p-1}],
         # with the power difference taken through expm1 for stability; a
-        # w_hat <= 0, which `_construct` refuses, gives NaN here
-        with np.errstate(invalid="ignore", divide="ignore"):
+        # w_hat <= 0 gives NaN here and an overflowing power inf, both of
+        # which `_construct` refuses
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             what_pow = what_vals ** (p - 1.0)
             log_rel = np.log1p(pert / zeta_t[:, None])
-        power_jump = (zeta_t ** (p - 1.0))[:, None] * np.expm1(
-            (p - 1.0) * log_rel)
-        forcing = -((lam_pert + params.q - nu * nu) * pert - power_jump)
-        # (p-1)(w_hat^{p-2} - zeta^{p-2}), the linearization-offset factor
-        lin_offset = (p - 1.0) * (zeta_t ** (p - 2.0))[:, None] * np.expm1(
-            (p - 2.0) * log_rel)
+            power_jump = (zeta_t ** (p - 1.0))[:, None] * np.expm1(
+                (p - 1.0) * log_rel)
+            forcing = -((lam_pert + params.q - nu * nu) * pert - power_jump)
+            # (p-1)(w_hat^{p-2} - zeta^{p-2}), the linearization-offset factor
+            lin_offset = (p - 1.0) * (zeta_t ** (p - 2.0))[:, None] * np.expm1(
+                (p - 2.0) * log_rel)
         what_coeffs = np.zeros((len(modes), tgrid.size))
         what_coeffs[0] = zeta_t
         what_coeffs[degree] += amplitude * np.exp(-nu * tgrid)

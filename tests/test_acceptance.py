@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fowlerlab import acceptance
+from fowlerlab import acceptance, floquet
+from fowlerlab.fowler import FowlerParams
 
 
 def _report(fn, **kwargs):
@@ -191,7 +192,7 @@ def orbit_shots(monkeypatch):
     replaced by a cheap stand-in, so only the sharing is under test."""
     shots = []
 
-    def shoot(epsilon, params, **kwargs):
+    def shoot(*args, **kwargs):
         shots.append(object())
         return shots[-1]
 
@@ -200,10 +201,10 @@ def orbit_shots(monkeypatch):
 
 
 def _orbit_probe(name, monkeypatch, fail=False):
-    """A registered criterion reading the shared construction orbit."""
-    @acceptance._wrap(name, shares=True)
+    """A registered criterion reading the run's construction orbit."""
+    @acceptance._wrap(name)
     def probe(share):
-        orb = acceptance._construction_orbit(share)
+        orb = acceptance._orbit(share, FowlerParams.conformal(5, 1.0), 0.5)
         if fail:
             raise RuntimeError("probe failed")
         return True, {"orbit": id(orb)}
@@ -248,22 +249,59 @@ def test_one_run_constructs_each_forcing_rate_once(monkeypatch):
     assert sorted(rates) == [1.0, 1.5, 2.5]
 
 
+def _stable(reports):
+    """The reports without their runtimes."""
+    return [{k: v for k, v in r.items() if k != "runtime_s"} for r in reports]
+
+
 def test_construction_criteria_report_the_same_in_any_order(monkeypatch):
     shoot, shots = acceptance.periodic_orbit, []
     monkeypatch.setattr(acceptance, "periodic_orbit",
-                        lambda *args: shots.append(args) or shoot(*args))
-
-    def stable(reports):
-        return [{k: v for k, v in r.items() if k != "runtime_s"}
-                for r in reports]
+                        lambda *args, **kwargs: shots.append(args)
+                        or shoot(*args, **kwargs))
 
     names = ["construct", "first_order_expansion_of_constructed"]
-    alone = stable(acceptance.run_suite([names[0]])
-                   + acceptance.run_suite([names[1]]))
+    alone = _stable(acceptance.run_suite([names[0]])
+                    + acceptance.run_suite([names[1]]))
     assert len(shots) == 2 and all(r["passed"] for r in alone)
-    assert stable(acceptance.run_suite(names)) == alone
-    assert stable(acceptance.run_suite(names[::-1])) == alone[::-1]
+    assert _stable(acceptance.run_suite(names)) == alone
+    assert _stable(acceptance.run_suite(names[::-1])) == alone[::-1]
     assert len(shots) == 4
+
+
+def test_one_run_makes_each_orbit_and_classifies_each_eigenvalue_once(
+        monkeypatch):
+    # 36 shots of 34 orbits and 22 constant orbits of 7 problems, with 40
+    # and 44 classified eigenvalues, when each criterion made its own
+    made = {"periodic": [], "constant": []}
+    classified = {True: 0, False: 0}
+    shoot, const = acceptance.periodic_orbit, acceptance.constant_orbit
+    classify = floquet._classified
+
+    def spy(kind, make):
+        return lambda *args, **kwargs: (made[kind].append((args, kwargs))
+                                        or make(*args, **kwargs))
+
+    def counted(orbit, *args):
+        classified[orbit.is_constant] += 1
+        return classify(orbit, *args)
+
+    monkeypatch.setattr(acceptance, "periodic_orbit", spy("periodic", shoot))
+    monkeypatch.setattr(acceptance, "constant_orbit", spy("constant", const))
+    monkeypatch.setattr(floquet, "_classified", counted)
+    reports = acceptance.run_suite()
+    assert len(reports) == 11 and all(r["passed"] for r in reports)
+    assert len(made["periodic"]) == 34 and len(made["constant"]) == 7
+    assert classified == {True: 15, False: 42}
+
+
+def test_every_criterion_reports_the_same_in_any_order():
+    names = [fn.criterion_name for fn in acceptance.ALL_CRITERIA]
+    alone = _stable([report for name in names
+                     for report in acceptance.run_suite([name])])
+    assert all(r["passed"] for r in alone)
+    assert _stable(acceptance.run_suite(names)) == alone
+    assert _stable(acceptance.run_suite(names[::-1])) == alone[::-1]
 
 
 def test_every_criterion_is_reached_by_its_name_and_its_alias():
@@ -278,7 +316,7 @@ def test_every_criterion_is_reached_by_its_name_and_its_alias():
 
 
 def test_a_criterion_without_an_alias_has_none():
-    @acceptance._wrap("probe", shares=True)
+    @acceptance._wrap("probe")
     def probe(share):
         return True, {}
     assert (probe.criterion_name, probe.criterion_alias) == ("probe", None)
@@ -308,7 +346,7 @@ def test_a_wrapped_probe_joins_no_criteria_list():
     before, suites = list(acceptance.ALL_CRITERIA), dict(acceptance.SUITES)
 
     @acceptance._wrap("probe", "p")
-    def probe():
+    def probe(share):
         return True, {}
     assert probe()["passed"]
     assert acceptance.ALL_CRITERIA == before

@@ -772,13 +772,21 @@ TYPED_REFUSALS = [
      r"t = 5\.0 \(k0 = 1\.0\)"),
     (CKN_CONSTRUCT + ["--kappa", "1e6"], "PositivityError",
      r"base field not positive on the grid \("
-     + _named(CKN5, 0.4, ("t0", 5.0), ("window", 12.0)) + r"\)")]
+     + _named(CKN5, 0.4, ("t0", 5.0), ("window", 12.0)) + r"\)"),
+    (CKN_CONSTRUCT + ["--kappa", "1e200"], "PositivityError",
+     r"base field not positive on the grid \("
+     + _named(CKN5, 0.4, ("t0", 5.0), ("window", 12.0)) + r"\)"),
+    (CKN_CONSTRUCT + ["--kdegree", "0", "--kappa", "1e200"], "WindowError",
+     r"the power b\^e or a factor A, B, C, D of the map is not finite on "
+     r"the window \(" + _named(CKN5, 0.4, ("t0", 5.0), ("window", 12.0))
+     + r"\)")]
 
 
 @pytest.mark.parametrize("argv, error, message", TYPED_REFUSALS, ids=[
     "floquet-ckn-flat-neck", "index-set-ckn-flat-neck", "weight", "weight-ckn",
     "weight-k0", "kernel-pair", "forcing", "forcing-ckn", "grid-window", "grid-h",
-    "index-set-degree-0", "profile-not-positive", "base-not-positive-ckn"])
+    "index-set-degree-0", "profile-not-positive", "base-not-positive-ckn",
+    "base-power-overflow-ckn", "forcing-overflow-ckn"])
 def test_overflowing_closed_forms_and_windows_end_in_one_typed_record(
         argv, error, message, tmp_path, capsys, monkeypatch):
     # these used to end in an OverflowError traceback, RuntimeWarnings and a
@@ -798,6 +806,22 @@ def test_overflowing_closed_forms_and_windows_end_in_one_typed_record(
     record = json.loads(lines[0])
     assert record["error"] == error
     assert re.fullmatch(message, record["message"]), record["message"]
+
+
+def test_index_set_prints_the_floor_warning_of_each_summed_datum(
+        tmp_path, capsys):
+    # sigma_1 reads 1.3628 on this slow orbit against the exact 1, and the
+    # datum's floor warning used to reach floquet.json but not this command
+    assert run_cli(["index-set", "--n", "5", "--epsilon-frac", "1e-9",
+                    "--outdir", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 2 and lines[0].startswith("mu: 1.36278")
+    assert re.fullmatch(
+        r"warning: monodromy kept at the orbit's accuracy floor \("
+        + _named(CONFORMAL5, 1e-9, ("lambda", 4.0), ("N", 8192))
+        + r", estimate = 0\.007\d*\)", lines[1]), lines[1]
+    saved = json.loads((tmp_path / "index_set.json").read_text())
+    assert saved["warnings"] == []
 
 
 UNFITTED = [

@@ -9,8 +9,9 @@ path, that only the command line's two writers make directories, that
 only `fowler.py` and `floquet.py` name the DOP853 stepper, its dense-output
 reader and the linear solves' tolerances, and that only `floquet.monodromy`
 builds a Magnus tree, only `floquet.spectrum` runs its monodromy and
-kernel solves, and that the Floquet, cylinder and expansion modules leave
-the naming of an orbit to `FowlerOrbit.named`.
+kernel solves, only `acceptance._orbit` makes an acceptance orbit, and that
+the Floquet, cylinder and expansion modules leave the naming of an orbit to
+`FowlerOrbit.named`.
 """
 
 import ast
@@ -133,6 +134,14 @@ def test_only_the_spectrum_runs_the_floquet_solves():
                for name in callers(path.read_text(),
                                    {"monodromy", "kernel_basis"}, "floquet")}
     assert solvers == {("floquet.py", "spectrum")}
+
+
+def test_only_the_run_store_makes_an_acceptance_orbit():
+    # every criterion takes its orbits from the run's share through
+    # acceptance._orbit, so one verify run makes each orbit once
+    source = (PACKAGE / "acceptance.py").read_text()
+    assert callers(source, {"periodic_orbit", "constant_orbit"},
+                   "fowler") == ["_orbit"]
 
 
 def private_module_imports(source: str) -> list:
