@@ -4,7 +4,9 @@ Subcommands: fowler, floquet, index-set, expand, verify, construct.
 Parameters come from flags or an INI-style flat config file (`--config`),
 with flags winning.  Reports are JSON (floats via repr: shortest exact
 round-trip), in the bytes of `json.dumps` with indent 1 and sorted keys;
-orbits and fields are CSV.
+orbits and fields are CSV.  What a report holds is decided here too: the
+result's compared dataclass fields (`output_fields`) and the command's own
+extras.
 """
 
 from __future__ import annotations
@@ -15,14 +17,14 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from . import acceptance, cylinder, expansion, floquet, index_set, spheres
 from .fowler import (FowlerParams, constant_orbit, constant_solution,
-                     max_value, orbit_to_dict, periodic_orbit,
-                     period_quadrature)
+                     max_value, periodic_orbit, period_quadrature)
 
 
 def _json_default(obj):
@@ -157,6 +159,49 @@ def write_csv(header, columns, path):
                       for row in zip(*columns))
 
 
+def output_fields(result) -> dict:
+    """A result's compared dataclass fields by name, arrays as lists: what
+    its result file holds.  A `compare=False` field, a work count or a
+    cache, stays out of every result file."""
+    out = {f.name: getattr(result, f.name) for f in fields(result) if f.compare}
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v
+            for k, v in out.items()}
+
+
+def orbit_payload(orbit) -> dict:
+    """`orbit.json`: the orbit's fields, its params described."""
+    return dict(output_fields(orbit), params=orbit.params.describe())
+
+
+def mode_payload(datum) -> dict:
+    """A `floquet.json` mode: the datum's fields, `lam` as `lambda`, and
+    its kernel factors, if it has them, at 256 points of [0, T)."""
+    d = output_fields(datum)
+    d["lambda"] = d.pop("lam")
+    if datum.q_plus is not None:
+        ts = np.linspace(0.0, datum.period, 257)[:-1]
+        d["q_plus"] = datum.q_plus(ts).tolist()
+        d["q_minus"] = datum.q_minus(ts).tolist()
+    return d
+
+
+def index_set_payload(iset) -> dict:
+    """The index set's fields, each base exponent's fields and the
+    resonant flags."""
+    return dict(output_fields(iset),
+                base=[output_fields(b) for b in iset.base],
+                resonant=iset.resonant.tolist())
+
+
+def term_payload(term) -> dict:
+    """An expansion term, its coefficient at 128 points of a period."""
+    ts = np.linspace(0.0, term.coeff.period, 129)[:-1]
+    return {"mu": term.mu, "t_power": term.t_power,
+            "degree": term.mode.degree, "dimension": term.mode.dimension,
+            "period": term.coeff.period, "coeff_t": ts.tolist(),
+            "coeff": term.coeff(ts).tolist()}
+
+
 def _load_config(path):
     parser = configparser.ConfigParser()
     with open(path) as fh:
@@ -278,7 +323,7 @@ def _cmd_fowler(args):
                for name in ("t", "xi", "xi_prime")}
     write_csv(list(samples), list(samples.values()),
               os.path.join(args.outdir, "orbit.csv"))
-    write_json(dict(orbit_to_dict(orbit), **samples),
+    write_json(dict(orbit_payload(orbit), **samples),
                os.path.join(args.outdir, "orbit.json"))
     write_json(summary, os.path.join(args.outdir, "orbit_summary.json"))
     print(line)
@@ -299,7 +344,7 @@ def _cmd_floquet(args):
         rate = d.sigma if d.sigma is not None else d.omega
         print(f"{d.index:>3} {d.lam:>10.4f} {d.type:>5} {rate:>14.8f} "
               f"{margin_text}")
-        rows.append(dict(d.to_dict(), bound_margin=margin))
+        rows.append(dict(mode_payload(d), bound_margin=margin))
     write_json({"params": orbit.params.describe(), "epsilon": orbit.epsilon,
                 "period": orbit.period, "modes": rows},
                os.path.join(args.outdir, "floquet.json"))
@@ -318,7 +363,7 @@ def _cmd_index_set(args):
                               tol=args.resonance_tol,
                               degrees=[d.degree for d in data])
     singles, multis, resonances = index_set.split(iset)
-    payload = dict(iset.to_dict(), singles=singles.tolist(),
+    payload = dict(index_set_payload(iset), singles=singles.tolist(),
                    multi_sums=multis.tolist(), resonances=resonances.tolist(),
                    angular_normalization="pole (zonal value 1 at <axis,theta>=1)")
     write_json(payload, os.path.join(args.outdir, "index_set.json"))
@@ -355,7 +400,7 @@ def _cmd_expand(args):
             f"order = {args.order!r}, amplitude = {args.amplitude!r}")
     payload = {"order": args.order, "amplitude": args.amplitude,
                "angular_normalization": "pole (zonal value 1 at <axis,theta>=1)",
-               "terms": [t.to_dict() for t in terms]}
+               "terms": [term_payload(t) for t in terms]}
     write_json(payload, os.path.join(args.outdir, "expansion.json"))
     write_csv(["t"] + [f"s_{s:.4f}" for s in svals], [ts, *total.T],
               os.path.join(args.outdir, "expansion_eval.csv"))
@@ -400,7 +445,8 @@ def _cmd_construct(args):
     fit = None if flat else cylinder.perturbation_fit(v, ref, orbit)[1]
     write_csv(["t"] + [f"degree_{m.degree}" for m in v.modes],
               [v.t, *v.coeffs], os.path.join(args.outdir, "field.csv"))
-    report = {"trace": trace.to_dict(), "fit": fit.to_dict() if fit else None,
+    report = {"trace": output_fields(trace),
+              "fit": output_fields(fit) if fit else None,
               "target_rate": base_rate,
               "angular_normalization": "pole (zonal value 1 at <axis,theta>=1)",
               "params": orbit.params.describe(), "epsilon": orbit.epsilon}

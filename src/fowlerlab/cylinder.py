@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -629,9 +629,6 @@ class FitResult:
     window: tuple
     warning: str | None = None
 
-    def to_dict(self):
-        return asdict(self)
-
 
 def decay_rate_fit(arg, t_window=None, floor: float = UNDERFLOW_FLOOR) -> FitResult:
     """Fit sup_theta |diff| ~ C e^{-gamma t} and ~ C t e^{-gamma t}.
@@ -721,9 +718,6 @@ class IterationTrace:
     converged: bool
     iterations: int
     escalations: int
-
-    def to_dict(self):
-        return asdict(self)
 
 
 def _power_remainder(exponent: float, base, base_pow, delta):

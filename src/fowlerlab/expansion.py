@@ -55,19 +55,6 @@ class ExpansionTerm:
         angular = spheres.eval_zonal(self.mode, s)
         return np.outer(radial, angular)
 
-    def to_dict(self) -> dict:
-        """The term with its coefficient sampled at 128 points of a period."""
-        ts = np.linspace(0.0, self.coeff.period, 129)[:-1]
-        return {
-            "mu": self.mu,
-            "t_power": self.t_power,
-            "degree": self.mode.degree,
-            "dimension": self.mode.dimension,
-            "period": self.coeff.period,
-            "coeff_t": ts.tolist(),
-            "coeff": self.coeff(ts).tolist(),
-        }
-
 
 def _require_conformal(orbit):
     if orbit.params.kind != "conformal":

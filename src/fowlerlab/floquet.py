@@ -35,8 +35,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import spheres
-from .fowler import (BareDOP853, DenseSolution, FowlerOrbit, IntegrationError,
-                     output_fields)
+from .fowler import BareDOP853, DenseSolution, FowlerOrbit, IntegrationError
 from .periodic import PeriodicFunction
 
 TYPE_I, TYPE_II, TYPE_III, TYPE_IV = "I", "II", "III", "IV"
@@ -96,15 +95,6 @@ class FloquetDatum:
     # read-only `_magnus_product` nodes of magnus_steps (on a constant
     # orbit the closed form over T / KERNEL_PIECES): the shooting seeds
     nodes: np.ndarray | None = field(default=None, compare=False, repr=False)
-
-    def to_dict(self) -> dict:
-        d = output_fields(self)
-        d["lambda"] = d.pop("lam")
-        if self.q_plus is not None:
-            ts = np.linspace(0.0, self.period, 257)[:-1]
-            d["q_plus"] = self.q_plus(ts).tolist()
-            d["q_minus"] = self.q_minus(ts).tolist()
-        return d
 
 
 def variational_system(lams, params, pieces: int = 1):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import DOP853, quad, solve_ivp
@@ -527,16 +527,3 @@ def periodic_orbit(epsilon: float, params: FowlerParams,
                        is_constant=False, energy_drift=drift,
                        rhs_evals=int(sol.nfev), steps=len(sol.t) - 1,
                        _dense=dense)
-
-
-def output_fields(result) -> dict:
-    """A result's compared dataclass fields by name, arrays as lists: what
-    its result file holds.  A `compare=False` field, a work count or a
-    cache, stays out of every result file."""
-    out = {f.name: getattr(result, f.name) for f in fields(result) if f.compare}
-    return {k: v.tolist() if isinstance(v, np.ndarray) else v
-            for k, v in out.items()}
-
-
-def orbit_to_dict(orbit: FowlerOrbit) -> dict:
-    return dict(output_fields(orbit), params=orbit.params.describe())

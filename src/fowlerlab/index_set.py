@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import spheres
-from .fowler import output_fields
 
 DEFAULT_TOL = 1e-8
 NEAR_RESONANCE_FACTOR = 100.0
@@ -49,11 +48,6 @@ class IndexSet:
     @property
     def resonant(self) -> np.ndarray:
         return self.single & self.multi
-
-    def to_dict(self) -> dict:
-        return dict(output_fields(self),
-                    base=[asdict(b) for b in self.base],
-                    resonant=self.resonant.tolist())
 
 
 def _collapse(rho, degrees, tol):

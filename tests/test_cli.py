@@ -18,6 +18,8 @@ import fowlerlab
 from fowlerlab import cli
 from fowlerlab.fowler import FowlerParams, constant_solution, max_value
 
+from readme_outputs import readme_command_lines
+
 
 def run_cli(args):
     return cli.main(args)
@@ -572,7 +574,7 @@ def test_write_json_bytes_are_those_of_json_dumps(source, tmp_path,
     written, real = [], cli.write_json
     monkeypatch.setattr(cli, "write_json", lambda payload, path: (
         written.append((payload, path)), real(payload, path)))
-    for i, line in enumerate(_readme_command_lines()):
+    for i, line in enumerate(readme_command_lines()):
         argv = line.split()[1:] + ["--outdir", str(tmp_path / str(i))]
         with contextlib.redirect_stdout(io.StringIO()):
             assert run_cli(argv) == 0, line
@@ -857,21 +859,10 @@ def test_a_perturbation_below_the_floor_ends_in_one_named_record(
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _readme_command_lines():
-    """The README's "Command line" block, comments and `--outdir out`
-    stripped."""
-    with open(os.path.join(ROOT, "README.md")) as fh:
-        readme = fh.read()
-    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", readme,
-                      re.S).group(1)
-    return [" ".join(line.split("#")[0].replace("--outdir out", "").split())
-            for line in block.splitlines() if line.strip()]
-
-
 def test_the_readme_command_block_is_the_benchmark_command_list():
     # the README's command lines against README_COMMANDS as
     # perfbench/workloads.py states it
-    lines = _readme_command_lines()
+    lines = readme_command_lines()
     with open(os.path.join(ROOT, "perfbench", "workloads.py")) as fh:
         tree = ast.parse(fh.read())
     (pairs,) = [ast.literal_eval(node.value) for node in tree.body

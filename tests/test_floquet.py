@@ -358,7 +358,7 @@ def test_ckn_exponent_ordering_and_positivity(ckn_orbit):
 
 def test_datum_json_roundtrip(conf5_orbit):
     d = floquet.mode_datum(conf5_orbit, 1, 4.0, 1, with_factors=True)
-    payload = d.to_dict()
+    payload = cli.mode_payload(d)
     assert payload["type"] == "III"
     assert len(payload["q_plus"]) == 256
     assert abs(payload["sigma"] - 1.0) < 1e-6
@@ -366,14 +366,14 @@ def test_datum_json_roundtrip(conf5_orbit):
     assert payload["coupling"] is None
     # the mode-0 datum carries its measured t-term coupling
     d0 = floquet.mode_datum(conf5_orbit, 0, 0.0, 0)
-    payload0 = json.loads(json.dumps(d0.to_dict()))
+    payload0 = json.loads(json.dumps(cli.mode_payload(d0)))
     assert payload0["type"] == floquet.TYPE_II
     assert payload0["coupling"] == d0.coupling != 0.0
     assert payload0["det_defect"] == d0.det_defect
 
 
 def _datum_dict_by_keys(d):
-    # FloquetDatum.to_dict as a hand-kept key list, before the file was read
+    # cli.mode_payload as a hand-kept key list, before the file was read
     # off the datum's compared fields
     out = {
         "index": d.index,
@@ -416,7 +416,7 @@ def test_datum_file_holds_exactly_the_compared_fields(params, frac, tmp_path):
     lams, _ = spheres.eigenvalue_sequence(params.n, 4)
     for with_factors in (False, True):
         for d in floquet.spectrum(orb, lams, with_factors).values():
-            payload = d.to_dict()
+            payload = cli.mode_payload(d)
             factors = with_factors and d.type == floquet.TYPE_III
             assert (d.q_plus is not None) == factors
             samples = {"q_plus", "q_minus"} if factors else set()
@@ -833,7 +833,7 @@ def test_mode0_is_type_two_by_structure(params, frac):
     assert d0.type == floquet.TYPE_II and d0.sigma is None
     assert d0.trace_defect == abs(np.trace(d0.monodromy) - 2.0)
     assert d0.trace_defect < (1e-5 if frac < 0.1 else 1e-9)
-    assert d0.to_dict()["trace_defect"] == d0.trace_defect
+    assert cli.mode_payload(d0)["trace_defect"] == d0.trace_defect
 
 
 @pytest.mark.parametrize("frac", [1e-3, 0.5])
@@ -879,7 +879,7 @@ def test_floor_accepted_monodromies_carry_a_warning():
                           ("estimate", d.magnus_error))
         assert d.warning == (
             f"monodromy kept at the orbit's accuracy floor ({named})")
-        assert d.to_dict()["warning"] == d.warning
+        assert cli.mode_payload(d)["warning"] == d.warning
     # appended to a classification warning: a negative trace
     m = -data[2.0].monodromy
     d = floquet._classified(orb, 2.0, m, 1.0, 512, 1e-9, data[2.0].nodes)

@@ -310,7 +310,7 @@ def test_orbit_export(tmp_path, conf3_orbit):
     cli.write_csv(["t", "xi", "xi_prime"],
                   [conf3_orbit.t, conf3_orbit.xi, conf3_orbit.xi_prime],
                   csv_path)
-    cli.write_json(fowler.orbit_to_dict(conf3_orbit), json_path)
+    cli.write_json(cli.orbit_payload(conf3_orbit), json_path)
     header = csv_path.read_text().splitlines()[0]
     assert header == "t,xi,xi_prime"
     payload = json.loads(json_path.read_text())
@@ -321,7 +321,7 @@ def test_orbit_export(tmp_path, conf3_orbit):
 
 
 def _orbit_dict_by_keys(orbit):
-    # orbit_to_dict as a hand-kept key list, before the file was read off
+    # cli.orbit_payload as a hand-kept key list, before the file was read off
     # the orbit's compared fields
     return {
         "params": orbit.params.describe(),
@@ -353,7 +353,7 @@ def test_orbit_file_holds_exactly_the_compared_fields(name, tmp_path):
         eps = frac * fowler.constant_solution(params)
     orb = (fowler.constant_orbit(params) if eps is None
            else fowler.periodic_orbit(eps, params))
-    payload = fowler.orbit_to_dict(orb)
+    payload = cli.orbit_payload(orb)
     assert set(payload) == {f.name for f in dataclasses.fields(orb)
                             if f.compare}
     assert payload["params"] == params.describe()
@@ -582,8 +582,9 @@ def test_results_carry_their_integrator_work(name, monkeypatch):
     assert (pair.datum.kernel_rhs_evals, pair.datum.kernel_steps) == (0, 0)
     assert (hyperbolic.pair_rhs_evals, hyperbolic.pair_steps) == (0, 0)
     # counts stay out of the result files and out of orbit equality
-    assert not {"rhs_evals", "steps"} & set(fowler.orbit_to_dict(orb))
-    assert not {"kernel_rhs_evals", "kernel_steps"} & set(data[lams[0]].to_dict())
+    assert not {"rhs_evals", "steps"} & set(cli.orbit_payload(orb))
+    assert not {"kernel_rhs_evals", "kernel_steps"} & set(
+        cli.mode_payload(data[lams[0]]))
     assert {f.name for f in dataclasses.fields(fowler.FowlerOrbit)
             if not f.compare} >= {"rhs_evals", "steps"}
     const = fowler.constant_orbit(params)

@@ -5,8 +5,9 @@ top-level `import` or `from ... import` must appear as a name somewhere in
 the module.  `__init__.py` is skipped (its imports are re-exports) and so are
 `__future__` imports.  The same walk checks that the library reads no
 environment variables, that only `fowler.py` imports a private module
-path, that only the command line's two writers make directories, that
-only `fowler.py` and `floquet.py` name the DOP853 stepper, its dense-output
+path, that only the command line's two writers make directories and
+only it shapes a result file's fields, that only `fowler.py` and
+`floquet.py` name the DOP853 stepper, its dense-output
 reader and the linear solves' tolerances, and that only `floquet.monodromy`
 builds a Magnus tree, only `floquet.spectrum` runs its monodromy and
 kernel solves, only `acceptance._orbit` makes an acceptance orbit, and that
@@ -107,6 +108,35 @@ def test_only_the_writers_make_directories():
     makers = {(path.name, name) for path in MODULES
               for name in directory_makers(path.read_text())}
     assert makers == {("cli.py", "write_csv"), ("cli.py", "write_json")}
+
+
+def result_shapers(source: str) -> list:
+    """Names of the functions that define a `to_dict` or call `asdict` or
+    `output_fields` (by name, or as attributes of `dataclasses` and
+    `cli`): what decides the fields a result file holds."""
+    defined = {node.name for node in ast.walk(ast.parse(source))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.name == "to_dict"}
+    return sorted(defined | set(callers(source, {"asdict"}, "dataclasses"))
+                  | set(callers(source, {"output_fields"}, "cli")))
+
+
+def test_checker_flags_a_result_shaper():
+    source = ("import dataclasses\nfrom dataclasses import asdict\n"
+              "class R:\n    def to_dict(self):\n        return {}\n"
+              "def f(r):\n    return asdict(r)\n"
+              "def g(r):\n    return dataclasses.asdict(r)\n"
+              "def h(r):\n    return cli.output_fields(r)\n"
+              "def k(r):\n    return r.asdict(), other.output_fields(r)\n")
+    assert result_shapers(source) == ["f", "g", "h", "to_dict"]
+
+
+def test_only_the_command_line_shapes_result_files():
+    # cli forms every payload from the results' fields and its own extras;
+    # the result types are plain data
+    shapers = {path.name for path in MODULES
+               if result_shapers(path.read_text())}
+    assert shapers == {"cli.py"}
 
 
 def test_checker_flags_a_magnus_tree_builder():

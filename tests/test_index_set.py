@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fowlerlab import floquet, index_set, spheres
+from fowlerlab import cli, floquet, index_set, spheres
 from fowlerlab.fowler import FowlerParams, constant_orbit
 
 
@@ -158,7 +158,7 @@ def test_multiplicity_collapse_keeps_largest_degree():
 def test_to_dict_serializable():
     import json
     iset = index_set.generate([1.0, 2.0], 4.0, degrees=[1, 2])
-    payload = json.dumps(iset.to_dict())
+    payload = json.dumps(cli.index_set_payload(iset))
     assert "resonant" in payload
 
 
